@@ -14,7 +14,6 @@ from .fockmath import (
     SPIN_DOWN,
     SPIN_UP,
     FockSpace,
-    displaced_fock,
     displacement_matrix,
     laguerre_poly,
     laguerre_transition,
@@ -64,7 +63,6 @@ __all__ = [
     "SPIN_DOWN",
     "SPIN_UP",
     "FockSpace",
-    "displaced_fock",
     "displacement_matrix",
     "laguerre_poly",
     "laguerre_transition",

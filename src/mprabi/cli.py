@@ -9,13 +9,13 @@ Sub-commands:
 Exit codes: 0 success, 1 configuration error, 2 numerical-validity failure
 (norm drift, truncation, or a state the secular basis cannot represent).
 Relative output paths resolve against --output-dir, else $MPRABI_OUTPUT_DIR,
-else the working directory.  --dt, --n-max and --t-end override config values.
+else the working directory.  --dt, --n-max, --t-end and --manifold-max override
+config values and are validated with them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import sys
 
@@ -47,21 +47,12 @@ def _load_config(path: str, args) -> ScenarioConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
-    config = parse_config(text)
-    overrides = {}
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError(["--dt must be > 0"])
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        if args.t_end <= 0:
-            raise ConfigError(["--t-end must be > 0"])
-        overrides["t_end"] = args.t_end
-    if args.n_max is not None:
-        if args.n_max < 2:
-            raise ConfigError(["--n-max must be >= 2"])
-        overrides["n_max"] = args.n_max
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {
+        key: getattr(args, key)
+        for key in ("dt", "t_end", "n_max", "manifold_max")
+        if getattr(args, key, None) is not None
+    }
+    return parse_config(text, overrides)
 
 
 def _cmd_run(path: str, args) -> int:
@@ -79,7 +70,7 @@ def _cmd_spectrum(path: str, args) -> int:
     problems = check_writable([out_path])
     if problems:
         raise ConfigError(problems)
-    manifold_max = args.manifold_max or config.manifold_max or spec.n + 20
+    manifold_max = config.manifold_max or spec.n + 20
     if manifold_max < spec.n:
         raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {spec.n}"])
     emit_spectrum(params, spec, range(spec.n, manifold_max + 1), out_path)

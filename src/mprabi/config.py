@@ -109,9 +109,11 @@ def _check_number(problems, data, key, *, required=False, integer=False, minimum
     return int(val) if integer else float(val)
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario document.
 
+    ``overrides`` (command-line values, say) replace keys of the decoded
+    document before validation, so they pass the same checks as the file.
     Raises :class:`ConfigError` carrying every violated constraint, or a parse
     diagnostic with line and column for malformed JSON.
     """
@@ -131,6 +133,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if not data:
         raise ConfigError([f"empty config; {_REQUIRED_HINT}"])
+    data.update(overrides or {})
 
     out: dict = {}
     val = _check_number(problems, data, "lambda_eg", required=True)

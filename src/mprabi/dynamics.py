@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displaced_fock, laguerre_transition
+from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
 from .model import HamiltonianMatrix, ModelParams
 from .rwa import (
     ResonanceSpec,
@@ -176,7 +176,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
                 f"coherent state of mean {nbar} needs n_max > "
                 f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got {space.n_max}"
             )
-        vec[space.block(SPIN_DOWN)] = displaced_fock(0, -math.sqrt(nbar), space)
+        vec[space.block(SPIN_DOWN)] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
     else:
         given = np.asarray(spec.vector, dtype=complex)
         if given.shape != (space.dim,):
@@ -294,21 +294,22 @@ def _rwa_basis(
     """Secular eigenbasis as columns on the product space, with energies.
 
     Covers the unmixed manifolds N < n and the dressed pairs for
-    n <= N <= n_max-1.  The top n up-branch displaced states have no manifold
-    partner inside the truncation and are not representable; initial states
-    must not lean on them (checked by the caller).  At ``order=2`` the level
-    shifts of all n_max manifolds come from one :func:`level_shifts` call and
-    shift the unmixed manifolds as well as the dressed pairs.
+    n <= N <= n_max-1.  Every displaced Fock state is a column of one of two
+    displacement matrices: D(+lambda_g/omega)|N> on the down ladder and
+    D(-lambda_e/omega)|N-n> on the up ladder.  The top n up-branch displaced
+    states have no manifold partner inside the truncation and are not
+    representable; initial states must not lean on them (checked by the
+    caller).  At ``order=2`` the level shifts of all n_max manifolds come from
+    one :func:`level_shifts` call and shift the unmixed manifolds as well as
+    the dressed pairs.
     """
     n = spec.n
     n_max = space.n_max
-    g = params.lambda_g / params.omega
-    e = params.lambda_e / params.omega
     dn = space.block(SPIN_DOWN)
     up = space.block(SPIN_UP)
 
-    down_vecs = np.column_stack([displaced_fock(k, g, space) for k in range(n_max)])
-    up_vecs = np.column_stack([displaced_fock(k, -e, space) for k in range(n_max - n)])
+    down_vecs = displacement_matrix(params.lambda_g / params.omega, space)
+    up_vecs = displacement_matrix(-params.lambda_e / params.omega, space)
 
     n_states = n + 2 * (n_max - n)
     basis = np.zeros((space.dim, n_states), dtype=complex)

@@ -1,7 +1,8 @@
 """Displaced-oscillator special functions.
 
-Generalized Laguerre polynomials, Fock matrix elements of the displacement
-operator, and displaced Fock states on a truncated boson space.
+Generalized Laguerre polynomials and the Fock matrix of the displacement
+operator on a truncated boson space.  Displaced Fock states are columns of
+:func:`displacement_matrix`; no other routine computes displacement elements.
 
 Conventions
 -----------
@@ -18,10 +19,10 @@ with ``alpha = beta**2``, so that
     <m|D(beta)|k> = I(m, k, beta**2)                  for beta >= 0,
     <m|D(beta)|k> = (-1)^(m-k) I(m, k, beta**2)       for beta < 0.
 
-A displaced Fock state ``D(beta)|k>`` is column ``k`` of the displacement
-matrix.  The ``k = 0`` column is a coherent state whose photon-number
-distribution is Poisson with mean ``beta**2`` (the mean is the displacement
-squared, not the displacement itself).
+A displaced Fock state ``D(beta)|k>`` is column ``k`` of
+``displacement_matrix(beta, space)``.  The ``k = 0`` column is a coherent
+state whose photon-number distribution is Poisson with mean ``beta**2`` (the
+mean is the displacement squared, not the displacement itself).
 
 All functions here are pure and hold no shared mutable state, so they are safe
 to call from any number of threads.
@@ -124,56 +125,45 @@ def laguerre_transition(s: int, s_prime: int, alpha: float) -> float:
     return math.exp(log_pref) * laguerre_poly(s_prime, s - s_prime, alpha)
 
 
-def _laguerre_poly_sweep(n: int, l: np.ndarray, x: float) -> np.ndarray:
-    """L_n^l(x) for a fixed degree and a vector of superscripts."""
-    l = np.asarray(l, dtype=float)
-    prev = np.ones_like(l)
-    if n == 0:
-        return prev
-    cur = 1.0 + l - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + l - x) * cur - (k + l) * prev) / (k + 1)
-    return cur
-
-
-def _column_tail(n: int, beta: float, n_max: int, log_fact: np.ndarray) -> np.ndarray:
-    """Elements <m|D(beta)|n> for m = n .. n_max-1 (the m >= n part)."""
-    alpha = beta * beta
-    l = np.arange(0, n_max - n, dtype=float)  # l = m - n
-    if alpha == 0.0:
-        out = np.zeros(n_max - n)
-        out[0] = 1.0
-        return out
-    log_pref = (
-        0.5 * (log_fact[n] - log_fact[n : n_max])
-        + 0.5 * l * math.log(alpha)
-        - 0.5 * alpha
-    )
-    vals = np.exp(log_pref) * _laguerre_poly_sweep(n, l, alpha)
-    if beta < 0.0:
-        vals[1::2] *= -1.0  # (-1)^(m-n)
-    return vals
-
-
-def _log_factorials(n_max: int) -> np.ndarray:
-    return np.array([math.lgamma(i + 1.0) for i in range(n_max)])
-
-
 def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
-    """Matrix of D(beta) on the truncated Fock space.
+    """Matrix of D(beta) on the truncated Fock space; column k is D(beta)|k>.
 
     Entries are the exact infinite-space elements <m|D(beta)|k> evaluated
     through the transition function and windowed to n_max x n_max, so columns
     lose norm only through truncation: the matrix is unitary up to truncation
     error for ``beta**2`` well below ``n_max``.
+
+    One sweep of the degree recurrence of :func:`laguerre_poly`, run over the
+    vector of superscripts l = 0 .. n_max-1, yields every L_k^l(beta**2) the
+    lower triangle m >= k needs; the upper triangle follows by antisymmetry.
     """
     if not math.isfinite(beta):
         raise ValueError(f"displacement must be finite, got {beta}")
     n_max = space.n_max
+    alpha = beta * beta
     out = np.zeros((n_max, n_max))
-    log_fact = _log_factorials(n_max)
-    for k in range(n_max):
-        out[k:, k] = _column_tail(k, abs(beta), n_max, log_fact)
+    m_low, k_low = np.tril_indices(n_max)
+    l_low = (m_low - k_low).astype(float)
+    if alpha == 0.0:
+        out[m_low, k_low] = l_low == 0.0
+    else:
+        # lag[k, l] = L_k^l(alpha) for k + l < n_max, one row per degree
+        lag = np.zeros((n_max, n_max))
+        l = np.arange(n_max, dtype=float)
+        lag[0] = 1.0
+        lag[1] = 1.0 + l - alpha
+        for k in range(1, n_max - 1):
+            w = n_max - 1 - k
+            lag[k + 1, :w] = (
+                (2 * k + 1 + l[:w] - alpha) * lag[k, :w] - (k + l[:w]) * lag[k - 1, :w]
+            ) / (k + 1)
+        log_fact = np.array([math.lgamma(i + 1.0) for i in range(n_max)])
+        log_pref = (
+            0.5 * (log_fact[k_low] - log_fact[m_low])
+            + 0.5 * l_low * math.log(alpha)
+            - 0.5 * alpha
+        )
+        out[m_low, k_low] = np.exp(log_pref) * lag[k_low, m_low - k_low]
     # m < k from antisymmetry: I(m, k) = (-1)^(m-k) I(k, m)
     m_idx, k_idx = np.triu_indices(n_max, 1)
     signs = np.where((k_idx - m_idx) % 2 == 1, -1.0, 1.0)
@@ -182,28 +172,4 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
         parity = np.where((m_idx - k_idx) % 2 == 1, -1.0, 1.0)
         out[m_idx, k_idx] *= parity
         out[k_idx, m_idx] *= parity  # (-1)^(k-m) == (-1)^(m-k)
-    return out.astype(complex)
-
-
-def displaced_fock(n: int, beta: float, space: FockSpace) -> np.ndarray:
-    """Amplitude vector of the displaced Fock state D(beta)|n>.
-
-    Equals column ``n`` of ``displacement_matrix(beta, space)``.  With n = 0
-    this is a coherent state of mean photon number ``beta**2``.
-    """
-    if not 0 <= n < space.n_max:
-        raise ValueError(f"photon index {n} outside truncation 0..{space.n_max - 1}")
-    if not math.isfinite(beta):
-        raise ValueError(f"displacement must be finite, got {beta}")
-    n_max = space.n_max
-    out = np.zeros(n_max)
-    log_fact = _log_factorials(n_max)
-    out[n:] = _column_tail(n, beta, n_max, log_fact)
-    alpha = beta * beta
-    for m in range(n):
-        # <m|D(beta)|n> with m < n
-        val = laguerre_transition(m, n, alpha)
-        if beta < 0.0 and (n - m) % 2:
-            val = -val
-        out[m] = val
     return out.astype(complex)

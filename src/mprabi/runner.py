@@ -23,7 +23,7 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,17 +69,6 @@ class RunManifest:
     code_version: str
     wall_clock_utc: str
     elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "derived": self.derived,
-            "validity": self.validity,
-            "outputs": self.outputs,
-            "code_version": self.code_version,
-            "wall_clock_utc": self.wall_clock_utc,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -312,7 +301,7 @@ def run_scenario(
         emit_csv(rwa_traj, rwa_csv_path, omega=params.omega)
     manifest.elapsed_seconds = round(time.perf_counter() - start, 6)
     _atomic_write_text(
-        manifest_path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+        manifest_path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
     )
 
     if not (norm_ok and truncation_ok):

@@ -51,7 +51,6 @@ from .fockmath import (
     SPIN_DOWN,
     SPIN_UP,
     FockSpace,
-    displaced_fock,
     displacement_matrix,
     laguerre_transition,
 )
@@ -114,22 +113,27 @@ def _padded_size(params: ModelParams, n_top: int) -> int:
     return n_top + 22 + int(math.ceil(8.0 * (b * b + b * math.sqrt(n_top + 1.0))))
 
 
+def _transition_coupling(params: ModelParams, n_loc: int) -> np.ndarray:
+    """C[k, m] = lambda_eg <k^g| (a_dag + a) |m^e> on the lowest n_loc levels.
+
+    Column k of D(+lambda_g/omega) is the down-ladder level k^g and column m
+    of D(-lambda_e/omega) the up-ladder level m^e, so two displacement
+    matrices give C = lambda_eg D_g^T (a_dag + a) D_e in one product.
+    """
+    space = FockSpace(n_loc)
+    d_down = displacement_matrix(params.lambda_g / params.omega, space).real
+    d_up = displacement_matrix(-params.lambda_e / params.omega, space).real
+    return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up)
+
+
 def _direct_coupling(params: ModelParams, n_manifold: int, n: int) -> float:
-    """Coupling element evaluated directly from displaced Fock vectors.
+    """Coupling element V_N(n) = C[N, N-n] of :func:`_transition_coupling`.
 
     Used where the closed form degenerates (lambda_e + lambda_g -> 0).  The
     local truncation is padded well past the displacement tails.
     """
-    g = params.lambda_g / params.omega
-    e = params.lambda_e / params.omega
-    n_loc = _padded_size(params, n_manifold)
-    space = FockSpace(n_loc)
-    vg = displaced_fock(n_manifold, g, space).real
-    ve = displaced_fock(n_manifold - n, -e, space).real
-    sq = np.sqrt(np.arange(1.0, n_loc))
-    # <vg| (a_dag + a) |ve> without forming the matrix
-    val = float(np.sum(sq * (vg[1:] * ve[:-1] + vg[:-1] * ve[1:])))
-    return params.lambda_eg * val
+    c = _transition_coupling(params, _padded_size(params, n_manifold))
+    return float(c[n_manifold, n_manifold - n])
 
 
 def coupling_element(
@@ -205,9 +209,10 @@ def level_shifts(params: ModelParams, n: int, n_levels: int) -> LevelShifts:
 
     Sums the squared off-resonant and counter-rotating elements C_{k,m} over
     energy denominators (see the module docstring), leaving out each level's
-    resonant partner k - m = n.  C is built once from two displacement
-    matrices on a ladder padded past the displacement tails of the top level,
-    so a level's shift depends on the model alone, not on ``n_levels``.
+    resonant partner k - m = n.  C is built once by
+    :func:`_transition_coupling` on a ladder padded past the displacement
+    tails of the top level, so a level's shift depends on the model alone,
+    not on ``n_levels``.
     Raises ValueError when a pair other than the resonant partners is within
     the resonance window, i.e. when the model does not sit near the n-photon
     resonance.
@@ -217,10 +222,7 @@ def level_shifts(params: ModelParams, n: int, n_levels: int) -> LevelShifts:
     if n_levels < n:
         raise ValueError(f"n_levels = {n_levels} must be >= n = {n}")
     n_loc = _padded_size(params, n_levels)
-    space = FockSpace(n_loc)
-    d_down = displacement_matrix(params.lambda_g / params.omega, space).real
-    d_up = displacement_matrix(-params.lambda_e / params.omega, space).real
-    c = params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up)
+    c = _transition_coupling(params, n_loc)
     e_down = np.array([displaced_energy(params, SPIN_DOWN, k) for k in range(n_loc)])
     e_up = np.array([displaced_energy(params, SPIN_UP, m) for m in range(n_loc)])
     levels = np.arange(n_loc)
@@ -332,15 +334,16 @@ def low_manifold_states(
 
     Returns ``[(amplitudes, energy), ...]`` for N = 0 .. n-1, where each
     amplitude vector lives on the product basis and holds the down-spin
-    displaced Fock state D(+lambda_g/omega)|N>.  For lambda_g != 0 the N = 0
-    member carries a coherent photon distribution of mean (lambda_g/omega)**2.
+    displaced Fock state D(+lambda_g/omega)|N>, column N of the displacement
+    matrix.  For lambda_g != 0 the N = 0 member carries a coherent photon
+    distribution of mean (lambda_g/omega)**2.
     """
-    g = params.lambda_g / params.omega
+    d_down = displacement_matrix(params.lambda_g / params.omega, space)
     dn = space.block(SPIN_DOWN)
     out = []
     for n_photon in range(spec.n):
         vec = np.zeros(space.dim, dtype=complex)
-        vec[dn] = displaced_fock(n_photon, g, space)
+        vec[dn] = d_down[:, n_photon]
         out.append((vec, displaced_energy(params, SPIN_DOWN, n_photon)))
     return out
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displaced_fock
+from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
 from mprabi.model import ModelParams, build_full
 from mprabi.rwa import ResonanceSpec, low_manifold_states, rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
@@ -116,7 +116,7 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.25)
         space = FockSpace(25)
         vec = np.zeros(50, dtype=complex)
-        vec[space.block(SPIN_UP)] = displaced_fock(0, -0.25, space)
+        vec[space.block(SPIN_UP)] = displacement_matrix(-0.25, space)[:, 0]
         psi0 = QuantumState(vec)
         traj = evolve_numeric(build_full(params, space), psi0, 30.0, DT, sample_every=200)
         drift = np.max(np.abs(traj.photon_dist - traj.photon_dist[0]))

@@ -1,16 +1,17 @@
 """Special-function kernels: Laguerre polynomials, transition functions,
-displacement matrices, displaced Fock states."""
+displacement matrices and their columns, the displaced Fock states."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import displacement_expm, laguerre_exact
 from mprabi.fockmath import (
     FockSpace,
-    displaced_fock,
     displacement_matrix,
     laguerre_poly,
     laguerre_transition,
@@ -177,9 +178,11 @@ class TestDisplacementMatrix:
 
 
 class TestDisplacedFock:
+    """Displaced Fock states D(beta)|k> are the columns of the matrix."""
+
     def test_vacuum_no_displacement(self):
         space = FockSpace(10)
-        vec = displaced_fock(0, 0.0, space)
+        vec = displacement_matrix(0.0, space)[:, 0]
         expect = np.zeros(10)
         expect[0] = 1.0
         assert np.array_equal(vec.real, expect)
@@ -188,7 +191,7 @@ class TestDisplacedFock:
         # displaced vacuum is a coherent state of mean beta^2, not beta
         space = FockSpace(50)
         beta = 1.3
-        vec = displaced_fock(0, beta, space)
+        vec = displacement_matrix(beta, space)[:, 0]
         prob = np.abs(vec) ** 2
         mean = beta * beta
         poisson = np.array(
@@ -197,21 +200,39 @@ class TestDisplacedFock:
         assert np.max(np.abs(prob - poisson)) < 1e-12
         assert float(np.arange(50) @ prob) == pytest.approx(mean, rel=1e-10)
 
-    def test_matches_displacement_matrix_column(self):
-        space = FockSpace(40)
-        for beta in (0.4, -0.8):
-            mat = displacement_matrix(beta, space)
-            for n in (0, 2, 7):
-                assert np.max(np.abs(displaced_fock(n, beta, space) - mat[:, n])) < 1e-13
-
     def test_orthonormal_family(self):
         space = FockSpace(90)
-        beta = 0.85
-        vecs = np.column_stack([displaced_fock(k, beta, space) for k in range(12)])
+        vecs = displacement_matrix(0.85, space)[:, :12]
         gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(12))) < 1e-10
 
-    def test_out_of_range_index(self):
-        space = FockSpace(6)
-        with pytest.raises(ValueError):
-            displaced_fock(6, 0.1, space)
+
+class TestDisplacementSweepProperties:
+    """The one-sweep matrix against the expm oracle at random sizes."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        beta=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+        n_max=st.integers(min_value=2, max_value=40),
+    )
+    def test_matches_expm_oracle(self, beta, n_max):
+        got = displacement_matrix(beta, FockSpace(n_max))
+        oracle = displacement_expm(beta, n_max + 60)[:n_max, :n_max]
+        assert np.max(np.abs(got - oracle)) < 1e-10
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        beta=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+        n_max=st.integers(min_value=2, max_value=40),
+    )
+    def test_columns_orthonormal_away_from_edge(self, beta, n_max):
+        # column k keeps its weight inside the truncation while its
+        # displacement tail, ~ 8|beta| sqrt(k+1) + 3 beta^2 + 16 levels above k
+        # (a bound fitted with margin to the expm oracle), clears n_max
+        n_clear = sum(
+            k + 8.0 * abs(beta) * math.sqrt(k + 1.0) + 3.0 * beta * beta + 16.0 <= n_max
+            for k in range(n_max)
+        )
+        cols = displacement_matrix(beta, FockSpace(n_max))[:, :n_clear]
+        gram = cols.conj().T @ cols
+        assert np.max(np.abs(gram - np.eye(n_clear)), initial=0.0) < 1e-10

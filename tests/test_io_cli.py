@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,27 @@ class TestCli:
         assert stored["config"]["t_end_periods"] == 1.0
         assert stored["config"]["n_max"] == 10
         assert stored["config"]["dt_periods"] == 0.004
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_override_validated_with_config(self, tmp_path, capsys, command):
+        # --n-max 30 is too small for the config's coherent state of mean 20;
+        # the override must fail the same check a config value would
+        path = Path(__file__).resolve().parents[1] / "configs" / "collapse_revival_n2.json"
+        code = cli.main([command, str(path), "--output-dir", str(tmp_path), "--n-max", "30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "mean_photons = 20.0 needs n_max" in err
+        assert "got n_max = 30" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spectrum_override_validated(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        code = cli.main(
+            ["spectrum", str(path), "--output-dir", str(tmp_path), "--manifold-max", "0"]
+        )
+        assert code == 1
+        assert "'manifold_max' must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "fromenv"

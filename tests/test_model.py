@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displaced_fock
+from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
 from mprabi.model import (
     ModelParams,
     build_displaced_branch,
@@ -113,12 +113,13 @@ class TestDisplacedBranch:
             expect = displaced_energy(params, SPIN_UP, n)
             assert abs(evals[n] - expect) < 1e-9
 
-    def test_eigenvectors_are_displaced_fock_states(self):
+    def test_eigenvectors_are_displacement_matrix_columns(self):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.3)
         space = FockSpace(70)
         _, vecs = np.linalg.eigh(build_displaced_branch(params, SPIN_DOWN, space).matrix)
+        displaced = displacement_matrix(params.lambda_g / params.omega, space)
         for n in range(6):
-            reference = displaced_fock(n, params.lambda_g / params.omega, space)
+            reference = displaced[:, n]
             overlap = abs(np.vdot(vecs[:, n], reference))
             assert overlap >= 1.0 - 1e-6
 
