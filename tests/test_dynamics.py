@@ -1,14 +1,20 @@
 """Propagators, observables, closed-form inversion curves."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mprabi.config import parse_config
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
 from mprabi.model import ModelParams, build_full
+from mprabi.runner import resolve_params
 from mprabi.rwa import ResonanceSpec, low_manifold_states, rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
+    DEFAULT_NORM_TOL,
     InitialStateSpec,
     NormDriftError,
     ProjectionError,
@@ -24,6 +30,22 @@ from mprabi.dynamics import (
 
 PERIOD = 2.0 * math.pi
 DT = PERIOD / 1000.0
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def rk4_stepwise(h, psi, dt, n_steps, sample_every):
+    """Classic per-step RK4 states at the steps evolve_numeric samples."""
+    steps, states = [0], [psi]
+    for step in range(1, n_steps + 1):
+        k1 = -1j * (h @ psi)
+        k2 = -1j * (h @ (psi + (0.5 * dt) * k1))
+        k3 = -1j * (h @ (psi + (0.5 * dt) * k2))
+        k4 = -1j * (h @ (psi + dt * k3))
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % sample_every == 0 or step == n_steps:
+            steps.append(step)
+            states.append(psi)
+    return np.array(steps), np.array(states)
 
 
 def two_photon_params():
@@ -150,6 +172,71 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         with pytest.raises(NormDriftError, match="dt"):
             evolve_numeric(build_full(params, space), psi0, 10.0, 1.0, sample_every=1)
+
+    def test_nan_norm_aborts(self):
+        # the folded propagator overflows at this step long before the first
+        # sample; the NaN norm must fail the check, not slip past it
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.1, lambda_eg=0.02)
+        space = FockSpace(40)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NormDriftError, match="nan"):
+                evolve_numeric(build_full(params, space), psi0, 4000.0, 1.0, sample_every=2000)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(min_value=2, max_value=8),
+        lambda_e=st.floats(min_value=0.0, max_value=0.3),
+        lambda_eg=st.floats(min_value=0.0, max_value=0.1),
+        n_steps=st.integers(min_value=1, max_value=120),
+        sample_every=st.integers(min_value=1, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(n_max=4, lambda_e=0.1, lambda_eg=0.05, n_steps=100, sample_every=7, seed=1)
+    @example(n_max=4, lambda_e=0.1, lambda_eg=0.05, n_steps=30, sample_every=10_000_000, seed=2)
+    def test_folded_matches_stepwise_rk4(
+        self, n_max, lambda_e, lambda_eg, n_steps, sample_every, seed
+    ):
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_e=lambda_e, lambda_eg=lambda_eg)
+        space = FockSpace(n_max)
+        h = build_full(params, space)
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 = QuantumState(vec / np.linalg.norm(vec))
+        traj = evolve_numeric(
+            h, psi0, n_steps * DT, DT, sample_every=sample_every, truncation_tol=2.0
+        )
+        steps, states = rk4_stepwise(h.matrix, psi0.amplitudes, DT, n_steps, sample_every)
+        assert np.array_equal(traj.times, steps * DT)
+        probs = np.abs(states) ** 2
+        inversion = np.sum(probs[:, n_max:], axis=1) - np.sum(probs[:, :n_max], axis=1)
+        assert np.max(np.abs(traj.inversion - inversion)) < 1e-12
+        assert np.max(np.abs(traj.photon_dist - probs[:, :n_max] - probs[:, n_max:])) < 1e-12
+        assert np.max(np.abs(traj.final_state.amplitudes - states[-1])) < 1e-12
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_norm_drift_within_bound(self, path):
+        # RK4 multiplies the weight on eigenstate j by |R(-i dt E_j)|^2 per
+        # step, so the norm at every sample follows from eigh alone
+        config = parse_config(path.read_text())
+        params, _ = resolve_params(config)
+        space = FockSpace(config.n_max)
+        period = 2.0 * math.pi / params.omega
+        dt = config.dt * period
+        n_steps = max(1, int(round(config.t_end * period / dt)))
+        steps = np.append(np.arange(0, n_steps + 1, config.sample_every), n_steps)
+        psi0 = prepare_initial(
+            InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons),
+            params,
+            space,
+        )
+        energies, vectors = np.linalg.eigh(build_full(params, space).matrix)
+        weights = np.abs(vectors.conj().T @ psi0.amplitudes) ** 2
+        z = -1j * dt * energies
+        gain = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) ** 2
+        norms = np.exp(np.outer(steps, np.log(gain))) @ weights
+        drift = float(np.max(np.abs(norms - 1.0)))
+        assert drift < DEFAULT_NORM_TOL, f"predicted |norm - 1| = {drift:.3e}"
 
     def test_jc_rabi_period(self):
         # single-photon exchange: measured period against pi / lambda_eg
