@@ -20,6 +20,9 @@ dt                      step in oscillator periods (0.001)
 sample_every            steps between samples (10)
 n_max                   boson truncation (200)
 propagators             list drawn from ["numeric", "rwa"] (["numeric"])
+order                   order of the secular route's energies: 1 for the
+                        paper's treatment, 2 to add the second-order level
+                        shifts (1)
 csv_path                numeric trajectory CSV ("trajectory.csv")
 rwa_csv_path            secular trajectory CSV (csv_path stem + "_rwa.csv")
 manifest_path           run manifest JSON (csv_path stem + ".manifest.json")
@@ -46,6 +49,7 @@ _REQUIRED_HINT = (
 
 _VALID_PROPAGATORS = ("numeric", "rwa")
 _VALID_KINDS = ("excited-fock", "ground-coherent")
+_VALID_ORDERS = (1, 2)
 
 
 class ConfigError(ValueError):
@@ -72,6 +76,7 @@ class ScenarioConfig:
     sample_every: int = 10
     n_max: int = 200
     propagators: tuple[str, ...] = ("numeric",)
+    order: int = 1
     csv_path: str = "trajectory.csv"
     rwa_csv_path: str | None = None
     manifest_path: str | None = None
@@ -184,6 +189,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
         val = _check_number(problems, data, key, **kwargs)
         if val is not None:
             out[key] = val
+
+    val = _check_number(problems, data, "order", integer=True)
+    if val is not None:
+        if val in _VALID_ORDERS:
+            out["order"] = val
+        else:
+            problems.append(f"key 'order' must be one of {_VALID_ORDERS}, got {data['order']!r}")
 
     if "propagators" in data:
         props = data["propagators"]

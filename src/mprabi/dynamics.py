@@ -53,6 +53,9 @@ DEFAULT_NORM_TOL = 1e-6
 #: combined population of the top five photon levels that flags a run invalid
 DEFAULT_TRUNCATION_TOL = 1e-8
 
+#: time samples per block of the secular expansion; bounds its temporaries
+_RWA_BLOCK = 256
+
 
 class NormDriftError(RuntimeError):
     """Squared norm drifted past the configured bound during integration."""
@@ -370,6 +373,11 @@ def evolve_rwa(
     ``1 - completeness_tol`` (truncation too tight, or the state leans on the
     few top-of-space levels the secular basis cannot represent).  The energy
     series is the basis-weighted mean, which is constant by construction.
+
+    The expansion runs over the time grid in blocks of a fixed number of
+    samples, so its working memory beyond the returned arrays does not depend
+    on the sample count; every value is bitwise the one a single expansion
+    over the whole grid gives.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -386,15 +394,26 @@ def evolve_rwa(
             "raise n_max or reconsider the initial state"
         )
 
-    phases = np.exp(-1j * np.outer(energies, t_grid - psi0.time))
-    psi_t = basis @ (coeffs[:, None] * phases)  # (dim, T)
-
     n_max = space.n_max
-    down = np.abs(psi_t[:n_max, :]) ** 2
-    up = np.abs(psi_t[n_max:, :]) ** 2
-    dist = (down + up).T
-    inversion = np.sum(up, axis=0) - np.sum(down, axis=0)
-    norm = np.sum(dist, axis=1)
+    n_t = t_grid.size
+    dist = np.empty((n_t, n_max))
+    inversion = np.empty(n_t)
+    norm = np.empty(n_t)
+    # A lone last sample would make a one-column block, which BLAS and numpy's
+    # reductions treat as a vector and round differently, so it joins the
+    # block before it.
+    for start in range(0, max(n_t - 1, 1), _RWA_BLOCK):
+        stop = start + _RWA_BLOCK
+        if stop >= n_t - 1:
+            stop = n_t
+        phases = np.exp(-1j * np.outer(energies, t_grid[start:stop] - psi0.time))
+        psi_t = basis @ (coeffs[:, None] * phases)  # (dim, block)
+        down = np.abs(psi_t[:n_max, :]) ** 2
+        up = np.abs(psi_t[n_max:, :]) ** 2
+        block = down + up
+        dist[start:stop] = block.T
+        inversion[start:stop] = np.sum(up, axis=0) - np.sum(down, axis=0)
+        norm[start:stop] = np.sum(block, axis=0)
     energy_mean = float(np.real(np.sum(np.abs(coeffs) ** 2 * energies)))
 
     truncation_ok = bool(np.max(np.sum(dist[:, -5:], axis=1)) < truncation_tol)

@@ -4,8 +4,10 @@ A scenario run resolves its parameters, integrates the requested propagators,
 and emits a wide CSV per trajectory plus one JSON manifest that echoes every
 resolved input, the derived resonance quantities, and the validity flags, so
 a run is reconstructible from its outputs alone.  All files are written
-atomically (temp file in the target directory, then rename), and the pipeline
-is free of randomness: identical configs produce byte-identical CSV bytes.
+atomically (temp file in the target directory, then rename); CSV rows are
+rendered one at a time and streamed into that temp file, so no copy of the
+whole CSV text is ever held in memory.  The pipeline is free of randomness:
+identical configs produce byte-identical CSV bytes.
 
 Trajectory CSV layout: header row then one row per sample with columns
 ``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in oscillator
@@ -71,13 +73,13 @@ class RunManifest:
     elapsed_seconds: float
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write text so that no partial file is ever visible at ``path``."""
+def _atomic_write_text(path: str, chunks) -> None:
+    """Write text chunks so that no partial file is ever visible at ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -87,31 +89,20 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def format_csv(traj: Trajectory, omega: float) -> str:
-    """Render a trajectory as the canonical CSV text."""
+def _csv_lines(traj: Trajectory, omega: float):
+    """The canonical CSV text of a trajectory, one line at a time."""
     n_max = traj.photon_dist.shape[1]
     period = 2.0 * math.pi / omega
-    header = "t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max))
-    lines = [header]
+    yield "t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max)) + "\n"
+    row = ",".join(["%.17g"] * (4 + n_max)) + "\n"
     for i in range(len(traj)):
-        row = [
-            _fmt(traj.times[i] / period),
-            _fmt(traj.inversion[i]),
-            _fmt(traj.norm[i]),
-            _fmt(traj.energy[i]),
-        ]
-        row.extend(_fmt(p) for p in traj.photon_dist[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        lead = (traj.times[i] / period, traj.inversion[i], traj.norm[i], traj.energy[i])
+        yield row % (*lead, *traj.photon_dist[i].tolist())
 
 
 def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
-    """Write a trajectory CSV atomically."""
-    _atomic_write_text(path, format_csv(traj, omega))
+    """Stream a trajectory CSV row by row into an atomic write."""
+    _atomic_write_text(path, _csv_lines(traj, omega))
 
 
 def emit_spectrum(
@@ -132,7 +123,7 @@ def emit_spectrum(
         "omega_eg": omega_eg(params),
     }
     payload.update(spectrum_records(params, spec, list(manifolds)))
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, ResonanceSpec]:
@@ -243,7 +234,7 @@ def run_scenario(
                 if idx[-1] != n_steps:
                     idx = np.append(idx, n_steps)
                 t_grid = idx * dt
-            rwa_traj = evolve_rwa(params, spec, psi0, t_grid)
+            rwa_traj = evolve_rwa(params, spec, psi0, t_grid, order=config.order)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
     primary = numeric_traj if numeric_traj is not None else rwa_traj
@@ -276,6 +267,7 @@ def run_scenario(
             "sample_every": config.sample_every,
             "n_max": config.n_max,
             "propagators": list(config.propagators),
+            "order": config.order,
         },
         derived={
             "omega_eg": omega_eg(params),
@@ -301,7 +293,7 @@ def run_scenario(
         emit_csv(rwa_traj, rwa_csv_path, omega=params.omega)
     manifest.elapsed_seconds = round(time.perf_counter() - start, 6)
     _atomic_write_text(
-        manifest_path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+        manifest_path, [json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"]
     )
 
     if not (norm_ok and truncation_ok):

@@ -14,6 +14,7 @@ from mprabi.model import ModelParams, build_full
 from mprabi.runner import resolve_params
 from mprabi.rwa import ResonanceSpec, low_manifold_states, rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
+    _RWA_BLOCK,
     DEFAULT_NORM_TOL,
     InitialStateSpec,
     NormDriftError,
@@ -22,6 +23,7 @@ from mprabi.dynamics import (
     TruncationError,
     evolve_numeric,
     evolve_rwa,
+    _rwa_basis,
     inversion_coherent,
     inversion_fock,
     observables,
@@ -46,6 +48,17 @@ def rk4_stepwise(h, psi, dt, n_steps, sample_every):
             steps.append(step)
             states.append(psi)
     return np.array(steps), np.array(states)
+
+
+def rwa_one_shot(params, spec, psi0, t_grid, order):
+    """The secular expansion over the whole time grid at once, unblocked."""
+    basis, energies = _rwa_basis(params, spec, FockSpace(psi0.n_max), order)
+    coeffs = basis.conj().T @ psi0.amplitudes
+    psi_t = basis @ (coeffs[:, None] * np.exp(-1j * np.outer(energies, t_grid - psi0.time)))
+    down = np.abs(psi_t[: psi0.n_max, :]) ** 2
+    up = np.abs(psi_t[psi0.n_max :, :]) ** 2
+    dist = (down + up).T
+    return np.sum(up, axis=0) - np.sum(down, axis=0), dist, np.sum(dist, axis=1), psi_t[:, -1]
 
 
 def two_photon_params():
@@ -324,6 +337,27 @@ class TestEvolveRwa:
         second = evolve_rwa(params, spec, psi0, grid, order=2).inversion
         assert np.max(np.abs(first - exact)) > 0.5
         assert np.max(np.abs(second - exact)) < 0.05
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "n_t",
+        # B + 1 and 2B + 1 leave a lone last sample, which must not become a
+        # one-column block: BLAS and numpy round a vector differently
+        [1, _RWA_BLOCK, _RWA_BLOCK + 1, 2 * _RWA_BLOCK + 1, 3 * _RWA_BLOCK + 17],
+    )
+    def test_blocks_match_one_shot_expansion(self, n_t, order):
+        params = two_photon_params()
+        spec = ResonanceSpec.from_params(params, 2)
+        psi0 = prepare_initial(
+            InitialStateSpec("ground-coherent", mean_photons=4.0), params, FockSpace(30)
+        )
+        grid = np.linspace(0.0, 5000.0, n_t)
+        traj = evolve_rwa(params, spec, psi0, grid, order=order)
+        inversion, dist, norm, final = rwa_one_shot(params, spec, psi0, grid, order)
+        assert np.array_equal(traj.inversion, inversion)
+        assert np.array_equal(traj.photon_dist, dist)
+        assert np.array_equal(traj.norm, norm)
+        assert np.array_equal(traj.final_state.amplitudes, final)
 
     def test_order_validated(self):
         params = two_photon_params()

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mprabi import cli, runner
 from mprabi.config import (
@@ -18,7 +21,7 @@ from mprabi.config import (
 )
 from mprabi.dynamics import Trajectory
 from mprabi.model import ModelParams
-from mprabi.runner import emit_csv, emit_spectrum, format_csv, run_scenario
+from mprabi.runner import emit_csv, emit_spectrum, run_scenario
 from mprabi.rwa import ResonanceSpec, resonant_omega0
 
 QUICK = {
@@ -93,6 +96,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mean_photons"):
             parse_config(doc)
 
+    def test_order_key(self):
+        assert parse_config('{"n": 2, "lambda_eg": 0.02}').order == 1
+        assert parse_config('{"n": 2, "lambda_eg": 0.02, "order": 2}').order == 2
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"n": 2, "lambda_eg": 0.02, "order": 3, "dt": 0}')
+        assert len(err.value.problems) == 2
+        assert "key 'order' must be one of (1, 2), got 3" in str(err.value)
+
     def test_derived_output_paths(self):
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "csv_path": "out/run.csv"}')
         assert default_rwa_csv_path(config) == "out/run_rwa.csv"
@@ -107,6 +118,40 @@ def make_tiny_trajectory(n_max=3):
         photon_dist=dist,
         norm=np.array([1.0]),
         energy=np.array([1.5]),
+    )
+
+
+def reference_csv(traj, omega):
+    """The CSV format rendered value by value: the byte oracle for emit_csv."""
+    period = 2.0 * math.pi / omega
+    n_max = traj.photon_dist.shape[1]
+    lines = ["t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max))]
+    for i in range(len(traj)):
+        row = [traj.times[i] / period, traj.inversion[i], traj.norm[i], traj.energy[i]]
+        lines.append(",".join(format(float(x), ".17g") for x in [*row, *traj.photon_dist[i]]))
+    return "\n".join(lines) + "\n"
+
+
+CSV_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, math.nan, math.inf, 3.0, -17.0, 0.1]),
+)
+
+
+@st.composite
+def trajectories(draw):
+    n_samples = draw(st.integers(min_value=1, max_value=4))
+    n_max = draw(st.integers(min_value=1, max_value=5))
+
+    def column(size):
+        return np.array(draw(st.lists(CSV_VALUES, min_size=size, max_size=size)))
+
+    return Trajectory(
+        times=column(n_samples),
+        inversion=column(n_samples),
+        photon_dist=column(n_samples * n_max).reshape(n_samples, n_max),
+        norm=column(n_samples),
+        energy=column(n_samples),
     )
 
 
@@ -153,21 +198,53 @@ class TestEmitCsv:
             assert abs(sum(vals[4:]) - vals[2]) < 1e-8
 
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        calls = {"count": 0}
-        original = runner._fmt
+        # 100 rows of ~480 bytes pass the 8 KiB write buffers, so the failure
+        # comes after bytes have reached the temp file
+        rng = np.random.default_rng(3)
+        dist = rng.uniform(size=(200, 20))
+        traj = Trajectory(
+            times=rng.uniform(0, 100, size=200),
+            inversion=rng.uniform(-1, 1, size=200),
+            photon_dist=dist,
+            norm=dist.sum(axis=1),
+            energy=rng.normal(size=200),
+        )
+        lines = runner._csv_lines
+        temp_sizes = []
 
-        def flaky(x):
-            calls["count"] += 1
-            if calls["count"] > 3:
-                raise RuntimeError("disk gremlin")
-            return original(x)
+        def flaky(traj, omega):
+            for i, line in enumerate(lines(traj, omega)):
+                if i == 100:
+                    temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir())
+                    raise RuntimeError("disk gremlin")
+                yield line
 
-        monkeypatch.setattr(runner, "_fmt", flaky)
+        monkeypatch.setattr(runner, "_csv_lines", flaky)
         path = tmp_path / "partial.csv"
-        with pytest.raises(RuntimeError):
-            emit_csv(make_tiny_trajectory(), str(path), omega=1.0)
+        with pytest.raises(RuntimeError, match="disk gremlin"):
+            emit_csv(traj, str(path), omega=1.0)
+        assert len(temp_sizes) == 1 and temp_sizes[0] > 0
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(traj=trajectories(), omega=st.sampled_from([1.0, 0.7, 3.0]))
+    @example(
+        traj=Trajectory(
+            times=np.array([-0.0, 5e-324]),
+            inversion=np.array([1e300, math.nan]),
+            photon_dist=np.array([[3.0, -math.inf], [math.inf, 0.1]]),
+            norm=np.array([2.0, -17.0]),
+            energy=np.array([math.nan, 1e-310]),
+        ),
+        omega=1.0,
+    )
+    def test_bytes_match_per_value_rendering(self, traj, omega):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "out.csv")
+            emit_csv(traj, path, omega=omega)
+            with open(path, "rb") as handle:
+                assert handle.read() == reference_csv(traj, omega).encode("utf-8")
 
 
 class TestEmitSpectrum:
@@ -290,6 +367,25 @@ class TestCli:
         assert stored["config"]["t_end_periods"] == 1.0
         assert stored["config"]["n_max"] == 10
         assert stored["config"]["dt_periods"] == 0.004
+
+    def test_validate_rejects_order_three(self, tmp_path, capsys):
+        path = write_config(tmp_path, order=3)
+        assert cli.main(["validate", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert "'order'" in capsys.readouterr().err
+
+    def test_order_two_changes_secular_csv(self, tmp_path):
+        csvs = {}
+        for order in (1, 2):
+            path = write_config(
+                tmp_path, name=f"o{order}.json", order=order, propagators=["rwa"],
+                csv_path=f"o{order}.csv",
+            )
+            assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+            stored = json.loads((tmp_path / f"o{order}.manifest.json").read_text())
+            assert stored["config"]["order"] == order
+            csvs[order] = (tmp_path / f"o{order}_rwa.csv").read_bytes()
+        assert csvs[1] != csvs[2]
+        assert csvs[1].count(b"\n") == csvs[2].count(b"\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_override_validated_with_config(self, tmp_path, capsys, command):
