@@ -3,16 +3,20 @@
 Two propagation routes are provided:
 
 * :func:`evolve_numeric` integrates i d|psi>/dt = H |psi> (hbar = 1) with the
-  classic fourth-order Runge-Kutta scheme on the full Hamiltonian, folded
-  into one propagator matrix per sample interval.  No renormalization is
-  ever applied; the drift of the squared norm is the integrator's accuracy
-  meter and aborts the run when it exceeds a bound.
+  classic fourth-order Runge-Kutta scheme on the full Hamiltonian.  H does
+  not depend on time, so the RK4 step is diagonal in the eigenbasis of H and
+  its powers are taken there in closed form.  No renormalization is ever
+  applied; the drift of the squared norm is the integrator's accuracy meter
+  and aborts the run when it exceeds a bound.
 
 * :func:`evolve_rwa` expands the initial state over the secular eigenbasis
   (unmixed low manifolds plus the dressed pairs) and attaches the analytic
   phase factors, which is exact within the rotating-wave treatment.  At
   ``order=2`` the secular energies carry the second-order level shifts of
   :func:`mprabi.rwa.level_shifts`.
+
+Both routes expand over an eigenbasis, each column times a per-sample factor
+(r_j^k for RK4, exp(-i E_j t) secular), in blocks of time samples.
 
 The sampled observables are the population inversion W = <sigma_z>, the
 photon-number distribution P_N summed over spin, the squared norm, and the
@@ -53,7 +57,7 @@ DEFAULT_NORM_TOL = 1e-6
 #: combined population of the top five photon levels that flags a run invalid
 DEFAULT_TRUNCATION_TOL = 1e-8
 
-#: time samples per block of the secular expansion; bounds its temporaries
+#: time samples per block of the eigenbasis expansion; bounds its temporaries
 _RWA_BLOCK = 256
 
 
@@ -148,13 +152,8 @@ class Trajectory:
 
 def observables(psi: QuantumState) -> tuple[float, np.ndarray]:
     """Population inversion W and photon distribution P of a state."""
-    w, p = _w_and_p(psi.amplitudes, psi.n_max)
-    return w, p
-
-
-def _w_and_p(amplitudes: np.ndarray, n_max: int) -> tuple[float, np.ndarray]:
-    down = np.abs(amplitudes[:n_max]) ** 2
-    up = np.abs(amplitudes[n_max:]) ** 2
+    down = np.abs(psi.amplitudes[: psi.n_max]) ** 2
+    up = np.abs(psi.amplitudes[psi.n_max :]) ** 2
     return float(np.sum(up) - np.sum(down)), down + up
 
 
@@ -192,22 +191,68 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
     return QuantumState(vec, time=0.0)
 
 
-def _rk4_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
-    """One classic RK4 step of i dpsi/dt = H psi as a matrix.
+def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
+    """Steps at which a run of duration t_end samples: 0, every
+    ``sample_every`` steps, and the last of round(t_end / dt) steps."""
+    n_steps = max(1, int(round(t_end / dt)))
+    steps = np.arange(0, n_steps + 1, sample_every)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
-    For a time-independent H the four RK4 stages collapse to the truncated
-    Taylor polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of exp(z) at
-    z = -i dt H.  Horner's rule builds it with three matmuls; the identity is
-    added on the diagonal in place.
+
+def _expand(basis, coeffs, factor, traj: Trajectory):
+    """Fill traj's W, P and norm with the states psi = basis @ (coeffs * factor).
+
+    ``factor(rows)`` gives each column's factor at the samples ``rows`` as a
+    (columns, samples) array.  The samples go in blocks of at most
+    :data:`_RWA_BLOCK`, so working memory does not depend on their count;
+    each block is yielded as ``(rows, states)`` once its rows are filled.
     """
-    diagonal = np.diag_indices_from(h)
-    step = h * (-1j * dt / 4.0)
-    step[diagonal] += 1.0
-    for k in (3.0, 2.0, 1.0):
-        step = h @ step
-        step *= -1j * dt / k
-        step[diagonal] += 1.0
-    return step
+    n_t, n_max = traj.photon_dist.shape
+    # A lone last sample would make a one-column block, which BLAS and numpy's
+    # reductions treat as a vector and round differently, so it joins the
+    # block before it.
+    for start in range(0, max(n_t - 1, 1), _RWA_BLOCK):
+        stop = start + _RWA_BLOCK
+        if stop >= n_t - 1:
+            stop = n_t
+        rows = slice(start, stop)
+        psi_t = basis @ (coeffs[:, None] * factor(rows))  # (dim, block)
+        down = np.abs(psi_t[:n_max, :]) ** 2
+        up = np.abs(psi_t[n_max:, :]) ** 2
+        block = down + up
+        traj.photon_dist[rows] = block.T
+        traj.inversion[rows] = np.sum(up, axis=0) - np.sum(down, axis=0)
+        traj.norm[rows] = np.sum(block, axis=0)
+        yield rows, psi_t
+
+
+def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|r| and arg r of the RK4 step factor r = R(-i x), x = dt E.
+
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and |R(-i x)|^2 = 1 - x^6/72 + x^8/576
+    exactly, so r^k = exp(k (log|r| + i arg r)) never rounds r itself.
+    """
+    log_mod = 0.5 * np.log1p(-(x**6) / 72.0 + x**8 / 576.0)
+    phase = np.arctan2(-(x - x**3 / 6.0), 1.0 - x**2 / 2.0 + x**4 / 24.0)
+    return log_mod, phase
+
+
+def _step_hint(weights, energies, t_end, dt, norm_tol) -> str:
+    """Name the first step dt/2^m, m >= 1, whose RK4 run keeps the norm in bound.
+
+    While every |dt E_j| < sqrt(8), every |r_j| < 1, so the squared norm
+    sum_j w_j |r_j|^(2k) only falls with k and its last value decides.  The
+    step is checked as the hint prints it.
+    """
+    for m in range(1, 60):
+        step = float(f"{dt / 2**m:.6g}")
+        x = step * energies
+        if np.max(np.abs(x)) < math.sqrt(8.0):
+            k = max(1, int(round(t_end / step)))
+            final = weights @ np.exp(2.0 * k * _rk4_log_gain(x)[0])
+            if abs(final - 1.0) <= norm_tol:
+                return f"a step of dt/2^{m} = {step:.6g} keeps it within bound"
+    return "no step down to dt/2^59 keeps it within bound"
 
 
 def evolve_numeric(
@@ -222,19 +267,19 @@ def evolve_numeric(
 ) -> Trajectory:
     """Integrate the Schroedinger equation with classic RK4 for a duration t_end.
 
-    H does not depend on time, so one RK4 step is a fixed matrix R (see
-    :func:`_rk4_step_matrix`).  R is raised by repeated squaring to the number
-    of steps between two samples, capped at the run length, and the state
-    advances by one matrix-vector product per sample interval; a last partial
-    interval of r steps applies R^r.  The trajectory is the stepwise RK4 one
-    up to rounding.
+    One RK4 step multiplies the amplitude on eigenvector j of H by
+    r_j = R(-i dt E_j) (see :func:`_rk4_log_gain`).  With E, V from one
+    ``eigh`` of the real H and c = V^T psi0, the state after k steps is
+    V (c * r^k): the stepwise RK4 trajectory up to rounding, at a cost set by
+    the sample count alone.  The energy is sum_j |c_j|^2 |r_j|^(2k) E_j.
 
     Observables are sampled at step 0, every ``sample_every`` steps, and at
     the final step.  The squared norm is never renormalized; if it deviates
     from 1 by more than ``norm_tol``, or is not finite, the run aborts with a
-    step-size hint.  The run is flagged invalid (``truncation_ok = False``) if
-    the top five photon levels ever accumulate more than ``truncation_tol``
-    population.
+    hint naming a step dt/2^m that keeps it within bound.  The run is flagged
+    invalid (``truncation_ok = False``) if the top five photon levels ever
+    accumulate more than ``truncation_tol`` population, and the first such
+    sample is reported in one :class:`IntegratorWarning`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -245,65 +290,47 @@ def evolve_numeric(
     h = H.matrix
     if psi0.amplitudes.size != h.shape[0]:
         raise ValueError("state and Hamiltonian dimensions disagree")
+    if np.any(h.imag):
+        raise ValueError("the Hamiltonian must be real symmetric")
 
-    n_steps = max(1, int(round(t_end / dt)))
-    stride = min(sample_every, n_steps)
-    n_intervals, rest = divmod(n_steps, stride)
-    n_max = H.space.n_max
+    energies, vectors = np.linalg.eigh(h.real)
+    coeffs = vectors.T @ psi0.amplitudes
+    weights = np.abs(coeffs) ** 2
+    log_mod, phase = _rk4_log_gain(dt * energies)
+    log_r = log_mod + 1j * phase
 
-    psi = psi0.amplitudes
-    times, inversions, dists, norms, energies = [], [], [], [], []
-    truncation_ok = True
-    warned_truncation = False
+    steps = sample_steps(t_end, dt, sample_every)
+    times = psi0.time + steps * dt
 
-    def sample(step: int) -> None:
-        nonlocal truncation_ok, warned_truncation
-        t = psi0.time + step * dt
-        w, p = _w_and_p(psi, n_max)
-        nrm = float(np.sum(p))
-        # written so that a NaN norm or occupancy fails the check
-        if not abs(nrm - 1.0) <= norm_tol:
+    n_t, n_max = steps.size, H.space.n_max
+    traj = Trajectory(times, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t))
+
+    def powers(rows):
+        return np.exp(np.outer(log_r, steps[rows]))
+
+    for rows, psi_t in _expand(vectors.astype(complex), coeffs, powers, traj):
+        drift = np.abs(traj.norm[rows] - 1.0)
+        # written so that a NaN norm fails the check
+        bad = np.flatnonzero(~(drift <= norm_tol))
+        if bad.size:
             raise NormDriftError(
-                f"|psi|^2 deviated from 1 by {abs(nrm - 1.0):.3e} at t = {t:.6g} "
-                f"(bound {norm_tol:.1e}); halve the step, e.g. dt = {dt / 2:.6g}"
+                f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = "
+                f"{times[rows][bad[0]]:.6g} (bound {norm_tol:.1e}); "
+                + _step_hint(weights, energies, t_end, dt, norm_tol)
             )
-        if not float(np.sum(p[-5:])) < truncation_tol:
-            truncation_ok = False
-            if not warned_truncation:
-                warned_truncation = True
-                warnings.warn(
-                    f"top five photon levels reached {float(np.sum(p[-5:])):.3e} "
-                    f"population at t = {t:.6g}; raise n_max",
-                    IntegratorWarning,
-                    stacklevel=3,
-                )
-        energy = float(np.real(np.vdot(psi, h @ psi)))
-        times.append(t)
-        inversions.append(w)
-        dists.append(p)
-        norms.append(nrm)
-        energies.append(energy)
-
-    step_matrix = _rk4_step_matrix(h, dt)
-    interval_matrix = np.linalg.matrix_power(step_matrix, stride)
-
-    sample(0)
-    for interval in range(1, n_intervals + 1):
-        psi = interval_matrix @ psi
-        sample(interval * stride)
-    if rest:
-        psi = np.linalg.matrix_power(step_matrix, rest) @ psi
-        sample(n_steps)
-
-    return Trajectory(
-        times=np.array(times),
-        inversion=np.array(inversions),
-        photon_dist=np.array(dists),
-        norm=np.array(norms),
-        energy=np.array(energies),
-        truncation_ok=truncation_ok,
-        final_state=QuantumState(psi, time=psi0.time + n_steps * dt),
-    )
+        top = np.sum(traj.photon_dist[rows, -5:], axis=1)
+        over = np.flatnonzero(~(top < truncation_tol))
+        if traj.truncation_ok and over.size:
+            traj.truncation_ok = False
+            warnings.warn(
+                f"top five photon levels reached {top[over[0]]:.3e} "
+                f"population at t = {times[rows][over[0]]:.6g}; raise n_max",
+                IntegratorWarning,
+                stacklevel=2,
+            )
+        traj.energy[rows] = np.exp(np.outer(steps[rows], 2.0 * log_mod)) @ (weights * energies)
+    traj.final_state = QuantumState(psi_t[:, -1].copy(), time=float(times[-1]))
+    return traj
 
 
 def _rwa_basis(
@@ -374,10 +401,8 @@ def evolve_rwa(
     few top-of-space levels the secular basis cannot represent).  The energy
     series is the basis-weighted mean, which is constant by construction.
 
-    The expansion runs over the time grid in blocks of a fixed number of
-    samples, so its working memory beyond the returned arrays does not depend
-    on the sample count; every value is bitwise the one a single expansion
-    over the whole grid gives.
+    The expansion runs in time blocks (:func:`_expand`); every value is
+    bitwise the one a single expansion over the whole grid gives.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -394,38 +419,18 @@ def evolve_rwa(
             "raise n_max or reconsider the initial state"
         )
 
-    n_max = space.n_max
-    n_t = t_grid.size
-    dist = np.empty((n_t, n_max))
-    inversion = np.empty(n_t)
-    norm = np.empty(n_t)
-    # A lone last sample would make a one-column block, which BLAS and numpy's
-    # reductions treat as a vector and round differently, so it joins the
-    # block before it.
-    for start in range(0, max(n_t - 1, 1), _RWA_BLOCK):
-        stop = start + _RWA_BLOCK
-        if stop >= n_t - 1:
-            stop = n_t
-        phases = np.exp(-1j * np.outer(energies, t_grid[start:stop] - psi0.time))
-        psi_t = basis @ (coeffs[:, None] * phases)  # (dim, block)
-        down = np.abs(psi_t[:n_max, :]) ** 2
-        up = np.abs(psi_t[n_max:, :]) ** 2
-        block = down + up
-        dist[start:stop] = block.T
-        inversion[start:stop] = np.sum(up, axis=0) - np.sum(down, axis=0)
-        norm[start:stop] = np.sum(block, axis=0)
-    energy_mean = float(np.real(np.sum(np.abs(coeffs) ** 2 * energies)))
+    n_t, n_max = t_grid.size, space.n_max
+    energy = np.full(n_t, float(np.real(np.sum(np.abs(coeffs) ** 2 * energies))))
+    traj = Trajectory(t_grid.copy(), np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
 
-    truncation_ok = bool(np.max(np.sum(dist[:, -5:], axis=1)) < truncation_tol)
-    return Trajectory(
-        times=t_grid.copy(),
-        inversion=inversion,
-        photon_dist=dist,
-        norm=norm,
-        energy=np.full(t_grid.size, energy_mean),
-        truncation_ok=truncation_ok,
-        final_state=QuantumState(psi_t[:, -1].copy(), time=float(t_grid[-1])),
-    )
+    def phases(rows):
+        return np.exp(-1j * np.outer(energies, t_grid[rows] - psi0.time))
+
+    for rows, psi_t in _expand(basis, coeffs, phases, traj):
+        top = np.sum(traj.photon_dist[rows, -5:], axis=1)
+        traj.truncation_ok &= bool(np.max(top) < truncation_tol)
+    traj.final_state = QuantumState(psi_t[:, -1].copy(), time=float(t_grid[-1]))
+    return traj
 
 
 def _series_weights(first_arg: float, weight_tol: float):

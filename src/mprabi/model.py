@@ -16,11 +16,11 @@ eigenstates D(-lambda_e/omega)|N> and the down branch D(+lambda_g/omega)|N>,
 with the closed-form ladder energies returned by :func:`displaced_energy`.
 
 Matrices are stored dense (the dimensions involved are desk scale) and entries
-are typed complex even though the model is real symmetric, so downstream
-propagators work with a single scalar type.  The photon-index bandwidth is 1;
-a sparse backend could exploit that but is not needed here.  Construction is
-pure and the returned matrices are frozen read-only, safe to share across
-threads.
+are typed complex even though the model is real symmetric; the RK4 propagator
+diagonalizes the real part and rejects a nonzero imaginary part.  The
+photon-index bandwidth is 1; a sparse backend could exploit that but is not
+needed here.  Construction is pure and the returned matrices are frozen
+read-only, safe to share across threads.
 """
 
 from __future__ import annotations

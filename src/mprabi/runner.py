@@ -42,6 +42,7 @@ from .dynamics import (
     evolve_numeric,
     evolve_rwa,
     prepare_initial,
+    sample_steps,
 )
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
@@ -229,11 +230,7 @@ def run_scenario(
             if numeric_traj is not None:
                 t_grid = numeric_traj.times
             else:
-                n_steps = max(1, int(round(t_end / dt)))
-                idx = np.arange(0, n_steps + 1, config.sample_every)
-                if idx[-1] != n_steps:
-                    idx = np.append(idx, n_steps)
-                t_grid = idx * dt
+                t_grid = sample_steps(t_end, dt, config.sample_every) * dt
             rwa_traj = evolve_rwa(params, spec, psi0, t_grid, order=config.order)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 

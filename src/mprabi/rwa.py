@@ -126,16 +126,6 @@ def _transition_coupling(params: ModelParams, n_loc: int) -> np.ndarray:
     return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up)
 
 
-def _direct_coupling(params: ModelParams, n_manifold: int, n: int) -> float:
-    """Coupling element V_N(n) = C[N, N-n] of :func:`_transition_coupling`.
-
-    Used where the closed form degenerates (lambda_e + lambda_g -> 0).  The
-    local truncation is padded well past the displacement tails.
-    """
-    c = _transition_coupling(params, _padded_size(params, n_manifold))
-    return float(c[n_manifold, n_manifold - n])
-
-
 def coupling_element(
     params: ModelParams,
     n_manifold: int,
@@ -154,8 +144,9 @@ def coupling_element(
     For a negative coupling sum the closed form picks up an extra (-1)^n from
     the displacement direction.  When |lambda_e + lambda_g| / omega falls below
     ``singular_threshold`` the 0 * inf form is replaced by the direct matrix
-    element between displaced Fock vectors, which is finite there (and exactly
-    zero for n >= 2 when both diagonal couplings vanish).
+    element C[N, N-n] of :func:`_transition_coupling`, on a truncation padded
+    past the displacement tails; it is finite there (and exactly zero for
+    n >= 2 when both diagonal couplings vanish).
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
@@ -163,7 +154,8 @@ def coupling_element(
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
     if abs(s) < singular_threshold:
-        val = _direct_coupling(params, n_manifold, n)
+        c = _transition_coupling(params, _padded_size(params, n_manifold))
+        val = float(c[n_manifold, n_manifold - n])
     else:
         pref = (params.lambda_g - params.lambda_e) / params.omega - n * params.omega / (
             params.lambda_e + params.lambda_g

@@ -1,6 +1,7 @@
 """Propagators, observables, closed-form inversion curves."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from mprabi.config import parse_config
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
-from mprabi.model import ModelParams, build_full
+from mprabi.model import HamiltonianMatrix, ModelParams, build_full
 from mprabi.runner import resolve_params
 from mprabi.rwa import ResonanceSpec, low_manifold_states, rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
     _RWA_BLOCK,
     DEFAULT_NORM_TOL,
     InitialStateSpec,
+    IntegratorWarning,
     NormDriftError,
     ProjectionError,
     QuantumState,
@@ -48,6 +50,25 @@ def rk4_stepwise(h, psi, dt, n_steps, sample_every):
             steps.append(step)
             states.append(psi)
     return np.array(steps), np.array(states)
+
+
+def rk4_long_double(h, psi, dt, n_steps, sample_every):
+    """RK4 states at every sample_every-th step, with R and its interval power
+    formed in long double (n_steps must be a multiple of sample_every)."""
+    z = (-1j * np.longdouble(dt)) * h.real.astype(np.longdouble)
+    eye = np.eye(h.shape[0], dtype=np.clongdouble)
+    step = eye + z / 4
+    for k in (3, 2, 1):
+        step = eye + (z @ step) / k
+    interval, power, k = eye, step, sample_every
+    while k:
+        if k & 1:
+            interval = interval @ power
+        power, k = power @ power, k >> 1
+    states = [psi.astype(np.clongdouble)]
+    for _ in range(n_steps // sample_every):
+        states.append(interval @ states[-1])
+    return np.array(states)
 
 
 def rwa_one_shot(params, spec, psi0, t_grid, order):
@@ -196,6 +217,63 @@ class TestEvolveNumeric:
             with pytest.raises(NormDriftError, match="nan"):
                 evolve_numeric(build_full(params, space), psi0, 4000.0, 1.0, sample_every=2000)
 
+    def test_norm_drift_hint_names_a_passing_dt(self):
+        # same run as above: the hinted step must carry it through, while
+        # twice that step (one halving fewer) still drifts too far
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
+        space = FockSpace(30)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
+        h = build_full(params, space)
+        with pytest.raises(NormDriftError) as info:
+            evolve_numeric(h, psi0, 10.0, 1.0, sample_every=1)
+        hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
+        traj = evolve_numeric(h, psi0, 10.0, hinted, sample_every=1)
+        assert np.max(np.abs(traj.norm - 1.0)) <= DEFAULT_NORM_TOL
+        with pytest.raises(NormDriftError):
+            evolve_numeric(h, psi0, 10.0, 2.0 * hinted, sample_every=1)
+
+    @pytest.mark.parametrize("target", [5, _RWA_BLOCK + 40])
+    def test_truncation_warns_once_at_first_offending_sample(self, target):
+        # the first quarter of a vacuum Rabi cycle moves population into
+        # |down, 1>, one of the top five levels at n_max = 6; the tolerance
+        # is the occupancy at sample `target`, inside a block of the expansion
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
+        space = FockSpace(6)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        h = build_full(params, space)
+        run = dict(t_end=700 * 40 * DT, dt=DT, sample_every=40)
+        quiet = evolve_numeric(h, psi0, **run, truncation_tol=2.0)
+        top = np.sum(quiet.photon_dist[:, -5:], axis=1)
+        tol = top[target]
+        first = int(np.argmax(top >= tol))
+        assert first % _RWA_BLOCK and (first > _RWA_BLOCK) == (target > _RWA_BLOCK)
+        with pytest.warns(IntegratorWarning) as record:
+            traj = evolve_numeric(h, psi0, **run, truncation_tol=tol)
+        assert not traj.truncation_ok
+        messages = [str(w.message) for w in record if w.category is IntegratorWarning]
+        assert len(messages) == 1
+        reported = float(re.search(r"at t = (\S+);", messages[0]).group(1))
+        assert reported == float(f"{traj.times[first]:.6g}")
+
+    def test_closer_to_long_double_rk4_than_folded_route(self):
+        # dim 80, two-photon couplings, coherent start, 400k steps, against
+        # RK4 carried in long double: raising the float64 step matrix to the
+        # sample interval errs by 7.5e-12 in W here; the eigenbasis route must
+        # stay well inside that
+        omega0 = resonant_omega0(2, omega=1.0, lambda_e=0.1)
+        params = ModelParams(omega=1.0, omega0=omega0, lambda_e=0.1, lambda_eg=0.02)
+        space = FockSpace(40)
+        h = build_full(params, space)
+        coherent = InitialStateSpec("ground-coherent", mean_photons=10.0)
+        psi0 = prepare_initial(coherent, params, space)
+        dt, n_steps, every = 1e-3, 400_000, 10_000
+        traj = evolve_numeric(h, psi0, n_steps * dt, dt, sample_every=every)
+        states = rk4_long_double(h.matrix, psi0.amplitudes, dt, n_steps, every)
+        probs = np.abs(states) ** 2
+        inversion = (np.sum(probs[:, 40:], axis=1) - np.sum(probs[:, :40], axis=1)).astype(float)
+        assert np.max(np.abs(traj.inversion - inversion)) < 2e-12
+        assert np.max(np.abs(traj.final_state.amplitudes - states[-1].astype(complex))) < 2e-12
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n_max=st.integers(min_value=2, max_value=8),
@@ -275,6 +353,17 @@ class TestEvolveNumeric:
             evolve_numeric(h, psi0, 1.0, -0.1)
         with pytest.raises(ValueError):
             evolve_numeric(h, psi0, 1.0, 0.1, sample_every=0)
+
+    def test_rejects_complex_hamiltonian(self):
+        # the eigenbasis route diagonalizes the real part only
+        params = two_photon_params()
+        space = FockSpace(4)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        matrix = build_full(params, space).matrix.copy()
+        matrix[0, 1] += 1e-3j
+        matrix[1, 0] -= 1e-3j
+        with pytest.raises(ValueError, match="real"):
+            evolve_numeric(HamiltonianMatrix(matrix, space), psi0, 1.0, 0.1)
 
 
 class TestEvolveRwa:

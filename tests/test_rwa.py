@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import displacement_expm, ladder_matrix
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace
@@ -22,6 +24,7 @@ from mprabi.rwa import (
     resonant_omega0,
     spectrum_records,
 )
+from mprabi.rwa import _padded_size, _transition_coupling
 
 
 def brute_coupling(params, n_manifold, n, n_big=None):
@@ -131,6 +134,36 @@ class TestCouplingElement:
                     closed = coupling_element(params, n_manifold, n)
                     brute = brute_coupling(params, n_manifold, n)
                     assert closed == pytest.approx(brute, rel=1e-9, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_sum=st.floats(min_value=-9.0, max_value=-0.5),
+        split=st.floats(min_value=0.0, max_value=1.0),
+        negative=st.booleans(),
+        lambda_eg=st.floats(min_value=0.001, max_value=0.1),
+        n=st.integers(min_value=1, max_value=5),
+        above=st.integers(min_value=0, max_value=30),
+    )
+    @example(log_sum=-7.0, split=0.3, negative=False, lambda_eg=0.02, n=2, above=5)
+    @example(log_sum=-1.0, split=0.0, negative=True, lambda_eg=0.02, n=3, above=12)
+    def test_closed_form_matches_band_element(self, log_sum, split, negative, lambda_eg, n, above):
+        # V_N(n) is the band element C[N, N - n] of the transition coupling,
+        # for coupling sums on both sides of the default singular_threshold;
+        # the closed form alone (threshold 0) must match it there too
+        total = (-1.0 if negative else 1.0) * 10.0**log_sum
+        params = ModelParams(
+            omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
+            lambda_eg=lambda_eg, allow_signed=True,
+        )
+        n_manifold = n + above
+        band = _transition_coupling(params, _padded_size(params, n_manifold))
+        expect = band[n_manifold, n_manifold - n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RWAValidityWarning)
+            default = coupling_element(params, n_manifold, n)
+            closed = coupling_element(params, n_manifold, n, singular_threshold=0.0)
+        assert default == pytest.approx(expect, rel=1e-11, abs=1e-300)
+        assert closed == pytest.approx(expect, rel=1e-11, abs=1e-300)
 
     def test_singular_threshold_continuity(self):
         # crossing the closed-form/direct switch must not jump
