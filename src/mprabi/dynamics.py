@@ -37,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
-from .model import HamiltonianMatrix, ModelParams
+from .model import HamiltonianMatrix, ModelParams, displaced_energy
 from .rwa import (
     ResonanceSpec,
+    RWAValidityWarning,
     coupling_element,
     dressed_pair,
     level_shifts,
-    low_manifold_states,
 )
 
 EXCITED_FOCK = "excited-fock"
@@ -237,21 +237,23 @@ def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_mod, phase
 
 
-def _step_hint(weights, energies, t_end, dt, norm_tol) -> str:
+def _step_hint(weights, energies, t_end, dt, norm_tol, unit, label) -> str:
     """Name the first step dt/2^m, m >= 1, whose RK4 run keeps the norm in bound.
 
     While every |dt E_j| < sqrt(8), every |r_j| < 1, so the squared norm
     sum_j w_j |r_j|^(2k) only falls with k and its last value decides.  The
-    step is checked as the hint prints it.
+    step is checked as the hint prints it, in multiples of ``unit``, whose
+    name ``label`` follows the number.
     """
     for m in range(1, 60):
-        step = float(f"{dt / 2**m:.6g}")
+        printed = float(f"{dt / unit / 2**m:.6g}")
+        step = printed * unit
         x = step * energies
         if np.max(np.abs(x)) < math.sqrt(8.0):
             k = max(1, int(round(t_end / step)))
             final = weights @ np.exp(2.0 * k * _rk4_log_gain(x)[0])
             if abs(final - 1.0) <= norm_tol:
-                return f"a step of dt/2^{m} = {step:.6g} keeps it within bound"
+                return f"a step of dt/2^{m} = {printed:.6g}{label} keeps it within bound"
     return "no step down to dt/2^59 keeps it within bound"
 
 
@@ -264,6 +266,7 @@ def evolve_numeric(
     *,
     norm_tol: float = DEFAULT_NORM_TOL,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
+    period: float | None = None,
 ) -> Trajectory:
     """Integrate the Schroedinger equation with classic RK4 for a duration t_end.
 
@@ -279,7 +282,9 @@ def evolve_numeric(
     hint naming a step dt/2^m that keeps it within bound.  The run is flagged
     invalid (``truncation_ok = False``) if the top five photon levels ever
     accumulate more than ``truncation_tol`` population, and the first such
-    sample is reported in one :class:`IntegratorWarning`.
+    sample is reported in one :class:`IntegratorWarning`.  Those messages
+    give times and the hinted step in units of ``period`` when it is given
+    (oscillator periods, as the CLI takes them), else in the units of t_end.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -292,6 +297,7 @@ def evolve_numeric(
         raise ValueError("state and Hamiltonian dimensions disagree")
     if np.any(h.imag):
         raise ValueError("the Hamiltonian must be real symmetric")
+    unit, label = (1.0, "") if period is None else (period, " periods")
 
     energies, vectors = np.linalg.eigh(h.real)
     coeffs = vectors.T @ psi0.amplitudes
@@ -315,8 +321,8 @@ def evolve_numeric(
         if bad.size:
             raise NormDriftError(
                 f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = "
-                f"{times[rows][bad[0]]:.6g} (bound {norm_tol:.1e}); "
-                + _step_hint(weights, energies, t_end, dt, norm_tol)
+                f"{times[rows][bad[0]] / unit:.6g}{label} (bound {norm_tol:.1e}); "
+                + _step_hint(weights, energies, t_end, dt, norm_tol, unit, label)
             )
         top = np.sum(traj.photon_dist[rows, -5:], axis=1)
         over = np.flatnonzero(~(top < truncation_tol))
@@ -324,7 +330,7 @@ def evolve_numeric(
             traj.truncation_ok = False
             warnings.warn(
                 f"top five photon levels reached {top[over[0]]:.3e} "
-                f"population at t = {times[rows][over[0]]:.6g}; raise n_max",
+                f"population at t = {times[rows][over[0]] / unit:.6g}{label}; raise n_max",
                 IntegratorWarning,
                 stacklevel=2,
             )
@@ -346,7 +352,9 @@ def _rwa_basis(
     representable; initial states must not lean on them (checked by the
     caller).  At ``order=2`` the level shifts of all n_max manifolds come from
     one :func:`level_shifts` call and shift the unmixed manifolds as well as
-    the dressed pairs.
+    the dressed pairs.  The per-manifold :class:`RWAValidityWarning` of each
+    coupling that is not small against omega is folded into one warning
+    with their count, their N range and the largest |V|/omega.
     """
     n = spec.n
     n_max = space.n_max
@@ -361,17 +369,41 @@ def _rwa_basis(
     energies = np.zeros(n_states)
 
     shifts = level_shifts(params, n, n_max) if order == 2 else None
-    col = 0
-    for vec, energy in low_manifold_states(params, spec, space):
-        basis[:, col] = vec
-        energies[col] = energy if shifts is None else energy + shifts.down[col]
-        col += 1
-    for n_manifold in range(n, n_max):
-        for state in dressed_pair(params, spec, n_manifold, order=order, shifts=shifts):
-            basis[dn, col] = state.c_down * down_vecs[:, n_manifold]
-            basis[up, col] = state.c_up * up_vecs[:, n_manifold - n]
-            energies[col] = state.energy
-            col += 1
+    # the unmixed manifolds N < n, as in low_manifold_states
+    basis[dn, :n] = down_vecs[:, :n]
+    for n_photon in range(n):
+        energies[n_photon] = displaced_energy(params, SPIN_DOWN, n_photon)
+        if shifts is not None:
+            energies[n_photon] += shifts.down[n_photon]
+    col = n
+    strong = {}  # manifold -> |V|/omega of those not small against omega
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        for n_manifold in range(n, n_max):
+            seen = len(log)
+            pair = dressed_pair(params, spec, n_manifold, order=order, shifts=shifts)
+            if any(issubclass(w.category, RWAValidityWarning) for w in log[seen:]):
+                # the 2x2 block's off-diagonal V is (E+ - E-) c_down c_up of
+                # its + state
+                plus, minus = pair
+                v = (plus.energy - minus.energy) * plus.c_down * plus.c_up
+                strong[n_manifold] = abs(v) / params.omega
+            for state in pair:
+                basis[dn, col] = state.c_down * down_vecs[:, n_manifold]
+                basis[up, col] = state.c_up * up_vecs[:, n_manifold - n]
+                energies[col] = state.energy
+                col += 1
+    for w in log:
+        if not issubclass(w.category, RWAValidityWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if strong:
+        warnings.warn(
+            f"{len(strong)} manifolds N = {min(strong)}..{max(strong)} have "
+            f"|V_N({n})|/omega up to {max(strong.values()):.3g}, not small; "
+            "secular results there are unreliable",
+            RWAValidityWarning,
+            stacklevel=3,
+        )
     return basis, energies
 
 

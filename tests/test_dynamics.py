@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mprabi import dynamics, rwa
 from mprabi.config import parse_config
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
 from mprabi.model import HamiltonianMatrix, ModelParams, build_full
@@ -454,6 +456,45 @@ class TestEvolveRwa:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(10))
         with pytest.raises(ValueError, match="order"):
             evolve_rwa(params, spec, psi0, np.linspace(0.0, 10.0, 5), order=3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_displacement_per_ladder(self, monkeypatch, order):
+        # the unmixed low manifolds reuse the down-ladder displacement matrix:
+        # two builds per secular basis (order 2 adds the two behind its level
+        # shifts), with the columns and energies of low_manifold_states
+        omega0 = resonant_omega0(3, omega=1.0, lambda_g=0.1, lambda_e=0.1)
+        params = ModelParams(omega=1.0, omega0=omega0, lambda_g=0.1, lambda_e=0.1, lambda_eg=0.02)
+        spec = ResonanceSpec.from_params(params, 3)
+        space = FockSpace(40)
+        calls = []
+
+        def counted(beta, space):
+            calls.append(beta)
+            return displacement_matrix(beta, space)
+
+        monkeypatch.setattr(dynamics, "displacement_matrix", counted)
+        monkeypatch.setattr(rwa, "displacement_matrix", counted)
+        basis, energies = _rwa_basis(params, spec, space, order)
+        assert len(calls) == 2 * order
+        shifts = rwa.level_shifts(params, 3, 40).down if order == 2 else np.zeros(3)
+        for col, (vec, energy) in enumerate(low_manifold_states(params, spec, space)):
+            assert np.array_equal(basis[:, col], vec)
+            assert energies[col] == energy + shifts[col]
+
+    def test_validity_warnings_fold_into_one(self):
+        # lambda_eg = 0.08 at the one-photon resonance: |V_N(1)| = 0.08 sqrt(N)
+        # reaches 0.1 omega from N = 2, up to 0.24 at N = 9
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
+        spec = ResonanceSpec.from_params(params, 1)
+        psi0 = QuantumState(np.eye(20)[0])
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            evolve_rwa(params, spec, psi0, np.linspace(0.0, 10.0, 5))
+        texts = [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
+        assert texts == [
+            "8 manifolds N = 2..9 have |V_N(1)|/omega up to 0.24, not small; "
+            "secular results there are unreliable"
+        ]
 
 
 class TestInversionFock:

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -198,28 +200,29 @@ class TestEmitCsv:
             assert abs(sum(vals[4:]) - vals[2]) < 1e-8
 
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        # 100 rows of ~480 bytes pass the 8 KiB write buffers, so the failure
-        # comes after bytes have reached the temp file
+        # 1000 rows of 24 values make three kernel blocks; the first (~200 kB)
+        # passes the 8 KiB write buffer, so the failure before the second comes
+        # after bytes have reached the temp file
         rng = np.random.default_rng(3)
-        dist = rng.uniform(size=(200, 20))
+        dist = rng.uniform(size=(1000, 20))
         traj = Trajectory(
-            times=rng.uniform(0, 100, size=200),
-            inversion=rng.uniform(-1, 1, size=200),
+            times=rng.uniform(0, 100, size=1000),
+            inversion=rng.uniform(-1, 1, size=1000),
             photon_dist=dist,
             norm=dist.sum(axis=1),
-            energy=rng.normal(size=200),
+            energy=rng.normal(size=1000),
         )
-        lines = runner._csv_lines
+        blocks = runner._csv_blocks
         temp_sizes = []
 
         def flaky(traj, omega):
-            for i, line in enumerate(lines(traj, omega)):
-                if i == 100:
+            for i, chunk in enumerate(blocks(traj, omega)):
+                if i == 2:
                     temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir())
                     raise RuntimeError("disk gremlin")
-                yield line
+                yield chunk
 
-        monkeypatch.setattr(runner, "_csv_lines", flaky)
+        monkeypatch.setattr(runner, "_csv_blocks", flaky)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="disk gremlin"):
             emit_csv(traj, str(path), omega=1.0)
@@ -245,6 +248,102 @@ class TestEmitCsv:
             emit_csv(traj, path, omega=omega)
             with open(path, "rb") as handle:
                 assert handle.read() == reference_csv(traj, omega).encode("utf-8")
+
+
+def values_trajectory(values, n_max=16):
+    """A trajectory whose CSV rows hold ``values`` in order, the last row
+    padded with zeros; emitted with omega = 2 pi, so that t_periods holds the
+    times unchanged."""
+    n_cols = 4 + n_max
+    grid = np.zeros(-(-len(values) // n_cols) * n_cols)
+    grid[: len(values)] = values
+    grid = grid.reshape(-1, n_cols)
+    return Trajectory(
+        times=grid[:, 0].copy(),
+        inversion=grid[:, 1].copy(),
+        photon_dist=grid[:, 4:].copy(),
+        norm=grid[:, 2].copy(),
+        energy=grid[:, 3].copy(),
+    )
+
+
+def rendering_mismatches(values, directory):
+    """Lines where emit_csv differs from the per-value oracle (first three)."""
+    traj = values_trajectory(np.asarray(values, dtype=float))
+    path = os.path.join(directory, "kernel.csv")
+    emit_csv(traj, path, omega=2.0 * math.pi)
+    with open(path, "rb") as handle:
+        got = handle.read().decode("ascii").split("\n")
+    want = reference_csv(traj, 2.0 * math.pi).split("\n")
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w][:3]
+
+
+def with_negatives(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestCsvKernel:
+    """emit_csv's vectorized renderer against the per-value '%.17g' oracle."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every exponent, sign, nan payload and infinity; 200k values make
+        # many kernel blocks
+        bits = np.random.default_rng(7).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        with np.errstate(invalid="ignore"):  # signaling NaNs, divided by the period
+            assert rendering_mismatches(bits.view(np.float64), tmp_path) == []
+
+    def test_signed_zeros(self, tmp_path):
+        values = [0.0, -0.0, 1.0, -0.0, 0.0, 5e-324, -0.0, -1e300, 0.0, 1e-5]
+        assert rendering_mismatches(values, tmp_path) == []
+
+    def test_subnormals(self, tmp_path):
+        mantissas = np.random.default_rng(11).integers(1, 2**52, size=5000, dtype=np.uint64)
+        edges = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        values = np.concatenate([mantissas.view(np.float64), edges])
+        values = np.concatenate([values, np.nextafter(values, np.inf)])
+        assert rendering_mismatches(with_negatives(values), tmp_path) == []
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+        values = np.concatenate(
+            [powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)]
+        )
+        assert rendering_mismatches(with_negatives(values), tmp_path) == []
+
+    def test_notation_and_digit_count_boundaries(self, tmp_path):
+        # 1e16 and 1e17 bound the 17-digit integers and fixed notation; 1e-4
+        # and 1e-5 bound fixed notation from below
+        centres = [1e16, 1e17, 1e-4, 1e-5, 9007199254740992.0, 1.0, 0.1]
+        values = []
+        for centre in centres:
+            below = above = centre
+            for _ in range(40):
+                below = math.nextafter(below, 0.0)
+                above = math.nextafter(above, math.inf)
+                values += [below, above]
+        values += [9999999999999998.0, 99999999999999984.0, 123456789012345678.0]
+        assert rendering_mismatches(with_negatives([*centres, *values]), tmp_path) == []
+
+    def test_ties_at_the_seventeenth_digit(self, tmp_path):
+        # odd multiples of 2^-(17-d) in [10^d, 10^(d+1)) have exactly 18
+        # significant digits, the last a 5: '%.17g' rounds them half to even
+        rng = np.random.default_rng(5)
+        values = []
+        for d in range(-8, 16):
+            j = 17 - d
+            lo = math.ceil(10.0**d * 2**j)
+            hi = min(math.floor(10.0 ** (d + 1) * 2**j), 2**53)
+            if hi <= lo:
+                continue
+            picks = rng.integers(lo, hi, size=40).tolist() + [lo, hi - 1]
+            values += [math.ldexp(i | 1, -j) for i in picks if (i | 1) < hi]
+        for x in values:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert len(values) > 500
+        assert rendering_mismatches(with_negatives(values), tmp_path) == []
 
 
 class TestEmitSpectrum:
@@ -318,6 +417,17 @@ class TestRunScenario:
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
         assert stored["validity"]["truncation_ok"] is False
 
+    def test_secular_validity_warnings_fold_into_one_line(self, tmp_path):
+        # at lambda_eg = 0.15 the couplings of manifolds 8..11 reach 0.1 omega
+        config = parse_config(json.dumps({**QUICK, "lambda_eg": 0.15, "propagators": ["rwa"]}))
+        run_scenario(config, output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        lines = [w for w in stored["validity"]["warnings"] if w.startswith("RWAValidityWarning")]
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "RWAValidityWarning: 4 manifolds N = 8..11 have |V_N(2)|/omega up to 0.153"
+        )
+
 
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -367,6 +477,17 @@ class TestCli:
         assert stored["config"]["t_end_periods"] == 1.0
         assert stored["config"]["n_max"] == 10
         assert stored["config"]["dt_periods"] == 0.004
+
+    def test_norm_drift_hint_in_periods_carries_the_run(self, tmp_path, capsys):
+        # --dt and --t-end are in periods, so the abort names its time and
+        # hinted step in periods too: fed back as --dt, the hint must pass
+        path = Path(__file__).resolve().parents[1] / "configs" / "collapse_revival_n2.json"
+        args = ["run", str(path), "--output-dir", str(tmp_path), "--t-end", "20"]
+        assert cli.main([*args, "--dt", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "at t = 10 periods" in err
+        hinted = re.search(r"= (\S+) periods keeps it within bound", err).group(1)
+        assert cli.main([*args, "--dt", hinted]) == 0
 
     def test_validate_rejects_order_three(self, tmp_path, capsys):
         path = write_config(tmp_path, order=3)

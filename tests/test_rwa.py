@@ -317,6 +317,72 @@ class TestDressedPair:
             dressed_pair(params, spec, 1)
 
 
+
+class TestSecularProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        log_sum=st.floats(min_value=-8.0, max_value=-0.7),
+        split=st.floats(min_value=0.0, max_value=1.0),
+        negative=st.booleans(),
+        direct=st.booleans(),
+        n=st.integers(min_value=1, max_value=4),
+        above=st.integers(min_value=0, max_value=20),
+    )
+    @example(log_sum=-6.0, split=0.5, negative=False, direct=True, n=1, above=3)
+    @example(log_sum=-6.0, split=0.5, negative=True, direct=False, n=1, above=3)
+    def test_coupling_element_is_the_direct_overlap(
+        self, log_sum, split, negative, direct, n, above
+    ):
+        # singular_threshold a decade above the coupling sum selects the
+        # direct element, a decade below it the closed form; either way the
+        # value is the expm-built overlap
+        total = (-1.0 if negative else 1.0) * 10.0**log_sum
+        params = ModelParams(
+            omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
+            lambda_eg=0.02, allow_signed=True,
+        )
+        threshold = abs(total) * (10.0 if direct else 0.1)
+        got = coupling_element(params, n + above, n, singular_threshold=threshold)
+        assert got == pytest.approx(brute_coupling(params, n + above, n), rel=1e-9, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=1, max_value=3),
+        lambda_g=st.floats(min_value=0.05, max_value=0.3),
+        lambda_e=st.floats(min_value=0.05, max_value=0.3),
+        lambda_eg=st.floats(min_value=0.001, max_value=0.05),
+        above=st.integers(min_value=0, max_value=30),
+        order=st.sampled_from([1, 2]),
+    )
+    def test_dressed_pair_is_an_orthonormal_eigenbasis_of_its_block(
+        self, n, lambda_g, lambda_e, lambda_eg, above, order
+    ):
+        omega0 = resonant_omega0(n, omega=1.0, lambda_g=lambda_g, lambda_e=lambda_e)
+        params = ModelParams(
+            omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e, lambda_eg=lambda_eg
+        )
+        spec = ResonanceSpec.from_params(params, n)
+        n_manifold = n + above
+        e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
+        e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
+        if order == 2:
+            shifts = level_shifts(params, n, n_manifold + 1)
+            e_down += shifts.down[n_manifold]
+            e_up += shifts.up[n_manifold - n]
+        v = coupling_element(params, n_manifold, n)
+        block = np.array([[e_down, v], [v, e_up]])
+        pair = dressed_pair(params, spec, n_manifold, order=order)
+        vecs = np.array([[state.c_down, state.c_up] for state in pair])
+        scale = max(1.0, abs(e_down), abs(e_up))
+        gap = pair[0].energy - pair[1].energy
+        assert gap > 0.0
+        # each state comes from E - e_down or E - e_up, rounded at the scale
+        # of the energies: its direction is good to eps * scale / gap
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) < 1e-15 + 8e-16 * scale / gap
+        for state, c in zip(pair, vecs):
+            residual = np.max(np.abs(block @ c - state.energy * c))
+            assert residual < 4e-15 * scale
+
 class TestLevelShifts:
     def test_bloch_siegert_closed_form(self):
         # no permanent dipoles, n = 1: only the counter-rotating neighbour
