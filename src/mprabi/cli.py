@@ -73,7 +73,7 @@ def _cmd_spectrum(path: str, args) -> int:
     manifold_max = config.manifold_max or spec.n + 20
     if manifold_max < spec.n:
         raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {spec.n}"])
-    emit_spectrum(params, spec, range(spec.n, manifold_max + 1), out_path)
+    emit_spectrum(params, spec, range(spec.n, manifold_max + 1), out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
 

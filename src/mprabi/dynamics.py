@@ -37,14 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
-from .model import HamiltonianMatrix, ModelParams, displaced_energy
-from .rwa import (
-    ResonanceSpec,
-    RWAValidityWarning,
-    coupling_element,
-    dressed_pair,
-    level_shifts,
-)
+from .model import HamiltonianMatrix, ModelParams
+from .rwa import ResonanceSpec, _secular_spectrum, _warn_strong, coupling_element
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
@@ -341,70 +335,27 @@ def evolve_numeric(
 
 def _rwa_basis(
     params: ModelParams, spec: ResonanceSpec, space: FockSpace, order: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular eigenbasis as columns on the product space, with energies.
 
     Covers the unmixed manifolds N < n and the dressed pairs for
-    n <= N <= n_max-1.  Every displaced Fock state is a column of one of two
-    displacement matrices: D(+lambda_g/omega)|N> on the down ladder and
-    D(-lambda_e/omega)|N-n> on the up ladder.  The top n up-branch displaced
-    states have no manifold partner inside the truncation and are not
-    representable; initial states must not lean on them (checked by the
-    caller).  At ``order=2`` the level shifts of all n_max manifolds come from
-    one :func:`level_shifts` call and shift the unmixed manifolds as well as
-    the dressed pairs.  The per-manifold :class:`RWAValidityWarning` of each
-    coupling that is not small against omega is folded into one warning
-    with their count, their N range and the largest |V|/omega.
+    n <= N <= n_max-1, all from one :func:`mprabi.rwa._secular_spectrum`:
+    D(+lambda_g/omega)|N> and D(-lambda_e/omega)|N-n> are columns of its two
+    displacement matrices, sliced to n_max levels.  Column n + 2(N - n) is
+    the alpha = +1 state of manifold N, the next its alpha = -1 partner.
+    The top n up-branch displaced states have no partner inside the
+    truncation and are not representable (checked by the caller).  At
+    ``order=2`` every energy carries its level shift.  Also returns V_N(n)
+    for N = n .. n_max-1; emits no warning.
     """
-    n = spec.n
-    n_max = space.n_max
-    dn = space.block(SPIN_DOWN)
-    up = space.block(SPIN_UP)
-
-    down_vecs = displacement_matrix(params.lambda_g / params.omega, space)
-    up_vecs = displacement_matrix(-params.lambda_e / params.omega, space)
-
-    n_states = n + 2 * (n_max - n)
-    basis = np.zeros((space.dim, n_states), dtype=complex)
-    energies = np.zeros(n_states)
-
-    shifts = level_shifts(params, n, n_max) if order == 2 else None
-    # the unmixed manifolds N < n, as in low_manifold_states
-    basis[dn, :n] = down_vecs[:, :n]
-    for n_photon in range(n):
-        energies[n_photon] = displaced_energy(params, SPIN_DOWN, n_photon)
-        if shifts is not None:
-            energies[n_photon] += shifts.down[n_photon]
-    col = n
-    strong = {}  # manifold -> |V|/omega of those not small against omega
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        for n_manifold in range(n, n_max):
-            seen = len(log)
-            pair = dressed_pair(params, spec, n_manifold, order=order, shifts=shifts)
-            if any(issubclass(w.category, RWAValidityWarning) for w in log[seen:]):
-                # the 2x2 block's off-diagonal V is (E+ - E-) c_down c_up of
-                # its + state
-                plus, minus = pair
-                v = (plus.energy - minus.energy) * plus.c_down * plus.c_up
-                strong[n_manifold] = abs(v) / params.omega
-            for state in pair:
-                basis[dn, col] = state.c_down * down_vecs[:, n_manifold]
-                basis[up, col] = state.c_up * up_vecs[:, n_manifold - n]
-                energies[col] = state.energy
-                col += 1
-    for w in log:
-        if not issubclass(w.category, RWAValidityWarning):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if strong:
-        warnings.warn(
-            f"{len(strong)} manifolds N = {min(strong)}..{max(strong)} have "
-            f"|V_N({n})|/omega up to {max(strong.values()):.3g}, not small; "
-            "secular results there are unreliable",
-            RWAValidityWarning,
-            stacklevel=3,
-        )
-    return basis, energies
+    n, n_max = spec.n, space.n_max
+    s = _secular_spectrum(params, n, n_max, order)
+    basis = np.zeros((space.dim, n + 2 * (n_max - n)), dtype=complex)
+    dn, up = space.block(SPIN_DOWN), space.block(SPIN_UP)
+    basis[dn, :n] = s.d_down[:n_max, :n]
+    basis[dn, n:] = (s.d_down[:n_max, n:n_max, None] * s.c_down).reshape(n_max, -1)
+    basis[up, n:] = (s.d_up[:n_max, : n_max - n, None] * s.c_up).reshape(n_max, -1)
+    return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 
 def evolve_rwa(
@@ -432,6 +383,9 @@ def evolve_rwa(
     ``1 - completeness_tol`` (truncation too tight, or the state leans on the
     few top-of-space levels the secular basis cannot represent).  The energy
     series is the basis-weighted mean, which is constant by construction.
+    The manifolds whose |V_N(n)| is not small against omega are reported in
+    one :class:`~mprabi.rwa.RWAValidityWarning` with the initial weight they
+    hold.
 
     The expansion runs in time blocks (:func:`_expand`); every value is
     bitwise the one a single expansion over the whole grid gives.
@@ -440,19 +394,22 @@ def evolve_rwa(
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
     space = FockSpace(psi0.n_max)
-    basis, energies = _rwa_basis(params, spec, space, order)
+    basis, energies, v = _rwa_basis(params, spec, space, order)
 
     coeffs = basis.conj().T @ psi0.amplitudes
-    captured = float(np.sum(np.abs(coeffs) ** 2))
+    weights = np.abs(coeffs) ** 2
+    captured = float(np.sum(weights))
     total = psi0.norm_sq()
     if captured < total * (1.0 - completeness_tol):
         raise ProjectionError(
             f"secular basis captures only {captured / total:.8f} of the state; "
             "raise n_max or reconsider the initial state"
         )
+    n = spec.n
+    _warn_strong(params, n, range(n, space.n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
 
     n_t, n_max = t_grid.size, space.n_max
-    energy = np.full(n_t, float(np.real(np.sum(np.abs(coeffs) ** 2 * energies))))
+    energy = np.full(n_t, float(np.real(np.sum(weights * energies))))
     traj = Trajectory(t_grid.copy(), np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
 
     def phases(rows):

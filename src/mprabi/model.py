@@ -131,15 +131,17 @@ def build_full(params: ModelParams, space: FockSpace) -> HamiltonianMatrix:
     return HamiltonianMatrix(h, space)
 
 
-def displaced_energy(params: ModelParams, branch: str, n: int) -> float:
+def displaced_energy(params: ModelParams, branch: str, n):
     """Closed-form eigenenergy of level n of one displaced branch.
 
     up:   omega0/2 + omega (n + 1/2) - lambda_e**2 / omega
     down: -omega0/2 + omega (n + 1/2) - lambda_g**2 / omega
+
+    ``n`` may be an integer array, which gives the levels' energies as one.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be '{SPIN_DOWN}' or '{SPIN_UP}', got {branch!r}")
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValueError(f"level index must be >= 0, got {n}")
     base = params.omega * (n + 0.5)
     if branch == SPIN_UP:

@@ -332,8 +332,10 @@ def emit_spectrum(
     spec: ResonanceSpec,
     manifolds,
     path: str,
+    *,
+    order: int = 1,
 ) -> None:
-    """Write the dressed-spectrum JSON export for a range of manifolds."""
+    """Write the dressed-spectrum JSON export of some manifolds at secular ``order``."""
     payload = {
         "params": {
             "omega": params.omega,
@@ -344,7 +346,7 @@ def emit_spectrum(
         },
         "omega_eg": omega_eg(params),
     }
-    payload.update(spectrum_records(params, spec, list(manifolds)))
+    payload.update(spectrum_records(params, spec, list(manifolds), order=order))
     _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 

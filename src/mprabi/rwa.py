@@ -34,9 +34,13 @@ omega, and over a few Rabi periods the gap error is a phase slip of order one
 radian.  :func:`rabi_frequency` keeps the paper's
 definition 2|V_N(n)| at either order.
 
-The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega;
-both conditions are monitored and emit :class:`RWAValidityWarning` when
-violated.  All functions are pure and thread safe.
+The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
+:meth:`ResonanceSpec.from_params` warns about the detuning and
+:func:`coupling_element` about its element; :func:`dressed_pair`,
+:func:`spectrum_records` and :func:`mprabi.dynamics.evolve_rwa` each emit at
+most one :class:`RWAValidityWarning`, for the manifolds they use whose
+|V_N(n)| reaches 0.1 omega (``evolve_rwa`` with the initial weight there).
+All functions are pure and thread safe.
 """
 
 from __future__ import annotations
@@ -113,17 +117,18 @@ def _padded_size(params: ModelParams, n_top: int) -> int:
     return n_top + 22 + int(math.ceil(8.0 * (b * b + b * math.sqrt(n_top + 1.0))))
 
 
-def _transition_coupling(params: ModelParams, n_loc: int) -> np.ndarray:
+def _transition_coupling(params: ModelParams, n_loc: int):
     """C[k, m] = lambda_eg <k^g| (a_dag + a) |m^e> on the lowest n_loc levels.
 
     Column k of D(+lambda_g/omega) is the down-ladder level k^g and column m
     of D(-lambda_e/omega) the up-ladder level m^e, so two displacement
     matrices give C = lambda_eg D_g^T (a_dag + a) D_e in one product.
+    Returns C with the two real displacement matrices (D_g, D_e).
     """
     space = FockSpace(n_loc)
     d_down = displacement_matrix(params.lambda_g / params.omega, space).real
     d_up = displacement_matrix(-params.lambda_e / params.omega, space).real
-    return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up)
+    return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up), d_down, d_up
 
 
 def coupling_element(
@@ -154,7 +159,7 @@ def coupling_element(
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
     if abs(s) < singular_threshold:
-        c = _transition_coupling(params, _padded_size(params, n_manifold))
+        c = _transition_coupling(params, _padded_size(params, n_manifold))[0]
         val = float(c[n_manifold, n_manifold - n])
     else:
         pref = (params.lambda_g - params.lambda_e) / params.omega - n * params.omega / (
@@ -213,11 +218,15 @@ def level_shifts(params: ModelParams, n: int, n_levels: int) -> LevelShifts:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_levels < n:
         raise ValueError(f"n_levels = {n_levels} must be >= n = {n}")
-    n_loc = _padded_size(params, n_levels)
-    c = _transition_coupling(params, n_loc)
-    e_down = np.array([displaced_energy(params, SPIN_DOWN, k) for k in range(n_loc)])
-    e_up = np.array([displaced_energy(params, SPIN_UP, m) for m in range(n_loc)])
-    levels = np.arange(n_loc)
+    down, up = _shifts(params, n, _transition_coupling(params, _padded_size(params, n_levels))[0])
+    return LevelShifts(n=n, down=down[:n_levels], up=up[: n_levels - n])
+
+
+def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order shifts (down, up) of every level of the ladder of C; the
+    core of :func:`level_shifts`."""
+    levels = np.arange(c.shape[0])
+    e_down, e_up = (displaced_energy(params, spin, levels) for spin in (SPIN_DOWN, SPIN_UP))
     partner = levels[:, None] - levels[None, :] == n
     # gap[k, m] = E_down(k) - E_up(m); the partner entries are near zero and
     # carry no weight
@@ -228,10 +237,76 @@ def level_shifts(params: ModelParams, n: int, n_levels: int) -> LevelShifts:
             f"n = {n} is not the resonance of this model"
         )
     weight = np.where(partner, 0.0, c * c) / gap
-    return LevelShifts(
-        n=n,
-        down=np.sum(weight, axis=1)[:n_levels],
-        up=-np.sum(weight, axis=0)[: n_levels - n],
+    return np.sum(weight, axis=1), -np.sum(weight, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """What :func:`_secular_spectrum` returns: D(+lambda_g/omega), D(-lambda_e/omega)
+    and the energies ``low`` of the unmixed manifolds N < n; then, in row N - n
+    for each manifold N >= n, V and the energies and coefficients of its
+    alpha = +1 (column 0) and alpha = -1 (column 1) states."""
+
+    d_down: np.ndarray
+    d_up: np.ndarray
+    low: np.ndarray
+    v: np.ndarray
+    energy: np.ndarray
+    c_down: np.ndarray
+    c_up: np.ndarray
+    degenerate: np.ndarray
+
+
+def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _Spectrum:
+    """Every dressed pair of the manifolds n <= N < n_top, solved as arrays.
+
+    One :func:`_transition_coupling` on the ladder padded past level n_top
+    gives both displacement matrices and C; V_N(n) is its band C[N, N - n],
+    and at ``order=2`` the level shifts come from the same C.  Each block
+    [[E_down(N), V], [V, E_up(N - n)]] keeps the better conditioned of its
+    two null vectors, normalized with c_down >= 0; a block with
+    V = delta = 0 is degenerate and keeps the unmixed states.
+    """
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    n_loc = _padded_size(params, n_top)
+    c, d_down, d_up = _transition_coupling(params, n_loc)
+    levels = np.arange(n_loc)
+    e_down, e_up = (displaced_energy(params, spin, levels) for spin in (SPIN_DOWN, SPIN_UP))
+    if order == 2:
+        shift_down, shift_up = _shifts(params, n, c)
+        e_down, e_up = e_down + shift_down, e_up + shift_up
+    big = np.arange(n, n_top)
+    v = c[big, big - n][:, None]
+    lo, hi = e_down[big, None], e_up[big - n, None]
+    delta = hi - lo  # omega_eg - n * omega at first order, delta_eff at second
+    energy = 0.5 * (lo + hi) + np.hypot(0.5 * delta, v) * np.array([1.0, -1.0])
+    # of the parallel null vectors (V, E - E_down) and (E - E_up, V), keep
+    # the longer, better conditioned one
+    first = np.abs(energy - lo) >= np.abs(energy - hi)
+    c_down, c_up = np.where(first, v, energy - hi), np.where(first, energy - lo, v)
+    degenerate = (v == 0.0) & (delta == 0.0)
+    norm = np.where(degenerate, 1.0, np.hypot(c_down, c_up))
+    sign = np.where((c_down < 0.0) | ((c_down == 0.0) & (c_up < 0.0)), -1.0, 1.0)
+    c_down, c_up = sign * c_down / norm, sign * c_up / norm
+    degenerate = degenerate[:, 0]
+    c_down[degenerate], c_up[degenerate] = (0.0, 1.0), (1.0, 0.0)
+    return _Spectrum(d_down, d_up, e_down[:n], v[:, 0], energy, c_down, c_up, degenerate)
+
+
+def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None:
+    """One RWAValidityWarning for the manifolds whose |V_N(n)| is not small
+    against omega; ``weight`` (one entry per manifold) adds their sum."""
+    strong = np.abs(v) >= WEAK_COUPLING_LIMIT * params.omega
+    if not np.any(strong):
+        return
+    picked = np.asarray(manifolds)[strong]
+    held = "" if weight is None else f", and hold {np.sum(weight[strong]):.3g} of the initial state"
+    warnings.warn(
+        f"{picked.size} manifolds N = {picked.min()}..{picked.max()} have |V_N({n})|/omega "
+        f"up to {np.max(np.abs(v[strong])) / params.omega:.3g}, not small{held}; "
+        "secular results there are unreliable",
+        RWAValidityWarning, stacklevel=3,
     )
 
 
@@ -260,63 +335,28 @@ class DressedPair:
 
 
 def dressed_pair(
-    params: ModelParams,
-    spec: ResonanceSpec,
-    n_manifold: int,
-    *,
-    order: int = 1,
-    shifts: "LevelShifts | None" = None,
+    params: ModelParams, spec: ResonanceSpec, n_manifold: int, *, order: int = 1
 ) -> tuple[DressedPair, DressedPair]:
     """Both entangled eigenstates (alpha = +1, -1) of manifold N = n_manifold.
 
-    The detuning entering the 2x2 secular block is recomputed from the ladder
-    energies.  At ``order=1`` (the paper's treatment) it is manifold
-    independent and equals ``spec.delta_n`` whenever the ResonanceSpec came
-    from the same parameters.  At ``order=2`` both ladder energies carry their
-    second-order shifts, so the block sees the manifold-dependent delta_eff
-    and the gap E_plus - E_minus follows exact diagonalization to within a
-    fraction of a percent at the shipped couplings.  ``shifts`` passes
-    precomputed :func:`level_shifts` covering this manifold; when None they
-    are computed for it.
+    The pair of N from :func:`_secular_spectrum`.  At ``order=1`` (the
+    paper's treatment) the block's detuning equals ``spec.delta_n`` whenever
+    the ResonanceSpec came from the same parameters.  At ``order=2`` both
+    ladder energies carry their shifts, so the block sees the manifold's
+    delta_eff and the gap E_plus - E_minus follows exact diagonalization to
+    within a fraction of a percent at the shipped couplings.  Warns once when
+    |V_N(n)| is not small against omega.
     """
     n = spec.n
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
-    e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
-    if order == 2:
-        if shifts is None:
-            shifts = level_shifts(params, n, n_manifold + 1)
-        elif shifts.n != n:
-            raise ValueError(f"shifts are for n = {shifts.n}, the resonance has n = {n}")
-        e_down += float(shifts.down[n_manifold])
-        e_up += float(shifts.up[n_manifold - n])
-    v = coupling_element(params, n_manifold, n)
-    delta = e_up - e_down  # omega_eg - n * omega at first order, delta_eff at second
-
-    if v == 0.0 and delta == 0.0:
-        down = DressedPair(n_manifold, -1, e_down, 1.0, 0.0, degenerate=True)
-        up = DressedPair(n_manifold, +1, e_up, 0.0, 1.0, degenerate=True)
-        return (up, down)
-
-    mean = 0.5 * (e_down + e_up)
-    half_split = math.hypot(0.5 * delta, v)
-    pair = []
-    for alpha in (+1, -1):
-        energy = mean + alpha * half_split
-        # two parallel null-vector candidates of the 2x2 block; keep the
-        # better conditioned one
-        cand1 = (v, energy - e_down)
-        cand2 = (energy - e_up, v)
-        c_down, c_up = max(cand1, cand2, key=lambda c: c[0] * c[0] + c[1] * c[1])
-        norm = math.hypot(c_down, c_up)
-        c_down, c_up = c_down / norm, c_up / norm
-        if c_down < 0.0 or (c_down == 0.0 and c_up < 0.0):
-            c_down, c_up = -c_down, -c_up
-        pair.append(DressedPair(n_manifold, alpha, energy, c_down, c_up))
-    return (pair[0], pair[1])
+    s = _secular_spectrum(params, n, n_manifold + 1, order)
+    _warn_strong(params, n, [n_manifold], s.v[-1:])
+    return tuple(
+        DressedPair(n_manifold, alpha, float(s.energy[-1, i]), float(s.c_down[-1, i]),
+                    float(s.c_up[-1, i]), bool(s.degenerate[-1]))
+        for i, alpha in enumerate((+1, -1))
+    )
 
 
 def low_manifold_states(
@@ -341,39 +381,37 @@ def low_manifold_states(
 
 
 def spectrum_records(
-    params: ModelParams, spec: ResonanceSpec, manifolds: "list[int] | range"
+    params: ModelParams, spec: ResonanceSpec, manifolds: "list[int] | range", *, order: int = 1
 ) -> dict:
-    """JSON-shaped spectrum export.
+    """JSON-shaped spectrum export at secular ``order``.
 
     One record per requested manifold N >= n with keys
     {n_manifold, n, delta_n, V, Omega, E_plus, E_minus, c_down, c_up}
     (coefficients of the alpha = +1 state; the alpha = -1 partner follows by
     orthogonality), plus the unmixed low manifolds N = 0 .. n-1 as
-    {n_manifold, n, energy}.
+    {n_manifold, n, energy}.  All come from one :func:`_secular_spectrum`;
+    at ``order=2`` every energy carries its level shift.  Warns once about
+    the requested manifolds whose |V_N(n)| is not small against omega.
     """
-    records = []
-    for n_manifold in manifolds:
-        plus, minus = dressed_pair(params, spec, n_manifold)
-        v = coupling_element(params, n_manifold, spec.n)
-        records.append(
-            {
-                "n_manifold": int(n_manifold),
-                "n": spec.n,
-                "delta_n": spec.delta_n,
-                "V": v,
-                "Omega": 2.0 * abs(v),
-                "E_plus": plus.energy,
-                "E_minus": minus.energy,
-                "c_down": float(np.real(plus.c_down)),
-                "c_up": float(np.real(plus.c_up)),
-            }
-        )
-    low = [
+    n = spec.n
+    wanted = np.array(list(manifolds), dtype=int)
+    if np.any(wanted < n):
+        raise ValueError(f"manifolds must be >= n = {n}, got {wanted.min()}")
+    s = _secular_spectrum(params, n, int(wanted.max(initial=n - 1)) + 1, order)
+    _warn_strong(params, n, wanted, s.v[wanted - n])
+    records = [
         {
-            "n_manifold": n_photon,
-            "n": spec.n,
-            "energy": displaced_energy(params, SPIN_DOWN, n_photon),
+            "n_manifold": int(row + n),
+            "n": n,
+            "delta_n": spec.delta_n,
+            "V": float(s.v[row]),
+            "Omega": 2.0 * abs(float(s.v[row])),
+            "E_plus": float(s.energy[row, 0]),
+            "E_minus": float(s.energy[row, 1]),
+            "c_down": float(s.c_down[row, 0]),
+            "c_up": float(s.c_up[row, 0]),
         }
-        for n_photon in range(spec.n)
+        for row in wanted - n
     ]
-    return {"low_manifolds": low, "manifolds": records}
+    low = [{"n_manifold": k, "n": n, "energy": float(s.low[k])} for k in range(n)]
+    return {"order": order, "low_manifolds": low, "manifolds": records}

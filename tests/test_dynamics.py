@@ -75,7 +75,7 @@ def rk4_long_double(h, psi, dt, n_steps, sample_every):
 
 def rwa_one_shot(params, spec, psi0, t_grid, order):
     """The secular expansion over the whole time grid at once, unblocked."""
-    basis, energies = _rwa_basis(params, spec, FockSpace(psi0.n_max), order)
+    basis, energies, _ = _rwa_basis(params, spec, FockSpace(psi0.n_max), order)
     coeffs = basis.conj().T @ psi0.amplitudes
     psi_t = basis @ (coeffs[:, None] * np.exp(-1j * np.outer(energies, t_grid - psi0.time)))
     down = np.abs(psi_t[: psi0.n_max, :]) ** 2
@@ -219,6 +219,8 @@ class TestEvolveNumeric:
             with pytest.raises(NormDriftError, match="nan"):
                 evolve_numeric(build_full(params, space), psi0, 4000.0, 1.0, sample_every=2000)
 
+    # the state starts on the top level, so every run here is truncated
+    @pytest.mark.filterwarnings("ignore::mprabi.dynamics.IntegratorWarning")
     def test_norm_drift_hint_names_a_passing_dt(self):
         # same run as above: the hinted step must carry it through, while
         # twice that step (one halving fewer) still drifts too far
@@ -459,9 +461,9 @@ class TestEvolveRwa:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_one_displacement_per_ladder(self, monkeypatch, order):
-        # the unmixed low manifolds reuse the down-ladder displacement matrix:
-        # two builds per secular basis (order 2 adds the two behind its level
-        # shifts), with the columns and energies of low_manifold_states
+        # one secular spectrum carries the basis and, at order 2, its level
+        # shifts: two displacement builds per basis at either order, with the
+        # columns and energies of low_manifold_states
         omega0 = resonant_omega0(3, omega=1.0, lambda_g=0.1, lambda_e=0.1)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_g=0.1, lambda_e=0.1, lambda_eg=0.02)
         spec = ResonanceSpec.from_params(params, 3)
@@ -474,8 +476,8 @@ class TestEvolveRwa:
 
         monkeypatch.setattr(dynamics, "displacement_matrix", counted)
         monkeypatch.setattr(rwa, "displacement_matrix", counted)
-        basis, energies = _rwa_basis(params, spec, space, order)
-        assert len(calls) == 2 * order
+        basis, energies, _ = _rwa_basis(params, spec, space, order)
+        assert len(calls) == 2
         shifts = rwa.level_shifts(params, 3, 40).down if order == 2 else np.zeros(3)
         for col, (vec, energy) in enumerate(low_manifold_states(params, spec, space)):
             assert np.array_equal(basis[:, col], vec)
@@ -486,15 +488,25 @@ class TestEvolveRwa:
         # reaches 0.1 omega from N = 2, up to 0.24 at N = 9
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
         spec = ResonanceSpec.from_params(params, 1)
-        psi0 = QuantumState(np.eye(20)[0])
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            evolve_rwa(params, spec, psi0, np.linspace(0.0, 10.0, 5))
-        texts = [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
-        assert texts == [
-            "8 manifolds N = 2..9 have |V_N(1)|/omega up to 0.24, not small; "
-            "secular results there are unreliable"
+        space = FockSpace(10)
+
+        def warned(psi0):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                evolve_rwa(params, spec, psi0, np.linspace(0.0, 10.0, 5))
+            return [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
+
+        vacuum = warned(prepare_initial(InitialStateSpec("ground-coherent"), params, space))
+        assert vacuum == [
+            "8 manifolds N = 2..9 have |V_N(1)|/omega up to 0.24, not small, "
+            "and hold 0 of the initial state; secular results there are unreliable"
         ]
+        # a coherent field of mean 1 puts 1 - 2/e = 0.264 on N >= 2
+        (coherent,) = warned(
+            prepare_initial(InitialStateSpec("ground-coherent", mean_photons=1.0), params, space)
+        )
+        held = float(re.search(r"hold (\S+) of", coherent).group(1))
+        assert held == pytest.approx(1.0 - 2.0 / math.e, abs=1e-3)
 
 
 class TestInversionFock:

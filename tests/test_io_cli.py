@@ -24,7 +24,7 @@ from mprabi.config import (
 from mprabi.dynamics import Trajectory
 from mprabi.model import ModelParams
 from mprabi.runner import emit_csv, emit_spectrum, run_scenario
-from mprabi.rwa import ResonanceSpec, resonant_omega0
+from mprabi.rwa import ResonanceSpec, resonant_omega0, spectrum_records
 
 QUICK = {
     "n": 2,
@@ -465,6 +465,20 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert [rec["n_manifold"] for rec in payload["manifolds"]] == [2, 3, 4, 5]
+
+    def test_spectrum_subcommand_honours_order(self, tmp_path):
+        # an order-2 config exports the shifted energies, not first-order ones
+        path = write_config(tmp_path, order=2)
+        code = cli.main(
+            ["spectrum", str(path), "--output-dir", str(tmp_path), "--manifold-max", "5"]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        params, spec = runner.resolve_params(parse_config(path.read_text()))
+        assert payload["order"] == 2
+        for order, same in ((2, True), (1, False)):
+            expect = spectrum_records(params, spec, range(2, 6), order=order)["manifolds"]
+            assert (payload["manifolds"] == expect) is same
 
     def test_overrides_change_run(self, tmp_path):
         path = write_config(tmp_path)

@@ -24,7 +24,7 @@ from mprabi.rwa import (
     resonant_omega0,
     spectrum_records,
 )
-from mprabi.rwa import _padded_size, _transition_coupling
+from mprabi.rwa import _padded_size, _secular_spectrum, _transition_coupling
 
 
 def brute_coupling(params, n_manifold, n, n_big=None):
@@ -156,7 +156,7 @@ class TestCouplingElement:
             lambda_eg=lambda_eg, allow_signed=True,
         )
         n_manifold = n + above
-        band = _transition_coupling(params, _padded_size(params, n_manifold))
+        band = _transition_coupling(params, _padded_size(params, n_manifold))[0]
         expect = band[n_manifold, n_manifold - n]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RWAValidityWarning)
@@ -221,6 +221,15 @@ def exact_gap(params, n, n_manifold, n_max=120):
     return hi - lo
 
 
+#: (params, n, N) where the first-order gap misses the exact one by 2.6% to
+#: 15.7% and the second-order gap holds to 1%
+GAP_CASES = pytest.mark.parametrize(
+    "params, n, n_manifold",
+    [(two_photon_params(), 2, 2), (three_photon_params(), 3, 3), (two_photon_params(), 2, 20)],
+    ids=["n2-N2", "n3-N3", "n2-N20"],
+)
+
+
 class TestDressedPair:
     def test_exact_resonance_structure(self):
         params = two_photon_params()
@@ -266,14 +275,8 @@ class TestDressedPair:
                 nearest = evals[np.argmin(np.abs(evals - state.energy))]
                 assert abs(nearest - state.energy) < tol
 
-    @pytest.mark.parametrize(
-        "params, n, n_manifold",
-        [(two_photon_params(), 2, 2), (three_photon_params(), 3, 3), (two_photon_params(), 2, 20)],
-        ids=["n2-N2", "n3-N3", "n2-N20"],
-    )
+    @GAP_CASES
     def test_second_order_gap_against_dense_diagonalization(self, params, n, n_manifold):
-        # the second-order gap holds to 1% where the first-order one misses by
-        # 2.6% (n, N = 2, 20) to 15.7% (3, 3)
         spec = ResonanceSpec.from_params(params, n)
         exact = exact_gap(params, n, n_manifold)
         errors = {}
@@ -283,24 +286,11 @@ class TestDressedPair:
         assert errors[2] < 0.01
         assert errors[1] > 0.02
 
-    def test_precomputed_shifts_match_on_demand(self):
-        params = three_photon_params()
-        spec = ResonanceSpec.from_params(params, 3)
-        shifts = level_shifts(params, 3, 30)
-        for n_manifold in (3, 10, 29):
-            given = dressed_pair(params, spec, n_manifold, order=2, shifts=shifts)
-            fresh = dressed_pair(params, spec, n_manifold, order=2)
-            for a, b in zip(given, fresh):
-                assert a.energy == pytest.approx(b.energy, abs=1e-15)
-                assert a.c_down == pytest.approx(b.c_down, abs=1e-12)
-
     def test_order_validated(self):
         params = two_photon_params()
         spec = ResonanceSpec.from_params(params, 2)
         with pytest.raises(ValueError, match="order"):
             dressed_pair(params, spec, 2, order=3)
-        with pytest.raises(ValueError, match="shifts"):
-            dressed_pair(params, spec, 2, order=2, shifts=level_shifts(three_photon_params(), 3, 10))
 
     def test_degenerate_manifold_flagged(self):
         params = ModelParams(omega=1.0, omega0=2.0)  # lambda_eg = 0, exact resonance
@@ -316,6 +306,83 @@ class TestDressedPair:
         with pytest.raises(ValueError):
             dressed_pair(params, spec, 1)
 
+    def test_warns_once_about_its_own_manifold(self):
+        # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
+        spec = ResonanceSpec.from_params(params, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dressed_pair(params, spec, 1)
+        with pytest.warns(RWAValidityWarning) as record:
+            dressed_pair(params, spec, 9)
+        assert [str(w.message) for w in record] == [
+            "1 manifolds N = 9..9 have |V_N(1)|/omega up to 0.24, not small; "
+            "secular results there are unreliable"
+        ]
+
+
+def _secular_cases():
+    # (params, n): the shipped regimes, signed couplings, coupling sums below
+    # singular_threshold (where the closed form is 0 * inf), a detuned
+    # selection-rule zero (V = 0, delta != 0) and no transition coupling at
+    # all (every manifold degenerate)
+    signed = dict(omega=1.0, lambda_g=-0.12, lambda_e=0.05, lambda_eg=0.02, allow_signed=True)
+    return {
+        "two-photon": (two_photon_params(), 2),
+        "three-photon": (three_photon_params(), 3),
+        "revival-n4": (
+            ModelParams(
+                omega=1.0, omega0=resonant_omega0(4, omega=1.0, lambda_g=0.2, lambda_e=0.15),
+                lambda_g=0.2, lambda_e=0.15, lambda_eg=0.01,
+            ),
+            4,
+        ),
+        "signed": (
+            ModelParams(omega0=resonant_omega0(2, omega=1.0, lambda_g=-0.12, lambda_e=0.05),
+                        **signed),
+            2,
+        ),
+        "no-dipoles": (ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02), 1),
+        "sub-threshold": (
+            ModelParams(omega=1.0, omega0=1.0, lambda_g=3e-7, lambda_e=2e-7, lambda_eg=0.02), 1
+        ),
+        "selection-rule": (ModelParams(omega=1.0, omega0=2.05, lambda_eg=0.02), 2),
+        "no-transition": (ModelParams(omega=1.0, omega0=2.0, lambda_g=0.1, lambda_e=0.1), 2),
+    }
+
+
+class TestSecularSpectrum:
+    # |V_N(1)| = 0.02 sqrt(N) of the cases without dipoles reaches 0.1 omega
+    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("case", list(_secular_cases()))
+    def test_every_pair_diagonalizes_its_block(self, case, order):
+        # every manifold of a 40-level basis against eigh of its own 2x2
+        # block, built from the closed-form coupling and the public shifts
+        params, n = _secular_cases()[case]
+        got = _secular_spectrum(params, n, 40, order)
+        shifts = level_shifts(params, n, 40) if order == 2 else None
+        for row, n_manifold in enumerate(range(n, 40)):
+            e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
+            e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
+            if shifts is not None:
+                e_down += shifts.down[n_manifold]
+                e_up += shifts.up[n_manifold - n]
+            closed = coupling_element(params, n_manifold, n)
+            assert got.v[row] == pytest.approx(closed, rel=1e-11, abs=1e-15)
+            exact, vecs = np.linalg.eigh(np.array([[e_down, closed], [closed, e_up]]))
+            scale = max(1.0, abs(e_down), abs(e_up))
+            assert np.max(np.abs(got.energy[row, ::-1] - exact)) < 4e-15 * scale
+            pair = np.array([got.c_down[row], got.c_up[row]])  # columns: alpha = +1, -1
+            assert np.all(pair[0] >= 0.0)
+            assert got.degenerate[row] == (case == "no-transition")
+            if got.degenerate[row]:
+                assert np.array_equal(pair, [[0.0, 1.0], [1.0, 0.0]])
+            else:
+                # eigh's vectors fixed to c_down >= 0, as the pairs are
+                vecs = vecs[:, ::-1] * np.where(vecs[0, ::-1] < 0.0, -1.0, 1.0)
+                gap = exact[1] - exact[0]
+                assert np.max(np.abs(pair - vecs)) < 1e-15 + 1e-14 * scale / gap
 
 
 class TestSecularProperties:
@@ -345,6 +412,8 @@ class TestSecularProperties:
         got = coupling_element(params, n + above, n, singular_threshold=threshold)
         assert got == pytest.approx(brute_coupling(params, n + above, n), rel=1e-9, abs=1e-14)
 
+    # couplings up to 0.05 omega reach |V_N(n)| >= 0.1 omega in high manifolds
+    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.integers(min_value=1, max_value=3),
@@ -483,3 +552,33 @@ class TestSpectrumRecords:
         payload = spectrum_records(params, spec, [])
         assert payload["manifolds"] == []
         assert len(payload["low_manifolds"]) == 2
+
+    def test_manifold_below_order_rejected(self):
+        params = two_photon_params()
+        spec = ResonanceSpec.from_params(params, 2)
+        with pytest.raises(ValueError, match="manifolds must be >= n = 2"):
+            spectrum_records(params, spec, [3, 1])
+
+    @GAP_CASES
+    def test_second_order_gap_against_dense_diagonalization(self, params, n, n_manifold):
+        spec = ResonanceSpec.from_params(params, n)
+        exact = exact_gap(params, n, n_manifold)
+        errors = {}
+        for order in (1, 2):
+            payload = spectrum_records(params, spec, [n_manifold], order=order)
+            assert payload["order"] == order
+            (rec,) = payload["manifolds"]
+            errors[order] = abs(rec["E_plus"] - rec["E_minus"] - exact) / exact
+        assert errors[2] < 0.01
+        assert errors[1] > 0.02
+
+    def test_warns_once_about_the_returned_manifolds(self):
+        # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
+        spec = ResonanceSpec.from_params(params, 1)
+        with pytest.warns(RWAValidityWarning) as record:
+            spectrum_records(params, spec, [1, 5, 3])
+        assert [str(w.message) for w in record] == [
+            "2 manifolds N = 3..5 have |V_N(1)|/omega up to 0.179, not small; "
+            "secular results there are unreliable"
+        ]
