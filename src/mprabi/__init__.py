@@ -34,7 +34,6 @@ from .rwa import (
     coupling_element,
     dressed_pair,
     level_shifts,
-    low_manifold_states,
     omega_eg,
     rabi_frequency,
     resonant_omega0,
@@ -79,7 +78,6 @@ __all__ = [
     "coupling_element",
     "dressed_pair",
     "level_shifts",
-    "low_manifold_states",
     "omega_eg",
     "rabi_frequency",
     "resonant_omega0",

@@ -4,10 +4,14 @@ Sub-commands:
     run <config>        integrate a scenario and write CSV + manifest
     spectrum <config>   export the dressed-spectrum JSON for the scenario
     sweep <glob>        run every config matching a glob, sequentially
-    validate <config>   parse and check a config without computing
+    validate <config>   run's checks without the compute: the config with its
+                        overrides, the output paths, the initial state against
+                        the truncation, and spectrum's manifold range
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-validity failure
-(norm drift, truncation, or a state the secular basis cannot represent).
+Exit codes: 0 success, 1 configuration error (a start state outside the
+truncation included), 2 numerical-validity failure (norm drift, top-level
+occupancy, or a state the secular basis cannot represent); one map,
+:func:`_guarded`, gives them for every command and every config of a sweep.
 Relative output paths resolve against --output-dir, else $MPRABI_OUTPUT_DIR,
 else the working directory.  --dt, --n-max, --t-end and --manifold-max override
 config values and are validated with them.
@@ -19,22 +23,18 @@ import argparse
 import glob
 import sys
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    default_manifest_path,
-    default_rwa_csv_path,
-    parse_config,
-)
-from .dynamics import NormDriftError, ProjectionError, TruncationError
+from .config import ConfigError, ScenarioConfig, parse_config
+from .dynamics import NormDriftError, ProjectionError
 from .runner import (
     ValidityError,
     check_writable,
     emit_spectrum,
+    plan_run,
     resolve_output_path,
     resolve_params,
     run_scenario,
 )
+from .rwa import ResonanceSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,6 +55,14 @@ def _load_config(path: str, args) -> ScenarioConfig:
     return parse_config(text, overrides)
 
 
+def _spectrum_manifolds(config: ScenarioConfig, spec: ResonanceSpec) -> range:
+    """Manifolds of a spectrum export: n .. manifold_max (n + 20 by default)."""
+    manifold_max = config.manifold_max or spec.n + 20
+    if manifold_max < spec.n:
+        raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {spec.n}"])
+    return range(spec.n, manifold_max + 1)
+
+
 def _cmd_run(path: str, args) -> int:
     config = _load_config(path, args)
     traj, manifest = run_scenario(config, output_dir=args.output_dir)
@@ -70,25 +78,15 @@ def _cmd_spectrum(path: str, args) -> int:
     problems = check_writable([out_path])
     if problems:
         raise ConfigError(problems)
-    manifold_max = config.manifold_max or spec.n + 20
-    if manifold_max < spec.n:
-        raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {spec.n}"])
-    emit_spectrum(params, spec, range(spec.n, manifold_max + 1), out_path, order=config.order)
+    emit_spectrum(params, spec, _spectrum_manifolds(config, spec), out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def _cmd_validate(path: str, args) -> int:
     config = _load_config(path, args)
-    paths = [resolve_output_path(default_manifest_path(config), args.output_dir)]
-    if "numeric" in config.propagators:
-        paths.append(resolve_output_path(config.csv_path, args.output_dir))
-    if "rwa" in config.propagators:
-        paths.append(resolve_output_path(default_rwa_csv_path(config), args.output_dir))
-    problems = check_writable(paths)
-    if problems:
-        raise ConfigError(problems)
-    resolve_params(config)
+    plan = plan_run(config, args.output_dir)
+    _spectrum_manifolds(config, plan.spec)
     print(f"{path}: ok")
     return EXIT_OK
 
@@ -100,22 +98,31 @@ def _cmd_sweep(pattern: str, args) -> int:
     worst = EXIT_OK
     for path in paths:
         print(f"== {path}")
-        try:
-            code = _cmd_run(path, args)
-        except ConfigError as exc:
-            _report_config_error(exc)
-            code = EXIT_CONFIG
-        except (NormDriftError, ProjectionError, TruncationError, ValidityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = EXIT_NUMERIC
-        worst = max(worst, code)
+        worst = max(worst, _guarded(_cmd_run, path, args))
     return worst
 
 
-def _report_config_error(exc: ConfigError) -> None:
-    print("configuration error:", file=sys.stderr)
-    for problem in exc.problems:
-        print(f"  - {problem}", file=sys.stderr)
+_COMMANDS = {
+    "run": _cmd_run,
+    "spectrum": _cmd_spectrum,
+    "sweep": _cmd_sweep,
+    "validate": _cmd_validate,
+}
+
+
+def _guarded(command, path: str, args) -> int:
+    """Run one command on one config; report a failure the CLI knows on
+    stderr and return its exit code."""
+    try:
+        return command(path, args)
+    except ConfigError as exc:
+        print("configuration error:", file=sys.stderr)
+        for problem in exc.problems:
+            print(f"  - {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (NormDriftError, ProjectionError, ValidityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "integrate a scenario and write its outputs"),
         ("spectrum", "export the dressed-spectrum JSON"),
         ("sweep", "run every config matching a glob"),
-        ("validate", "check a config without computing"),
+        ("validate", "run's checks without the compute"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="scenario config path" + (" glob" if name == "sweep" else ""))
@@ -145,20 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args.config, args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args.config, args)
-        if args.command == "validate":
-            return _cmd_validate(args.config, args)
-        return _cmd_sweep(args.config, args)
-    except ConfigError as exc:
-        _report_config_error(exc)
-        return EXIT_CONFIG
-    except (NormDriftError, ProjectionError, TruncationError, ValidityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return _guarded(_COMMANDS[args.command], args.config, args)
 
 
 def entry() -> None:

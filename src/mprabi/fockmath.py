@@ -172,4 +172,4 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
         parity = np.where((m_idx - k_idx) % 2 == 1, -1.0, 1.0)
         out[m_idx, k_idx] *= parity
         out[k_idx, m_idx] *= parity  # (-1)^(k-m) == (-1)^(m-k)
-    return out.astype(complex)
+    return out

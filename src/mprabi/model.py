@@ -15,9 +15,9 @@ Each spin branch alone is a position-displaced oscillator: the up branch has
 eigenstates D(-lambda_e/omega)|N> and the down branch D(+lambda_g/omega)|N>,
 with the closed-form ladder energies returned by :func:`displaced_energy`.
 
-Matrices are stored dense (the dimensions involved are desk scale) and entries
-are typed complex even though the model is real symmetric; the RK4 propagator
-diagonalizes the real part and rejects a nonzero imaginary part.  The
+Matrices are stored dense (the dimensions involved are desk scale) and real
+(float64), as the model is real symmetric; the RK4 propagator rejects a
+Hamiltonian with a nonzero imaginary part.  The
 photon-index bandwidth is 1; a sparse backend could exploit that but is not
 needed here.  Construction is pure and the returned matrices are frozen
 read-only, safe to share across threads.
@@ -72,7 +72,7 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
-    """Dense Hermitian matrix together with the space it acts on.
+    """Dense real symmetric matrix together with the space it acts on.
 
     The array is made read-only on construction.
     """
@@ -82,10 +82,6 @@ class HamiltonianMatrix:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def position_operator(n_max: int) -> np.ndarray:
@@ -109,7 +105,7 @@ def build_displaced_branch(params: ModelParams, branch: str, space: FockSpace) -
         block = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
     else:
         block = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
-    return HamiltonianMatrix(block.astype(complex), space)
+    return HamiltonianMatrix(block, space)
 
 
 def build_full(params: ModelParams, space: FockSpace) -> HamiltonianMatrix:
@@ -120,7 +116,7 @@ def build_full(params: ModelParams, space: FockSpace) -> HamiltonianMatrix:
     decomposition into branches holds entrywise exactly.
     """
     n_max = space.n_max
-    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h = np.zeros((space.dim, space.dim))
     dn = space.block(SPIN_DOWN)
     up = space.block(SPIN_UP)
     h[dn, dn] = build_displaced_branch(params, SPIN_DOWN, space).matrix

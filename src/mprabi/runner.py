@@ -40,8 +40,11 @@ from .config import (
     default_rwa_csv_path,
 )
 from .dynamics import (
+    DEFAULT_NORM_TOL,
     InitialStateSpec,
+    QuantumState,
     Trajectory,
+    TruncationError,
     evolve_numeric,
     evolve_rwa,
     prepare_initial,
@@ -399,52 +402,66 @@ def check_writable(paths) -> list[str]:
     return problems
 
 
+class RunPlan(NamedTuple):
+    """What a run settles before it propagates (see :func:`plan_run`)."""
+
+    outputs: dict  # manifest "outputs": manifest, csv and rwa_csv paths
+    params: ModelParams
+    spec: ResonanceSpec
+    psi0: QuantumState
+
+
+def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
+    """Everything :func:`run_scenario` settles before any compute.
+
+    Resolves the files the run writes (the manifest, plus one CSV per
+    propagator) and checks that their directories are writable, resolves the
+    model parameters and prepares the initial state.  Raises one
+    :class:`ConfigError` with every unusable path and a start state that does
+    not fit the truncation.  ``mprabi validate`` runs this call, so it
+    rejects exactly what a run rejects before compute.
+    """
+    outputs = {"manifest": default_manifest_path(config)}
+    if "numeric" in config.propagators:
+        outputs["csv"] = config.csv_path
+    if "rwa" in config.propagators:
+        outputs["rwa_csv"] = default_rwa_csv_path(config)
+    outputs = {key: resolve_output_path(path, output_dir) for key, path in outputs.items()}
+    problems = check_writable(outputs.values())
+    params, spec = resolve_params(config)
+    initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
+    try:
+        psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
+    except TruncationError as exc:
+        raise ConfigError([*problems, str(exc)]) from exc
+    if problems:
+        raise ConfigError(problems)
+    return RunPlan(outputs, params, spec, psi0)
+
+
 def run_scenario(
     config: ScenarioConfig, *, output_dir: str | None = None
 ) -> tuple[Trajectory, RunManifest]:
     """Execute one scenario end to end.
 
-    Builds the Hamiltonian, prepares the initial state, runs the requested
-    propagators, and writes the CSV trajectories plus the manifest.  Numerical
-    validity (norm drift, truncation occupancy) is recorded in the manifest;
-    the returned trajectory is the numeric one when it ran, else the secular
-    one.
+    Settles the run with :func:`plan_run`, builds the Hamiltonian, runs the
+    requested propagators, and writes the CSV trajectories plus the manifest.
+    Numerical validity (norm drift of every trajectory, truncation occupancy)
+    and every warning raised on the way are recorded in the manifest; the
+    returned trajectory is the numeric one when it ran, else the secular one.
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
-    csv_path = resolve_output_path(config.csv_path, output_dir)
-    rwa_csv_path = resolve_output_path(default_rwa_csv_path(config), output_dir)
-    manifest_path = resolve_output_path(default_manifest_path(config), output_dir)
-    wanted_paths = [manifest_path]
-    if "numeric" in config.propagators:
-        wanted_paths.append(csv_path)
-    if "rwa" in config.propagators:
-        wanted_paths.append(rwa_csv_path)
-    path_problems = check_writable(wanted_paths)
-    if path_problems:
-        raise ConfigError(path_problems)
-
-    params, spec = resolve_params(config)
-    space = FockSpace(config.n_max)
-    period = 2.0 * math.pi / params.omega
-    t_end = config.t_end * period
-    dt = config.dt * period
-
-    initial = InitialStateSpec(
-        kind=config.initial_kind,
-        n_photons=config.n_photons,
-        mean_photons=config.mean_photons,
-    )
-
-    caught: list[str] = []
+    numeric_traj = None
+    rwa_traj = None
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
-        psi0 = prepare_initial(initial, params, space)
-        hamiltonian = build_full(params, space)
-
-        numeric_traj = None
-        rwa_traj = None
+        outputs, params, spec, psi0 = plan_run(config, output_dir)
+        period = 2.0 * math.pi / params.omega
+        t_end = config.t_end * period
+        dt = config.dt * period
+        hamiltonian = build_full(params, FockSpace(config.n_max))
         if "numeric" in config.propagators:
             numeric_traj = evolve_numeric(
                 hamiltonian, psi0, t_end, dt, sample_every=config.sample_every, period=period
@@ -455,21 +472,13 @@ def run_scenario(
             else:
                 t_grid = sample_steps(t_end, dt, config.sample_every) * dt
             rwa_traj = evolve_rwa(params, spec, psi0, t_grid, order=config.order)
+        v_leading = coupling_element(params, spec.n, spec.n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
-    primary = numeric_traj if numeric_traj is not None else rwa_traj
-    norm_ok = bool(np.max(np.abs(primary.norm - 1.0)) <= 1e-6)
-    truncation_ok = all(
-        t.truncation_ok for t in (numeric_traj, rwa_traj) if t is not None
-    )
-
-    v_leading = coupling_element(params, spec.n, spec.n)
+    ran = [t for t in (numeric_traj, rwa_traj) if t is not None]
+    norm_ok = all(bool(np.max(np.abs(t.norm - 1.0)) <= DEFAULT_NORM_TOL) for t in ran)
+    truncation_ok = all(t.truncation_ok for t in ran)
     rabi = 2.0 * abs(v_leading)
-    outputs = {"manifest": manifest_path}
-    if numeric_traj is not None:
-        outputs["csv"] = csv_path
-    if rwa_traj is not None:
-        outputs["rwa_csv"] = rwa_csv_path
 
     manifest = RunManifest(
         config={
@@ -508,17 +517,18 @@ def run_scenario(
     )
 
     if numeric_traj is not None:
-        emit_csv(numeric_traj, csv_path, omega=params.omega)
+        emit_csv(numeric_traj, outputs["csv"], omega=params.omega)
     if rwa_traj is not None:
-        emit_csv(rwa_traj, rwa_csv_path, omega=params.omega)
+        emit_csv(rwa_traj, outputs["rwa_csv"], omega=params.omega)
     manifest.elapsed_seconds = round(time.perf_counter() - start, 6)
     _atomic_write(
-        manifest_path, [(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n").encode()]
+        outputs["manifest"],
+        [(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n").encode()],
     )
 
     if not (norm_ok and truncation_ok):
         raise ValidityError(
             f"run finished but failed validity checks (norm_ok={norm_ok}, "
-            f"truncation_ok={truncation_ok}); see manifest {manifest_path}"
+            f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
         )
-    return primary, manifest
+    return ran[0], manifest

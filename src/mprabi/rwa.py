@@ -126,8 +126,8 @@ def _transition_coupling(params: ModelParams, n_loc: int):
     Returns C with the two real displacement matrices (D_g, D_e).
     """
     space = FockSpace(n_loc)
-    d_down = displacement_matrix(params.lambda_g / params.omega, space).real
-    d_up = displacement_matrix(-params.lambda_e / params.omega, space).real
+    d_down = displacement_matrix(params.lambda_g / params.omega, space)
+    d_up = displacement_matrix(-params.lambda_e / params.omega, space)
     return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up), d_down, d_up
 
 
@@ -357,27 +357,6 @@ def dressed_pair(
                     float(s.c_up[-1, i]), bool(s.degenerate[-1]))
         for i, alpha in enumerate((+1, -1))
     )
-
-
-def low_manifold_states(
-    params: ModelParams, spec: ResonanceSpec, space: FockSpace
-) -> list[tuple[np.ndarray, float]]:
-    """The n unmixed eigenstates below the first resonant manifold.
-
-    Returns ``[(amplitudes, energy), ...]`` for N = 0 .. n-1, where each
-    amplitude vector lives on the product basis and holds the down-spin
-    displaced Fock state D(+lambda_g/omega)|N>, column N of the displacement
-    matrix.  For lambda_g != 0 the N = 0 member carries a coherent photon
-    distribution of mean (lambda_g/omega)**2.
-    """
-    d_down = displacement_matrix(params.lambda_g / params.omega, space)
-    dn = space.block(SPIN_DOWN)
-    out = []
-    for n_photon in range(spec.n):
-        vec = np.zeros(space.dim, dtype=complex)
-        vec[dn] = d_down[:, n_photon]
-        out.append((vec, displaced_energy(params, SPIN_DOWN, n_photon)))
-    return out
 
 
 def spectrum_records(

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from mprabi import dynamics, rwa
 from mprabi.config import parse_config
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
-from mprabi.model import HamiltonianMatrix, ModelParams, build_full
+from mprabi.model import HamiltonianMatrix, ModelParams, build_full, displaced_energy
 from mprabi.runner import resolve_params
-from mprabi.rwa import ResonanceSpec, low_manifold_states, rabi_frequency, resonant_omega0
+from mprabi.rwa import ResonanceSpec, rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
     _RWA_BLOCK,
     DEFAULT_NORM_TOL,
@@ -363,7 +363,7 @@ class TestEvolveNumeric:
         params = two_photon_params()
         space = FockSpace(4)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        matrix = build_full(params, space).matrix.copy()
+        matrix = build_full(params, space).matrix.astype(complex)
         matrix[0, 1] += 1e-3j
         matrix[1, 0] -= 1e-3j
         with pytest.raises(ValueError, match="real"):
@@ -375,7 +375,9 @@ class TestEvolveRwa:
         params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.15, lambda_e=0.1, lambda_eg=0.02)
         spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(30)
-        vec, _ = low_manifold_states(params, spec, space)[0]
+        # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
+        vec = np.zeros(space.dim)
+        vec[space.block(SPIN_DOWN)] = displacement_matrix(params.lambda_g, space)[:, 0]
         psi0 = QuantumState(vec)
         traj = evolve_rwa(params, spec, psi0, np.linspace(0.0, 500.0, 60))
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
@@ -463,7 +465,7 @@ class TestEvolveRwa:
     def test_one_displacement_per_ladder(self, monkeypatch, order):
         # one secular spectrum carries the basis and, at order 2, its level
         # shifts: two displacement builds per basis at either order, with the
-        # columns and energies of low_manifold_states
+        # unmixed states D(+lambda_g/omega)|N> and their ladder energies first
         omega0 = resonant_omega0(3, omega=1.0, lambda_g=0.1, lambda_e=0.1)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_g=0.1, lambda_e=0.1, lambda_eg=0.02)
         spec = ResonanceSpec.from_params(params, 3)
@@ -479,9 +481,12 @@ class TestEvolveRwa:
         basis, energies, _ = _rwa_basis(params, spec, space, order)
         assert len(calls) == 2
         shifts = rwa.level_shifts(params, 3, 40).down if order == 2 else np.zeros(3)
-        for col, (vec, energy) in enumerate(low_manifold_states(params, spec, space)):
+        d_down = displacement_matrix(params.lambda_g / params.omega, space)
+        for col in range(3):
+            vec = np.zeros(space.dim)
+            vec[space.block(SPIN_DOWN)] = d_down[:, col]
             assert np.array_equal(basis[:, col], vec)
-            assert energies[col] == energy + shifts[col]
+            assert energies[col] == displaced_energy(params, SPIN_DOWN, col) + shifts[col]
 
     def test_validity_warnings_fold_into_one(self):
         # lambda_eg = 0.08 at the one-photon resonance: |V_N(1)| = 0.08 sqrt(N)

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 from decimal import Decimal
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprabi import cli, runner
+from mprabi import config as config_module
 from mprabi.config import (
     ConfigError,
     ScenarioConfig,
@@ -21,7 +23,7 @@ from mprabi.config import (
     default_rwa_csv_path,
     parse_config,
 )
-from mprabi.dynamics import Trajectory
+from mprabi.dynamics import Trajectory, evolve_rwa
 from mprabi.model import ModelParams
 from mprabi.runner import emit_csv, emit_spectrum, run_scenario
 from mprabi.rwa import ResonanceSpec, resonant_omega0, spectrum_records
@@ -155,6 +157,35 @@ def trajectories(draw):
         norm=column(n_samples),
         energy=column(n_samples),
     )
+
+
+def readme_config_keys():
+    """Backticked keys in the first column of README's config schema table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
+    return {key for row in rows for key in re.findall(r"`(\w+)`", row)}
+
+
+def docstring_config_keys():
+    """Keys in the first column of the table in the mprabi.config docstring."""
+    lines = config_module.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    width = len(lines[rules[0]].split()[0])
+    rows = lines[rules[1] + 1 : rules[2]]
+    return {key for row in rows for key in re.findall(r"\w+", row[:width])}
+
+
+class TestConfigDocs:
+    # every ScenarioConfig field is documented, and no table lists a key
+    # the dataclass lacks
+    FIELDS = {f.name for f in fields(ScenarioConfig)}
+
+    def test_readme_table_matches_fields(self):
+        assert readme_config_keys() == self.FIELDS
+
+    def test_docstring_table_matches_fields(self):
+        assert docstring_config_keys() == self.FIELDS
 
 
 class TestEmitCsv:
@@ -429,6 +460,45 @@ class TestRunScenario:
         )
 
 
+    def test_outputs_planned_once(self, tmp_path):
+        # the manifest lists exactly the files the plan resolved and checked
+        config = parse_config(json.dumps({**QUICK, "propagators": ["rwa", "numeric"]}))
+        planned = runner.plan_run(config, str(tmp_path)).outputs
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        assert manifest.outputs == planned
+        assert sorted(planned) == ["csv", "manifest", "rwa_csv"]
+        assert all(os.path.exists(path) for path in planned.values())
+
+    def test_explicit_omega0_warning_reaches_manifest(self, tmp_path):
+        # omega0 = 2.3 resolves to n = 2 with delta_2 = 2.3 - 0.01 - 2 = 0.29;
+        # the detuning warning is raised while the parameters resolve
+        payload = {key: val for key, val in QUICK.items() if key != "n"}
+        config = parse_config(json.dumps({**payload, "omega0": 2.3}))
+        run_scenario(config, output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["config"]["n"] == 2
+        assert stored["derived"]["delta_n"] == pytest.approx(0.29, abs=1e-12)
+        assert stored["validity"]["warnings"] == [
+            "RWAValidityWarning: detuning |delta_2| = 0.29 is not small against "
+            "omega = 1; secular results are unreliable"
+        ]
+
+    def test_every_trajectory_norm_checked(self, tmp_path, monkeypatch):
+        # a secular trajectory off by 1e-5 fails the run beside a clean numeric one
+        def drifted(*args, **kwargs):
+            traj = evolve_rwa(*args, **kwargs)
+            traj.norm = traj.norm + 1e-5
+            return traj
+
+        monkeypatch.setattr(runner, "evolve_rwa", drifted)
+        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
+        with pytest.raises(runner.ValidityError, match="norm_ok=False"):
+            run_scenario(config, output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["validity"]["norm_ok"] is False
+        assert stored["validity"]["truncation_ok"] is True
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -533,6 +603,30 @@ class TestCli:
         assert "mean_photons = 20.0 needs n_max" in err
         assert "got n_max = 30" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_fock_level_outside_truncation_is_config_error(self, tmp_path, capsys, command):
+        # validate runs run's pre-compute checks: both reject the start state
+        # before any file is written
+        path = tmp_path / "fock.json"
+        path.write_text(json.dumps(
+            {"n": 2, "lambda_eg": 0.02, "lambda_e": 0.1, "n_photons": 30, "n_max": 20}
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Fock level 30 outside truncation 0..19" in err
+        assert list(out.iterdir()) == []
+
+    def test_validate_checks_spectrum_manifolds(self, tmp_path, capsys):
+        # the manifold range spectrum would export is checked by validate too
+        path = write_config(tmp_path, manifold_max=1)
+        for command in ("validate", "spectrum"):
+            assert cli.main([command, str(path), "--output-dir", str(tmp_path)]) == 1
+            assert "manifold_max = 1 below the first manifold n = 2" in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
 
     def test_spectrum_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path)
