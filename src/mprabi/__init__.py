@@ -19,7 +19,6 @@ from .fockmath import (
     laguerre_transition,
 )
 from .model import (
-    HamiltonianMatrix,
     ModelParams,
     build_displaced_branch,
     build_full,
@@ -44,7 +43,6 @@ from .dynamics import (
     IntegratorWarning,
     NormDriftError,
     ProjectionError,
-    QuantumState,
     Trajectory,
     TruncationError,
     evolve_numeric,
@@ -65,7 +63,6 @@ __all__ = [
     "displacement_matrix",
     "laguerre_poly",
     "laguerre_transition",
-    "HamiltonianMatrix",
     "ModelParams",
     "build_displaced_branch",
     "build_full",
@@ -86,7 +83,6 @@ __all__ = [
     "IntegratorWarning",
     "NormDriftError",
     "ProjectionError",
-    "QuantumState",
     "Trajectory",
     "TruncationError",
     "evolve_numeric",

@@ -9,8 +9,8 @@ Sub-commands:
                         the truncation, and spectrum's manifold range
 
 Exit codes: 0 success, 1 configuration error (a start state outside the
-truncation included), 2 numerical-validity failure (norm drift, top-level
-occupancy, or a state the secular basis cannot represent); one map,
+truncation, or one the secular basis cannot represent, included), 2
+numerical-validity failure (norm drift or top-level occupancy); one map,
 :func:`_guarded`, gives them for every command and every config of a sweep.
 Relative output paths resolve against --output-dir, else $MPRABI_OUTPUT_DIR,
 else the working directory.  --dt, --n-max, --t-end and --manifold-max override
@@ -24,7 +24,7 @@ import glob
 import sys
 
 from .config import ConfigError, ScenarioConfig, parse_config
-from .dynamics import NormDriftError, ProjectionError
+from .dynamics import NormDriftError
 from .runner import (
     ValidityError,
     check_writable,
@@ -120,7 +120,7 @@ def _guarded(command, path: str, args) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NormDriftError, ProjectionError, ValidityError) as exc:
+    except (NormDriftError, ValidityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -42,14 +42,15 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from .dynamics import KINDS
+from .rwa import ORDERS
+
 _REQUIRED_HINT = (
     "required keys: lambda_eg, and exactly one of n / omega0 "
     "(see the config schema in mprabi.config)"
 )
 
 _VALID_PROPAGATORS = ("numeric", "rwa")
-_VALID_KINDS = ("excited-fock", "ground-coherent")
-_VALID_ORDERS = (1, 2)
 
 
 class ConfigError(ValueError):
@@ -168,8 +169,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
 
     if "initial_kind" in data:
         kind = data["initial_kind"]
-        if kind not in _VALID_KINDS:
-            problems.append(f"key 'initial_kind' must be one of {_VALID_KINDS}, got {kind!r}")
+        if kind not in KINDS:
+            problems.append(f"key 'initial_kind' must be one of {KINDS}, got {kind!r}")
         else:
             out["initial_kind"] = kind
     val = _check_number(problems, data, "n_photons", integer=True, minimum=0)
@@ -192,10 +193,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
 
     val = _check_number(problems, data, "order", integer=True)
     if val is not None:
-        if val in _VALID_ORDERS:
+        if val in ORDERS:
             out["order"] = val
         else:
-            problems.append(f"key 'order' must be one of {_VALID_ORDERS}, got {data['order']!r}")
+            problems.append(f"key 'order' must be one of {ORDERS}, got {data['order']!r}")
 
     if "propagators" in data:
         props = data["propagators"]

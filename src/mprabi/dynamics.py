@@ -1,6 +1,7 @@
 """Time evolution and observables.
 
-Two propagation routes are provided:
+States are complex vectors on the :class:`~mprabi.fockmath.FockSpace` product
+basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
 
 * :func:`evolve_numeric` integrates i d|psi>/dt = H |psi> (hbar = 1) with the
   classic fourth-order Runge-Kutta scheme on the full Hamiltonian.  H does
@@ -37,20 +38,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
-from .model import HamiltonianMatrix, ModelParams
+from .model import ModelParams
 from .rwa import ResonanceSpec, _secular_spectrum, _warn_strong, coupling_element
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
-CUSTOM_VECTOR = "custom-vector"
-_KINDS = (EXCITED_FOCK, GROUND_COHERENT, CUSTOM_VECTOR)
+#: initial-state kinds of :class:`InitialStateSpec`
+KINDS = (EXCITED_FOCK, GROUND_COHERENT)
 
 #: squared-norm deviation at which a numeric run aborts
-DEFAULT_NORM_TOL = 1e-6
-
+NORM_TOL = 1e-6
+#: initial weight the secular basis may miss before its projection fails
+COMPLETENESS_TOL = 1e-6
+#: weight the closed-form inversion series leave out
+WEIGHT_TOL = 1e-10
 #: combined population of the top five photon levels that flags a run invalid
 DEFAULT_TRUNCATION_TOL = 1e-8
-
 #: time samples per block of the eigenbasis expansion; bounds its temporaries
 _RWA_BLOCK = 256
 
@@ -71,53 +74,25 @@ class IntegratorWarning(UserWarning):
     """Truncation advisories from the numeric propagator."""
 
 
-@dataclass
-class QuantumState:
-    """Complex amplitude vector on the two-level (x) Fock product basis.
-
-    The squared norm is expected to stay within a configured distance of 1;
-    the numeric propagator enforces that.
-    """
-
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size % 2:
-            raise ValueError("amplitudes must be a flat vector of even length")
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.size // 2
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
 @dataclass(frozen=True)
 class InitialStateSpec:
     """Declarative initial condition.
 
     kind "excited-fock": spin up, bare Fock state with ``n_photons`` quanta.
     kind "ground-coherent": spin down, coherent field of mean photon number
-    ``mean_photons``.  kind "custom-vector": take ``vector`` (normalized copy).
-    """
+    ``mean_photons``."""
 
     kind: str
     n_photons: int = 0
     mean_photons: float = 0.0
-    vector: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.n_photons < 0:
             raise ValueError("n_photons must be >= 0")
         if not (self.mean_photons >= 0.0):
             raise ValueError("mean_photons must be >= 0")
-        if self.kind == CUSTOM_VECTOR and self.vector is None:
-            raise ValueError("custom-vector needs an explicit vector")
 
 
 @dataclass
@@ -127,9 +102,8 @@ class Trajectory:
     ``norm`` stores the squared norm (total probability), so each row of
     ``photon_dist`` sums to the matching ``norm`` entry identically.
     ``truncation_ok`` is cleared when the top five photon levels ever hold
-    more than the truncation tolerance.  ``final_state`` carries the
-    propagated amplitudes at the last sample, handy for chaining runs or
-    convergence studies.
+    more than the truncation tolerance.  ``final_state`` is the propagated
+    state at the last sample, handy for chaining runs or convergence studies.
     """
 
     times: np.ndarray
@@ -138,21 +112,24 @@ class Trajectory:
     norm: np.ndarray
     energy: np.ndarray
     truncation_ok: bool = True
-    final_state: "QuantumState | None" = None
+    final_state: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.times.size
 
 
-def observables(psi: QuantumState) -> tuple[float, np.ndarray]:
-    """Population inversion W and photon distribution P of a state."""
-    down = np.abs(psi.amplitudes[: psi.n_max]) ** 2
-    up = np.abs(psi.amplitudes[psi.n_max :]) ** 2
-    return float(np.sum(up) - np.sum(down)), down + up
+def observables(psi: np.ndarray) -> tuple:
+    """Population inversion W and photon distribution P of a state, or of
+    each column of a (dim, k) block (W of shape (k,), P (n_max, k)).  The spin
+    sums run in sequence (cumsum), so a column alone gives the same bits."""
+    n_max = psi.shape[0] // 2
+    down = np.abs(psi[:n_max]) ** 2
+    up = np.abs(psi[n_max:]) ** 2
+    return np.cumsum(up, axis=0)[-1] - np.cumsum(down, axis=0)[-1], down + up
 
 
-def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpace) -> QuantumState:
-    """Build the normalized initial amplitude vector for a scenario.
+def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpace) -> np.ndarray:
+    """Build the normalized initial complex amplitude vector for a scenario.
 
     The coherent field state is the displaced vacuum D(-sqrt(mean_photons))|0>;
     the displacement points opposite to the down-branch well so the standard
@@ -166,7 +143,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
                 f"Fock level {spec.n_photons} outside truncation 0..{space.n_max - 1}"
             )
         vec[space.index(SPIN_UP, spec.n_photons)] = 1.0
-    elif spec.kind == GROUND_COHERENT:
+    else:
         nbar = spec.mean_photons
         if nbar + 5.0 * math.sqrt(nbar) > space.n_max:
             raise TruncationError(
@@ -174,15 +151,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
                 f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got {space.n_max}"
             )
         vec[space.block(SPIN_DOWN)] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
-    else:
-        given = np.asarray(spec.vector, dtype=complex)
-        if given.shape != (space.dim,):
-            raise ValueError(f"custom vector must have length {space.dim}, got {given.shape}")
-        nrm = np.linalg.norm(given)
-        if nrm == 0.0:
-            raise ValueError("custom vector must be nonzero")
-        vec = given / nrm
-    return QuantumState(vec, time=0.0)
+    return vec
 
 
 def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
@@ -201,7 +170,7 @@ def _expand(basis, coeffs, factor, traj: Trajectory):
     :data:`_RWA_BLOCK`, so working memory does not depend on their count;
     each block is yielded as ``(rows, states)`` once its rows are filled.
     """
-    n_t, n_max = traj.photon_dist.shape
+    n_t = traj.times.size
     # A lone last sample would make a one-column block, which BLAS and numpy's
     # reductions treat as a vector and round differently, so it joins the
     # block before it.
@@ -211,11 +180,8 @@ def _expand(basis, coeffs, factor, traj: Trajectory):
             stop = n_t
         rows = slice(start, stop)
         psi_t = basis @ (coeffs[:, None] * factor(rows))  # (dim, block)
-        down = np.abs(psi_t[:n_max, :]) ** 2
-        up = np.abs(psi_t[n_max:, :]) ** 2
-        block = down + up
+        traj.inversion[rows], block = observables(psi_t)
         traj.photon_dist[rows] = block.T
-        traj.inversion[rows] = np.sum(up, axis=0) - np.sum(down, axis=0)
         traj.norm[rows] = np.sum(block, axis=0)
         yield rows, psi_t
 
@@ -231,7 +197,7 @@ def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_mod, phase
 
 
-def _step_hint(weights, energies, t_end, dt, norm_tol, unit, label) -> str:
+def _step_hint(weights, energies, t_end, dt, unit, label) -> str:
     """Name the first step dt/2^m, m >= 1, whose RK4 run keeps the norm in bound.
 
     While every |dt E_j| < sqrt(8), every |r_j| < 1, so the squared norm
@@ -246,23 +212,23 @@ def _step_hint(weights, energies, t_end, dt, norm_tol, unit, label) -> str:
         if np.max(np.abs(x)) < math.sqrt(8.0):
             k = max(1, int(round(t_end / step)))
             final = weights @ np.exp(2.0 * k * _rk4_log_gain(x)[0])
-            if abs(final - 1.0) <= norm_tol:
+            if abs(final - 1.0) <= NORM_TOL:
                 return f"a step of dt/2^{m} = {printed:.6g}{label} keeps it within bound"
     return "no step down to dt/2^59 keeps it within bound"
 
 
 def evolve_numeric(
-    H: HamiltonianMatrix,
-    psi0: QuantumState,
+    h: np.ndarray,
+    psi0: np.ndarray,
     t_end: float,
     dt: float,
     sample_every: int = 1,
     *,
-    norm_tol: float = DEFAULT_NORM_TOL,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
     period: float | None = None,
 ) -> Trajectory:
-    """Integrate the Schroedinger equation with classic RK4 for a duration t_end.
+    """Integrate i d psi/dt = h psi with classic RK4 from ``psi0`` at t = 0 for
+    a duration t_end; ``h`` is real symmetric of dimension 2 n_max.
 
     One RK4 step multiplies the amplitude on eigenvector j of H by
     r_j = R(-i dt E_j) (see :func:`_rk4_log_gain`).  With E, V from one
@@ -272,8 +238,8 @@ def evolve_numeric(
 
     Observables are sampled at step 0, every ``sample_every`` steps, and at
     the final step.  The squared norm is never renormalized; if it deviates
-    from 1 by more than ``norm_tol``, or is not finite, the run aborts with a
-    hint naming a step dt/2^m that keeps it within bound.  The run is flagged
+    from 1 by more than :data:`NORM_TOL`, or is not finite, the run aborts
+    with a hint naming a step dt/2^m that keeps it within bound.  The run is flagged
     invalid (``truncation_ok = False``) if the top five photon levels ever
     accumulate more than ``truncation_tol`` population, and the first such
     sample is reported in one :class:`IntegratorWarning`.  Those messages
@@ -286,23 +252,23 @@ def evolve_numeric(
         raise ValueError(f"t_end must be > 0, got {t_end}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    h = H.matrix
-    if psi0.amplitudes.size != h.shape[0]:
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (h.shape[0],):
         raise ValueError("state and Hamiltonian dimensions disagree")
     if np.any(h.imag):
         raise ValueError("the Hamiltonian must be real symmetric")
     unit, label = (1.0, "") if period is None else (period, " periods")
 
     energies, vectors = np.linalg.eigh(h.real)
-    coeffs = vectors.T @ psi0.amplitudes
+    coeffs = vectors.T @ psi0
     weights = np.abs(coeffs) ** 2
     log_mod, phase = _rk4_log_gain(dt * energies)
     log_r = log_mod + 1j * phase
 
     steps = sample_steps(t_end, dt, sample_every)
-    times = psi0.time + steps * dt
+    times = steps * dt
 
-    n_t, n_max = steps.size, H.space.n_max
+    n_t, n_max = steps.size, h.shape[0] // 2
     traj = Trajectory(times, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t))
 
     def powers(rows):
@@ -311,12 +277,12 @@ def evolve_numeric(
     for rows, psi_t in _expand(vectors.astype(complex), coeffs, powers, traj):
         drift = np.abs(traj.norm[rows] - 1.0)
         # written so that a NaN norm fails the check
-        bad = np.flatnonzero(~(drift <= norm_tol))
+        bad = np.flatnonzero(~(drift <= NORM_TOL))
         if bad.size:
             raise NormDriftError(
                 f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = "
-                f"{times[rows][bad[0]] / unit:.6g}{label} (bound {norm_tol:.1e}); "
-                + _step_hint(weights, energies, t_end, dt, norm_tol, unit, label)
+                f"{times[rows][bad[0]] / unit:.6g}{label} (bound {NORM_TOL:.1e}); "
+                + _step_hint(weights, energies, t_end, dt, unit, label)
             )
         top = np.sum(traj.photon_dist[rows, -5:], axis=1)
         over = np.flatnonzero(~(top < truncation_tol))
@@ -329,7 +295,7 @@ def evolve_numeric(
                 stacklevel=2,
             )
         traj.energy[rows] = np.exp(np.outer(steps[rows], 2.0 * log_mod)) @ (weights * energies)
-    traj.final_state = QuantumState(psi_t[:, -1].copy(), time=float(times[-1]))
+    traj.final_state = psi_t[:, -1].copy()
     return traj
 
 
@@ -344,7 +310,7 @@ def _rwa_basis(
     displacement matrices, sliced to n_max levels.  Column n + 2(N - n) is
     the alpha = +1 state of manifold N, the next its alpha = -1 partner.
     The top n up-branch displaced states have no partner inside the
-    truncation and are not representable (checked by the caller).  At
+    truncation and are not representable (see :func:`project_secular`).  At
     ``order=2`` every energy carries its level shift.  Also returns V_N(n)
     for N = n .. n_max-1; emits no warning.
     """
@@ -358,76 +324,82 @@ def _rwa_basis(
     return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 
-def evolve_rwa(
-    params: ModelParams,
-    spec: ResonanceSpec,
-    psi0: QuantumState,
-    t_grid: np.ndarray,
-    *,
-    order: int = 1,
-    completeness_tol: float = 1e-6,
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-) -> Trajectory:
-    """Analytic secular evolution sampled on an explicit time grid.
-
-    ``order=1`` is the paper's first-order secular treatment: the dressed
-    pairs are split by 2|V_N(n)| around the bare ladder energies.  ``order=2``
-    adds the second-order level shifts to every secular energy, so each pair
-    is split by 2 sqrt(delta_eff**2/4 + V**2); this is the order at which the
-    secular curve keeps phase with exact propagation over several Rabi
-    periods.  Both orders share the displaced Fock states; only the secular
-    energies and the mixing within each pair differ.
-
-    The initial state is projected on the secular eigenbasis; a
-    :class:`ProjectionError` is raised when the captured weight falls below
-    ``1 - completeness_tol`` (truncation too tight, or the state leans on the
-    few top-of-space levels the secular basis cannot represent).  The energy
-    series is the basis-weighted mean, which is constant by construction.
-    The manifolds whose |V_N(n)| is not small against omega are reported in
-    one :class:`~mprabi.rwa.RWAValidityWarning` with the initial weight they
-    hold.
-
-    The expansion runs in time blocks (:func:`_expand`); every value is
-    bitwise the one a single expansion over the whole grid gives.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    space = FockSpace(psi0.n_max)
-    basis, energies, v = _rwa_basis(params, spec, space, order)
-
-    coeffs = basis.conj().T @ psi0.amplitudes
-    weights = np.abs(coeffs) ** 2
-    captured = float(np.sum(weights))
-    total = psi0.norm_sq()
-    if captured < total * (1.0 - completeness_tol):
+def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, order: int):
+    """:func:`_rwa_basis` on the truncation of ``psi0``, then psi0's
+    coefficients on the basis.  Raises :class:`ProjectionError` when they
+    hold less than ``1 - COMPLETENESS_TOL`` of psi0's weight (truncation too
+    tight, or the state leans on the top levels the basis cannot represent)."""
+    basis, energies, v = _rwa_basis(params, spec, FockSpace(psi0.size // 2), order)
+    coeffs = basis.conj().T @ psi0
+    captured = float(np.sum(np.abs(coeffs) ** 2))
+    total = float(np.sum(np.abs(psi0) ** 2))
+    if captured < total * (1.0 - COMPLETENESS_TOL):
         raise ProjectionError(
             f"secular basis captures only {captured / total:.8f} of the state; "
             "raise n_max or reconsider the initial state"
         )
-    n = spec.n
-    _warn_strong(params, n, range(n, space.n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
+    return basis, energies, v, coeffs
 
-    n_t, n_max = t_grid.size, space.n_max
+
+def evolve_rwa(
+    params: ModelParams,
+    spec: ResonanceSpec,
+    psi0: np.ndarray,
+    t_grid: np.ndarray,
+    *,
+    order: int = 1,
+    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
+) -> Trajectory:
+    """Analytic secular evolution of ``psi0`` (at t = 0) on an explicit time grid.
+
+    ``order=1`` is the paper's first-order secular treatment: the dressed
+    pairs are split by 2|V_N(n)| around the bare ladder energies.  ``order=2``
+    adds the second-order level shifts to every secular energy, so each pair
+    is split by 2 sqrt(delta_eff**2/4 + V**2) and the curve keeps phase with
+    exact propagation over several Rabi periods.  Both orders share the
+    displaced Fock states; only the energies and the mixing within pairs differ.
+
+    The initial state is projected on the secular eigenbasis by
+    :func:`project_secular`, which raises :class:`ProjectionError` when the
+    basis cannot represent it.  The energy series is the basis-weighted mean,
+    which is constant by construction.  The manifolds whose |V_N(n)| is not
+    small against omega are reported in one
+    :class:`~mprabi.rwa.RWAValidityWarning` with the initial weight they hold.
+
+    The expansion runs in time blocks (:func:`_expand`); every value is
+    bitwise the one a single expansion over the whole grid gives.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim != 1 or psi0.size % 2:
+        raise ValueError("psi0 must be a flat vector of even length")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d array")
+    basis, energies, v, coeffs = project_secular(params, spec, psi0, order)
+    weights = np.abs(coeffs) ** 2
+    n, n_max = spec.n, psi0.size // 2
+    _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
+
+    n_t = t_grid.size
     energy = np.full(n_t, float(np.real(np.sum(weights * energies))))
     traj = Trajectory(t_grid.copy(), np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
 
     def phases(rows):
-        return np.exp(-1j * np.outer(energies, t_grid[rows] - psi0.time))
+        return np.exp(-1j * np.outer(energies, t_grid[rows]))
 
     for rows, psi_t in _expand(basis, coeffs, phases, traj):
         top = np.sum(traj.photon_dist[rows, -5:], axis=1)
         traj.truncation_ok &= bool(np.max(top) < truncation_tol)
-    traj.final_state = QuantumState(psi_t[:, -1].copy(), time=float(t_grid[-1]))
+    traj.final_state = psi_t[:, -1].copy()
     return traj
 
 
-def _series_weights(first_arg: float, weight_tol: float):
+def _series_weights(first_arg: float):
     """Yield (N, weight) for weights I(N, 0, first_arg)^2 until the cumulative
-    weight exceeds 1 - weight_tol."""
+    weight exceeds 1 - WEIGHT_TOL."""
     cum = 0.0
     n_photon = 0
-    while cum < 1.0 - weight_tol:
+    while cum < 1.0 - WEIGHT_TOL:
         if n_photon > 100_000:  # defensive; weights sum to 1 analytically
             raise RuntimeError("weight series failed to converge")
         w = laguerre_transition(n_photon, 0, first_arg) ** 2
@@ -436,29 +408,27 @@ def _series_weights(first_arg: float, weight_tol: float):
         n_photon += 1
 
 
-def inversion_fock(params: ModelParams, n: int, t, *, weight_tol: float = 1e-10):
+def inversion_fock(params: ModelParams, n: int, t):
     """Closed-form inversion W_n(t) for the initial state |up, vacuum> at exact
     n-photon resonance.
 
     W_n(t) = sum_N I(N, 0, (lambda_e/omega)**2)^2 cos(Omega_{N+n}(n) t).
 
     The series is truncated once the cumulative weight reaches
-    ``1 - weight_tol``.  ``t`` may be a scalar or an array.
+    ``1 - WEIGHT_TOL``.  ``t`` may be a scalar or an array.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     e2 = (params.lambda_e / params.omega) ** 2
-    for n_photon, w in _series_weights(e2, weight_tol):
+    for n_photon, w in _series_weights(e2):
         omega_r = 2.0 * abs(coupling_element(params, n_photon + n, n))
         out = out + w * np.cos(omega_r * t)
     return out if out.ndim else float(out)
 
 
-def inversion_coherent(
-    params: ModelParams, n: int, mean_photons: float, t, *, weight_tol: float = 1e-10
-):
+def inversion_coherent(params: ModelParams, n: int, mean_photons: float, t):
     """Closed-form inversion for |down, coherent(mean_photons)> at exact
     n-photon resonance.
 
@@ -476,7 +446,7 @@ def inversion_coherent(
     t = np.asarray(t, dtype=float)
     out = np.full_like(t, -1.0)
     rho = (math.sqrt(mean_photons) + params.lambda_g / params.omega) ** 2
-    for n_photon, w in _series_weights(rho, weight_tol):
+    for n_photon, w in _series_weights(rho):
         if n_photon < n:
             continue
         omega_r = 2.0 * abs(coupling_element(params, n_photon, n))

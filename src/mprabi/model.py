@@ -15,12 +15,12 @@ Each spin branch alone is a position-displaced oscillator: the up branch has
 eigenstates D(-lambda_e/omega)|N> and the down branch D(+lambda_g/omega)|N>,
 with the closed-form ladder energies returned by :func:`displaced_energy`.
 
-Matrices are stored dense (the dimensions involved are desk scale) and real
-(float64), as the model is real symmetric; the RK4 propagator rejects a
-Hamiltonian with a nonzero imaginary part.  The
-photon-index bandwidth is 1; a sparse backend could exploit that but is not
-needed here.  Construction is pure and the returned matrices are frozen
-read-only, safe to share across threads.
+Matrices are plain numpy arrays, dense (the dimensions are desk scale) and
+real (float64), as the model is real symmetric; the full one acts on the
+:class:`~mprabi.fockmath.FockSpace` product basis.  The photon-index
+bandwidth is 1; a sparse backend could exploit that but is not needed here.
+Construction is pure and the arrays are frozen read-only, safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -70,28 +70,14 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianMatrix:
-    """Dense real symmetric matrix together with the space it acts on.
-
-    The array is made read-only on construction.
-    """
-
-    matrix: np.ndarray
-    space: FockSpace
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
 def position_operator(n_max: int) -> np.ndarray:
     """Quadrature matrix a_dag + a on the truncated Fock space (real, tridiagonal)."""
     sq = np.sqrt(np.arange(1.0, n_max))
     return np.diag(sq, 1) + np.diag(sq, -1)
 
 
-def build_displaced_branch(params: ModelParams, branch: str, space: FockSpace) -> HamiltonianMatrix:
-    """Single-branch displaced-oscillator block (n_max x n_max).
+def build_displaced_branch(params: ModelParams, branch: str, space: FockSpace) -> np.ndarray:
+    """Single-branch displaced-oscillator block (n_max x n_max, read-only).
 
     up:   omega (a_dag a + 1/2) + omega0/2 + lambda_e (a_dag + a)
     down: omega (a_dag a + 1/2) - omega0/2 - lambda_g (a_dag + a)
@@ -105,11 +91,12 @@ def build_displaced_branch(params: ModelParams, branch: str, space: FockSpace) -
         block = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
     else:
         block = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
-    return HamiltonianMatrix(block, space)
+    block.setflags(write=False)
+    return block
 
 
-def build_full(params: ModelParams, space: FockSpace) -> HamiltonianMatrix:
-    """Full Hamiltonian on the 2 n_max product space.
+def build_full(params: ModelParams, space: FockSpace) -> np.ndarray:
+    """Full Hamiltonian on the 2 n_max product space (read-only float64).
 
     Assembled literally as the two displaced branch blocks on the spin
     diagonal plus lambda_eg (a_dag + a) on the spin off-diagonal, so the
@@ -119,12 +106,13 @@ def build_full(params: ModelParams, space: FockSpace) -> HamiltonianMatrix:
     h = np.zeros((space.dim, space.dim))
     dn = space.block(SPIN_DOWN)
     up = space.block(SPIN_UP)
-    h[dn, dn] = build_displaced_branch(params, SPIN_DOWN, space).matrix
-    h[up, up] = build_displaced_branch(params, SPIN_UP, space).matrix
+    h[dn, dn] = build_displaced_branch(params, SPIN_DOWN, space)
+    h[up, up] = build_displaced_branch(params, SPIN_UP, space)
     coupling = params.lambda_eg * position_operator(n_max)
     h[dn, up] = coupling
     h[up, dn] = coupling
-    return HamiltonianMatrix(h, space)
+    h.setflags(write=False)
+    return h
 
 
 def displaced_energy(params: ModelParams, branch: str, n):

@@ -40,14 +40,14 @@ from .config import (
     default_rwa_csv_path,
 )
 from .dynamics import (
-    DEFAULT_NORM_TOL,
+    NORM_TOL,
     InitialStateSpec,
-    QuantumState,
+    ProjectionError,
     Trajectory,
-    TruncationError,
     evolve_numeric,
     evolve_rwa,
     prepare_initial,
+    project_secular,
     sample_steps,
 )
 from .fockmath import FockSpace
@@ -408,7 +408,7 @@ class RunPlan(NamedTuple):
     outputs: dict  # manifest "outputs": manifest, csv and rwa_csv paths
     params: ModelParams
     spec: ResonanceSpec
-    psi0: QuantumState
+    psi0: np.ndarray
 
 
 def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
@@ -418,7 +418,9 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     propagator) and checks that their directories are writable, resolves the
     model parameters and prepares the initial state.  Raises one
     :class:`ConfigError` with every unusable path and a start state that does
-    not fit the truncation.  ``mprabi validate`` runs this call, so it
+    not fit the truncation or, when the secular route runs, its basis
+    (:func:`~mprabi.dynamics.project_secular`, which also rejects an order-2
+    basis off the resonance).  ``mprabi validate`` runs this call, so it
     rejects exactly what a run rejects before compute.
     """
     outputs = {"manifest": default_manifest_path(config)}
@@ -432,7 +434,9 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
         psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
-    except TruncationError as exc:
+        if "rwa" in config.propagators:
+            project_secular(params, spec, psi0, config.order)
+    except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
     if problems:
         raise ConfigError(problems)
@@ -453,8 +457,7 @@ def run_scenario(
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
-    numeric_traj = None
-    rwa_traj = None
+    numeric_traj = rwa_traj = None
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         outputs, params, spec, psi0 = plan_run(config, output_dir)
@@ -467,16 +470,13 @@ def run_scenario(
                 hamiltonian, psi0, t_end, dt, sample_every=config.sample_every, period=period
             )
         if "rwa" in config.propagators:
-            if numeric_traj is not None:
-                t_grid = numeric_traj.times
-            else:
-                t_grid = sample_steps(t_end, dt, config.sample_every) * dt
+            t_grid = sample_steps(t_end, dt, config.sample_every) * dt
             rwa_traj = evolve_rwa(params, spec, psi0, t_grid, order=config.order)
         v_leading = coupling_element(params, spec.n, spec.n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
     ran = [t for t in (numeric_traj, rwa_traj) if t is not None]
-    norm_ok = all(bool(np.max(np.abs(t.norm - 1.0)) <= DEFAULT_NORM_TOL) for t in ran)
+    norm_ok = all(bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in ran)
     truncation_ok = all(t.truncation_ok for t in ran)
     rabi = 2.0 * abs(v_leading)
 

@@ -244,13 +244,15 @@ def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.
 class _Spectrum:
     """What :func:`_secular_spectrum` returns: D(+lambda_g/omega), D(-lambda_e/omega)
     and the energies ``low`` of the unmixed manifolds N < n; then, in row N - n
-    for each manifold N >= n, V and the energies and coefficients of its
+    for each manifold N >= n, V, the block detuning ``delta`` (delta_n at
+    first order, delta_eff at second) and the energies and coefficients of its
     alpha = +1 (column 0) and alpha = -1 (column 1) states."""
 
     d_down: np.ndarray
     d_up: np.ndarray
     low: np.ndarray
     v: np.ndarray
+    delta: np.ndarray
     energy: np.ndarray
     c_down: np.ndarray
     c_up: np.ndarray
@@ -291,7 +293,9 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     c_down, c_up = sign * c_down / norm, sign * c_up / norm
     degenerate = degenerate[:, 0]
     c_down[degenerate], c_up[degenerate] = (0.0, 1.0), (1.0, 0.0)
-    return _Spectrum(d_down, d_up, e_down[:n], v[:, 0], energy, c_down, c_up, degenerate)
+    return _Spectrum(
+        d_down, d_up, e_down[:n], v[:, 0], delta[:, 0], energy, c_down, c_up, degenerate
+    )
 
 
 def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None:
@@ -365,12 +369,13 @@ def spectrum_records(
     """JSON-shaped spectrum export at secular ``order``.
 
     One record per requested manifold N >= n with keys
-    {n_manifold, n, delta_n, V, Omega, E_plus, E_minus, c_down, c_up}
+    {n_manifold, n, delta_n, delta_eff, V, Omega, E_plus, E_minus, c_down, c_up}
     (coefficients of the alpha = +1 state; the alpha = -1 partner follows by
     orthogonality), plus the unmixed low manifolds N = 0 .. n-1 as
-    {n_manifold, n, energy}.  All come from one :func:`_secular_spectrum`;
-    at ``order=2`` every energy carries its level shift.  Warns once about
-    the requested manifolds whose |V_N(n)| is not small against omega.
+    {n_manifold, n, energy}.  delta_eff is the block's detuning (delta_n at
+    first order), so E_plus - E_minus = hypot(delta_eff, 2 V).  All come from
+    one :func:`_secular_spectrum`; at ``order=2`` every energy carries its
+    level shift.  Warns once about the manifolds whose |V_N(n)| is not small.
     """
     n = spec.n
     wanted = np.array(list(manifolds), dtype=int)
@@ -383,6 +388,7 @@ def spectrum_records(
             "n_manifold": int(row + n),
             "n": n,
             "delta_n": spec.delta_n,
+            "delta_eff": float(s.delta[row]),
             "V": float(s.v[row]),
             "Omega": 2.0 * abs(float(s.v[row])),
             "E_plus": float(s.energy[row, 0]),

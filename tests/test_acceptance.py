@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import displacement_expm
+from oracles import displacement_expm
 from mprabi.fockmath import (
     SPIN_DOWN,
     SPIN_UP,
@@ -161,7 +161,7 @@ def collapse_runs():
 def test_criterion_1_ladder_energies():
     params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1, lambda_eg=0.0)
     space = FockSpace(200)
-    evals = np.linalg.eigvalsh(build_full(params, space).matrix)[:20]
+    evals = np.linalg.eigvalsh(build_full(params, space))[:20]
     ladder = sorted(
         [displaced_energy(params, SPIN_DOWN, k) for k in range(30)]
         + [displaced_energy(params, SPIN_UP, k) for k in range(30)]
@@ -294,7 +294,7 @@ def test_criterion_7_integrator_order(two_photon_run):
 
     def end_state(dt):
         run = evolve_numeric(h, psi0, window, dt, sample_every=10_000_000)
-        return run.final_state.amplitudes
+        return run.final_state
 
     ref = end_state(DT / 8.0)
     e1 = float(np.linalg.norm(end_state(DT) - ref))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, laguerre_exact
+from oracles import displacement_expm, laguerre_exact
 from mprabi.fockmath import (
     FockSpace,
     displacement_matrix,

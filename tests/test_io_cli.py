@@ -620,6 +620,42 @@ class TestCli:
         assert "Fock level 30 outside truncation 0..19" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_start_outside_secular_basis_is_config_error(self, tmp_path, capsys, command):
+        # |up, 19> at n_max 20 leans on the top level the secular basis cannot
+        # represent; both commands reject it before any propagation
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps({
+            "n": 2, "lambda_eg": 0.02, "lambda_e": 0.1, "n_photons": 19, "n_max": 20,
+            "t_end": 0.2, "dt": 0.0002, "sample_every": 50, "propagators": ["numeric", "rwa"],
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "secular basis captures only 0.00769974 of the state" in err
+        assert list(out.iterdir()) == []
+
+    # the detuning is 0.95 omega, far outside the secular window, on purpose
+    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_order_two_off_resonance_is_config_error(self, tmp_path, capsys, command):
+        # omega0 = 0.05 resolves to n = 1 with the n = 0 pairs 0.05 omega apart,
+        # inside the window the second-order shifts refuse
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps({
+            "omega0": 0.05, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,
+            "propagators": ["rwa"], "order": 2,
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "n = 1 is not the resonance of this model" in err
+        assert list(out.iterdir()) == []
+
     def test_validate_checks_spectrum_manifolds(self, tmp_path, capsys):
         # the manifold range spectrum would export is checked by validate too
         path = write_config(tmp_path, manifold_max=1)

@@ -39,7 +39,7 @@ class TestBuildFull:
     def test_uncoupled_is_diagonal_ladder(self):
         params = ModelParams(omega=1.0, omega0=0.8)
         space = FockSpace(6)
-        h = build_full(params, space).matrix
+        h = build_full(params, space)
         expected = np.zeros(12)
         expected[:6] = np.arange(6) + 0.5 - 0.4
         expected[6:] = np.arange(6) + 0.5 + 0.4
@@ -48,7 +48,7 @@ class TestBuildFull:
     def test_hermitian_and_banded(self):
         params = ModelParams(omega=1.0, omega0=2.3, lambda_g=0.15, lambda_e=0.2, lambda_eg=0.05)
         space = FockSpace(20)
-        h = build_full(params, space).matrix
+        h = build_full(params, space)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
         # photon-index bandwidth 1 within every spin block
         for rows in (space.block(SPIN_DOWN), space.block(SPIN_UP)):
@@ -61,18 +61,18 @@ class TestBuildFull:
         # lambda_eg = 0: lowest eigenvalue equals the down-branch closed form
         params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.23, lambda_e=0.1)
         space = FockSpace(80)
-        evals = np.linalg.eigvalsh(build_full(params, space).matrix)
+        evals = np.linalg.eigvalsh(build_full(params, space))
         e_g0 = -params.omega0 / 2 + params.omega / 2 - params.lambda_g**2 / params.omega
         assert abs(evals[0] - e_g0) < 1e-8
 
     def test_decomposition_is_entrywise_exact(self):
         params = ModelParams(omega=1.0, omega0=1.7, lambda_g=0.12, lambda_e=0.3, lambda_eg=0.04)
         space = FockSpace(15)
-        h = build_full(params, space).matrix
+        h = build_full(params, space)
         dn = space.block(SPIN_DOWN)
         up = space.block(SPIN_UP)
-        assert np.array_equal(h[dn, dn], build_displaced_branch(params, SPIN_DOWN, space).matrix)
-        assert np.array_equal(h[up, up], build_displaced_branch(params, SPIN_UP, space).matrix)
+        assert np.array_equal(h[dn, dn], build_displaced_branch(params, SPIN_DOWN, space))
+        assert np.array_equal(h[up, up], build_displaced_branch(params, SPIN_UP, space))
         coupling = (params.lambda_eg * position_operator(space.n_max)).astype(complex)
         assert np.array_equal(h[dn, up], coupling)
         assert np.array_equal(h[up, dn], coupling)
@@ -81,7 +81,7 @@ class TestBuildFull:
         # interleave (photon-major) ordering must not move the spectrum
         params = ModelParams(omega=1.0, omega0=2.3, lambda_g=0.1, lambda_e=0.2, lambda_eg=0.07)
         space = FockSpace(18)
-        h = build_full(params, space).matrix
+        h = build_full(params, space)
         perm = np.empty(space.dim, dtype=int)
         for spin in range(2):
             for n in range(space.n_max):
@@ -94,21 +94,22 @@ class TestBuildFull:
     def test_matrix_is_readonly(self):
         params = ModelParams(omega=1.0, omega0=1.0)
         h = build_full(params, FockSpace(4))
+        assert type(h) is np.ndarray and h.dtype == np.float64
         with pytest.raises(ValueError):
-            h.matrix[0, 0] = 5.0
+            h[0, 0] = 5.0
 
 
 class TestDisplacedBranch:
     def test_uncoupled_up_branch_diagonal(self):
         params = ModelParams(omega=1.0, omega0=0.9)
         space = FockSpace(7)
-        block = build_displaced_branch(params, SPIN_UP, space).matrix
+        block = build_displaced_branch(params, SPIN_UP, space)
         assert np.array_equal(block, np.diag(np.arange(7) + 0.5 + 0.45).astype(complex))
 
     def test_eigenvalues_match_closed_form(self):
         params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
         space = FockSpace(60)
-        evals = np.linalg.eigvalsh(build_displaced_branch(params, SPIN_UP, space).matrix)
+        evals = np.linalg.eigvalsh(build_displaced_branch(params, SPIN_UP, space))
         for n in range(12):
             expect = displaced_energy(params, SPIN_UP, n)
             assert abs(evals[n] - expect) < 1e-9
@@ -116,7 +117,7 @@ class TestDisplacedBranch:
     def test_eigenvectors_are_displacement_matrix_columns(self):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.3)
         space = FockSpace(70)
-        _, vecs = np.linalg.eigh(build_displaced_branch(params, SPIN_DOWN, space).matrix)
+        _, vecs = np.linalg.eigh(build_displaced_branch(params, SPIN_DOWN, space))
         displaced = displacement_matrix(params.lambda_g / params.omega, space)
         for n in range(6):
             reference = displaced[:, n]
@@ -145,7 +146,7 @@ class TestDisplacedEnergy:
         # union of the two closed-form ladders to 1e-6 relative
         params = ModelParams(lambda_eg=0.0, **TWO_PHOTON)
         space = FockSpace(200)
-        evals = np.linalg.eigvalsh(build_full(params, space).matrix)[:20]
+        evals = np.linalg.eigvalsh(build_full(params, space))[:20]
         ladders = sorted(
             [displaced_energy(params, SPIN_DOWN, n) for n in range(30)]
             + [displaced_energy(params, SPIN_UP, n) for n in range(30)]

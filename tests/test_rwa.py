@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, ladder_matrix
+from oracles import displacement_expm, ladder_matrix
 from mprabi.dynamics import _rwa_basis
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace
 from mprabi.model import ModelParams, build_full, displaced_energy
@@ -212,7 +212,7 @@ def three_photon_params():
 def exact_gap(params, n, n_manifold, n_max=120):
     """Splitting of the two eigenvalues of the full H nearest to manifold N's
     bare ladder energies."""
-    evals = np.linalg.eigvalsh(build_full(params, FockSpace(n_max)).matrix)
+    evals = np.linalg.eigvalsh(build_full(params, FockSpace(n_max)))
     mid = 0.5 * (
         displaced_energy(params, SPIN_DOWN, n_manifold)
         + displaced_energy(params, SPIN_UP, n_manifold - n)
@@ -268,7 +268,7 @@ class TestDressedPair:
         # secular energies sit within O(lambda_eg^2 / omega) of the exact ones
         params = two_photon_params()
         spec = ResonanceSpec.from_params(params, 2)
-        evals = np.linalg.eigvalsh(build_full(params, FockSpace(60)).matrix)
+        evals = np.linalg.eigvalsh(build_full(params, FockSpace(60)))
         tol = 2.5 * params.lambda_eg**2 / params.omega
         for n_manifold in (2, 3, 4):
             for state in dressed_pair(params, spec, n_manifold):
@@ -475,7 +475,7 @@ class TestLevelShifts:
         # the unmixed N = 0 level is the ground state; its shift closes the
         # first-order error of lambda_eg^2 / omega size
         params = two_photon_params()
-        exact = np.linalg.eigvalsh(build_full(params, FockSpace(60)).matrix)[0]
+        exact = np.linalg.eigvalsh(build_full(params, FockSpace(60)))[0]
         bare = displaced_energy(params, SPIN_DOWN, 0)
         shifted = bare + level_shifts(params, 2, 2).down[0]
         assert abs(bare - exact) > 1e-4
@@ -540,7 +540,7 @@ class TestSpectrumRecords:
         assert len(payload["manifolds"]) == 4
         for rec in payload["manifolds"]:
             assert set(rec) == {
-                "n_manifold", "n", "delta_n", "V", "Omega",
+                "n_manifold", "n", "delta_n", "delta_eff", "V", "Omega",
                 "E_plus", "E_minus", "c_down", "c_up",
             }
             assert rec["E_plus"] - rec["E_minus"] == pytest.approx(rec["Omega"], abs=1e-12)
@@ -579,6 +579,23 @@ class TestSpectrumRecords:
             errors[order] = abs(rec["E_plus"] - rec["E_minus"] - exact) / exact
         assert errors[2] < 0.01
         assert errors[1] > 0.02
+
+    @GAP_CASES
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_gap_follows_delta_eff(self, params, n, n_manifold, order):
+        # the record alone explains its gap: at order 2 the level shifts enter
+        # through delta_eff, at order 1 it is the resonance's delta_n
+        spec = ResonanceSpec.from_params(params, n)
+        payload = spectrum_records(params, spec, range(n, n_manifold + 1), order=order)
+        for rec in payload["manifolds"]:
+            gap = math.hypot(rec["delta_eff"], 2.0 * rec["V"])
+            assert rec["E_plus"] - rec["E_minus"] == pytest.approx(gap, abs=1e-12)
+            if order == 1:
+                assert rec["delta_eff"] == pytest.approx(spec.delta_n, abs=1e-12)
+        if order == 2:
+            # the shifts are visible: the gap is not 2|V| at the shipped couplings
+            (rec, *_) = payload["manifolds"]
+            assert abs(rec["delta_eff"]) > 1e-4
 
     def test_warns_once_about_the_returned_manifolds(self):
         # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
