@@ -51,6 +51,7 @@ from .dynamics import (
     inversion_fock,
     observables,
     prepare_initial,
+    project_secular,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .runner import RunManifest, ValidityError, emit_csv, emit_spectrum, run_scenario
@@ -91,6 +92,7 @@ __all__ = [
     "inversion_fock",
     "observables",
     "prepare_initial",
+    "project_secular",
     "ConfigError",
     "ScenarioConfig",
     "parse_config",

@@ -11,10 +11,10 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
   and aborts the run when it exceeds a bound.
 
 * :func:`evolve_rwa` expands the initial state over the secular eigenbasis
-  (unmixed low manifolds plus the dressed pairs) and attaches the analytic
-  phase factors, which is exact within the rotating-wave treatment.  At
-  ``order=2`` the secular energies carry the second-order level shifts of
-  :func:`mprabi.rwa.level_shifts`.
+  (unmixed low manifolds plus the dressed pairs), as :func:`project_secular`
+  projects it, and attaches the analytic phase factors, which is exact within
+  the rotating-wave treatment.  At ``order=2`` the secular energies carry the
+  second-order level shifts of :func:`mprabi.rwa.level_shifts`.
 
 Both routes expand over an eigenbasis, each column times a per-sample factor
 (r_j^k for RK4, exp(-i E_j t) secular), in blocks of time samples.
@@ -53,7 +53,7 @@ COMPLETENESS_TOL = 1e-6
 #: weight the closed-form inversion series leave out
 WEIGHT_TOL = 1e-10
 #: combined population of the top five photon levels that flags a run invalid
-DEFAULT_TRUNCATION_TOL = 1e-8
+TRUNCATION_TOL = 1e-8
 #: time samples per block of the eigenbasis expansion; bounds its temporaries
 _RWA_BLOCK = 256
 
@@ -163,12 +163,13 @@ def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
 
 
 def _expand(basis, coeffs, factor, traj: Trajectory):
-    """Fill traj's W, P and norm with the states psi = basis @ (coeffs * factor).
+    """Fill traj's W, P, norm and final state from psi = basis @ (coeffs * factor).
 
     ``factor(rows)`` gives each column's factor at the samples ``rows`` as a
     (columns, samples) array.  The samples go in blocks of at most
     :data:`_RWA_BLOCK`, so working memory does not depend on their count;
-    each block is yielded as ``(rows, states)`` once its rows are filled.
+    each block is yielded as ``(rows, top)`` once its rows are filled, with
+    ``top`` the population of the top five photon levels at those samples.
     """
     n_t = traj.times.size
     # A lone last sample would make a one-column block, which BLAS and numpy's
@@ -183,7 +184,8 @@ def _expand(basis, coeffs, factor, traj: Trajectory):
         traj.inversion[rows], block = observables(psi_t)
         traj.photon_dist[rows] = block.T
         traj.norm[rows] = np.sum(block, axis=0)
-        yield rows, psi_t
+        yield rows, np.sum(traj.photon_dist[rows, -5:], axis=1)
+    traj.final_state = psi_t[:, -1].copy()
 
 
 def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +226,6 @@ def evolve_numeric(
     dt: float,
     sample_every: int = 1,
     *,
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
     period: float | None = None,
 ) -> Trajectory:
     """Integrate i d psi/dt = h psi with classic RK4 from ``psi0`` at t = 0 for
@@ -241,7 +242,7 @@ def evolve_numeric(
     from 1 by more than :data:`NORM_TOL`, or is not finite, the run aborts
     with a hint naming a step dt/2^m that keeps it within bound.  The run is flagged
     invalid (``truncation_ok = False``) if the top five photon levels ever
-    accumulate more than ``truncation_tol`` population, and the first such
+    accumulate more than :data:`TRUNCATION_TOL` population, and the first such
     sample is reported in one :class:`IntegratorWarning`.  Those messages
     give times and the hinted step in units of ``period`` when it is given
     (oscillator periods, as the CLI takes them), else in the units of t_end.
@@ -274,7 +275,7 @@ def evolve_numeric(
     def powers(rows):
         return np.exp(np.outer(log_r, steps[rows]))
 
-    for rows, psi_t in _expand(vectors.astype(complex), coeffs, powers, traj):
+    for rows, top in _expand(vectors.astype(complex), coeffs, powers, traj):
         drift = np.abs(traj.norm[rows] - 1.0)
         # written so that a NaN norm fails the check
         bad = np.flatnonzero(~(drift <= NORM_TOL))
@@ -284,8 +285,7 @@ def evolve_numeric(
                 f"{times[rows][bad[0]] / unit:.6g}{label} (bound {NORM_TOL:.1e}); "
                 + _step_hint(weights, energies, t_end, dt, unit, label)
             )
-        top = np.sum(traj.photon_dist[rows, -5:], axis=1)
-        over = np.flatnonzero(~(top < truncation_tol))
+        over = np.flatnonzero(~(top < TRUNCATION_TOL))
         if traj.truncation_ok and over.size:
             traj.truncation_ok = False
             warnings.warn(
@@ -295,7 +295,6 @@ def evolve_numeric(
                 stacklevel=2,
             )
         traj.energy[rows] = np.exp(np.outer(steps[rows], 2.0 * log_mod)) @ (weights * energies)
-    traj.final_state = psi_t[:, -1].copy()
     return traj
 
 
@@ -325,10 +324,15 @@ def _rwa_basis(
 
 
 def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, order: int):
-    """:func:`_rwa_basis` on the truncation of ``psi0``, then psi0's
-    coefficients on the basis.  Raises :class:`ProjectionError` when they
-    hold less than ``1 - COMPLETENESS_TOL`` of psi0's weight (truncation too
-    tight, or the state leans on the top levels the basis cannot represent)."""
+    """The projection ``(basis, energies, v, coeffs)`` that :func:`evolve_rwa`
+    expands: :func:`_rwa_basis` at ``order`` on the truncation of the flat
+    vector ``psi0``, then psi0's coefficients on it.  Raises
+    :class:`ProjectionError` when they hold less than ``1 - COMPLETENESS_TOL``
+    of psi0's weight (truncation too tight, or the state leans on the top
+    levels the basis cannot represent)."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim != 1 or psi0.size % 2:
+        raise ValueError("psi0 must be a flat vector of even length")
     basis, energies, v = _rwa_basis(params, spec, FockSpace(psi0.size // 2), order)
     coeffs = basis.conj().T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
@@ -344,13 +348,11 @@ def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, 
 def evolve_rwa(
     params: ModelParams,
     spec: ResonanceSpec,
-    psi0: np.ndarray,
+    projection: tuple,
     t_grid: np.ndarray,
-    *,
-    order: int = 1,
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> Trajectory:
-    """Analytic secular evolution of ``psi0`` (at t = 0) on an explicit time grid.
+    """Analytic secular evolution, on an explicit time grid, of the state
+    that ``projection`` (from :func:`project_secular`) expands at t = 0.
 
     ``order=1`` is the paper's first-order secular treatment: the dressed
     pairs are split by 2|V_N(n)| around the bare ladder energies.  ``order=2``
@@ -359,25 +361,21 @@ def evolve_rwa(
     exact propagation over several Rabi periods.  Both orders share the
     displaced Fock states; only the energies and the mixing within pairs differ.
 
-    The initial state is projected on the secular eigenbasis by
-    :func:`project_secular`, which raises :class:`ProjectionError` when the
-    basis cannot represent it.  The energy series is the basis-weighted mean,
-    which is constant by construction.  The manifolds whose |V_N(n)| is not
-    small against omega are reported in one
-    :class:`~mprabi.rwa.RWAValidityWarning` with the initial weight they hold.
+    The energy series is the basis-weighted mean, which is constant by
+    construction.  The manifolds whose |V_N(n)| is not small against omega
+    are reported in one :class:`~mprabi.rwa.RWAValidityWarning` with the
+    initial weight they hold.  The run is flagged invalid when the top five
+    photon levels ever hold :data:`TRUNCATION_TOL` or more.
 
     The expansion runs in time blocks (:func:`_expand`); every value is
     bitwise the one a single expansion over the whole grid gives.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim != 1 or psi0.size % 2:
-        raise ValueError("psi0 must be a flat vector of even length")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    basis, energies, v, coeffs = project_secular(params, spec, psi0, order)
+    basis, energies, v, coeffs = projection
     weights = np.abs(coeffs) ** 2
-    n, n_max = spec.n, psi0.size // 2
+    n, n_max = spec.n, basis.shape[0] // 2
     _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
 
     n_t = t_grid.size
@@ -387,10 +385,8 @@ def evolve_rwa(
     def phases(rows):
         return np.exp(-1j * np.outer(energies, t_grid[rows]))
 
-    for rows, psi_t in _expand(basis, coeffs, phases, traj):
-        top = np.sum(traj.photon_dist[rows, -5:], axis=1)
-        traj.truncation_ok &= bool(np.max(top) < truncation_tol)
-    traj.final_state = psi_t[:, -1].copy()
+    for _, top in _expand(basis, coeffs, phases, traj):
+        traj.truncation_ok &= bool(np.max(top) < TRUNCATION_TOL)
     return traj
 
 

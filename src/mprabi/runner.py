@@ -391,10 +391,9 @@ def resolve_output_path(path: str, output_dir: str | None) -> str:
 
 
 def check_writable(paths) -> list[str]:
-    """Return one problem string per unusable output path."""
+    """Return one problem string per unusable directory of the output paths."""
     problems = []
-    for path in paths:
-        directory = os.path.dirname(os.path.abspath(path)) or "."
+    for directory in dict.fromkeys(os.path.dirname(os.path.abspath(path)) for path in paths):
         if not os.path.isdir(directory):
             problems.append(f"output directory does not exist: {directory}")
         elif not os.access(directory, os.W_OK):
@@ -409,6 +408,7 @@ class RunPlan(NamedTuple):
     params: ModelParams
     spec: ResonanceSpec
     psi0: np.ndarray
+    projection: tuple | None  # project_secular's, when the secular route runs
 
 
 def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
@@ -416,12 +416,13 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
 
     Resolves the files the run writes (the manifest, plus one CSV per
     propagator) and checks that their directories are writable, resolves the
-    model parameters and prepares the initial state.  Raises one
-    :class:`ConfigError` with every unusable path and a start state that does
-    not fit the truncation or, when the secular route runs, its basis
-    (:func:`~mprabi.dynamics.project_secular`, which also rejects an order-2
-    basis off the resonance).  ``mprabi validate`` runs this call, so it
-    rejects exactly what a run rejects before compute.
+    model parameters and prepares the initial state.  When the secular route
+    runs, it keeps the state's :func:`~mprabi.dynamics.project_secular`
+    projection, which :func:`~mprabi.dynamics.evolve_rwa` then expands.
+    Raises one :class:`ConfigError` with every unusable directory and a start
+    state that does not fit the truncation or the secular basis (an order-2
+    basis off the resonance included).  ``mprabi validate`` runs this call,
+    so it rejects exactly what a run rejects before compute.
     """
     outputs = {"manifest": default_manifest_path(config)}
     if "numeric" in config.propagators:
@@ -434,13 +435,13 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
         psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
-        if "rwa" in config.propagators:
-            project_secular(params, spec, psi0, config.order)
+        secular = "rwa" in config.propagators
+        projection = project_secular(params, spec, psi0, config.order) if secular else None
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
     if problems:
         raise ConfigError(problems)
-    return RunPlan(outputs, params, spec, psi0)
+    return RunPlan(outputs, params, spec, psi0, projection)
 
 
 def run_scenario(
@@ -448,8 +449,8 @@ def run_scenario(
 ) -> tuple[Trajectory, RunManifest]:
     """Execute one scenario end to end.
 
-    Settles the run with :func:`plan_run`, builds the Hamiltonian, runs the
-    requested propagators, and writes the CSV trajectories plus the manifest.
+    Settles the run with :func:`plan_run`, runs the requested propagators,
+    and writes the CSV trajectories plus the manifest.
     Numerical validity (norm drift of every trajectory, truncation occupancy)
     and every warning raised on the way are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
@@ -460,18 +461,18 @@ def run_scenario(
     numeric_traj = rwa_traj = None
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
-        outputs, params, spec, psi0 = plan_run(config, output_dir)
+        outputs, params, spec, psi0, projection = plan_run(config, output_dir)
         period = 2.0 * math.pi / params.omega
         t_end = config.t_end * period
         dt = config.dt * period
-        hamiltonian = build_full(params, FockSpace(config.n_max))
         if "numeric" in config.propagators:
+            hamiltonian = build_full(params, FockSpace(config.n_max))
             numeric_traj = evolve_numeric(
                 hamiltonian, psi0, t_end, dt, sample_every=config.sample_every, period=period
             )
-        if "rwa" in config.propagators:
+        if projection is not None:
             t_grid = sample_steps(t_end, dt, config.sample_every) * dt
-            rwa_traj = evolve_rwa(params, spec, psi0, t_grid, order=config.order)
+            rwa_traj = evolve_rwa(params, spec, projection, t_grid)
         v_leading = coupling_element(params, spec.n, spec.n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 

@@ -44,6 +44,7 @@ from mprabi.dynamics import (
     evolve_rwa,
     inversion_coherent,
     prepare_initial,
+    project_secular,
 )
 
 PERIOD = 2.0 * math.pi  # oscillator period at omega = 1
@@ -137,7 +138,7 @@ def two_photon_run():
 def two_photon_rwa(two_photon_run):
     params, _, psi0, traj, _ = two_photon_run
     spec = ResonanceSpec.from_params(params, 2)
-    return evolve_rwa(params, spec, psi0, traj.times, order=2)
+    return evolve_rwa(params, spec, project_secular(params, spec, psi0, 2), traj.times)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from dataclasses import fields
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mprabi import cli, runner
+from mprabi import cli, dynamics, runner, rwa
 from mprabi import config as config_module
 from mprabi.config import (
     ConfigError,
@@ -24,9 +26,13 @@ from mprabi.config import (
     parse_config,
 )
 from mprabi.dynamics import Trajectory, evolve_rwa
+from mprabi.fockmath import displacement_matrix
 from mprabi.model import ModelParams
 from mprabi.runner import emit_csv, emit_spectrum, run_scenario
 from mprabi.rwa import ResonanceSpec, resonant_omega0, spectrum_records
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((REPO / "configs").glob("*.json"))
 
 QUICK = {
     "n": 2,
@@ -483,6 +489,24 @@ class TestRunScenario:
             "omega = 1; secular results are unreliable"
         ]
 
+    def test_one_secular_basis_per_run(self, tmp_path, monkeypatch):
+        # a coherent start costs one displacement; the secular basis two, built
+        # once by the plan and expanded by evolve_rwa as it stands
+        calls = []
+
+        def counted(beta, space):
+            calls.append(beta)
+            return displacement_matrix(beta, space)
+
+        monkeypatch.setattr(dynamics, "displacement_matrix", counted)
+        monkeypatch.setattr(rwa, "displacement_matrix", counted)
+        config = parse_config(json.dumps({
+            **QUICK, "initial_kind": "ground-coherent", "mean_photons": 1.0, "n_max": 30,
+            "propagators": ["numeric", "rwa"],
+        }))
+        run_scenario(config, output_dir=str(tmp_path))
+        assert len(calls) == 3
+
     def test_every_trajectory_norm_checked(self, tmp_path, monkeypatch):
         # a secular trajectory off by 1e-5 fails the run beside a clean numeric one
         def drifted(*args, **kwargs):
@@ -572,6 +596,28 @@ class TestCli:
         assert "at t = 10 periods" in err
         hinted = re.search(r"= (\S+) periods keeps it within bound", err).group(1)
         assert cli.main([*args, "--dt", hinted]) == 0
+
+    def test_missing_output_directory_reported_once(self, tmp_path, capsys):
+        # the manifest and both CSVs would land in one missing directory
+        missing = tmp_path / "missing"
+        path = REPO / "configs" / "two_photon_vacuum.json"
+        assert cli.main(["validate", str(path), "--output-dir", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("does not exist") == 1
+        assert f"output directory does not exist: {missing}\n" in err
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_validate_shipped_config_is_silent(self, tmp_path, path):
+        # validate holds the secular projection but runs no propagator, so no
+        # warning of the run may reach its stderr
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mprabi.cli", "validate", str(path), "--output-dir",
+             str(tmp_path)], env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_rejects_order_three(self, tmp_path, capsys):
         path = write_config(tmp_path, order=3)
