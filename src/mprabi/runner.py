@@ -9,6 +9,10 @@ rendered in blocks of rows by a vectorized kernel and streamed into that temp
 file, so no copy of the whole CSV text is ever held in memory.  The pipeline
 is free of randomness: identical configs produce byte-identical CSV bytes.
 
+The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
+with the ``error`` text) and the ``timings`` of its stages; a run that aborts
+on norm drift still writes it, and no CSV.
+
 Trajectory CSV layout: header row then one row per sample with columns
 ``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in oscillator
 periods T = 2 pi / omega, each float is written as ``'%.17g' % x`` writes it
@@ -19,6 +23,7 @@ identically.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import functools
 import json
@@ -42,6 +47,7 @@ from .config import (
 from .dynamics import (
     NORM_TOL,
     InitialStateSpec,
+    NormDriftError,
     ProjectionError,
     Trajectory,
     evolve_numeric,
@@ -61,6 +67,8 @@ from .rwa import (
 )
 
 OUTPUT_DIR_ENV = "MPRABI_OUTPUT_DIR"
+#: stages a run times into its manifest's ``timings``
+STAGES = ("plan", "build", "numeric", "rwa", "emit")
 
 
 class ValidityError(RuntimeError):
@@ -75,9 +83,22 @@ class RunManifest:
     derived: dict
     validity: dict
     outputs: dict
+    status: str  # "ok", or "failed" when the run raised its error
+    error: str | None  # the error text of a failed run
     code_version: str
     wall_clock_utc: str
     elapsed_seconds: float
+    timings: dict  # perf_counter seconds per stage of STAGES; 0 for one not run
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall time of the ``with`` block as ``timings[stage]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = time.perf_counter() - start
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -131,8 +152,11 @@ _TEXT = 24  # longest '%.17g' text: '-1.2345678901234567e-308'
 _DOT, _MINUS, _E, _PLUS, _ZERO, _PAD, _SEP = 1, 2, 3, 24, 25, 28, 31
 _SOURCE_CONSTANTS = {_DOT: ".", _MINUS: "-", _E: "e", _PLUS: "+", _ZERO: "0"}
 
-#: values per block of the CSV kernel; bounds its temporaries (~3 MiB)
-_CSV_BLOCK = 10_000
+#: values per block of the CSV kernel; bounds its temporaries (~1.5 MiB).
+#: Blocks twice this size page-fault their temporaries in afresh each time
+#: (~90k minor faults per 19 MB CSV, as glibc trims the heap between blocks),
+#: which costs more than the larger block saves
+_CSV_BLOCK = 5_000
 
 
 class _KernelTables(NamedTuple):
@@ -288,7 +312,8 @@ def _format_block(values: np.ndarray, source: np.ndarray) -> np.ndarray:
     words[:, 1:5] = tab.groups4[groups]
     words[:, 5] = tab.groups4[np.abs(k)]
     code = np.where((k >= -4) & (k <= 16), k + 4, 21 + 2 * (k < 0) + (np.abs(k) >= 100))
-    index = tab.layout[(code * 17 + 16 - trailing) * 2 + np.signbit(values)]
+    # np.take gathers the layout rows about twice as fast as indexing does
+    index = np.take(tab.layout, (code * 17 + 16 - trailing) * 2 + np.signbit(values), axis=0)
     index += np.arange(0, source.size, source.shape[1])[:, None]
     text = source.reshape(-1)[index]
     for j in fallback.tolist():
@@ -451,35 +476,54 @@ def run_scenario(
 
     Settles the run with :func:`plan_run`, runs the requested propagators,
     and writes the CSV trajectories plus the manifest.
-    Numerical validity (norm drift of every trajectory, truncation occupancy)
-    and every warning raised on the way are recorded in the manifest; the
-    returned trajectory is the numeric one when it ran, else the secular one.
+    Numerical validity (norm drift of every trajectory, truncation occupancy),
+    every warning raised on the way and the time of each stage are recorded in
+    the manifest; the returned trajectory is the numeric one when it ran, else
+    the secular one.  A run that aborts on norm drift writes no CSV, and one
+    that fails its validity checks writes its CSVs; either way the manifest
+    says ``"status": "failed"`` with the error text, and the error is raised
+    once the manifest is written.
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    timings = dict.fromkeys(STAGES, 0.0)
 
-    numeric_traj = rwa_traj = None
+    numeric_traj = rwa_traj = error = None
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
-        outputs, params, spec, psi0, projection = plan_run(config, output_dir)
+        with _timed(timings, "plan"):
+            outputs, params, spec, psi0, projection = plan_run(config, output_dir)
         period = 2.0 * math.pi / params.omega
         t_end = config.t_end * period
         dt = config.dt * period
-        if "numeric" in config.propagators:
-            hamiltonian = build_full(params, FockSpace(config.n_max))
-            numeric_traj = evolve_numeric(
-                hamiltonian, psi0, t_end, dt, sample_every=config.sample_every, period=period
-            )
-        if projection is not None:
-            t_grid = sample_steps(t_end, dt, config.sample_every) * dt
-            rwa_traj = evolve_rwa(params, spec, projection, t_grid)
+        try:
+            if "numeric" in config.propagators:
+                with _timed(timings, "build"):
+                    hamiltonian = build_full(params, FockSpace(config.n_max))
+                with _timed(timings, "numeric"):
+                    numeric_traj = evolve_numeric(
+                        hamiltonian, psi0, t_end, dt, sample_every=config.sample_every,
+                        period=period,
+                    )
+            if projection is not None:
+                with _timed(timings, "rwa"):
+                    t_grid = sample_steps(t_end, dt, config.sample_every) * dt
+                    rwa_traj = evolve_rwa(params, spec, projection, t_grid)
+        except NormDriftError as exc:
+            error = exc
         v_leading = coupling_element(params, spec.n, spec.n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
     ran = [t for t in (numeric_traj, rwa_traj) if t is not None]
-    norm_ok = all(bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in ran)
+    norm_ok = error is None and all(bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in ran)
     truncation_ok = all(t.truncation_ok for t in ran)
+    if error is None and not (norm_ok and truncation_ok):
+        error = ValidityError(
+            f"run finished but failed validity checks (norm_ok={norm_ok}, "
+            f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
+        )
     rabi = 2.0 * abs(v_leading)
+    aborted = isinstance(error, NormDriftError)  # before any CSV was written
 
     manifest = RunManifest(
         config={
@@ -511,25 +555,28 @@ def run_scenario(
             "truncation_ok": truncation_ok,
             "warnings": caught,
         },
-        outputs=outputs,
+        outputs={"manifest": outputs["manifest"]} if aborted else outputs,
+        status="ok" if error is None else "failed",
+        error=None if error is None else str(error),
         code_version=__version__,
         wall_clock_utc=wall,
         elapsed_seconds=0.0,
+        timings={},
     )
 
-    if numeric_traj is not None:
-        emit_csv(numeric_traj, outputs["csv"], omega=params.omega)
-    if rwa_traj is not None:
-        emit_csv(rwa_traj, outputs["rwa_csv"], omega=params.omega)
+    if not aborted:
+        with _timed(timings, "emit"):
+            if numeric_traj is not None:
+                emit_csv(numeric_traj, outputs["csv"], omega=params.omega)
+            if rwa_traj is not None:
+                emit_csv(rwa_traj, outputs["rwa_csv"], omega=params.omega)
+    manifest.timings = {stage: round(seconds, 6) for stage, seconds in timings.items()}
     manifest.elapsed_seconds = round(time.perf_counter() - start, 6)
     _atomic_write(
         outputs["manifest"],
         [(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n").encode()],
     )
 
-    if not (norm_ok and truncation_ok):
-        raise ValidityError(
-            f"run finished but failed validity checks (norm_ok={norm_ok}, "
-            f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
-        )
+    if error is not None:
+        raise error
     return ran[0], manifest

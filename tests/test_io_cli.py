@@ -237,7 +237,7 @@ class TestEmitCsv:
             assert abs(sum(vals[4:]) - vals[2]) < 1e-8
 
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        # 1000 rows of 24 values make three kernel blocks; the first (~200 kB)
+        # 1000 rows of 24 values make five kernel blocks; the first (~100 kB)
         # passes the 8 KiB write buffer, so the failure before the second comes
         # after bytes have reached the temp file
         rng = np.random.default_rng(3)
@@ -434,6 +434,10 @@ class TestRunScenario:
         assert stored["validity"]["norm_ok"] is True
         assert stored["outputs"]["csv"].endswith("trajectory.csv")
         assert stored["code_version"] == manifest.code_version
+        assert stored["status"] == "ok" and stored["error"] is None
+        # timings are checked for presence and type only, never for value
+        assert sorted(stored["timings"]) == sorted(runner.STAGES)
+        assert all(type(t) is float and t >= 0.0 for t in stored["timings"].values())
 
     def test_both_propagators_emit_files(self, tmp_path):
         config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
@@ -453,6 +457,8 @@ class TestRunScenario:
             run_scenario(config, output_dir=str(tmp_path))
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
         assert stored["validity"]["truncation_ok"] is False
+        assert stored["status"] == "failed"
+        assert stored["error"].startswith("run finished but failed validity checks")
 
     def test_secular_validity_warnings_fold_into_one_line(self, tmp_path):
         # at lambda_eg = 0.15 the couplings of manifolds 8..11 reach 0.1 omega
@@ -596,6 +602,24 @@ class TestCli:
         assert "at t = 10 periods" in err
         hinted = re.search(r"= (\S+) periods keeps it within bound", err).group(1)
         assert cli.main([*args, "--dt", hinted]) == 0
+
+    def test_aborted_run_leaves_failed_manifest(self, tmp_path, capsys):
+        # the numeric route aborts on norm drift: exit 2, no CSV, and a
+        # manifest that says why
+        path = REPO / "configs" / "collapse_revival_n2.json"
+        args = ["run", str(path), "--output-dir", str(tmp_path), "--dt", "0.01", "--t-end", "20"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        manifest = tmp_path / "collapse_revival_n2.manifest.json"
+        assert list(tmp_path.iterdir()) == [manifest]
+        stored = json.loads(manifest.read_text())
+        assert stored["status"] == "failed"
+        assert stored["error"].startswith("|psi|^2 deviated from 1")
+        assert f"error: {stored['error']}" in err
+        assert stored["outputs"] == {"manifest": str(manifest)}
+        assert stored["validity"]["norm_ok"] is False
+        assert stored["config"]["dt_periods"] == 0.01
+        assert sorted(stored["timings"]) == sorted(runner.STAGES)
 
     def test_missing_output_directory_reported_once(self, tmp_path, capsys):
         # the manifest and both CSVs would land in one missing directory
