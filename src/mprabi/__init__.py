@@ -26,13 +26,9 @@ from .model import (
     position_operator,
 )
 from .rwa import (
-    DressedPair,
-    LevelShifts,
     ResonanceSpec,
     RWAValidityWarning,
     coupling_element,
-    dressed_pair,
-    level_shifts,
     omega_eg,
     rabi_frequency,
     resonant_omega0,
@@ -69,13 +65,9 @@ __all__ = [
     "build_full",
     "displaced_energy",
     "position_operator",
-    "DressedPair",
-    "LevelShifts",
     "ResonanceSpec",
     "RWAValidityWarning",
     "coupling_element",
-    "dressed_pair",
-    "level_shifts",
     "omega_eg",
     "rabi_frequency",
     "resonant_omega0",

@@ -66,7 +66,9 @@ def _spectrum_manifolds(config: ScenarioConfig, spec: ResonanceSpec) -> range:
 def _cmd_run(path: str, args) -> int:
     config = _load_config(path, args)
     traj, manifest = run_scenario(config, output_dir=args.output_dir)
-    print(f"wrote {manifest.outputs.get('csv', manifest.outputs.get('rwa_csv'))}")
+    for key in ("csv", "rwa_csv"):
+        if key in manifest.outputs:
+            print(f"wrote {manifest.outputs[key]}")
     print(f"manifest {manifest.outputs['manifest']} ({len(traj)} samples)")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
   (unmixed low manifolds plus the dressed pairs), as :func:`project_secular`
   projects it, and attaches the analytic phase factors, which is exact within
   the rotating-wave treatment.  At ``order=2`` the secular energies carry the
-  second-order level shifts of :func:`mprabi.rwa.level_shifts`.
+  second-order level shifts (see :mod:`mprabi.rwa`).
 
 Both routes expand over an eigenbasis, each column times a per-sample factor
 (r_j^k for RK4, exp(-i E_j t) secular), in blocks of time samples.

@@ -4,9 +4,10 @@ A scenario run resolves its parameters, integrates the requested propagators,
 and emits a wide CSV per trajectory plus one JSON manifest that echoes every
 resolved input, the derived resonance quantities, and the validity flags, so
 a run is reconstructible from its outputs alone.  All files are written
-atomically (temp file in the target directory, then rename); CSV text is
-rendered in blocks of rows by a vectorized kernel and streamed into that temp
-file, so no copy of the whole CSV text is ever held in memory.  The pipeline
+atomically (temp file in the target directory, then rename), with the mode
+``open(path, "w")`` would give them; CSV text is rendered in blocks of rows
+by a vectorized kernel and streamed into that temp file, so no copy of the
+whole CSV text is ever held in memory.  The pipeline
 is free of randomness: identical configs produce byte-identical CSV bytes.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
@@ -29,7 +30,6 @@ import functools
 import json
 import math
 import os
-import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -102,9 +102,14 @@ def _timed(timings: dict, stage: str):
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write byte chunks so that no partial file is ever visible at ``path``."""
+    """Write byte chunks so that no partial file is ever visible at ``path``.
+
+    The temp file is created with mode 0o666 under the process umask, the
+    mode ``open(path, "w")`` would give ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
+    tmp_path = os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_path, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
@@ -416,8 +421,10 @@ def resolve_output_path(path: str, output_dir: str | None) -> str:
 
 
 def check_writable(paths) -> list[str]:
-    """Return one problem string per unusable directory of the output paths."""
-    problems = []
+    """Return one problem string per output path that is a directory and per
+    unusable directory of the output paths."""
+    paths = list(paths)
+    problems = [f"output path is a directory: {path}" for path in paths if os.path.isdir(path)]
     for directory in dict.fromkeys(os.path.dirname(os.path.abspath(path)) for path in paths):
         if not os.path.isdir(directory):
             problems.append(f"output directory does not exist: {directory}")
@@ -440,13 +447,14 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     """Everything :func:`run_scenario` settles before any compute.
 
     Resolves the files the run writes (the manifest, plus one CSV per
-    propagator) and checks that their directories are writable, resolves the
-    model parameters and prepares the initial state.  When the secular route
-    runs, it keeps the state's :func:`~mprabi.dynamics.project_secular`
-    projection, which :func:`~mprabi.dynamics.evolve_rwa` then expands.
-    Raises one :class:`ConfigError` with every unusable directory and a start
-    state that does not fit the truncation or the secular basis (an order-2
-    basis off the resonance included).  ``mprabi validate`` runs this call,
+    propagator) and checks that they are distinct files in writable
+    directories, resolves the model parameters and prepares the initial
+    state.  When the secular route runs, it keeps the state's
+    :func:`~mprabi.dynamics.project_secular` projection, which
+    :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
+    :class:`ConfigError` with every unusable output path and a start state
+    that does not fit the truncation or the secular basis (an order-2 basis
+    off the resonance included).  ``mprabi validate`` runs this call,
     so it rejects exactly what a run rejects before compute.
     """
     outputs = {"manifest": default_manifest_path(config)}
@@ -456,6 +464,13 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         outputs["rwa_csv"] = default_rwa_csv_path(config)
     outputs = {key: resolve_output_path(path, output_dir) for key, path in outputs.items()}
     problems = check_writable(outputs.values())
+    keys_by_file: dict = {}
+    for key, path in outputs.items():
+        keys_by_file.setdefault(os.path.realpath(path), []).append(f"'{key}_path'")
+    problems += [
+        f"keys {' and '.join(keys)} resolve to the same file {file}"
+        for file, keys in keys_by_file.items() if len(keys) > 1
+    ]
     params, spec = resolve_params(config)
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:

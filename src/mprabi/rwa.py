@@ -34,12 +34,17 @@ omega, and over a few Rabi periods the gap error is a phase slip of order one
 radian.  :func:`rabi_frequency` keeps the paper's
 definition 2|V_N(n)| at either order.
 
+Every dressed pair, at either order, comes from one array solver,
+:func:`_secular_spectrum`.  :func:`spectrum_records` is its public reader
+(scalar records, the JSON export); the secular basis that
+:func:`mprabi.dynamics.evolve_rwa` expands is built from it too.
+
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
 :meth:`ResonanceSpec.from_params` warns about the detuning and
-:func:`coupling_element` about its element; :func:`dressed_pair`,
-:func:`spectrum_records` and :func:`mprabi.dynamics.evolve_rwa` each emit at
-most one :class:`RWAValidityWarning`, for the manifolds they use whose
-|V_N(n)| reaches 0.1 omega (``evolve_rwa`` with the initial weight there).
+:func:`coupling_element` about its element; :func:`spectrum_records` and
+:func:`mprabi.dynamics.evolve_rwa` each emit at most one
+:class:`RWAValidityWarning`, for the manifolds they use whose |V_N(n)|
+reaches 0.1 omega (``evolve_rwa`` with the initial weight there).
 All functions are pure and thread safe.
 """
 
@@ -187,44 +192,17 @@ def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:
 ORDERS = (1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelShifts:
-    """Second-order shifts of the lowest ladder levels for an n-photon resonance.
-
-    ``down[k]`` shifts the down-branch level k (k < n_levels) and ``up[m]``
-    the up-branch level m (m < n_levels - n), so manifold N < n_levels finds
-    its pair at ``down[N]`` and ``up[N - n]``.
-    """
-
-    n: int
-    down: np.ndarray
-    up: np.ndarray
-
-
-def level_shifts(params: ModelParams, n: int, n_levels: int) -> LevelShifts:
-    """Second-order level shifts of the manifolds N = 0 .. n_levels-1.
+def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order shifts (down, up) of every level of the ladder of C.
 
     Sums the squared off-resonant and counter-rotating elements C_{k,m} over
-    energy denominators (see the module docstring), leaving out each level's
-    resonant partner k - m = n.  C is built once by
-    :func:`_transition_coupling` on a ladder padded past the displacement
-    tails of the top level, so a level's shift depends on the model alone,
-    not on ``n_levels``.
+    their energy denominators (see the module docstring), leaving out each
+    level's resonant partner k - m = n.  On a C padded past the displacement
+    tails of level N, as :func:`_secular_spectrum` builds it, the shifts of
+    the levels up to N depend on the model alone, not on the padding.
     Raises ValueError when a pair other than the resonant partners is within
-    the resonance window, i.e. when the model does not sit near the n-photon
-    resonance.
+    the resonance window, i.e. when n is not the resonance of the model.
     """
-    if n < 1:
-        raise ValueError(f"photon order must be >= 1, got {n}")
-    if n_levels < n:
-        raise ValueError(f"n_levels = {n_levels} must be >= n = {n}")
-    down, up = _shifts(params, n, _transition_coupling(params, _padded_size(params, n_levels))[0])
-    return LevelShifts(n=n, down=down[:n_levels], up=up[: n_levels - n])
-
-
-def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order shifts (down, up) of every level of the ladder of C; the
-    core of :func:`level_shifts`."""
     levels = np.arange(c.shape[0])
     e_down, e_up = (displaced_energy(params, spin, levels) for spin in (SPIN_DOWN, SPIN_UP))
     partner = levels[:, None] - levels[None, :] == n
@@ -311,55 +289,6 @@ def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None
         f"up to {np.max(np.abs(v[strong])) / params.omega:.3g}, not small{held}; "
         "secular results there are unreliable",
         RWAValidityWarning, stacklevel=3,
-    )
-
-
-@dataclass(frozen=True)
-class DressedPair:
-    """One of the two entangled eigenstates of a resonance manifold.
-
-    The state is c_down |down, N^(lambda_g)> + c_up |up, (N-n)^(lambda_e)>,
-    normalized with c_down real and >= 0.  ``alpha`` is the branch sign in
-
-        E = (E_down(N) + E_up(N-n)) / 2 + alpha * sqrt(delta**2/4 + V**2),
-
-    where at second order the ladder energies carry their level shifts and
-    delta is the effective detuning delta_eff.
-
-    ``degenerate`` marks the case V = delta = 0, where no preferred mixing
-    exists and the unmixed basis states are returned instead.
-    """
-
-    n_manifold: int
-    alpha: int
-    energy: float
-    c_down: complex
-    c_up: complex
-    degenerate: bool = False
-
-
-def dressed_pair(
-    params: ModelParams, spec: ResonanceSpec, n_manifold: int, *, order: int = 1
-) -> tuple[DressedPair, DressedPair]:
-    """Both entangled eigenstates (alpha = +1, -1) of manifold N = n_manifold.
-
-    The pair of N from :func:`_secular_spectrum`.  At ``order=1`` (the
-    paper's treatment) the block's detuning equals ``spec.delta_n`` whenever
-    the ResonanceSpec came from the same parameters.  At ``order=2`` both
-    ladder energies carry their shifts, so the block sees the manifold's
-    delta_eff and the gap E_plus - E_minus follows exact diagonalization to
-    within a fraction of a percent at the shipped couplings.  Warns once when
-    |V_N(n)| is not small against omega.
-    """
-    n = spec.n
-    if n_manifold < n:
-        raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
-    s = _secular_spectrum(params, n, n_manifold + 1, order)
-    _warn_strong(params, n, [n_manifold], s.v[-1:])
-    return tuple(
-        DressedPair(n_manifold, alpha, float(s.energy[-1, i]), float(s.c_down[-1, i]),
-                    float(s.c_up[-1, i]), bool(s.degenerate[-1]))
-        for i, alpha in enumerate((+1, -1))
     )
 
 

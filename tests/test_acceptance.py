@@ -34,9 +34,9 @@ from mprabi.model import ModelParams, build_full, displaced_energy
 from mprabi.rwa import (
     ResonanceSpec,
     coupling_element,
-    dressed_pair,
     rabi_frequency,
     resonant_omega0,
+    spectrum_records,
 )
 from mprabi.dynamics import (
     InitialStateSpec,
@@ -227,8 +227,9 @@ def test_criterion_4_three_photon_exchange():
     space = FockSpace(16)
     psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
     first_order = 2.0 * math.pi / rabi_frequency(params, 3, 3)
-    plus, minus = dressed_pair(params, ResonanceSpec.from_params(params, 3), 3, order=2)
-    expected = 2.0 * math.pi / (plus.energy - minus.energy)
+    spec = ResonanceSpec.from_params(params, 3)
+    (rec,) = spectrum_records(params, spec, [3], order=2)["manifolds"]
+    expected = 2.0 * math.pi / (rec["E_plus"] - rec["E_minus"])
     traj = evolve_numeric(
         build_full(params, space), psi0, 1.45 * first_order, DT, sample_every=100
     )

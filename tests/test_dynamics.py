@@ -507,7 +507,10 @@ class TestEvolveRwa:
         monkeypatch.setattr(rwa, "displacement_matrix", counted)
         basis, energies, _ = _rwa_basis(params, spec, space, order)
         assert len(calls) == 2
-        shifts = rwa.level_shifts(params, 3, 40).down if order == 2 else np.zeros(3)
+        shifts = np.zeros(3)
+        if order == 2:
+            c = rwa._transition_coupling(params, rwa._padded_size(params, 40))[0]
+            shifts = rwa._shifts(params, 3, c)[0]
         d_down = displacement_matrix(params.lambda_g / params.omega, space)
         for col in range(3):
             vec = np.zeros(space.dim)

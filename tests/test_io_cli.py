@@ -118,6 +118,62 @@ class TestParseConfig:
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "csv_path": "out/run.csv"}')
         assert default_rwa_csv_path(config) == "out/run_rwa.csv"
         assert default_manifest_path(config) == "out/run.manifest.json"
+        # explicit paths stand; null ones are derived
+        config = parse_config(json.dumps(
+            {"n": 1, "lambda_eg": 0.01, "rwa_csv_path": "s.csv", "manifest_path": None}
+        ))
+        assert default_rwa_csv_path(config) == "s.csv"
+        assert default_manifest_path(config) == "trajectory.manifest.json"
+        config = parse_config('{"n": 1, "lambda_eg": 0.01, "manifest_path": "m.json"}')
+        assert default_manifest_path(config) == "m.json"
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"n": 2}', "missing key 'lambda_eg'"),
+        ('{"n": 2, "lambda_eg": "0.02"}', "key 'lambda_eg' must be a number, got '0.02'"),
+        ('{"n": 2, "lambda_eg": 0.02, "lambda_g": true}', "key 'lambda_g' must be a number"),
+        ('{"n": 2, "lambda_eg": 0.02, "n_max": 10.5}', "key 'n_max' must be an integer"),
+        ('{"n": 2, "lambda_eg": NaN}', "key 'lambda_eg' must be finite, got nan"),
+        ('{"n": 2, "lambda_eg": 0.02, "t_end": Infinity}', "key 't_end' must be finite"),
+        ('[{"n": 2, "lambda_eg": 0.02}]', "config must be a JSON object"),
+        ('{"n": 2, "lambda_eg": 0.02, "initial_kind": "thermal"}', "key 'initial_kind'"),
+        ('{"n": 2, "lambda_eg": 0.02, "propagators": []}', "key 'propagators'"),
+        ('{"n": 2, "lambda_eg": 0.02, "propagators": ["exact"]}', "key 'propagators'"),
+        ('{"n": 2, "lambda_eg": 0.02, "propagators": "rwa"}', "key 'propagators'"),
+        ('{"n": 2, "lambda_eg": 0.02, "csv_path": ""}', "key 'csv_path' must be a nonempty"),
+        ('{"n": 2, "lambda_eg": 0.02, "rwa_csv_path": 3}', "key 'rwa_csv_path' must be"),
+        ('{"n": 2, "lambda_eg": 0.02, "spectrum_path": null}', "key 'spectrum_path' must be"),
+    ], ids=[
+        "missing", "string", "bool", "non-integer", "nan", "infinity", "array",
+        "initial-kind", "propagators-empty", "propagators-unknown", "propagators-not-list",
+        "path-empty", "path-number", "path-null",
+    ])
+    def test_problem_names_its_key(self, text, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        (only,) = err.value.problems
+        assert problem in only
+
+    def test_omega_sets_the_units(self, tmp_path):
+        # couplings, times and steps are in units of omega: a run at omega = 2
+        # or 3 is the omega = 1 run on a rescaled clock, its energies rescaled
+        runs = {}
+        for omega in (1.0, 2.0, 3.0):
+            config = parse_config(json.dumps({
+                **QUICK, "omega": omega, "initial_kind": "ground-coherent",
+                "mean_photons": 1.0, "n_max": 20,
+            }))
+            out = tmp_path / str(omega)
+            out.mkdir()
+            runs[omega], _ = run_scenario(config, output_dir=str(out))
+        base = runs[1.0]
+        for omega in (2.0, 3.0):
+            traj = runs[omega]
+            periods = traj.times * omega / (2.0 * math.pi)
+            assert np.max(np.abs(periods - base.times / (2.0 * math.pi))) < 1e-12
+            assert np.max(np.abs(traj.inversion - base.inversion)) < 1e-12
+            assert np.max(np.abs(traj.photon_dist - base.photon_dist)) < 1e-12
+            scaled = traj.energy / omega
+            assert np.max(np.abs(scaled - base.energy) / np.abs(base.energy)) < 1e-12
 
 
 def make_tiny_trajectory(n_max=3):
@@ -445,6 +501,23 @@ class TestRunScenario:
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "trajectory_rwa.csv").exists()
 
+    def test_files_get_the_umask_mode(self, tmp_path):
+        # CSVs, manifest and spectrum JSON get the mode open(path, "w") gives
+        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
+        params, spec = runner.resolve_params(config)
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
+            out = tmp_path / oct(umask)
+            out.mkdir()
+            old = os.umask(umask)
+            try:
+                _, manifest = run_scenario(config, output_dir=str(out))
+                emit_spectrum(params, spec, range(2, 4), str(out / "spectrum.json"))
+            finally:
+                os.umask(old)
+            files = sorted(out.iterdir())
+            assert len(files) == 4 == len(manifest.outputs) + 1
+            assert {path.stat().st_mode & 0o777 for path in files} == {mode}
+
     def test_unwritable_output_rejected_before_compute(self, tmp_path):
         config = parse_config(json.dumps({**QUICK, "csv_path": "no/such/dir/run.csv"}))
         with pytest.raises(ConfigError, match="does not exist"):
@@ -536,6 +609,52 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "trajectory.csv").exists()
         assert "manifest" in capsys.readouterr().out
+
+    def test_run_prints_every_file_it_wrote(self, tmp_path, capsys):
+        path = write_config(tmp_path, propagators=["rwa", "numeric"])
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            f"wrote {tmp_path / 'trajectory.csv'}\n"
+            f"wrote {tmp_path / 'trajectory_rwa.csv'}\n"
+            f"manifest {tmp_path / 'trajectory.manifest.json'} (21 samples)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("paths, problem", [
+        ({"csv_path": "same.csv", "rwa_csv_path": "same.csv"},
+         "keys 'csv_path' and 'rwa_csv_path' resolve to the same file {out}/same.csv"),
+        ({"csv_path": "x.json", "manifest_path": "x.json"},
+         "keys 'manifest_path' and 'csv_path' resolve to the same file {out}/x.json"),
+        ({"csv_path": "a.csv", "rwa_csv_path": "./a.csv", "manifest_path": "sub/../a.csv"},
+         "keys 'manifest_path' and 'csv_path' and 'rwa_csv_path' resolve to the same file "
+         "{out}/a.csv"),
+        ({"csv_path": "sub"}, "output path is a directory: {out}/sub"),
+    ], ids=["csv-rwa", "csv-manifest", "all-three", "directory"])
+    def test_unusable_output_paths_are_config_errors(
+        self, tmp_path, capsys, command, paths, problem
+    ):
+        # outputs that would overwrite each other, or a directory, fail before
+        # any compute and write nothing
+        path = write_config(tmp_path, propagators=["numeric", "rwa"], **paths)
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"  - {problem.format(out=out)}\n" in err
+        assert list(out.iterdir()) == [out / "sub"]
+        assert list((out / "sub").iterdir()) == []
+
+    def test_spectrum_path_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(runner, "spectrum_records", no_compute)
+        path = write_config(tmp_path, spectrum_path="taken")
+        (tmp_path / "taken").mkdir()
+        assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert f"output path is a directory: {tmp_path / 'taken'}" in capsys.readouterr().err
+        assert list((tmp_path / "taken").iterdir()) == []
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

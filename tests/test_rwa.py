@@ -13,18 +13,15 @@ from mprabi.dynamics import _rwa_basis
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace
 from mprabi.model import ModelParams, build_full, displaced_energy
 from mprabi.rwa import (
-    DressedPair,
     ResonanceSpec,
     RWAValidityWarning,
     coupling_element,
-    dressed_pair,
-    level_shifts,
     omega_eg,
     rabi_frequency,
     resonant_omega0,
     spectrum_records,
 )
-from mprabi.rwa import _padded_size, _secular_spectrum, _transition_coupling
+from mprabi.rwa import _padded_size, _secular_spectrum, _shifts, _transition_coupling
 
 
 def brute_coupling(params, n_manifold, n, n_big=None):
@@ -209,6 +206,19 @@ def three_photon_params():
     return ModelParams(omega=1.0, omega0=omega0, lambda_g=0.1, lambda_e=0.1, lambda_eg=0.02)
 
 
+def level_shifts(params, n, n_levels):
+    """Second-order shifts (down, up) of the levels N < n_levels, on the
+    ladder that :func:`_secular_spectrum` pads for n_top = n_levels."""
+    down, up = _shifts(params, n, _transition_coupling(params, _padded_size(params, n_levels))[0])
+    return down[:n_levels], up[: n_levels - n]
+
+
+def manifold_record(params, spec, n_manifold, order=1):
+    """The spectrum record of manifold N alone."""
+    (rec,) = spectrum_records(params, spec, [n_manifold], order=order)["manifolds"]
+    return rec
+
+
 def exact_gap(params, n, n_manifold, n_max=120):
     """Splitting of the two eigenvalues of the full H nearest to manifold N's
     bare ladder energies."""
@@ -231,38 +241,37 @@ GAP_CASES = pytest.mark.parametrize(
 
 
 class TestDressedPair:
+    # the pair of one manifold, read through its spectrum record: the alpha = +1
+    # state (c_down, c_up) at E_plus and, by orthogonality, (c_up, -c_down) at
+    # E_minus
     def test_exact_resonance_structure(self):
         params = two_photon_params()
         spec = ResonanceSpec.from_params(params, 2)
-        plus, minus = dressed_pair(params, spec, 2)
+        rec = manifold_record(params, spec, 2)
         v = coupling_element(params, 2, 2)
         e_g = -params.omega0 / 2 + 2.5
-        assert plus.energy == pytest.approx(e_g + abs(v), abs=1e-12)
-        assert minus.energy == pytest.approx(e_g - abs(v), abs=1e-12)
-        for state in (plus, minus):
-            assert abs(state.c_down) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-            assert abs(state.c_up) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-            assert state.c_down >= 0.0
-        # orthogonality and eigenvector property of the 2x2 secular block
-        dot = plus.c_down * minus.c_down + plus.c_up * minus.c_up
-        assert abs(dot) < 1e-12
+        assert rec["E_plus"] == pytest.approx(e_g + abs(v), abs=1e-12)
+        assert rec["E_minus"] == pytest.approx(e_g - abs(v), abs=1e-12)
+        assert abs(rec["c_down"]) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
+        assert abs(rec["c_up"]) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
+        assert rec["c_down"] >= 0.0
+        # eigenvector property of the 2x2 secular block, for both states
         e_e = params.omega0 / 2 + 0.5 - 0.01
         h2 = np.array([[e_g, v], [v, e_e]])
-        for state in (plus, minus):
-            c = np.array([state.c_down, state.c_up])
-            assert np.max(np.abs(h2 @ c - state.energy * c)) < 1e-12
+        plus = np.array([rec["c_down"], rec["c_up"]])
+        minus = np.array([rec["c_up"], -rec["c_down"]])
+        for c, energy in ((plus, rec["E_plus"]), (minus, rec["E_minus"])):
+            assert np.max(np.abs(h2 @ c - energy * c)) < 1e-12
 
     def test_decoupling_limit(self):
-        # |delta| >> |V|: states collapse onto the bare ladder
+        # |delta| >> |V|: states collapse onto the bare ladder; with delta > 0
+        # the up-branch level is the upper one
         params = ModelParams(omega=1.0, omega0=1.05, lambda_eg=1e-5)
         spec = ResonanceSpec(n=1, delta_n=0.05)
-        plus, minus = dressed_pair(params, spec, 3)
-        states = {abs(s.c_down) > 0.5: s for s in (plus, minus)}
-        down_like, up_like = states[True], states[False]
-        assert abs(down_like.c_down) > 1.0 - 1e-6
-        assert abs(up_like.c_up) > 1.0 - 1e-6
-        assert down_like.energy == pytest.approx(-1.05 / 2 + 3.5, abs=1e-6)
-        assert up_like.energy == pytest.approx(1.05 / 2 + 2.5, abs=1e-6)
+        rec = manifold_record(params, spec, 3)
+        assert abs(rec["c_up"]) > 1.0 - 1e-6
+        assert rec["E_plus"] == pytest.approx(1.05 / 2 + 2.5, abs=1e-6)
+        assert rec["E_minus"] == pytest.approx(-1.05 / 2 + 3.5, abs=1e-6)
 
     def test_energies_against_dense_diagonalization(self):
         # secular energies sit within O(lambda_eg^2 / omega) of the exact ones
@@ -271,54 +280,25 @@ class TestDressedPair:
         evals = np.linalg.eigvalsh(build_full(params, FockSpace(60)))
         tol = 2.5 * params.lambda_eg**2 / params.omega
         for n_manifold in (2, 3, 4):
-            for state in dressed_pair(params, spec, n_manifold):
-                nearest = evals[np.argmin(np.abs(evals - state.energy))]
-                assert abs(nearest - state.energy) < tol
-
-    @GAP_CASES
-    def test_second_order_gap_against_dense_diagonalization(self, params, n, n_manifold):
-        spec = ResonanceSpec.from_params(params, n)
-        exact = exact_gap(params, n, n_manifold)
-        errors = {}
-        for order in (1, 2):
-            plus, minus = dressed_pair(params, spec, n_manifold, order=order)
-            errors[order] = abs(plus.energy - minus.energy - exact) / exact
-        assert errors[2] < 0.01
-        assert errors[1] > 0.02
+            rec = manifold_record(params, spec, n_manifold)
+            for energy in (rec["E_plus"], rec["E_minus"]):
+                nearest = evals[np.argmin(np.abs(evals - energy))]
+                assert abs(nearest - energy) < tol
 
     def test_order_validated(self):
         params = two_photon_params()
         spec = ResonanceSpec.from_params(params, 2)
         with pytest.raises(ValueError, match="order"):
-            dressed_pair(params, spec, 2, order=3)
+            spectrum_records(params, spec, [2], order=3)
 
     def test_degenerate_manifold_flagged(self):
+        # V = delta_eff = 0: no preferred mixing, the unmixed states stand
         params = ModelParams(omega=1.0, omega0=2.0)  # lambda_eg = 0, exact resonance
         spec = ResonanceSpec.from_params(params, 2)
-        plus, minus = dressed_pair(params, spec, 2)
-        assert plus.degenerate and minus.degenerate
-        assert (abs(plus.c_up), abs(plus.c_down)) == (1.0, 0.0)
-        assert (abs(minus.c_down), abs(minus.c_up)) == (1.0, 0.0)
-
-    def test_manifold_below_order_rejected(self):
-        params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
-        with pytest.raises(ValueError):
-            dressed_pair(params, spec, 1)
-
-    def test_warns_once_about_its_own_manifold(self):
-        # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
-        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
-        spec = ResonanceSpec.from_params(params, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dressed_pair(params, spec, 1)
-        with pytest.warns(RWAValidityWarning) as record:
-            dressed_pair(params, spec, 9)
-        assert [str(w.message) for w in record] == [
-            "1 manifolds N = 9..9 have |V_N(1)|/omega up to 0.24, not small; "
-            "secular results there are unreliable"
-        ]
+        rec = manifold_record(params, spec, 2)
+        assert (rec["V"], rec["delta_eff"]) == (0.0, 0.0)
+        assert (rec["c_down"], rec["c_up"]) == (0.0, 1.0)
+        assert rec["E_plus"] == rec["E_minus"]
 
 
 def _secular_cases():
@@ -366,8 +346,8 @@ class TestSecularSpectrum:
             e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
             e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
             if shifts is not None:
-                e_down += shifts.down[n_manifold]
-                e_up += shifts.up[n_manifold - n]
+                e_down += shifts[0][n_manifold]
+                e_up += shifts[1][n_manifold - n]
             closed = coupling_element(params, n_manifold, n)
             assert got.v[row] == pytest.approx(closed, rel=1e-11, abs=1e-15)
             exact, vecs = np.linalg.eigh(np.array([[e_down, closed], [closed, e_up]]))
@@ -430,26 +410,27 @@ class TestSecularProperties:
         params = ModelParams(
             omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e, lambda_eg=lambda_eg
         )
-        spec = ResonanceSpec.from_params(params, n)
         n_manifold = n + above
         e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
         e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
         if order == 2:
-            shifts = level_shifts(params, n, n_manifold + 1)
-            e_down += shifts.down[n_manifold]
-            e_up += shifts.up[n_manifold - n]
+            down, up = level_shifts(params, n, n_manifold + 1)
+            e_down += down[n_manifold]
+            e_up += up[n_manifold - n]
         v = coupling_element(params, n_manifold, n)
         block = np.array([[e_down, v], [v, e_up]])
-        pair = dressed_pair(params, spec, n_manifold, order=order)
-        vecs = np.array([[state.c_down, state.c_up] for state in pair])
+        # the top row of the spectrum solved up to N: the pair of N alone
+        s = _secular_spectrum(params, n, n_manifold + 1, order)
+        energies = s.energy[-1]
+        vecs = np.array([s.c_down[-1], s.c_up[-1]]).T  # rows: alpha = +1, -1
         scale = max(1.0, abs(e_down), abs(e_up))
-        gap = pair[0].energy - pair[1].energy
+        gap = energies[0] - energies[1]
         assert gap > 0.0
         # each state comes from E - e_down or E - e_up, rounded at the scale
         # of the energies: its direction is good to eps * scale / gap
         assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) < 1e-15 + 8e-16 * scale / gap
-        for state, c in zip(pair, vecs):
-            residual = np.max(np.abs(block @ c - state.energy * c))
+        for energy, c in zip(energies, vecs):
+            residual = np.max(np.abs(block @ c - energy * c))
             assert residual < 4e-15 * scale
 
 class TestLevelShifts:
@@ -458,18 +439,18 @@ class TestLevelShifts:
         # survives, dE_down(N) = -lambda_eg^2 (N+1) / (omega + omega0) and
         # dE_up(M) = +lambda_eg^2 M / (omega + omega0)
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
-        shifts = level_shifts(params, 1, 15)
+        down, up = level_shifts(params, 1, 15)
         levels = np.arange(15)
-        assert np.max(np.abs(shifts.down + 0.0004 * (levels + 1) / 2.0)) < 1e-15
-        assert np.max(np.abs(shifts.up - 0.0004 * levels[:14] / 2.0)) < 1e-15
+        assert np.max(np.abs(down + 0.0004 * (levels + 1) / 2.0)) < 1e-15
+        assert np.max(np.abs(up - 0.0004 * levels[:14] / 2.0)) < 1e-15
 
     def test_independent_of_level_count(self):
         params = three_photon_params()
         short = level_shifts(params, 3, 12)
         long = level_shifts(params, 3, 60)
-        assert (short.down.size, short.up.size) == (12, 9)
-        assert np.max(np.abs(short.down - long.down[:12])) < 1e-15
-        assert np.max(np.abs(short.up - long.up[:9])) < 1e-15
+        assert (short[0].size, short[1].size) == (12, 9)
+        assert np.max(np.abs(short[0] - long[0][:12])) < 1e-15
+        assert np.max(np.abs(short[1] - long[1][:9])) < 1e-15
 
     def test_ground_level_against_dense_diagonalization(self):
         # the unmixed N = 0 level is the ground state; its shift closes the
@@ -477,7 +458,7 @@ class TestLevelShifts:
         params = two_photon_params()
         exact = np.linalg.eigvalsh(build_full(params, FockSpace(60)))[0]
         bare = displaced_energy(params, SPIN_DOWN, 0)
-        shifted = bare + level_shifts(params, 2, 2).down[0]
+        shifted = bare + level_shifts(params, 2, 2)[0][0]
         assert abs(bare - exact) > 1e-4
         assert abs(shifted - exact) < 1e-6
 
@@ -489,8 +470,8 @@ class TestLevelShifts:
 
     def test_vanish_without_transition_coupling(self):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.1, lambda_e=0.2)
-        shifts = level_shifts(params, 2, 10)
-        assert not np.any(shifts.down) and not np.any(shifts.up)
+        down, up = level_shifts(params, 2, 10)
+        assert not np.any(down) and not np.any(up)
 
 
 def unmixed_states(params, spec, space):
@@ -601,6 +582,9 @@ class TestSpectrumRecords:
         # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
         spec = ResonanceSpec.from_params(params, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum_records(params, spec, [1])
         with pytest.warns(RWAValidityWarning) as record:
             spectrum_records(params, spec, [1, 5, 3])
         assert [str(w.message) for w in record] == [
