@@ -26,7 +26,6 @@ from .model import (
     position_operator,
 )
 from .rwa import (
-    ResonanceSpec,
     RWAValidityWarning,
     coupling_element,
     omega_eg,
@@ -65,7 +64,6 @@ __all__ = [
     "build_full",
     "displaced_energy",
     "position_operator",
-    "ResonanceSpec",
     "RWAValidityWarning",
     "coupling_element",
     "omega_eg",

@@ -6,7 +6,8 @@ Sub-commands:
     sweep <glob>        run every config matching a glob, sequentially
     validate <config>   run's checks without the compute: the config with its
                         overrides, the output paths, the initial state against
-                        the truncation, and spectrum's manifold range
+                        the truncation, and spectrum's output path and
+                        manifold range
 
 Exit codes: 0 success, 1 configuration error (a start state outside the
 truncation, or one the secular basis cannot represent, included), 2
@@ -34,7 +35,6 @@ from .runner import (
     resolve_params,
     run_scenario,
 )
-from .rwa import ResonanceSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,12 +55,21 @@ def _load_config(path: str, args) -> ScenarioConfig:
     return parse_config(text, overrides)
 
 
-def _spectrum_manifolds(config: ScenarioConfig, spec: ResonanceSpec) -> range:
+def _spectrum_manifolds(config: ScenarioConfig, n: int) -> range:
     """Manifolds of a spectrum export: n .. manifold_max (n + 20 by default)."""
-    manifold_max = config.manifold_max or spec.n + 20
-    if manifold_max < spec.n:
-        raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {spec.n}"])
-    return range(spec.n, manifold_max + 1)
+    manifold_max = config.manifold_max or n + 20
+    if manifold_max < n:
+        raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {n}"])
+    return range(n, manifold_max + 1)
+
+
+def _spectrum_path(config: ScenarioConfig, output_dir: str | None) -> str:
+    """The resolved path of the spectrum export, checked writable."""
+    path = resolve_output_path(config.spectrum_path, output_dir)
+    problems = check_writable([path])
+    if problems:
+        raise ConfigError(problems)
+    return path
 
 
 def _cmd_run(path: str, args) -> int:
@@ -75,12 +84,9 @@ def _cmd_run(path: str, args) -> int:
 
 def _cmd_spectrum(path: str, args) -> int:
     config = _load_config(path, args)
-    params, spec = resolve_params(config)
-    out_path = resolve_output_path(config.spectrum_path, args.output_dir)
-    problems = check_writable([out_path])
-    if problems:
-        raise ConfigError(problems)
-    emit_spectrum(params, spec, _spectrum_manifolds(config, spec), out_path, order=config.order)
+    params, n = resolve_params(config)
+    out_path = _spectrum_path(config, args.output_dir)
+    emit_spectrum(params, n, _spectrum_manifolds(config, n), out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -88,7 +94,8 @@ def _cmd_spectrum(path: str, args) -> int:
 def _cmd_validate(path: str, args) -> int:
     config = _load_config(path, args)
     plan = plan_run(config, args.output_dir)
-    _spectrum_manifolds(config, plan.spec)
+    _spectrum_path(config, args.output_dir)
+    _spectrum_manifolds(config, plan.n)
     print(f"{path}: ok")
     return EXIT_OK
 

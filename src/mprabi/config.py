@@ -11,7 +11,8 @@ lambda_g, lambda_e      diagonal couplings in units of omega (0.0)
 lambda_eg               transition coupling in units of omega (required)
 n                       photon order of the resonance; implies the resonant
                         omega0 (exactly one of n / omega0 must be given)
-omega0                  explicit bare splitting instead of n
+omega0                  explicit bare splitting instead of n; n is then the
+                        integer nearest omega_eg / omega (at least 1)
 initial_kind            "excited-fock" (default) or "ground-coherent"
 n_photons               Fock level for excited-fock (0)
 mean_photons            coherent mean photon number for ground-coherent (0.0)
@@ -33,7 +34,8 @@ manifold_max            highest manifold in spectrum exports (n + 20)
 Signed lambda values are accepted and mapped literally onto the Hamiltonian
 (the down-state coupling keeps its built-in minus sign); the manifest records
 the literal values.  Validation collects every violated constraint before
-reporting.
+reporting.  Checks that need the model, such as the initial state against
+n_max, are left to :func:`mprabi.runner.plan_run`.
 """
 
 from __future__ import annotations
@@ -220,15 +222,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
                 problems.append(f"key '{key}' must be a nonempty string, got {data[key]!r}")
             else:
                 out[key] = data[key]
-
-    if data.get("initial_kind") == "ground-coherent":
-        nbar = out.get("mean_photons", 0.0)
-        n_max = out.get("n_max", 200)
-        if nbar + 5.0 * math.sqrt(nbar) > n_max:
-            problems.append(
-                f"mean_photons = {nbar} needs n_max > {nbar + 5.0 * math.sqrt(nbar):.1f}, "
-                f"got n_max = {n_max}"
-            )
 
     if problems:
         raise ConfigError(problems)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
 from .model import ModelParams
-from .rwa import ResonanceSpec, _secular_spectrum, _warn_strong, coupling_element
+from .rwa import _secular_spectrum, _warn_strong, coupling_element
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
@@ -147,8 +147,8 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
         nbar = spec.mean_photons
         if nbar + 5.0 * math.sqrt(nbar) > space.n_max:
             raise TruncationError(
-                f"coherent state of mean {nbar} needs n_max > "
-                f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got {space.n_max}"
+                f"mean_photons = {nbar} needs n_max > "
+                f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got n_max = {space.n_max}"
             )
         vec[space.block(SPIN_DOWN)] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
     return vec
@@ -299,9 +299,10 @@ def evolve_numeric(
 
 
 def _rwa_basis(
-    params: ModelParams, spec: ResonanceSpec, space: FockSpace, order: int = 1
+    params: ModelParams, n: int, space: FockSpace, order: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular eigenbasis as columns on the product space, with energies.
+    """Secular eigenbasis of the n-photon resonance as columns on the product
+    space, with energies.
 
     Covers the unmixed manifolds N < n and the dressed pairs for
     n <= N <= n_max-1, all from one :func:`mprabi.rwa._secular_spectrum`:
@@ -313,7 +314,7 @@ def _rwa_basis(
     ``order=2`` every energy carries its level shift.  Also returns V_N(n)
     for N = n .. n_max-1; emits no warning.
     """
-    n, n_max = spec.n, space.n_max
+    n_max = space.n_max
     s = _secular_spectrum(params, n, n_max, order)
     basis = np.zeros((space.dim, n + 2 * (n_max - n)), dtype=complex)
     dn, up = space.block(SPIN_DOWN), space.block(SPIN_UP)
@@ -323,7 +324,7 @@ def _rwa_basis(
     return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 
-def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, order: int):
+def project_secular(params: ModelParams, n: int, psi0: np.ndarray, order: int):
     """The projection ``(basis, energies, v, coeffs)`` that :func:`evolve_rwa`
     expands: :func:`_rwa_basis` at ``order`` on the truncation of the flat
     vector ``psi0``, then psi0's coefficients on it.  Raises
@@ -333,7 +334,7 @@ def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, 
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or psi0.size % 2:
         raise ValueError("psi0 must be a flat vector of even length")
-    basis, energies, v = _rwa_basis(params, spec, FockSpace(psi0.size // 2), order)
+    basis, energies, v = _rwa_basis(params, n, FockSpace(psi0.size // 2), order)
     coeffs = basis.conj().T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
     total = float(np.sum(np.abs(psi0) ** 2))
@@ -347,7 +348,7 @@ def project_secular(params: ModelParams, spec: ResonanceSpec, psi0: np.ndarray, 
 
 def evolve_rwa(
     params: ModelParams,
-    spec: ResonanceSpec,
+    n: int,
     projection: tuple,
     t_grid: np.ndarray,
 ) -> Trajectory:
@@ -375,7 +376,7 @@ def evolve_rwa(
         raise ValueError("t_grid must be a nonempty 1-d array")
     basis, energies, v, coeffs = projection
     weights = np.abs(coeffs) ** 2
-    n, n_max = spec.n, basis.shape[0] // 2
+    n_max = basis.shape[0] // 2
     _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
 
     n_t = t_grid.size

@@ -59,7 +59,8 @@ from .dynamics import (
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
 from .rwa import (
-    ResonanceSpec,
+    RESONANCE_WINDOW,
+    RWAValidityWarning,
     coupling_element,
     omega_eg,
     resonant_omega0,
@@ -362,13 +363,14 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
 
 def emit_spectrum(
     params: ModelParams,
-    spec: ResonanceSpec,
+    n: int,
     manifolds,
     path: str,
     *,
     order: int = 1,
 ) -> None:
-    """Write the dressed-spectrum JSON export of some manifolds at secular ``order``."""
+    """Write the dressed-spectrum JSON export of some manifolds of the
+    n-photon resonance at secular ``order``."""
     payload = {
         "params": {
             "omega": params.omega,
@@ -379,36 +381,38 @@ def emit_spectrum(
         },
         "omega_eg": omega_eg(params),
     }
-    payload.update(spectrum_records(params, spec, list(manifolds), order=order))
+    payload.update(spectrum_records(params, n, list(manifolds), order=order))
     _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, ResonanceSpec]:
-    """Model parameters and resonance bookkeeping implied by a config.
+def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
+    """Model parameters and the photon order n of the resonance a config implies.
 
     Signed diagonal couplings are mapped literally onto the Hamiltonian.  With
     ``n`` given, omega0 is placed exactly on the n-photon resonance; with an
-    explicit omega0 the resonance order is the nearest integer to
-    omega_eg / omega (at least 1) and delta_n records the leftover detuning.
+    explicit omega0, n is the nearest integer to omega_eg / omega (at least 1).
+    Warns when the detuning delta_n = omega_eg - n omega leaves the
+    |delta_n| < omega/10 window.
     """
     omega = config.omega
-    lam = dict(
-        lambda_g=config.lambda_g * omega,
-        lambda_e=config.lambda_e * omega,
-        lambda_eg=config.lambda_eg * omega,
-    )
+    lambda_g, lambda_e = config.lambda_g * omega, config.lambda_e * omega
+    omega0 = config.omega0
     if config.n is not None:
-        omega0 = resonant_omega0(
-            config.n, omega=omega, lambda_g=lam["lambda_g"], lambda_e=lam["lambda_e"]
+        omega0 = resonant_omega0(config.n, omega=omega, lambda_g=lambda_g, lambda_e=lambda_e)
+    params = ModelParams(
+        omega=omega, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
+        lambda_eg=config.lambda_eg * omega, allow_signed=True,
+    )
+    n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
+    delta = omega_eg(params) - n * params.omega
+    if abs(delta) > RESONANCE_WINDOW * params.omega:
+        warnings.warn(
+            f"detuning |delta_{n}| = {abs(delta):.3g} is not small against "
+            f"omega = {params.omega:.3g}; secular results are unreliable",
+            RWAValidityWarning,
+            stacklevel=2,
         )
-        params = ModelParams(omega=omega, omega0=omega0, allow_signed=True, **lam)
-        spec = ResonanceSpec.from_params(params, config.n)
-    else:
-        params = ModelParams(omega=omega, omega0=config.omega0, allow_signed=True, **lam)
-        shifted = omega_eg(params)
-        n = max(1, int(round(shifted / omega)))
-        spec = ResonanceSpec.from_params(params, n)
-    return params, spec
+    return params, n
 
 
 def resolve_output_path(path: str, output_dir: str | None) -> str:
@@ -438,7 +442,7 @@ class RunPlan(NamedTuple):
 
     outputs: dict  # manifest "outputs": manifest, csv and rwa_csv paths
     params: ModelParams
-    spec: ResonanceSpec
+    n: int  # photon order of the resonance
     psi0: np.ndarray
     projection: tuple | None  # project_secular's, when the secular route runs
 
@@ -471,17 +475,17 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         f"keys {' and '.join(keys)} resolve to the same file {file}"
         for file, keys in keys_by_file.items() if len(keys) > 1
     ]
-    params, spec = resolve_params(config)
+    params, n = resolve_params(config)
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
         psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
         secular = "rwa" in config.propagators
-        projection = project_secular(params, spec, psi0, config.order) if secular else None
+        projection = project_secular(params, n, psi0, config.order) if secular else None
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
     if problems:
         raise ConfigError(problems)
-    return RunPlan(outputs, params, spec, psi0, projection)
+    return RunPlan(outputs, params, n, psi0, projection)
 
 
 def run_scenario(
@@ -507,7 +511,7 @@ def run_scenario(
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         with _timed(timings, "plan"):
-            outputs, params, spec, psi0, projection = plan_run(config, output_dir)
+            outputs, params, n, psi0, projection = plan_run(config, output_dir)
         period = 2.0 * math.pi / params.omega
         t_end = config.t_end * period
         dt = config.dt * period
@@ -523,10 +527,10 @@ def run_scenario(
             if projection is not None:
                 with _timed(timings, "rwa"):
                     t_grid = sample_steps(t_end, dt, config.sample_every) * dt
-                    rwa_traj = evolve_rwa(params, spec, projection, t_grid)
+                    rwa_traj = evolve_rwa(params, n, projection, t_grid)
         except NormDriftError as exc:
             error = exc
-        v_leading = coupling_element(params, spec.n, spec.n)
+        v_leading = coupling_element(params, n, n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
     ran = [t for t in (numeric_traj, rwa_traj) if t is not None]
@@ -547,7 +551,7 @@ def run_scenario(
             "lambda_g": params.lambda_g,
             "lambda_e": params.lambda_e,
             "lambda_eg": params.lambda_eg,
-            "n": spec.n,
+            "n": n,
             "initial_kind": config.initial_kind,
             "n_photons": config.n_photons,
             "mean_photons": config.mean_photons,
@@ -560,7 +564,7 @@ def run_scenario(
         },
         derived={
             "omega_eg": omega_eg(params),
-            "delta_n": spec.delta_n,
+            "delta_n": omega_eg(params) - n * params.omega,
             "V_leading": v_leading,
             "Omega_leading": rabi,
             "rabi_period_periods": (2.0 * math.pi / rabi) / period if rabi > 0 else None,

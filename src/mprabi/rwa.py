@@ -40,7 +40,7 @@ Every dressed pair, at either order, comes from one array solver,
 :func:`mprabi.dynamics.evolve_rwa` expands is built from it too.
 
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
-:meth:`ResonanceSpec.from_params` warns about the detuning and
+:func:`mprabi.runner.resolve_params` warns about the detuning and
 :func:`coupling_element` about its element; :func:`spectrum_records` and
 :func:`mprabi.dynamics.evolve_rwa` each emit at most one
 :class:`RWAValidityWarning`, for the manifolds they use whose |V_N(n)|
@@ -86,34 +86,6 @@ def resonant_omega0(n: int, *, omega: float, lambda_g: float = 0.0, lambda_e: fl
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     return n * omega - (lambda_g**2 - lambda_e**2) / omega
-
-
-@dataclass(frozen=True)
-class ResonanceSpec:
-    """An n-photon resonance and its detuning delta_n = omega_eg - n * omega."""
-
-    n: int
-    delta_n: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"photon order must be >= 1, got {self.n}")
-        if not math.isfinite(self.delta_n):
-            raise ValueError("delta_n must be finite")
-
-    @classmethod
-    def from_params(cls, params: ModelParams, n: int) -> "ResonanceSpec":
-        """Detuning computed from the model parameters; warns when the
-        resonance sits outside the |delta_n| < omega/10 window."""
-        delta = omega_eg(params) - n * params.omega
-        if abs(delta) > RESONANCE_WINDOW * params.omega:
-            warnings.warn(
-                f"detuning |delta_{n}| = {abs(delta):.3g} is not small against "
-                f"omega = {params.omega:.3g}; secular results are unreliable",
-                RWAValidityWarning,
-                stacklevel=2,
-            )
-        return cls(n=n, delta_n=delta)
 
 
 def _padded_size(params: ModelParams, n_top: int) -> int:
@@ -247,6 +219,8 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     two null vectors, normalized with c_down >= 0; a block with
     V = delta = 0 is degenerate and keeps the unmixed states.
     """
+    if n < 1:
+        raise ValueError(f"photon order must be >= 1, got {n}")
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
     n_loc = _padded_size(params, n_top)
@@ -293,30 +267,31 @@ def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None
 
 
 def spectrum_records(
-    params: ModelParams, spec: ResonanceSpec, manifolds: "list[int] | range", *, order: int = 1
+    params: ModelParams, n: int, manifolds: "list[int] | range", *, order: int = 1
 ) -> dict:
-    """JSON-shaped spectrum export at secular ``order``.
+    """JSON-shaped spectrum export of the n-photon resonance at secular ``order``.
 
     One record per requested manifold N >= n with keys
     {n_manifold, n, delta_n, delta_eff, V, Omega, E_plus, E_minus, c_down, c_up}
     (coefficients of the alpha = +1 state; the alpha = -1 partner follows by
     orthogonality), plus the unmixed low manifolds N = 0 .. n-1 as
-    {n_manifold, n, energy}.  delta_eff is the block's detuning (delta_n at
-    first order), so E_plus - E_minus = hypot(delta_eff, 2 V).  All come from
-    one :func:`_secular_spectrum`; at ``order=2`` every energy carries its
-    level shift.  Warns once about the manifolds whose |V_N(n)| is not small.
+    {n_manifold, n, energy}.  delta_n = omega_eg - n omega is the model's
+    detuning and delta_eff the block's (delta_n at first order), so
+    E_plus - E_minus = hypot(delta_eff, 2 V).  All come from one
+    :func:`_secular_spectrum`; at ``order=2`` every energy carries its level
+    shift.  Warns once about the manifolds whose |V_N(n)| is not small.
     """
-    n = spec.n
     wanted = np.array(list(manifolds), dtype=int)
     if np.any(wanted < n):
         raise ValueError(f"manifolds must be >= n = {n}, got {wanted.min()}")
     s = _secular_spectrum(params, n, int(wanted.max(initial=n - 1)) + 1, order)
     _warn_strong(params, n, wanted, s.v[wanted - n])
+    delta_n = omega_eg(params) - n * params.omega
     records = [
         {
             "n_manifold": int(row + n),
             "n": n,
-            "delta_n": spec.delta_n,
+            "delta_n": delta_n,
             "delta_eff": float(s.delta[row]),
             "V": float(s.v[row]),
             "Omega": 2.0 * abs(float(s.v[row])),

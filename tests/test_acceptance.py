@@ -32,7 +32,6 @@ from mprabi.fockmath import (
 )
 from mprabi.model import ModelParams, build_full, displaced_energy
 from mprabi.rwa import (
-    ResonanceSpec,
     coupling_element,
     rabi_frequency,
     resonant_omega0,
@@ -137,8 +136,7 @@ def two_photon_run():
 @pytest.fixture(scope="module")
 def two_photon_rwa(two_photon_run):
     params, _, psi0, traj, _ = two_photon_run
-    spec = ResonanceSpec.from_params(params, 2)
-    return evolve_rwa(params, spec, project_secular(params, spec, psi0, 2), traj.times)
+    return evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), traj.times)
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +225,7 @@ def test_criterion_4_three_photon_exchange():
     space = FockSpace(16)
     psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
     first_order = 2.0 * math.pi / rabi_frequency(params, 3, 3)
-    spec = ResonanceSpec.from_params(params, 3)
-    (rec,) = spectrum_records(params, spec, [3], order=2)["manifolds"]
+    (rec,) = spectrum_records(params, 3, [3], order=2)["manifolds"]
     expected = 2.0 * math.pi / (rec["E_plus"] - rec["E_minus"])
     traj = evolve_numeric(
         build_full(params, space), psi0, 1.45 * first_order, DT, sample_every=100

@@ -15,7 +15,7 @@ from mprabi.config import parse_config
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
 from mprabi.model import ModelParams, build_full, displaced_energy
 from mprabi.runner import resolve_params
-from mprabi.rwa import ResonanceSpec, rabi_frequency, resonant_omega0
+from mprabi.rwa import rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
     _RWA_BLOCK,
     NORM_TOL,
@@ -73,9 +73,9 @@ def rk4_long_double(h, psi, dt, n_steps, sample_every):
     return np.array(states)
 
 
-def rwa_one_shot(params, spec, psi0, t_grid, order):
+def rwa_one_shot(params, n, psi0, t_grid, order):
     """The secular expansion over the whole time grid at once, unblocked."""
-    basis, energies, _ = _rwa_basis(params, spec, FockSpace(psi0.size // 2), order)
+    basis, energies, _ = _rwa_basis(params, n, FockSpace(psi0.size // 2), order)
     coeffs = basis.conj().T @ psi0
     psi_t = basis @ (coeffs[:, None] * np.exp(-1j * np.outer(energies, t_grid)))
     inversion, dist = observables(psi_t)
@@ -175,9 +175,8 @@ class TestObservables:
         if propagator == "numeric":
             traj = evolve_numeric(build_full(params, space), psi0, 30.0, DT, sample_every=300)
         else:
-            spec = ResonanceSpec.from_params(params, 2)
             traj = evolve_rwa(
-                params, spec, project_secular(params, spec, psi0, 1), np.linspace(0.0, 30.0, 11)
+                params, 2, project_secular(params, 2, psi0, 1), np.linspace(0.0, 30.0, 11)
             )
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
@@ -395,47 +394,43 @@ class TestEvolveNumeric:
 class TestEvolveRwa:
     def test_ground_dressed_state_is_stationary(self):
         params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.15, lambda_e=0.1, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(30)
         # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
         vec = np.zeros(space.dim)
         vec[space.block(SPIN_DOWN)] = displacement_matrix(params.lambda_g, space)[:, 0]
         traj = evolve_rwa(
-            params, spec, project_secular(params, spec, vec, 1), np.linspace(0.0, 500.0, 60)
+            params, 2, project_secular(params, 2, vec, 1), np.linspace(0.0, 500.0, 60)
         )
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
         assert np.max(np.abs(traj.photon_dist - traj.photon_dist[0])) < 1e-12
 
     def test_matches_closed_form_fock_inversion(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         grid = np.linspace(0.0, 3000.0, 100)
-        traj = evolve_rwa(params, spec, project_secular(params, spec, psi0, 1), grid)
+        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid)
         closed = inversion_fock(params, 2, grid)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-8
 
     def test_projection_completeness_failure(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(12)
         psi0 = prepare_initial(
             InitialStateSpec("excited-fock", n_photons=11), params, space
         )
         with pytest.raises(ProjectionError):
             evolve_rwa(
-                params, spec, project_secular(params, spec, psi0, 1), np.linspace(0.0, 10.0, 5)
+                params, 2, project_secular(params, 2, psi0, 1), np.linspace(0.0, 10.0, 5)
             )
 
     def test_agrees_with_numeric_jc(self):
         # cross-propagator check in the plain single-photon regime
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 1)
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj_num = evolve_numeric(build_full(params, space), psi0, 320.0, DT, sample_every=100)
-        traj_rwa = evolve_rwa(params, spec, project_secular(params, spec, psi0, 1), traj_num.times)
+        traj_rwa = evolve_rwa(params, 1, project_secular(params, 1, psi0, 1), traj_num.times)
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
 
 
@@ -443,7 +438,6 @@ class TestEvolveRwa:
         # over three two-photon Rabi periods the first-order secular curve
         # slips out of phase with eigh propagation; the second-order one stays
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(20)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         grid = np.linspace(0.0, 3.0 * 2.0 * math.pi / rabi_frequency(params, 2, 2), 400)
@@ -453,8 +447,8 @@ class TestEvolveRwa:
         exact = np.sum(psi_t[space.block(SPIN_UP)], axis=0) - np.sum(
             psi_t[space.block(SPIN_DOWN)], axis=0
         )
-        first = evolve_rwa(params, spec, project_secular(params, spec, psi0, 1), grid).inversion
-        second = evolve_rwa(params, spec, project_secular(params, spec, psi0, 2), grid).inversion
+        first = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid).inversion
+        second = evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), grid).inversion
         assert np.max(np.abs(first - exact)) > 0.5
         assert np.max(np.abs(second - exact)) < 0.05
 
@@ -467,13 +461,12 @@ class TestEvolveRwa:
     )
     def test_blocks_match_one_shot_expansion(self, n_t, order):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         psi0 = prepare_initial(
             InitialStateSpec("ground-coherent", mean_photons=4.0), params, FockSpace(30)
         )
         grid = np.linspace(0.0, 5000.0, n_t)
-        traj = evolve_rwa(params, spec, project_secular(params, spec, psi0, order), grid)
-        inversion, dist, norm, final = rwa_one_shot(params, spec, psi0, grid, order)
+        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, order), grid)
+        inversion, dist, norm, final = rwa_one_shot(params, 2, psi0, grid, order)
         assert np.array_equal(traj.inversion, inversion)
         assert np.array_equal(traj.photon_dist, dist)
         assert np.array_equal(traj.norm, norm)
@@ -481,11 +474,10 @@ class TestEvolveRwa:
 
     def test_order_validated(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(10))
         with pytest.raises(ValueError, match="order"):
             evolve_rwa(
-                params, spec, project_secular(params, spec, psi0, 3), np.linspace(0.0, 10.0, 5)
+                params, 2, project_secular(params, 2, psi0, 3), np.linspace(0.0, 10.0, 5)
             )
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -495,7 +487,6 @@ class TestEvolveRwa:
         # unmixed states D(+lambda_g/omega)|N> and their ladder energies first
         omega0 = resonant_omega0(3, omega=1.0, lambda_g=0.1, lambda_e=0.1)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_g=0.1, lambda_e=0.1, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 3)
         space = FockSpace(40)
         calls = []
 
@@ -505,7 +496,7 @@ class TestEvolveRwa:
 
         monkeypatch.setattr(dynamics, "displacement_matrix", counted)
         monkeypatch.setattr(rwa, "displacement_matrix", counted)
-        basis, energies, _ = _rwa_basis(params, spec, space, order)
+        basis, energies, _ = _rwa_basis(params, 3, space, order)
         assert len(calls) == 2
         shifts = np.zeros(3)
         if order == 2:
@@ -522,14 +513,13 @@ class TestEvolveRwa:
         # lambda_eg = 0.08 at the one-photon resonance: |V_N(1)| = 0.08 sqrt(N)
         # reaches 0.1 omega from N = 2, up to 0.24 at N = 9
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
-        spec = ResonanceSpec.from_params(params, 1)
         space = FockSpace(10)
 
         def warned(psi0):
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
                 evolve_rwa(
-                    params, spec, project_secular(params, spec, psi0, 1), np.linspace(0.0, 10.0, 5)
+                    params, 1, project_secular(params, 1, psi0, 1), np.linspace(0.0, 10.0, 5)
                 )
             return [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
 
@@ -586,10 +576,9 @@ class TestInversionCoherent:
             omega0=resonant_omega0(2, omega=1.0, lambda_g=0.13, lambda_e=0.1),
             lambda_g=0.13, lambda_e=0.1, lambda_eg=0.02,
         )
-        spec = ResonanceSpec.from_params(params, 2)
         space = FockSpace(60)
         psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=4.0), params, space)
         grid = np.linspace(0.0, 800.0, 100)
-        traj = evolve_rwa(params, spec, project_secular(params, spec, psi0, 1), grid)
+        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid)
         closed = inversion_coherent(params, 2, 4.0, grid)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-7

@@ -29,7 +29,7 @@ from mprabi.dynamics import Trajectory, evolve_rwa
 from mprabi.fockmath import displacement_matrix
 from mprabi.model import ModelParams
 from mprabi.runner import emit_csv, emit_spectrum, run_scenario
-from mprabi.rwa import ResonanceSpec, resonant_omega0, spectrum_records
+from mprabi.rwa import resonant_omega0, spectrum_records
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
@@ -98,13 +98,16 @@ class TestParseConfig:
         config = parse_config('{"n": 3, "lambda_eg": 0.02, "lambda_g": -0.1, "lambda_e": 0.1}')
         assert config.lambda_g == -0.1
 
-    def test_coherent_truncation_checked_up_front(self):
-        doc = json.dumps(
+    def test_coherent_truncation_checked_up_front(self, tmp_path):
+        # the config parses; the run plan checks the bound before any compute
+        config = parse_config(json.dumps(
             {"n": 2, "lambda_eg": 0.02, "initial_kind": "ground-coherent",
              "mean_photons": 50.0, "n_max": 40}
-        )
-        with pytest.raises(ConfigError, match="mean_photons"):
-            parse_config(doc)
+        ))
+        with pytest.raises(ConfigError) as err:
+            runner.plan_run(config, str(tmp_path))
+        assert err.value.problems == ["mean_photons = 50.0 needs n_max > 85.4, got n_max = 40"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_order_key(self):
         assert parse_config('{"n": 2, "lambda_eg": 0.02}').order == 1
@@ -442,9 +445,8 @@ class TestCsvKernel:
 class TestEmitSpectrum:
     def test_jc_sqrt_scaling_in_file(self, tmp_path):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 1)
         path = tmp_path / "spec.json"
-        emit_spectrum(params, spec, range(1, 6), str(path))
+        emit_spectrum(params, 1, range(1, 6), str(path))
         payload = json.loads(path.read_text())
         for rec in payload["manifolds"]:
             assert rec["Omega"] == pytest.approx(0.04 * math.sqrt(rec["n_manifold"]), rel=1e-10)
@@ -452,18 +454,16 @@ class TestEmitSpectrum:
     def test_splitting_recorded(self, tmp_path):
         omega0 = resonant_omega0(2, omega=1.0, lambda_e=0.1)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_e=0.1, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 2)
         path = tmp_path / "spec.json"
-        emit_spectrum(params, spec, range(2, 5), str(path))
+        emit_spectrum(params, 2, range(2, 5), str(path))
         payload = json.loads(path.read_text())
         for rec in payload["manifolds"]:
             assert rec["E_plus"] - rec["E_minus"] == pytest.approx(2 * abs(rec["V"]), abs=1e-12)
 
     def test_empty_range_valid_document(self, tmp_path):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_eg=0.02)
-        spec = ResonanceSpec(n=2, delta_n=0.0)
         path = tmp_path / "empty.json"
-        emit_spectrum(params, spec, [], str(path))
+        emit_spectrum(params, 2, [], str(path))
         payload = json.loads(path.read_text())
         assert payload["manifolds"] == []
 
@@ -504,14 +504,14 @@ class TestRunScenario:
     def test_files_get_the_umask_mode(self, tmp_path):
         # CSVs, manifest and spectrum JSON get the mode open(path, "w") gives
         config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
-        params, spec = runner.resolve_params(config)
+        params, n = runner.resolve_params(config)
         for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
             out = tmp_path / oct(umask)
             out.mkdir()
             old = os.umask(umask)
             try:
                 _, manifest = run_scenario(config, output_dir=str(out))
-                emit_spectrum(params, spec, range(2, 4), str(out / "spectrum.json"))
+                emit_spectrum(params, n, range(2, 4), str(out / "spectrum.json"))
             finally:
                 os.umask(old)
             files = sorted(out.iterdir())
@@ -656,6 +656,50 @@ class TestCli:
         assert f"output path is a directory: {tmp_path / 'taken'}" in capsys.readouterr().err
         assert list((tmp_path / "taken").iterdir()) == []
 
+    def test_validate_checks_spectrum_path(self, tmp_path, capsys):
+        # validate runs spectrum's output check as well as run's
+        out = tmp_path / "d"
+        (out / "spectrum.json").mkdir(parents=True)
+        path = REPO / "configs" / "two_photon_vacuum.json"
+        assert cli.main(["validate", str(path), "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"output path is a directory: {out / 'spectrum.json'}" in captured.err
+        assert list(out.iterdir()) == [out / "spectrum.json"]
+        assert list((out / "spectrum.json").iterdir()) == []
+
+    def test_spectrum_needs_no_initial_state(self, tmp_path):
+        # --n-max 30 cannot hold the config's coherent start of mean 20, which
+        # run and validate reject; the spectrum export builds no state, so it
+        # exits 0 and writes the same file as without the override
+        path = REPO / "configs" / "collapse_revival_n2.json"
+        spectra = []
+        for name, extra in (("small", ["--n-max", "30"]), ("default", [])):
+            out = tmp_path / name
+            out.mkdir()
+            assert cli.main(["spectrum", str(path), "--output-dir", str(out), *extra]) == 0
+            spectra.append((out / "spectrum.json").read_bytes())
+        assert spectra[0] == spectra[1]
+
+    def test_omega0_config_writes_one_detuning(self, tmp_path):
+        # omega0 = 1.96 gives omega_eg = 1.95, so n is the nearest integer 2;
+        # the manifest and the spectrum export write the detuning
+        # omega_eg - n omega bit for bit
+        path = write_config(tmp_path, n=None, omega0=1.96)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        code = cli.main(
+            ["spectrum", str(path), "--output-dir", str(tmp_path), "--manifold-max", "5"]
+        )
+        assert code == 0
+        params, n = runner.resolve_params(parse_config(path.read_text()))
+        delta_n = rwa.omega_eg(params) - n * params.omega
+        assert n == 2 and delta_n == pytest.approx(-0.05, abs=1e-12)
+        manifest = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+        assert manifest["config"]["n"] == 2
+        assert manifest["derived"]["delta_n"] == delta_n
+        assert [rec["delta_n"] for rec in spectrum["manifolds"]] == [delta_n] * 4
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"lambda_eg": 0.02}', encoding="utf-8")
@@ -693,10 +737,10 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
-        params, spec = runner.resolve_params(parse_config(path.read_text()))
+        params, n = runner.resolve_params(parse_config(path.read_text()))
         assert payload["order"] == 2
         for order, same in ((2, True), (1, False)):
-            expect = spectrum_records(params, spec, range(2, 6), order=order)["manifolds"]
+            expect = spectrum_records(params, n, range(2, 6), order=order)["manifolds"]
             assert (payload["manifolds"] == expect) is same
 
     def test_overrides_change_run(self, tmp_path):

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import displacement_expm, ladder_matrix
-from mprabi.dynamics import _rwa_basis
+from mprabi.config import parse_config
+from mprabi.dynamics import _rwa_basis, project_secular
 from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace
 from mprabi.model import ModelParams, build_full, displaced_energy
+from mprabi.runner import resolve_params
 from mprabi.rwa import (
-    ResonanceSpec,
     RWAValidityWarning,
     coupling_element,
     omega_eg,
@@ -67,21 +68,27 @@ class TestResonantOmega0:
             resonant_omega0(0, omega=1.0)
 
 
-class TestResonanceSpec:
-    def test_from_params(self):
-        params = ModelParams(omega=1.0, omega0=2.01, lambda_e=0.1, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 2)
-        assert spec.n == 2
-        assert abs(spec.delta_n) < 1e-14
+class TestResolvedResonance:
+    # the photon order n is an integer that a config implies; the detuning is
+    # read off the resolved parameters
+    def test_from_config(self):
+        params, n = resolve_params(parse_config('{"n": 2, "lambda_e": 0.1, "lambda_eg": 0.02}'))
+        assert n == 2
+        assert params.omega0 == pytest.approx(2.01, abs=1e-15)
+        assert abs(omega_eg(params) - n * params.omega) < 1e-14
 
     def test_large_detuning_warns(self):
-        params = ModelParams(omega=1.0, omega0=2.5, lambda_eg=0.02)
-        with pytest.warns(RWAValidityWarning):
-            ResonanceSpec.from_params(params, 2)
+        config = parse_config('{"omega0": 2.5, "lambda_eg": 0.02}')
+        with pytest.warns(RWAValidityWarning, match=r"detuning \|delta_2\| = 0\.5 "):
+            _, n = resolve_params(config)
+        assert n == 2
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            ResonanceSpec(n=0, delta_n=0.0)
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
+        with pytest.raises(ValueError, match="photon order must be >= 1, got 0"):
+            spectrum_records(params, 0, [1])
+        with pytest.raises(ValueError, match="photon order must be >= 1, got 0"):
+            project_secular(params, 0, np.eye(40)[0], 1)
 
 
 class TestCouplingElement:
@@ -213,9 +220,9 @@ def level_shifts(params, n, n_levels):
     return down[:n_levels], up[: n_levels - n]
 
 
-def manifold_record(params, spec, n_manifold, order=1):
+def manifold_record(params, n, n_manifold, order=1):
     """The spectrum record of manifold N alone."""
-    (rec,) = spectrum_records(params, spec, [n_manifold], order=order)["manifolds"]
+    (rec,) = spectrum_records(params, n, [n_manifold], order=order)["manifolds"]
     return rec
 
 
@@ -246,8 +253,7 @@ class TestDressedPair:
     # E_minus
     def test_exact_resonance_structure(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
-        rec = manifold_record(params, spec, 2)
+        rec = manifold_record(params, 2, 2)
         v = coupling_element(params, 2, 2)
         e_g = -params.omega0 / 2 + 2.5
         assert rec["E_plus"] == pytest.approx(e_g + abs(v), abs=1e-12)
@@ -267,8 +273,7 @@ class TestDressedPair:
         # |delta| >> |V|: states collapse onto the bare ladder; with delta > 0
         # the up-branch level is the upper one
         params = ModelParams(omega=1.0, omega0=1.05, lambda_eg=1e-5)
-        spec = ResonanceSpec(n=1, delta_n=0.05)
-        rec = manifold_record(params, spec, 3)
+        rec = manifold_record(params, 1, 3)
         assert abs(rec["c_up"]) > 1.0 - 1e-6
         assert rec["E_plus"] == pytest.approx(1.05 / 2 + 2.5, abs=1e-6)
         assert rec["E_minus"] == pytest.approx(-1.05 / 2 + 3.5, abs=1e-6)
@@ -276,26 +281,23 @@ class TestDressedPair:
     def test_energies_against_dense_diagonalization(self):
         # secular energies sit within O(lambda_eg^2 / omega) of the exact ones
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         evals = np.linalg.eigvalsh(build_full(params, FockSpace(60)))
         tol = 2.5 * params.lambda_eg**2 / params.omega
         for n_manifold in (2, 3, 4):
-            rec = manifold_record(params, spec, n_manifold)
+            rec = manifold_record(params, 2, n_manifold)
             for energy in (rec["E_plus"], rec["E_minus"]):
                 nearest = evals[np.argmin(np.abs(evals - energy))]
                 assert abs(nearest - energy) < tol
 
     def test_order_validated(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         with pytest.raises(ValueError, match="order"):
-            spectrum_records(params, spec, [2], order=3)
+            spectrum_records(params, 2, [2], order=3)
 
     def test_degenerate_manifold_flagged(self):
         # V = delta_eff = 0: no preferred mixing, the unmixed states stand
         params = ModelParams(omega=1.0, omega0=2.0)  # lambda_eg = 0, exact resonance
-        spec = ResonanceSpec.from_params(params, 2)
-        rec = manifold_record(params, spec, 2)
+        rec = manifold_record(params, 2, 2)
         assert (rec["V"], rec["delta_eff"]) == (0.0, 0.0)
         assert (rec["c_down"], rec["c_up"]) == (0.0, 1.0)
         assert rec["E_plus"] == rec["E_minus"]
@@ -474,19 +476,18 @@ class TestLevelShifts:
         assert not np.any(down) and not np.any(up)
 
 
-def unmixed_states(params, spec, space):
+def unmixed_states(params, n, space):
     """(vector, energy) of the secular basis columns that are not dressed
     pairs; they come first."""
-    basis, energies, _ = _rwa_basis(params, spec, space)
-    n_low = basis.shape[1] - 2 * (space.n_max - spec.n)
+    basis, energies, _ = _rwa_basis(params, n, space)
+    n_low = basis.shape[1] - 2 * (space.n_max - n)
     return [(basis[:, k], energies[k]) for k in range(n_low)]
 
 
 class TestLowManifoldStates:
     def test_single_state_for_one_photon(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
-        spec = ResonanceSpec.from_params(params, 1)
-        states = unmixed_states(params, spec, FockSpace(20))
+        states = unmixed_states(params, 1, FockSpace(20))
         assert len(states) == 1
         vec, energy = states[0]
         assert energy == pytest.approx(-0.5 + 0.5, abs=1e-15)
@@ -494,8 +495,7 @@ class TestLowManifoldStates:
 
     def test_equidistant_low_ladder(self):
         params = ModelParams(omega=1.0, omega0=3.0, lambda_g=0.2, lambda_e=0.1, lambda_eg=0.01)
-        spec = ResonanceSpec(n=3, delta_n=omega_eg(params) - 3.0)
-        states = unmixed_states(params, spec, FockSpace(40))
+        states = unmixed_states(params, 3, FockSpace(40))
         assert len(states) == 3
         energies = [e for _, e in states]
         assert np.allclose(np.diff(energies), 1.0, atol=1e-13)
@@ -503,9 +503,8 @@ class TestLowManifoldStates:
     def test_ground_state_coherent_marginal(self):
         # with lambda_g != 0 the ground state's field is coherent
         params = ModelParams(omega=1.0, omega0=1.0, lambda_g=0.4, lambda_eg=0.01)
-        spec = ResonanceSpec(n=1, delta_n=omega_eg(params) - 1.0)
         space = FockSpace(40)
-        vec, _ = unmixed_states(params, spec, space)[0]
+        vec, _ = unmixed_states(params, 1, space)[0]
         marginal = np.abs(vec[:40]) ** 2 + np.abs(vec[40:]) ** 2
         mean = 0.16
         poisson = np.array([math.exp(-mean) * mean**k / math.factorial(k) for k in range(40)])
@@ -515,8 +514,7 @@ class TestLowManifoldStates:
 class TestSpectrumRecords:
     def test_record_shape_and_splitting(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
-        payload = spectrum_records(params, spec, range(2, 6))
+        payload = spectrum_records(params, 2, range(2, 6))
         assert len(payload["low_manifolds"]) == 2
         assert len(payload["manifolds"]) == 4
         for rec in payload["manifolds"]:
@@ -528,8 +526,7 @@ class TestSpectrumRecords:
 
     def test_jc_limit_sqrt_scaling(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
-        spec = ResonanceSpec.from_params(params, 1)
-        payload = spectrum_records(params, spec, range(1, 9))
+        payload = spectrum_records(params, 1, range(1, 9))
         for rec in payload["manifolds"]:
             assert rec["Omega"] == pytest.approx(
                 0.04 * math.sqrt(rec["n_manifold"]), rel=1e-10
@@ -537,24 +534,21 @@ class TestSpectrumRecords:
 
     def test_empty_range(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
-        payload = spectrum_records(params, spec, [])
+        payload = spectrum_records(params, 2, [])
         assert payload["manifolds"] == []
         assert len(payload["low_manifolds"]) == 2
 
     def test_manifold_below_order_rejected(self):
         params = two_photon_params()
-        spec = ResonanceSpec.from_params(params, 2)
         with pytest.raises(ValueError, match="manifolds must be >= n = 2"):
-            spectrum_records(params, spec, [3, 1])
+            spectrum_records(params, 2, [3, 1])
 
     @GAP_CASES
     def test_second_order_gap_against_dense_diagonalization(self, params, n, n_manifold):
-        spec = ResonanceSpec.from_params(params, n)
         exact = exact_gap(params, n, n_manifold)
         errors = {}
         for order in (1, 2):
-            payload = spectrum_records(params, spec, [n_manifold], order=order)
+            payload = spectrum_records(params, n, [n_manifold], order=order)
             assert payload["order"] == order
             (rec,) = payload["manifolds"]
             errors[order] = abs(rec["E_plus"] - rec["E_minus"] - exact) / exact
@@ -566,13 +560,13 @@ class TestSpectrumRecords:
     def test_gap_follows_delta_eff(self, params, n, n_manifold, order):
         # the record alone explains its gap: at order 2 the level shifts enter
         # through delta_eff, at order 1 it is the resonance's delta_n
-        spec = ResonanceSpec.from_params(params, n)
-        payload = spectrum_records(params, spec, range(n, n_manifold + 1), order=order)
+        payload = spectrum_records(params, n, range(n, n_manifold + 1), order=order)
+        delta_n = omega_eg(params) - n * params.omega
         for rec in payload["manifolds"]:
             gap = math.hypot(rec["delta_eff"], 2.0 * rec["V"])
             assert rec["E_plus"] - rec["E_minus"] == pytest.approx(gap, abs=1e-12)
             if order == 1:
-                assert rec["delta_eff"] == pytest.approx(spec.delta_n, abs=1e-12)
+                assert rec["delta_eff"] == pytest.approx(delta_n, abs=1e-12)
         if order == 2:
             # the shifts are visible: the gap is not 2|V| at the shipped couplings
             (rec, *_) = payload["manifolds"]
@@ -581,12 +575,11 @@ class TestSpectrumRecords:
     def test_warns_once_about_the_returned_manifolds(self):
         # |V_N(1)| = 0.08 sqrt(N) passes 0.1 omega from N = 2 on
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
-        spec = ResonanceSpec.from_params(params, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spectrum_records(params, spec, [1])
+            spectrum_records(params, 1, [1])
         with pytest.warns(RWAValidityWarning) as record:
-            spectrum_records(params, spec, [1, 5, 3])
+            spectrum_records(params, 1, [1, 5, 3])
         assert [str(w.message) for w in record] == [
             "2 manifolds N = 3..5 have |V_N(1)|/omega up to 0.179, not small; "
             "secular results there are unreliable"
