@@ -7,7 +7,7 @@ Sub-commands:
     validate <config>   run's checks without the compute: the config with its
                         overrides, the output paths, the initial state against
                         the truncation, and spectrum's output path and
-                        manifold range
+                        manifold range, every problem in one report
 
 Exit codes: 0 success, 1 configuration error (a start state outside the
 truncation, or one the secular basis cannot represent, included), 2
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
+import warnings
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import NormDriftError
@@ -55,21 +56,20 @@ def _load_config(path: str, args) -> ScenarioConfig:
     return parse_config(text, overrides)
 
 
-def _spectrum_manifolds(config: ScenarioConfig, n: int) -> range:
-    """Manifolds of a spectrum export: n .. manifold_max (n + 20 by default)."""
-    manifold_max = config.manifold_max or n + 20
-    if manifold_max < n:
-        raise ConfigError([f"manifold_max = {manifold_max} below the first manifold n = {n}"])
-    return range(n, manifold_max + 1)
-
-
-def _spectrum_path(config: ScenarioConfig, output_dir: str | None) -> str:
-    """The resolved path of the spectrum export, checked writable."""
+def _spectrum_target(
+    config: ScenarioConfig, n: int, output_dir: str | None
+) -> tuple[str, range]:
+    """The resolved path of the spectrum export, checked writable, and its
+    manifolds n .. manifold_max (n + 20 by default); one :class:`ConfigError`
+    lists the problems of both."""
     path = resolve_output_path(config.spectrum_path, output_dir)
     problems = check_writable([path])
+    manifold_max = config.manifold_max or n + 20
+    if manifold_max < n:
+        problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
     if problems:
         raise ConfigError(problems)
-    return path
+    return path, range(n, manifold_max + 1)
 
 
 def _cmd_run(path: str, args) -> int:
@@ -85,17 +85,28 @@ def _cmd_run(path: str, args) -> int:
 def _cmd_spectrum(path: str, args) -> int:
     config = _load_config(path, args)
     params, n = resolve_params(config)
-    out_path = _spectrum_path(config, args.output_dir)
-    emit_spectrum(params, n, _spectrum_manifolds(config, n), out_path, order=config.order)
+    out_path, manifolds = _spectrum_target(config, n, args.output_dir)
+    emit_spectrum(params, n, manifolds, out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def _cmd_validate(path: str, args) -> int:
     config = _load_config(path, args)
-    plan = plan_run(config, args.output_dir)
-    _spectrum_path(config, args.output_dir)
-    _spectrum_manifolds(config, plan.n)
+    problems = []
+    try:
+        n = plan_run(config, args.output_dir).n
+    except ConfigError as exc:
+        problems = exc.problems
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # plan_run has shown them
+            n = resolve_params(config)[1]
+    try:
+        _spectrum_target(config, n, args.output_dir)
+    except ConfigError as exc:
+        problems = problems + exc.problems
+    if problems:
+        raise ConfigError(dict.fromkeys(problems))  # a directory both miss, once
     print(f"{path}: ok")
     return EXIT_OK
 

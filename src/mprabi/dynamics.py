@@ -16,8 +16,12 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
   the rotating-wave treatment.  At ``order=2`` the secular energies carry the
   second-order level shifts (see :mod:`mprabi.rwa`).
 
-Both routes expand over an eigenbasis, each column times a per-sample factor
-(r_j^k for RK4, exp(-i E_j t) secular), in blocks of time samples.
+Both routes sample on the same grid of steps and expand over a real
+eigenbasis, each column j times the factor exp(L_j x) at sample position x
+(r_j^k = exp(k log r_j) for RK4, exp(-i E_j t) secular), in blocks of time
+samples (:func:`_expand`).  Columns whose initial weight is negligible are
+dropped before the expansion, and each block takes its factors from a
+table of phases over its step offsets.
 
 The sampled observables are the population inversion W = <sigma_z>, the
 photon-number distribution P_N summed over spin, the squared norm, and the
@@ -56,6 +60,8 @@ WEIGHT_TOL = 1e-10
 TRUNCATION_TOL = 1e-8
 #: time samples per block of the eigenbasis expansion; bounds its temporaries
 _RWA_BLOCK = 256
+#: initial weight |c_j|^2 at or below which the expansion drops column j
+_PRUNE_TOL = 1e-30
 
 
 class NormDriftError(RuntimeError):
@@ -104,6 +110,9 @@ class Trajectory:
     ``truncation_ok`` is cleared when the top five photon levels ever hold
     more than the truncation tolerance.  ``final_state`` is the propagated
     state at the last sample, handy for chaining runs or convergence studies.
+    ``pruned_weight`` is the initial weight w of the eigenbasis columns the
+    expansion dropped (see :func:`_expand`); no W or P value moves by more
+    than 2 sqrt(w) + w for it.
     """
 
     times: np.ndarray
@@ -113,6 +122,7 @@ class Trajectory:
     energy: np.ndarray
     truncation_ok: bool = True
     final_state: np.ndarray | None = None
+    pruned_weight: float = 0.0
 
     def __len__(self) -> int:
         return self.times.size
@@ -157,30 +167,53 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
 def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
     """Steps at which a run of duration t_end samples: 0, every
     ``sample_every`` steps, and the last of round(t_end / dt) steps."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if t_end <= 0:
+        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = max(1, int(round(t_end / dt)))
     steps = np.arange(0, n_steps + 1, sample_every)
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _expand(basis, coeffs, factor, traj: Trajectory):
-    """Fill traj's W, P, norm and final state from psi = basis @ (coeffs * factor).
+def _expand(basis, coeffs, rates, steps, unit, traj: Trajectory):
+    """Fill traj's W, P, norm, final state and pruned weight from
+    psi_i = basis @ (coeffs * exp(rates * x_i)), x_i = steps[i] * unit.
 
-    ``factor(rows)`` gives each column's factor at the samples ``rows`` as a
-    (columns, samples) array.  The samples go in blocks of at most
-    :data:`_RWA_BLOCK`, so working memory does not depend on their count;
-    each block is yielded as ``(rows, top)`` once its rows are filled, with
-    ``top`` the population of the top five photon levels at those samples.
+    ``basis`` is real (float64).  Columns whose weight |c_j|^2 is at most
+    :data:`_PRUNE_TOL` are dropped first (a NaN weight is kept); with w their
+    total weight, ||psi - psi_pruned|| <= sqrt(w) wherever |exp(L_j x)| <= 1,
+    so no W or P value moves by more than 2 sqrt(w) + w.  The samples go in
+    blocks of at most :data:`_RWA_BLOCK`, so working memory does not depend
+    on their count.  A block starting at x_0 takes its factors as
+    exp(L x_0) exp(L (x - x_0)), the second from a table over the block's
+    step offsets, built again only when the offsets change (once per run on
+    a uniform grid).  Its product with the basis is one real GEMM on the
+    float view of the complex factors.  Each block is yielded as
+    ``(rows, top)`` once its rows are filled, with ``top`` the population of
+    the top five photon levels at those samples.
     """
-    n_t = traj.times.size
-    # A lone last sample would make a one-column block, which BLAS and numpy's
-    # reductions treat as a vector and round differently, so it joins the
-    # block before it.
+    weights = np.abs(coeffs) ** 2
+    keep = ~(weights <= _PRUNE_TOL)
+    traj.pruned_weight = float(np.sum(weights[~keep]))
+    basis, coeffs, rates = basis[:, keep], coeffs[keep], rates[keep]
+    n_t = steps.size
+    offsets = table = None
+    # A lone last sample joins the block before it: a block of its own would
+    # cost a table and a product for one sample.
     for start in range(0, max(n_t - 1, 1), _RWA_BLOCK):
         stop = start + _RWA_BLOCK
         if stop >= n_t - 1:
             stop = n_t
         rows = slice(start, stop)
-        psi_t = basis @ (coeffs[:, None] * factor(rows))  # (dim, block)
+        block_offsets = steps[rows] - steps[start]
+        if table is None or not np.array_equal(block_offsets, offsets):
+            offsets = block_offsets
+            table = np.exp(np.outer(rates, offsets * unit))
+        factors = (coeffs * np.exp(rates * (steps[start] * unit)))[:, None] * table
+        psi_t = (basis @ factors.view(np.float64)).view(np.complex128)  # (dim, block)
         traj.inversion[rows], block = observables(psi_t)
         traj.photon_dist[rows] = block.T
         traj.norm[rows] = np.sum(block, axis=0)
@@ -235,7 +268,9 @@ def evolve_numeric(
     r_j = R(-i dt E_j) (see :func:`_rk4_log_gain`).  With E, V from one
     ``eigh`` of the real H and c = V^T psi0, the state after k steps is
     V (c * r^k): the stepwise RK4 trajectory up to rounding, at a cost set by
-    the sample count alone.  The energy is sum_j |c_j|^2 |r_j|^(2k) E_j.
+    the sample count alone (see :func:`_expand`, which also drops the
+    eigenvectors holding at most :data:`_PRUNE_TOL` of psi0 and records their
+    weight as ``pruned_weight``).  The energy is sum_j |c_j|^2 |r_j|^(2k) E_j.
 
     Observables are sampled at step 0, every ``sample_every`` steps, and at
     the final step.  The squared norm is never renormalized; if it deviates
@@ -247,12 +282,7 @@ def evolve_numeric(
     give times and the hinted step in units of ``period`` when it is given
     (oscillator periods, as the CLI takes them), else in the units of t_end.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    steps = sample_steps(t_end, dt, sample_every)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.shape[0],):
         raise ValueError("state and Hamiltonian dimensions disagree")
@@ -264,18 +294,12 @@ def evolve_numeric(
     coeffs = vectors.T @ psi0
     weights = np.abs(coeffs) ** 2
     log_mod, phase = _rk4_log_gain(dt * energies)
-    log_r = log_mod + 1j * phase
 
-    steps = sample_steps(t_end, dt, sample_every)
     times = steps * dt
-
     n_t, n_max = steps.size, h.shape[0] // 2
     traj = Trajectory(times, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t))
 
-    def powers(rows):
-        return np.exp(np.outer(log_r, steps[rows]))
-
-    for rows, top in _expand(vectors.astype(complex), coeffs, powers, traj):
+    for rows, top in _expand(vectors, coeffs, log_mod + 1j * phase, steps, 1.0, traj):
         drift = np.abs(traj.norm[rows] - 1.0)
         # written so that a NaN norm fails the check
         bad = np.flatnonzero(~(drift <= NORM_TOL))
@@ -301,8 +325,8 @@ def evolve_numeric(
 def _rwa_basis(
     params: ModelParams, n: int, space: FockSpace, order: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular eigenbasis of the n-photon resonance as columns on the product
-    space, with energies.
+    """Secular eigenbasis of the n-photon resonance as real columns on the
+    product space, with energies.
 
     Covers the unmixed manifolds N < n and the dressed pairs for
     n <= N <= n_max-1, all from one :func:`mprabi.rwa._secular_spectrum`:
@@ -316,7 +340,7 @@ def _rwa_basis(
     """
     n_max = space.n_max
     s = _secular_spectrum(params, n, n_max, order)
-    basis = np.zeros((space.dim, n + 2 * (n_max - n)), dtype=complex)
+    basis = np.zeros((space.dim, n + 2 * (n_max - n)))
     dn, up = space.block(SPIN_DOWN), space.block(SPIN_UP)
     basis[dn, :n] = s.d_down[:n_max, :n]
     basis[dn, n:] = (s.d_down[:n_max, n:n_max, None] * s.c_down).reshape(n_max, -1)
@@ -335,7 +359,7 @@ def project_secular(params: ModelParams, n: int, psi0: np.ndarray, order: int):
     if psi0.ndim != 1 or psi0.size % 2:
         raise ValueError("psi0 must be a flat vector of even length")
     basis, energies, v = _rwa_basis(params, n, FockSpace(psi0.size // 2), order)
-    coeffs = basis.conj().T @ psi0
+    coeffs = basis.T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
     total = float(np.sum(np.abs(psi0) ** 2))
     if captured < total * (1.0 - COMPLETENESS_TOL):
@@ -350,10 +374,14 @@ def evolve_rwa(
     params: ModelParams,
     n: int,
     projection: tuple,
-    t_grid: np.ndarray,
+    t_end: float,
+    dt: float,
+    sample_every: int = 1,
 ) -> Trajectory:
-    """Analytic secular evolution, on an explicit time grid, of the state
-    that ``projection`` (from :func:`project_secular`) expands at t = 0.
+    """Analytic secular evolution of the state that ``projection`` (from
+    :func:`project_secular`) expands at t = 0, sampled on the grid
+    :func:`evolve_numeric` samples for the same ``t_end``, ``dt`` and
+    ``sample_every``.
 
     ``order=1`` is the paper's first-order secular treatment: the dressed
     pairs are split by 2|V_N(n)| around the bare ladder energies.  ``order=2``
@@ -368,25 +396,24 @@ def evolve_rwa(
     initial weight they hold.  The run is flagged invalid when the top five
     photon levels ever hold :data:`TRUNCATION_TOL` or more.
 
-    The expansion runs in time blocks (:func:`_expand`); every value is
-    bitwise the one a single expansion over the whole grid gives.
+    The expansion runs in time blocks (:func:`_expand`): each block's phases
+    are exp(-i E (k_0 dt)) at its first step k_0, the argument a single
+    expansion over the whole grid would take there, times a table of
+    exp(-i E ((k - k_0) dt)) over its step offsets.  Columns holding at most
+    :data:`_PRUNE_TOL` of the initial weight are dropped, and the dropped
+    weight w (``pruned_weight``) bounds the change of any W or P value by
+    2 sqrt(w) + w.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
+    steps = sample_steps(t_end, dt, sample_every)
     basis, energies, v, coeffs = projection
     weights = np.abs(coeffs) ** 2
     n_max = basis.shape[0] // 2
     _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
 
-    n_t = t_grid.size
-    energy = np.full(n_t, float(np.real(np.sum(weights * energies))))
-    traj = Trajectory(t_grid.copy(), np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
-
-    def phases(rows):
-        return np.exp(-1j * np.outer(energies, t_grid[rows]))
-
-    for _, top in _expand(basis, coeffs, phases, traj):
+    n_t = steps.size
+    energy = np.full(n_t, float(np.sum(weights * energies)))
+    traj = Trajectory(steps * dt, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
+    for _, top in _expand(basis, coeffs, -1j * energies, steps, dt, traj):
         traj.truncation_ok &= bool(np.max(top) < TRUNCATION_TOL)
     return traj
 

@@ -54,7 +54,6 @@ from .dynamics import (
     evolve_rwa,
     prepare_initial,
     project_secular,
-    sample_steps,
 )
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
@@ -495,9 +494,10 @@ def run_scenario(
 
     Settles the run with :func:`plan_run`, runs the requested propagators,
     and writes the CSV trajectories plus the manifest.
-    Numerical validity (norm drift of every trajectory, truncation occupancy),
-    every warning raised on the way and the time of each stage are recorded in
-    the manifest; the returned trajectory is the numeric one when it ran, else
+    Numerical validity (norm drift of every trajectory, truncation occupancy,
+    the initial weight each expansion pruned beside the bound it sets on any
+    W or P value), every warning raised on the way and the time of each stage
+    are recorded in the manifest; the returned trajectory is the numeric one when it ran, else
     the secular one.  A run that aborts on norm drift writes no CSV, and one
     that fails its validity checks writes its CSVs; either way the manifest
     says ``"status": "failed"`` with the error text, and the error is raised
@@ -526,8 +526,9 @@ def run_scenario(
                     )
             if projection is not None:
                 with _timed(timings, "rwa"):
-                    t_grid = sample_steps(t_end, dt, config.sample_every) * dt
-                    rwa_traj = evolve_rwa(params, n, projection, t_grid)
+                    rwa_traj = evolve_rwa(
+                        params, n, projection, t_end, dt, config.sample_every
+                    )
         except NormDriftError as exc:
             error = exc
         v_leading = coupling_element(params, n, n)
@@ -572,6 +573,14 @@ def run_scenario(
         validity={
             "norm_ok": norm_ok,
             "truncation_ok": truncation_ok,
+            "pruned": {
+                name: {
+                    "weight": t.pruned_weight,
+                    "observable_bound": 2.0 * math.sqrt(t.pruned_weight) + t.pruned_weight,
+                }
+                for name, t in (("numeric", numeric_traj), ("rwa", rwa_traj))
+                if t is not None
+            },
             "warnings": caught,
         },
         outputs={"manifest": outputs["manifest"]} if aborted else outputs,

@@ -32,6 +32,7 @@ from mprabi.dynamics import (
     observables,
     prepare_initial,
     project_secular,
+    sample_steps,
 )
 
 PERIOD = 2.0 * math.pi
@@ -73,13 +74,26 @@ def rk4_long_double(h, psi, dt, n_steps, sample_every):
     return np.array(states)
 
 
-def rwa_one_shot(params, n, psi0, t_grid, order):
-    """The secular expansion over the whole time grid at once, unblocked."""
-    basis, energies, _ = _rwa_basis(params, n, FockSpace(psi0.size // 2), order)
-    coeffs = basis.conj().T @ psi0
-    psi_t = basis @ (coeffs[:, None] * np.exp(-1j * np.outer(energies, t_grid)))
-    inversion, dist = observables(psi_t)
-    return inversion, dist.T, np.sum(dist.T, axis=1), psi_t[:, -1]
+def expansion_long_double(basis, coeffs, rates, x):
+    """W, P, the squared norm and the last state of the eigenbasis expansion
+    psi(x) = basis @ (coeffs * exp(rates * x)) at every position of the long
+    double array ``x`` at once, unblocked and unpruned: the float64 basis,
+    coefficients and rates are carried over exactly and every factor, product
+    and sum is taken in long double."""
+    factors = np.exp(np.outer(rates.astype(np.clongdouble), x))
+    psi = basis.astype(np.longdouble) @ (coeffs.astype(np.clongdouble)[:, None] * factors)
+    probs = np.abs(psi) ** 2
+    n_max = basis.shape[0] // 2
+    down, up = probs[:n_max], probs[n_max:]
+    return np.sum(up - down, axis=0), (down + up).T, np.sum(probs, axis=0), psi[:, -1]
+
+
+def assert_close_to_long_double(traj, exact, bound):
+    inversion, dist, norm, final = exact
+    assert np.max(np.abs(traj.inversion - inversion)) <= bound
+    assert np.max(np.abs(traj.photon_dist - dist)) <= bound
+    assert np.max(np.abs(traj.norm - norm)) <= bound
+    assert np.max(np.abs(traj.final_state - final)) <= bound
 
 
 def two_photon_params():
@@ -175,9 +189,7 @@ class TestObservables:
         if propagator == "numeric":
             traj = evolve_numeric(build_full(params, space), psi0, 30.0, DT, sample_every=300)
         else:
-            traj = evolve_rwa(
-                params, 2, project_secular(params, 2, psi0, 1), np.linspace(0.0, 30.0, 11)
-            )
+            traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 30.0, 3.0)
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
@@ -299,6 +311,26 @@ class TestEvolveNumeric:
         assert np.max(np.abs(traj.inversion - inversion)) < 2e-12
         assert np.max(np.abs(traj.final_state - states[-1].astype(complex))) < 2e-12
 
+    def test_matches_long_double_expansion(self):
+        # the blocked RK4 expansion V (c * r^k) against one long double
+        # evaluation of it, log r from the float64 energies; the last step
+        # falls off the sampling interval, so the last block builds its own
+        # table of powers
+        params = two_photon_params()
+        space = FockSpace(30)
+        h = build_full(params, space)
+        coherent = InitialStateSpec("ground-coherent", mean_photons=4.0)
+        psi0 = prepare_initial(coherent, params, space)
+        traj = evolve_numeric(h, psi0, 200.0, DT, sample_every=71)
+        assert len(traj) > _RWA_BLOCK and traj.pruned_weight == 0.0
+        energies, vectors = np.linalg.eigh(h)
+        log_mod, phase = dynamics._rk4_log_gain(DT * energies)
+        steps = sample_steps(200.0, DT, 71).astype(np.longdouble)
+        exact = expansion_long_double(vectors, vectors.T @ psi0, log_mod + 1j * phase, steps)
+        # one unblocked complex128 expansion errs by 2.7e-14 here; the bound
+        # is twice that
+        assert_close_to_long_double(traj, exact, 5.4e-14)
+
     # random states fill the top levels, which these runs do not check
     @pytest.mark.filterwarnings("ignore::mprabi.dynamics.IntegratorWarning")
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -398,9 +430,7 @@ class TestEvolveRwa:
         # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
         vec = np.zeros(space.dim)
         vec[space.block(SPIN_DOWN)] = displacement_matrix(params.lambda_g, space)[:, 0]
-        traj = evolve_rwa(
-            params, 2, project_secular(params, 2, vec, 1), np.linspace(0.0, 500.0, 60)
-        )
+        traj = evolve_rwa(params, 2, project_secular(params, 2, vec, 1), 500.0, 500.0 / 59)
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
         assert np.max(np.abs(traj.photon_dist - traj.photon_dist[0])) < 1e-12
 
@@ -408,9 +438,8 @@ class TestEvolveRwa:
         params = two_photon_params()
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        grid = np.linspace(0.0, 3000.0, 100)
-        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid)
-        closed = inversion_fock(params, 2, grid)
+        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 3000.0, 3000.0 / 99)
+        closed = inversion_fock(params, 2, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-8
 
     def test_projection_completeness_failure(self):
@@ -420,9 +449,7 @@ class TestEvolveRwa:
             InitialStateSpec("excited-fock", n_photons=11), params, space
         )
         with pytest.raises(ProjectionError):
-            evolve_rwa(
-                params, 2, project_secular(params, 2, psi0, 1), np.linspace(0.0, 10.0, 5)
-            )
+            evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 10.0, 2.5)
 
     def test_agrees_with_numeric_jc(self):
         # cross-propagator check in the plain single-photon regime
@@ -430,7 +457,9 @@ class TestEvolveRwa:
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj_num = evolve_numeric(build_full(params, space), psi0, 320.0, DT, sample_every=100)
-        traj_rwa = evolve_rwa(params, 1, project_secular(params, 1, psi0, 1), traj_num.times)
+        traj_rwa = evolve_rwa(
+            params, 1, project_secular(params, 1, psi0, 1), 320.0, DT, sample_every=100
+        )
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
 
 
@@ -440,45 +469,61 @@ class TestEvolveRwa:
         params = two_photon_params()
         space = FockSpace(20)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        grid = np.linspace(0.0, 3.0 * 2.0 * math.pi / rabi_frequency(params, 2, 2), 400)
+        t_end = 3.0 * 2.0 * math.pi / rabi_frequency(params, 2, 2)
+        first = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), t_end, t_end / 399)
+        second = evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), t_end, t_end / 399)
+        grid = first.times
         evals, evecs = np.linalg.eigh(build_full(params, space))
         coeffs = evecs.conj().T @ psi0
         psi_t = np.abs(evecs @ (np.exp(-1j * np.outer(evals, grid)) * coeffs[:, None])) ** 2
         exact = np.sum(psi_t[space.block(SPIN_UP)], axis=0) - np.sum(
             psi_t[space.block(SPIN_DOWN)], axis=0
         )
-        first = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid).inversion
-        second = evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), grid).inversion
+        first, second = first.inversion, second.inversion
         assert np.max(np.abs(first - exact)) > 0.5
         assert np.max(np.abs(second - exact)) < 0.05
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize(
         "n_t",
-        # B + 1 and 2B + 1 leave a lone last sample, which must not become a
-        # one-column block: BLAS and numpy round a vector differently
-        [1, _RWA_BLOCK, _RWA_BLOCK + 1, 2 * _RWA_BLOCK + 1, 3 * _RWA_BLOCK + 17],
+        # B + 1 and 2B + 1 leave a lone last sample, which joins the block
+        # before it; the last step of 3B + 17 falls off the sampling interval,
+        # so its block needs a phase table of its own
+        [2, _RWA_BLOCK, _RWA_BLOCK + 1, 2 * _RWA_BLOCK + 1, 3 * _RWA_BLOCK + 17],
     )
     def test_blocks_match_one_shot_expansion(self, n_t, order):
+        # the blocked, anchored expansion against one long double evaluation
+        # of the same expansion, phases from the float64 energies and steps
+        n_steps, sample_every = {
+            2: (5, 7),
+            _RWA_BLOCK: (_RWA_BLOCK - 1, 1),
+            _RWA_BLOCK + 1: (_RWA_BLOCK, 1),
+            2 * _RWA_BLOCK + 1: (6 * _RWA_BLOCK, 3),
+            3 * _RWA_BLOCK + 17: (6 * _RWA_BLOCK + 31, 2),
+        }[n_t]
         params = two_photon_params()
         psi0 = prepare_initial(
             InitialStateSpec("ground-coherent", mean_photons=4.0), params, FockSpace(30)
         )
-        grid = np.linspace(0.0, 5000.0, n_t)
-        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, order), grid)
-        inversion, dist, norm, final = rwa_one_shot(params, 2, psi0, grid, order)
-        assert np.array_equal(traj.inversion, inversion)
-        assert np.array_equal(traj.photon_dist, dist)
-        assert np.array_equal(traj.norm, norm)
-        assert np.array_equal(traj.final_state, final)
+        projection = project_secular(params, 2, psi0, order)
+        dt = 5000.0 / n_steps
+        traj = evolve_rwa(params, 2, projection, 5000.0, dt, sample_every)
+        assert len(traj) == n_t and traj.pruned_weight == 0.0
+        basis, energies, _, coeffs = projection
+        x = sample_steps(5000.0, dt, sample_every).astype(np.longdouble) * np.longdouble(dt)
+        exact = expansion_long_double(basis, coeffs, -1j * energies, x)
+        # one unblocked complex128 expansion of the whole grid errs by up to
+        # 9.6e-13 on these runs; the bound is twice that
+        assert_close_to_long_double(traj, exact, 2e-12)
+        w, p = observables(traj.final_state)
+        assert w == traj.inversion[-1]
+        assert np.array_equal(p, traj.photon_dist[-1])
 
     def test_order_validated(self):
         params = two_photon_params()
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(10))
         with pytest.raises(ValueError, match="order"):
-            evolve_rwa(
-                params, 2, project_secular(params, 2, psi0, 3), np.linspace(0.0, 10.0, 5)
-            )
+            evolve_rwa(params, 2, project_secular(params, 2, psi0, 3), 10.0, 2.5)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_one_displacement_per_ladder(self, monkeypatch, order):
@@ -518,9 +563,7 @@ class TestEvolveRwa:
         def warned(psi0):
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
-                evolve_rwa(
-                    params, 1, project_secular(params, 1, psi0, 1), np.linspace(0.0, 10.0, 5)
-                )
+                evolve_rwa(params, 1, project_secular(params, 1, psi0, 1), 10.0, 2.5)
             return [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
 
         vacuum = warned(prepare_initial(InitialStateSpec("ground-coherent"), params, space))
@@ -534,6 +577,56 @@ class TestEvolveRwa:
         )
         held = float(re.search(r"hold (\S+) of", coherent).group(1))
         assert held == pytest.approx(1.0 - 2.0 / math.e, abs=1e-3)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("propagator", ["numeric", "rwa"])
+    def test_vacuum_start_within_bound_of_unpruned_run(self, monkeypatch, propagator):
+        # a vacuum start leaves most eigenbasis columns empty; dropping the
+        # weight w they hold moves no W or P value by more than 2 sqrt(w) + w
+        params = two_photon_params()
+        space = FockSpace(40)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        h = build_full(params, space)
+
+        def run():
+            if propagator == "numeric":
+                return evolve_numeric(h, psi0, 300.0, DT, sample_every=500)
+            return evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), 300.0, DT, 500)
+
+        pruned = run()
+        w = pruned.pruned_weight
+        assert 0.0 < w <= space.dim * dynamics._PRUNE_TOL
+        monkeypatch.setattr(dynamics, "_PRUNE_TOL", -1.0)
+        full = run()
+        assert full.pruned_weight == 0.0
+        bound = 2.0 * math.sqrt(w) + w
+        assert np.max(np.abs(pruned.inversion - full.inversion)) <= bound
+        assert np.max(np.abs(pruned.photon_dist - full.photon_dist)) <= bound
+
+    def test_numeric_vacuum_gets_exact_zeros_back(self, monkeypatch):
+        # eigh leaves rounding residue of the empty eigenvectors on photon
+        # levels a vacuum start never reaches; without those columns the
+        # levels read exactly 0
+        params = two_photon_params()
+        space = FockSpace(200)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        h = build_full(params, space)
+        pruned = evolve_numeric(h, psi0, 20.0, DT, sample_every=500)
+        assert np.all(pruned.photon_dist[:, 100:] == 0.0)
+        monkeypatch.setattr(dynamics, "_PRUNE_TOL", -1.0)
+        full = evolve_numeric(h, psi0, 20.0, DT, sample_every=500)
+        assert not np.any(np.all(full.photon_dist == 0.0, axis=0))
+
+    def test_nan_coefficient_is_kept(self):
+        # a NaN weight is never at or below the tolerance, so the NaN reaches
+        # the norm check instead of vanishing with its column
+        params = two_photon_params()
+        space = FockSpace(10)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        psi0[3] = np.nan
+        with pytest.raises(NormDriftError, match="nan"):
+            evolve_numeric(build_full(params, space), psi0, 10.0, DT, sample_every=100)
 
 
 class TestInversionFock:
@@ -578,7 +671,6 @@ class TestInversionCoherent:
         )
         space = FockSpace(60)
         psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=4.0), params, space)
-        grid = np.linspace(0.0, 800.0, 100)
-        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), grid)
-        closed = inversion_coherent(params, 2, 4.0, grid)
+        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99)
+        closed = inversion_coherent(params, 2, 4.0, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-7

@@ -495,6 +495,22 @@ class TestRunScenario:
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
         assert all(type(t) is float and t >= 0.0 for t in stored["timings"].values())
 
+    def test_manifest_reports_pruned_weight_beside_its_bound(self, tmp_path):
+        # a vacuum start leaves eigenbasis columns empty: each trajectory's
+        # pruned weight w is written with the bound 2 sqrt(w) + w it sets
+        config = parse_config(json.dumps(
+            {**QUICK, "n_max": 40, "propagators": ["numeric", "rwa"]}
+        ))
+        run_scenario(config, output_dir=str(tmp_path))
+        pruned = json.loads((tmp_path / "trajectory.manifest.json").read_text())["validity"][
+            "pruned"
+        ]
+        assert sorted(pruned) == ["numeric", "rwa"]
+        for entry in pruned.values():
+            w = entry["weight"]
+            assert 0.0 < w <= 80 * dynamics._PRUNE_TOL
+            assert entry["observable_bound"] == 2.0 * math.sqrt(w) + w
+
     def test_both_propagators_emit_files(self, tmp_path):
         config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
         run_scenario(config, output_dir=str(tmp_path))
@@ -665,6 +681,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"output path is a directory: {out / 'spectrum.json'}" in captured.err
+        assert list(out.iterdir()) == [out / "spectrum.json"]
+        assert list((out / "spectrum.json").iterdir()) == []
+
+    def test_validate_lists_run_and_spectrum_problems_at_once(self, tmp_path, capsys):
+        # a bad csv_path does not hide the directory at spectrum.json: one
+        # pass of validate reports both, and writes nothing
+        out = tmp_path / "d"
+        (out / "spectrum.json").mkdir(parents=True)
+        path = write_config(tmp_path, csv_path="no/such/x.csv")
+        assert cli.main(["validate", str(path), "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"  - output directory does not exist: {out / 'no' / 'such'}\n" in captured.err
+        assert f"  - output path is a directory: {out / 'spectrum.json'}\n" in captured.err
         assert list(out.iterdir()) == [out / "spectrum.json"]
         assert list((out / "spectrum.json").iterdir()) == []
 
