@@ -49,7 +49,7 @@ from .dynamics import (
     project_secular,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
-from .runner import RunManifest, ValidityError, emit_csv, emit_spectrum, run_scenario
+from .runner import ValidityError, emit_csv, emit_spectrum, run_scenario
 
 __all__ = [
     "__version__",
@@ -86,7 +86,6 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "parse_config",
-    "RunManifest",
     "ValidityError",
     "emit_csv",
     "emit_spectrum",

@@ -49,9 +49,8 @@ def _load_config(path: str, args) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     overrides = {
-        key: getattr(args, key)
-        for key in ("dt", "t_end", "n_max", "manifold_max")
-        if getattr(args, key, None) is not None
+        key: val for key, val in vars(args).items()
+        if key in ScenarioConfig.__dataclass_fields__ and val is not None
     }
     return parse_config(text, overrides)
 
@@ -75,10 +74,11 @@ def _spectrum_target(
 def _cmd_run(path: str, args) -> int:
     config = _load_config(path, args)
     traj, manifest = run_scenario(config, output_dir=args.output_dir)
+    outputs = manifest["outputs"]
     for key in ("csv", "rwa_csv"):
-        if key in manifest.outputs:
-            print(f"wrote {manifest.outputs[key]}")
-    print(f"manifest {manifest.outputs['manifest']} ({len(traj)} samples)")
+        if key in outputs:
+            print(f"wrote {outputs[key]}")
+    print(f"manifest {outputs['manifest']} ({len(traj)} samples)")
     return EXIT_OK
 
 

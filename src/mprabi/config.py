@@ -34,14 +34,19 @@ manifold_max            highest manifold in spectrum exports (n + 20)
 Signed lambda values are accepted and mapped literally onto the Hamiltonian
 (the down-state coupling keeps its built-in minus sign); the manifest records
 the literal values.  Validation collects every violated constraint before
-reporting.  Checks that need the model, such as the initial state against
-n_max, are left to :func:`mprabi.runner.plan_run`.
+reporting: unknown keys, then the numeric keys in the order of one table of
+bounds (an integer beyond the float range reads as an infinity, as 1e400
+does, and fails as one), then the keys limited to a few values
+(initial_kind, order), then n / omega0, the propagators and the paths.
+Checks that need the model, such as the initial state against n_max, are
+left to :func:`mprabi.runner.plan_run`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .dynamics import KINDS
@@ -87,7 +92,33 @@ class ScenarioConfig:
     manifold_max: int | None = None
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+#: the numeric keys in the order they are checked, with their bounds
+_NUMBERS = {
+    "lambda_eg": dict(required=True),
+    "lambda_g": {},
+    "lambda_e": {},
+    "omega": dict(exclusive_minimum=0.0),
+    "n": dict(integer=True, minimum=1, allow_none=True),
+    "omega0": dict(allow_none=True),
+    "n_photons": dict(integer=True, minimum=0),
+    "mean_photons": dict(minimum=0.0),
+    "t_end": dict(exclusive_minimum=0.0),
+    "dt": dict(exclusive_minimum=0.0),
+    "sample_every": dict(integer=True, minimum=1),
+    "n_max": dict(integer=True, minimum=2),
+    "manifold_max": dict(integer=True, minimum=1, allow_none=True),
+    "order": dict(integer=True),
+}
+#: the keys limited to a few values (order once it passes as a number)
+_CHOICES = {"initial_kind": KINDS, "order": ORDERS}
+
+
+def _parse_int(text: str):
+    """A JSON integer literal; one of more than 310 characters lies beyond
+    the float range and reads as an infinity, as the literal 1e400 does."""
+    return float(text) if len(text) > 310 else int(text)
 
 
 def _check_number(problems, data, key, *, required=False, integer=False, minimum=None,
@@ -102,6 +133,8 @@ def _check_number(problems, data, key, *, required=False, integer=False, minimum
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         problems.append(f"key '{key}' must be a number, got {val!r}")
         return None
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        val = math.inf if val > 0 else -math.inf
     if integer and not float(val).is_integer():
         problems.append(f"key '{key}' must be an integer, got {val!r}")
         return None
@@ -126,7 +159,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
     diagnostic with line and column for malformed JSON.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -134,94 +167,39 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"config must be a JSON object; {_REQUIRED_HINT}"])
 
-    problems: list[str] = []
-    for key in data:
-        if key not in _FIELD_NAMES:
-            problems.append(f"unknown key '{key}'")
-
+    problems = [f"unknown key '{key}'" for key in data if key not in _DEFAULTS]
     if not data:
         raise ConfigError([f"empty config; {_REQUIRED_HINT}"])
     data.update(overrides or {})
 
     out: dict = {}
-    val = _check_number(problems, data, "lambda_eg", required=True)
-    if val is not None:
-        out["lambda_eg"] = val
-    for key in ("lambda_g", "lambda_e"):
-        val = _check_number(problems, data, key)
+    for key, bounds in _NUMBERS.items():
+        val = _check_number(problems, data, key, **bounds)
         if val is not None:
             out[key] = val
-    val = _check_number(problems, data, "omega", exclusive_minimum=0.0)
-    if val is not None:
-        out["omega"] = val
-
-    n_val = _check_number(problems, data, "n", integer=True, minimum=1, allow_none=True)
-    omega0_val = _check_number(problems, data, "omega0", allow_none=True)
-    has_n = n_val is not None
-    has_omega0 = omega0_val is not None
-    if has_n and has_omega0:
-        problems.append("keys 'n' and 'omega0' are mutually exclusive; give exactly one")
-    elif not has_n and not has_omega0:
-        if not any("'n'" in p or "'omega0'" in p for p in problems):
-            problems.append(f"one of 'n' / 'omega0' is required; {_REQUIRED_HINT}")
-    if has_n:
-        out["n"] = n_val
-    if has_omega0:
-        out["omega0"] = omega0_val
-
     if "initial_kind" in data:
-        kind = data["initial_kind"]
-        if kind not in KINDS:
-            problems.append(f"key 'initial_kind' must be one of {KINDS}, got {kind!r}")
-        else:
-            out["initial_kind"] = kind
-    val = _check_number(problems, data, "n_photons", integer=True, minimum=0)
-    if val is not None:
-        out["n_photons"] = val
-    val = _check_number(problems, data, "mean_photons", minimum=0.0)
-    if val is not None:
-        out["mean_photons"] = val
+        out["initial_kind"] = data["initial_kind"]
+    for key, allowed in _CHOICES.items():
+        if key in out and out[key] not in allowed:
+            problems.append(f"key '{key}' must be one of {allowed}, got {data[key]!r}")
+    if "n" in out and "omega0" in out:
+        problems.append("keys 'n' and 'omega0' are mutually exclusive; give exactly one")
+    elif data.get("n") is None and data.get("omega0") is None:
+        problems.append(f"one of 'n' / 'omega0' is required; {_REQUIRED_HINT}")
 
-    for key, kwargs in (
-        ("t_end", dict(exclusive_minimum=0.0)),
-        ("dt", dict(exclusive_minimum=0.0)),
-        ("sample_every", dict(integer=True, minimum=1)),
-        ("n_max", dict(integer=True, minimum=2)),
-        ("manifold_max", dict(integer=True, minimum=1, allow_none=True)),
-    ):
-        val = _check_number(problems, data, key, **kwargs)
-        if val is not None:
-            out[key] = val
-
-    val = _check_number(problems, data, "order", integer=True)
-    if val is not None:
-        if val in ORDERS:
-            out["order"] = val
-        else:
-            problems.append(f"key 'order' must be one of {ORDERS}, got {data['order']!r}")
-
-    if "propagators" in data:
-        props = data["propagators"]
-        if (
-            not isinstance(props, list)
-            or not props
-            or any(p not in _VALID_PROPAGATORS for p in props)
-        ):
-            problems.append(
-                f"key 'propagators' must be a nonempty list from {_VALID_PROPAGATORS}, "
-                f"got {props!r}"
-            )
-        else:
-            out["propagators"] = tuple(dict.fromkeys(props))
-
+    props = data.get("propagators", list(_DEFAULTS["propagators"]))
+    if isinstance(props, list) and props and all(p in _VALID_PROPAGATORS for p in props):
+        out["propagators"] = tuple(dict.fromkeys(props))
+    else:
+        problems.append(
+            f"key 'propagators' must be a nonempty list from {_VALID_PROPAGATORS}, got {props!r}"
+        )
     for key in ("csv_path", "rwa_csv_path", "manifest_path", "spectrum_path"):
-        if key in data:
-            if data[key] is None and key in ("rwa_csv_path", "manifest_path"):
-                continue
-            if not isinstance(data[key], str) or not data[key]:
-                problems.append(f"key '{key}' must be a nonempty string, got {data[key]!r}")
-            else:
-                out[key] = data[key]
+        val = data.get(key)
+        if isinstance(val, str) and val:
+            out[key] = val
+        elif key in data and not (val is None and _DEFAULTS[key] is None):
+            problems.append(f"key '{key}' must be a nonempty string, got {val!r}")
 
     if problems:
         raise ConfigError(problems)

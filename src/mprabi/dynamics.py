@@ -178,9 +178,10 @@ def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _expand(basis, coeffs, rates, steps, unit, traj: Trajectory):
-    """Fill traj's W, P, norm, final state and pruned weight from
-    psi_i = basis @ (coeffs * exp(rates * x_i)), x_i = steps[i] * unit.
+def _expand(basis, coeffs, rates, energies, steps, unit, traj: Trajectory):
+    """Fill traj's W, P, norm, energy, final state and pruned weight from
+    psi_i = basis @ (coeffs * exp(rates * x_i)), x_i = steps[i] * unit, the
+    expansion over eigenvectors ``basis`` of H with ``energies``.
 
     ``basis`` is real (float64).  Columns whose weight |c_j|^2 is at most
     :data:`_PRUNE_TOL` are dropped first (a NaN weight is kept); with w their
@@ -191,14 +192,16 @@ def _expand(basis, coeffs, rates, steps, unit, traj: Trajectory):
     exp(L x_0) exp(L (x - x_0)), the second from a table over the block's
     step offsets, built again only when the offsets change (once per run on
     a uniform grid).  Its product with the basis is one real GEMM on the
-    float view of the complex factors.  Each block is yielded as
+    float view of the complex factors.  The energy sum_j |f_j|^2 E_j of
+    factors f = head * table, head = c exp(L x_0), is (|head|^2 E) @ |table|^2
+    over the kept columns.  Each block is yielded as
     ``(rows, top)`` once its rows are filled, with ``top`` the population of
     the top five photon levels at those samples.
     """
     weights = np.abs(coeffs) ** 2
     keep = ~(weights <= _PRUNE_TOL)
     traj.pruned_weight = float(np.sum(weights[~keep]))
-    basis, coeffs, rates = basis[:, keep], coeffs[keep], rates[keep]
+    basis, coeffs, rates, energies = basis[:, keep], coeffs[keep], rates[keep], energies[keep]
     n_t = steps.size
     offsets = table = None
     # A lone last sample joins the block before it: a block of its own would
@@ -212,11 +215,14 @@ def _expand(basis, coeffs, rates, steps, unit, traj: Trajectory):
         if table is None or not np.array_equal(block_offsets, offsets):
             offsets = block_offsets
             table = np.exp(np.outer(rates, offsets * unit))
-        factors = (coeffs * np.exp(rates * (steps[start] * unit)))[:, None] * table
+            table_sq = np.abs(table) ** 2
+        head = coeffs * np.exp(rates * (steps[start] * unit))
+        factors = head[:, None] * table
         psi_t = (basis @ factors.view(np.float64)).view(np.complex128)  # (dim, block)
         traj.inversion[rows], block = observables(psi_t)
         traj.photon_dist[rows] = block.T
         traj.norm[rows] = np.sum(block, axis=0)
+        traj.energy[rows] = (np.abs(head) ** 2 * energies) @ table_sq
         yield rows, np.sum(traj.photon_dist[rows, -5:], axis=1)
     traj.final_state = psi_t[:, -1].copy()
 
@@ -270,7 +276,8 @@ def evolve_numeric(
     V (c * r^k): the stepwise RK4 trajectory up to rounding, at a cost set by
     the sample count alone (see :func:`_expand`, which also drops the
     eigenvectors holding at most :data:`_PRUNE_TOL` of psi0 and records their
-    weight as ``pruned_weight``).  The energy is sum_j |c_j|^2 |r_j|^(2k) E_j.
+    weight as ``pruned_weight``).  The energy is sum_j |c_j|^2 |r_j|^(2k) E_j
+    over the kept eigenvectors.
 
     Observables are sampled at step 0, every ``sample_every`` steps, and at
     the final step.  The squared norm is never renormalized; if it deviates
@@ -292,14 +299,13 @@ def evolve_numeric(
 
     energies, vectors = np.linalg.eigh(h.real)
     coeffs = vectors.T @ psi0
-    weights = np.abs(coeffs) ** 2
     log_mod, phase = _rk4_log_gain(dt * energies)
 
     times = steps * dt
     n_t, n_max = steps.size, h.shape[0] // 2
     traj = Trajectory(times, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t))
 
-    for rows, top in _expand(vectors, coeffs, log_mod + 1j * phase, steps, 1.0, traj):
+    for rows, top in _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, traj):
         drift = np.abs(traj.norm[rows] - 1.0)
         # written so that a NaN norm fails the check
         bad = np.flatnonzero(~(drift <= NORM_TOL))
@@ -307,7 +313,7 @@ def evolve_numeric(
             raise NormDriftError(
                 f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = "
                 f"{times[rows][bad[0]] / unit:.6g}{label} (bound {NORM_TOL:.1e}); "
-                + _step_hint(weights, energies, t_end, dt, unit, label)
+                + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, unit, label)
             )
         over = np.flatnonzero(~(top < TRUNCATION_TOL))
         if traj.truncation_ok and over.size:
@@ -318,7 +324,6 @@ def evolve_numeric(
                 IntegratorWarning,
                 stacklevel=2,
             )
-        traj.energy[rows] = np.exp(np.outer(steps[rows], 2.0 * log_mod)) @ (weights * energies)
     return traj
 
 
@@ -390,8 +395,8 @@ def evolve_rwa(
     exact propagation over several Rabi periods.  Both orders share the
     displaced Fock states; only the energies and the mixing within pairs differ.
 
-    The energy series is the basis-weighted mean, which is constant by
-    construction.  The manifolds whose |V_N(n)| is not small against omega
+    The energy is sum_j |c_j|^2 E_j over the kept columns, constant up to
+    rounding.  The manifolds whose |V_N(n)| is not small against omega
     are reported in one :class:`~mprabi.rwa.RWAValidityWarning` with the
     initial weight they hold.  The run is flagged invalid when the top five
     photon levels ever hold :data:`TRUNCATION_TOL` or more.
@@ -411,9 +416,10 @@ def evolve_rwa(
     _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
 
     n_t = steps.size
-    energy = np.full(n_t, float(np.sum(weights * energies)))
-    traj = Trajectory(steps * dt, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), energy)
-    for _, top in _expand(basis, coeffs, -1j * energies, steps, dt, traj):
+    traj = Trajectory(
+        steps * dt, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t)
+    )
+    for _, top in _expand(basis, coeffs, -1j * energies, energies, steps, dt, traj):
         traj.truncation_ok &= bool(np.max(top) < TRUNCATION_TOL)
     return traj
 

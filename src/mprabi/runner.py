@@ -32,7 +32,6 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,26 +68,14 @@ from .rwa import (
 OUTPUT_DIR_ENV = "MPRABI_OUTPUT_DIR"
 #: stages a run times into its manifest's ``timings``
 STAGES = ("plan", "build", "numeric", "rwa", "emit")
+#: the manifest ``outputs`` key of each route's CSV, in the order routes run
+_CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
+#: the config keys the manifest echoes as they are
+_CONFIG_RECORD = ("initial_kind", "n_photons", "mean_photons", "sample_every", "n_max", "order")
 
 
 class ValidityError(RuntimeError):
     """A finished run failed its numerical-validity checks."""
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reconstruct and judge one run."""
-
-    config: dict
-    derived: dict
-    validity: dict
-    outputs: dict
-    status: str  # "ok", or "failed" when the run raised its error
-    error: str | None  # the error text of a failed run
-    code_version: str
-    wall_clock_utc: str
-    elapsed_seconds: float
-    timings: dict  # perf_counter seconds per stage of STAGES; 0 for one not run
 
 
 @contextlib.contextmanager
@@ -360,6 +347,13 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
     _atomic_write(path, _csv_blocks(traj, omega))
 
 
+def _params_record(params: ModelParams) -> dict:
+    """The model parameters as the manifest and the spectrum export record them."""
+    return {
+        key: getattr(params, key) for key in ("omega", "omega0", "lambda_g", "lambda_e", "lambda_eg")
+    }
+
+
 def emit_spectrum(
     params: ModelParams,
     n: int,
@@ -370,16 +364,7 @@ def emit_spectrum(
 ) -> None:
     """Write the dressed-spectrum JSON export of some manifolds of the
     n-photon resonance at secular ``order``."""
-    payload = {
-        "params": {
-            "omega": params.omega,
-            "omega0": params.omega0,
-            "lambda_g": params.lambda_g,
-            "lambda_e": params.lambda_e,
-            "lambda_eg": params.lambda_eg,
-        },
-        "omega_eg": omega_eg(params),
-    }
+    payload = {"params": _params_record(params), "omega_eg": omega_eg(params)}
     payload.update(spectrum_records(params, n, list(manifolds), order=order))
     _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
@@ -460,12 +445,10 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     off the resonance included).  ``mprabi validate`` runs this call,
     so it rejects exactly what a run rejects before compute.
     """
-    outputs = {"manifest": default_manifest_path(config)}
-    if "numeric" in config.propagators:
-        outputs["csv"] = config.csv_path
-    if "rwa" in config.propagators:
-        outputs["rwa_csv"] = default_rwa_csv_path(config)
-    outputs = {key: resolve_output_path(path, output_dir) for key, path in outputs.items()}
+    paths = {"manifest": default_manifest_path(config), "csv": config.csv_path,
+             "rwa_csv": default_rwa_csv_path(config)}
+    written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
+    outputs = {key: resolve_output_path(paths[key], output_dir) for key in written}
     problems = check_writable(outputs.values())
     keys_by_file: dict = {}
     for key, path in outputs.items():
@@ -489,25 +472,28 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
 
 def run_scenario(
     config: ScenarioConfig, *, output_dir: str | None = None
-) -> tuple[Trajectory, RunManifest]:
+) -> tuple[Trajectory, dict]:
     """Execute one scenario end to end.
 
     Settles the run with :func:`plan_run`, runs the requested propagators,
-    and writes the CSV trajectories plus the manifest.
+    and writes the CSV trajectories plus the manifest, which it returns as
+    the dict it wrote.
     Numerical validity (norm drift of every trajectory, truncation occupancy,
     the initial weight each expansion pruned beside the bound it sets on any
     W or P value), every warning raised on the way and the time of each stage
-    are recorded in the manifest; the returned trajectory is the numeric one when it ran, else
-    the secular one.  A run that aborts on norm drift writes no CSV, and one
-    that fails its validity checks writes its CSVs; either way the manifest
-    says ``"status": "failed"`` with the error text, and the error is raised
-    once the manifest is written.
+    of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
+    returned trajectory is the numeric one when it ran, else the secular one.
+    A run that aborts on norm drift writes no CSV, and one that fails its
+    validity checks writes its CSVs; either way the manifest says
+    ``"status": "failed"`` with the error text, and the error is raised once
+    the manifest is written.
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     timings = dict.fromkeys(STAGES, 0.0)
 
-    numeric_traj = rwa_traj = error = None
+    trajs = {}  # by route, in the order of _CSV_KEYS
+    error = None
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         with _timed(timings, "plan"):
@@ -520,13 +506,13 @@ def run_scenario(
                 with _timed(timings, "build"):
                     hamiltonian = build_full(params, FockSpace(config.n_max))
                 with _timed(timings, "numeric"):
-                    numeric_traj = evolve_numeric(
+                    trajs["numeric"] = evolve_numeric(
                         hamiltonian, psi0, t_end, dt, sample_every=config.sample_every,
                         period=period,
                     )
             if projection is not None:
                 with _timed(timings, "rwa"):
-                    rwa_traj = evolve_rwa(
+                    trajs["rwa"] = evolve_rwa(
                         params, n, projection, t_end, dt, config.sample_every
                     )
         except NormDriftError as exc:
@@ -534,9 +520,10 @@ def run_scenario(
         v_leading = coupling_element(params, n, n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
-    ran = [t for t in (numeric_traj, rwa_traj) if t is not None]
-    norm_ok = error is None and all(bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in ran)
-    truncation_ok = all(t.truncation_ok for t in ran)
+    norm_ok = error is None and all(
+        bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in trajs.values()
+    )
+    truncation_ok = all(t.truncation_ok for t in trajs.values())
     if error is None and not (norm_ok and truncation_ok):
         error = ValidityError(
             f"run finished but failed validity checks (norm_ok={norm_ok}, "
@@ -545,66 +532,52 @@ def run_scenario(
     rabi = 2.0 * abs(v_leading)
     aborted = isinstance(error, NormDriftError)  # before any CSV was written
 
-    manifest = RunManifest(
-        config={
-            "omega": params.omega,
-            "omega0": params.omega0,
-            "lambda_g": params.lambda_g,
-            "lambda_e": params.lambda_e,
-            "lambda_eg": params.lambda_eg,
+    manifest = {
+        "config": {
+            **_params_record(params),
+            **{key: getattr(config, key) for key in _CONFIG_RECORD},
             "n": n,
-            "initial_kind": config.initial_kind,
-            "n_photons": config.n_photons,
-            "mean_photons": config.mean_photons,
             "t_end_periods": config.t_end,
             "dt_periods": config.dt,
-            "sample_every": config.sample_every,
-            "n_max": config.n_max,
             "propagators": list(config.propagators),
-            "order": config.order,
         },
-        derived={
+        "derived": {
             "omega_eg": omega_eg(params),
             "delta_n": omega_eg(params) - n * params.omega,
             "V_leading": v_leading,
             "Omega_leading": rabi,
             "rabi_period_periods": (2.0 * math.pi / rabi) / period if rabi > 0 else None,
         },
-        validity={
+        "validity": {
             "norm_ok": norm_ok,
             "truncation_ok": truncation_ok,
             "pruned": {
-                name: {
+                route: {
                     "weight": t.pruned_weight,
                     "observable_bound": 2.0 * math.sqrt(t.pruned_weight) + t.pruned_weight,
                 }
-                for name, t in (("numeric", numeric_traj), ("rwa", rwa_traj))
-                if t is not None
+                for route, t in trajs.items()
             },
             "warnings": caught,
         },
-        outputs={"manifest": outputs["manifest"]} if aborted else outputs,
-        status="ok" if error is None else "failed",
-        error=None if error is None else str(error),
-        code_version=__version__,
-        wall_clock_utc=wall,
-        elapsed_seconds=0.0,
-        timings={},
-    )
+        "outputs": {"manifest": outputs["manifest"]} if aborted else outputs,
+        "status": "ok" if error is None else "failed",
+        "error": None if error is None else str(error),
+        "code_version": __version__,
+        "wall_clock_utc": wall,
+    }
 
     if not aborted:
         with _timed(timings, "emit"):
-            if numeric_traj is not None:
-                emit_csv(numeric_traj, outputs["csv"], omega=params.omega)
-            if rwa_traj is not None:
-                emit_csv(rwa_traj, outputs["rwa_csv"], omega=params.omega)
-    manifest.timings = {stage: round(seconds, 6) for stage, seconds in timings.items()}
-    manifest.elapsed_seconds = round(time.perf_counter() - start, 6)
+            for route, traj in trajs.items():
+                emit_csv(traj, outputs[_CSV_KEYS[route]], omega=params.omega)
+    manifest["timings"] = {stage: round(seconds, 6) for stage, seconds in timings.items()}
+    manifest["elapsed_seconds"] = round(time.perf_counter() - start, 6)
     _atomic_write(
         outputs["manifest"],
-        [(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n").encode()],
+        [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()],
     )
 
     if error is not None:
         raise error
-    return ran[0], manifest
+    return next(iter(trajs.values())), manifest

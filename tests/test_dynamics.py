@@ -194,6 +194,32 @@ class TestObservables:
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
 
+    @pytest.mark.parametrize("propagator", ["numeric", "rwa"])
+    @pytest.mark.parametrize("start", [
+        InitialStateSpec("excited-fock"), InitialStateSpec("ground-coherent", mean_photons=4.0),
+    ], ids=["vacuum", "coherent"])
+    def test_energy_is_the_weighted_sum_over_every_column(self, propagator, start):
+        # sum_j |c_j|^2 |r_j|^(2k) E_j over all eigenvectors, |r_j| = 1 on
+        # the secular route; the expansion forms it from its factors over the
+        # columns it keeps
+        params = two_photon_params()
+        space = FockSpace(40)
+        psi0 = prepare_initial(start, params, space)
+        steps = sample_steps(30.0, DT, 100)
+        if propagator == "numeric":
+            h = build_full(params, space)
+            traj = evolve_numeric(h, psi0, 30.0, DT, sample_every=100)
+            energies, vectors = np.linalg.eigh(h)
+            coeffs = vectors.T @ psi0
+            gains = np.exp(np.outer(steps, 2.0 * dynamics._rk4_log_gain(DT * energies)[0]))
+        else:
+            projection = project_secular(params, 2, psi0, 2)
+            traj = evolve_rwa(params, 2, projection, 30.0, DT, 100)
+            _, energies, _, coeffs = projection
+            gains = np.ones((steps.size, energies.size))
+        expected = gains @ (np.abs(coeffs) ** 2 * energies)
+        assert np.max(np.abs(traj.energy - expected) / np.abs(expected)) < 1e-14
+
 
 class TestEvolveNumeric:
     def test_stationary_excited_state_uncoupled(self):

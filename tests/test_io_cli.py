@@ -94,6 +94,23 @@ class TestParseConfig:
         joined = str(err.value)
         assert "omega" in joined and "dt" in joined and "bogus_key" in joined
 
+    def test_several_faults_report_each_once(self):
+        # the set of problems is pinned; their order follows the check tables
+        bad = json.dumps({
+            "bogus": 1, "lambda_eg": 0.02, "initial_kind": "thermal", "n_photons": -1,
+            "n": 2, "omega0": 2.0, "order": 3,
+        })
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert sorted(err.value.problems) == sorted([
+            "unknown key 'bogus'",
+            "keys 'n' and 'omega0' are mutually exclusive; give exactly one",
+            "key 'initial_kind' must be one of ('excited-fock', 'ground-coherent'), "
+            "got 'thermal'",
+            "key 'n_photons' must be >= 0, got -1",
+            "key 'order' must be one of (1, 2), got 3",
+        ])
+
     def test_signed_couplings_accepted(self):
         config = parse_config('{"n": 3, "lambda_eg": 0.02, "lambda_g": -0.1, "lambda_e": 0.1}')
         assert config.lambda_g == -0.1
@@ -489,11 +506,16 @@ class TestRunScenario:
         assert stored["derived"]["Omega_leading"] > 0
         assert stored["validity"]["norm_ok"] is True
         assert stored["outputs"]["csv"].endswith("trajectory.csv")
-        assert stored["code_version"] == manifest.code_version
+        assert stored["code_version"] == manifest["code_version"]
         assert stored["status"] == "ok" and stored["error"] is None
         # timings are checked for presence and type only, never for value
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
         assert all(type(t) is float and t >= 0.0 for t in stored["timings"].values())
+
+    def test_returns_the_manifest_it_wrote(self, tmp_path):
+        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        assert json.loads((tmp_path / "trajectory.manifest.json").read_text()) == manifest
 
     def test_manifest_reports_pruned_weight_beside_its_bound(self, tmp_path):
         # a vacuum start leaves eigenbasis columns empty: each trajectory's
@@ -531,7 +553,7 @@ class TestRunScenario:
             finally:
                 os.umask(old)
             files = sorted(out.iterdir())
-            assert len(files) == 4 == len(manifest.outputs) + 1
+            assert len(files) == 4 == len(manifest["outputs"]) + 1
             assert {path.stat().st_mode & 0o777 for path in files} == {mode}
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path):
@@ -566,7 +588,7 @@ class TestRunScenario:
         config = parse_config(json.dumps({**QUICK, "propagators": ["rwa", "numeric"]}))
         planned = runner.plan_run(config, str(tmp_path)).outputs
         _, manifest = run_scenario(config, output_dir=str(tmp_path))
-        assert manifest.outputs == planned
+        assert manifest["outputs"] == planned
         assert sorted(planned) == ["csv", "manifest", "rwa_csv"]
         assert all(os.path.exists(path) for path in planned.values())
 
@@ -660,6 +682,25 @@ class TestCli:
         assert f"  - {problem.format(out=out)}\n" in err
         assert list(out.iterdir()) == [out / "sub"]
         assert list((out / "sub").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("extra, flags, problem", [
+        (', "n_max": 1' + "0" * 5000, [], "key 'n_max' must be an integer, got inf"),
+        (', "n_max": 1' + "0" * 400, [], "key 'n_max' must be an integer, got inf"),
+        (', "t_end": 1' + "0" * 400, [], "key 't_end' must be finite, got inf"),
+        ("", ["--n-max", "1" + "0" * 400], "key 'n_max' must be an integer, got inf"),
+    ], ids=["json-past-int-digit-limit", "json-past-float-range", "float-key", "flag"])
+    def test_oversized_integer_is_config_error(
+        self, tmp_path, capsys, command, extra, flags, problem
+    ):
+        # an integer beyond the float range reads as an infinity, as 1e400 does
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(QUICK)[:-1] + extra + "}", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"configuration error:\n  - {problem}\n"
+        assert list(out.iterdir()) == []
 
     def test_spectrum_path_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
         def no_compute(*args, **kwargs):
