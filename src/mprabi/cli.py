@@ -9,13 +9,13 @@ Sub-commands:
                         the truncation, and spectrum's output path and
                         manifold range, every problem in one report
 
-Exit codes: 0 success, 1 configuration error (a start state outside the
-truncation, or one the secular basis cannot represent, included), 2
-numerical-validity failure (norm drift or top-level occupancy); one map,
+Exit codes: 0 success, 1 configuration error (a usage error, a start state
+outside the truncation, or one the secular basis cannot represent, included),
+2 numerical-validity failure (norm drift or top-level occupancy); one map,
 :func:`_guarded`, gives them for every command and every config of a sweep.
-Relative output paths resolve against --output-dir, else $MPRABI_OUTPUT_DIR,
-else the working directory.  --dt, --n-max, --t-end and --manifold-max override
-config values and are validated with them.
+Output paths the config names resolve against --output-dir, else
+$MPRABI_OUTPUT_DIR, else the working directory.  --dt, --n-max, --t-end and
+--manifold-max override config values and are validated with them.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import NormDriftError
 from .runner import (
     ValidityError,
-    check_writable,
     emit_spectrum,
     plan_run,
-    resolve_output_path,
+    resolve_outputs,
     resolve_params,
     run_scenario,
 )
@@ -61,24 +60,22 @@ def _spectrum_target(
     """The resolved path of the spectrum export, checked writable, and its
     manifolds n .. manifold_max (n + 20 by default); one :class:`ConfigError`
     lists the problems of both."""
-    path = resolve_output_path(config.spectrum_path, output_dir)
-    problems = check_writable([path])
+    paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
     if problems:
         raise ConfigError(problems)
-    return path, range(n, manifold_max + 1)
+    return paths["spectrum"], range(n, manifold_max + 1)
 
 
 def _cmd_run(path: str, args) -> int:
     config = _load_config(path, args)
     traj, manifest = run_scenario(config, output_dir=args.output_dir)
-    outputs = manifest["outputs"]
-    for key in ("csv", "rwa_csv"):
-        if key in outputs:
-            print(f"wrote {outputs[key]}")
-    print(f"manifest {outputs['manifest']} ({len(traj)} samples)")
+    manifest_path, *csvs = manifest["outputs"].values()  # the manifest comes first
+    for path in csvs:
+        print(f"wrote {path}")
+    print(f"manifest {manifest_path} ({len(traj)} samples)")
     return EXIT_OK
 
 
@@ -171,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     return _guarded(_COMMANDS[args.command], args.config, args)
 
 

@@ -25,8 +25,8 @@ order                   order of the secular route's energies: 1 for the
                         paper's treatment, 2 to add the second-order level
                         shifts (1)
 csv_path                numeric trajectory CSV ("trajectory.csv")
-rwa_csv_path            secular trajectory CSV (csv_path stem + "_rwa.csv")
-manifest_path           run manifest JSON (csv_path stem + ".manifest.json")
+rwa_csv_path            secular trajectory CSV ("_rwa" before csv_path's suffix)
+manifest_path           run manifest JSON (csv_path, suffix -> ".manifest.json")
 spectrum_path           spectrum export JSON ("spectrum.json")
 manifold_max            highest manifold in spectrum exports (n + 20)
 ======================  =========================================================
@@ -38,14 +38,16 @@ reporting: unknown keys, then the numeric keys in the order of one table of
 bounds (an integer beyond the float range reads as an infinity, as 1e400
 does, and fails as one), then the keys limited to a few values
 (initial_kind, order), then n / omega0, the propagators and the paths.
-Checks that need the model, such as the initial state against n_max, are
-left to :func:`mprabi.runner.plan_run`.
+An absent or null rwa_csv_path or manifest_path is derived from the file name
+in csv_path.  Checks that need the model or the file system, such as the
+initial state against n_max, are left to :func:`mprabi.runner.plan_run`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -203,19 +205,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
 
     if problems:
         raise ConfigError(problems)
+    stem, ext = os.path.splitext(out.setdefault("csv_path", _DEFAULTS["csv_path"]))
+    out.setdefault("rwa_csv_path", f"{stem}_rwa{ext}")
+    out.setdefault("manifest_path", f"{stem}.manifest.json")
     return ScenarioConfig(**out)
-
-
-def default_rwa_csv_path(config: ScenarioConfig) -> str:
-    if config.rwa_csv_path is not None:
-        return config.rwa_csv_path
-    stem, dot, ext = config.csv_path.rpartition(".")
-    return f"{stem}_rwa.{ext}" if dot else f"{config.csv_path}_rwa"
-
-
-def default_manifest_path(config: ScenarioConfig) -> str:
-    if config.manifest_path is not None:
-        return config.manifest_path
-    stem, dot, _ = config.csv_path.rpartition(".")
-    base = stem if dot else config.csv_path
-    return f"{base}.manifest.json"

@@ -3,12 +3,13 @@
 A scenario run resolves its parameters, integrates the requested propagators,
 and emits a wide CSV per trajectory plus one JSON manifest that echoes every
 resolved input, the derived resonance quantities, and the validity flags, so
-a run is reconstructible from its outputs alone.  All files are written
-atomically (temp file in the target directory, then rename), with the mode
-``open(path, "w")`` would give them; CSV text is rendered in blocks of rows
-by a vectorized kernel and streamed into that temp file, so no copy of the
-whole CSV text is ever held in memory.  The pipeline
-is free of randomness: identical configs produce byte-identical CSV bytes.
+a run is reconstructible from its outputs alone.  The config names the
+output files and :func:`resolve_outputs` places and checks them.  All files
+are written atomically (temp file in the target directory, then rename), with
+the mode ``open(path, "w")`` would give them; CSV text is rendered in blocks
+of rows by a vectorized kernel and streamed into that temp file, so no copy of
+the whole CSV text is ever held in memory.  The pipeline is free of
+randomness: identical configs produce byte-identical CSV bytes.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
 with the ``error`` text) and the ``timings`` of its stages; a run that aborts
@@ -37,12 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    default_manifest_path,
-    default_rwa_csv_path,
-)
+from .config import ConfigError, ScenarioConfig
 from .dynamics import (
     NORM_TOL,
     InitialStateSpec,
@@ -53,6 +49,7 @@ from .dynamics import (
     evolve_rwa,
     prepare_initial,
     project_secular,
+    sample_steps,
 )
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
@@ -399,26 +396,25 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
     return params, n
 
 
-def resolve_output_path(path: str, output_dir: str | None) -> str:
-    """Relative output paths land in output_dir (argument, else the
-    environment override, else the current directory)."""
-    if os.path.isabs(path):
-        return path
+def resolve_outputs(config: ScenarioConfig, keys, output_dir: str | None) -> tuple[dict, list]:
+    """The files that ``config.<key>_path`` names for ``keys``, each joined
+    under output_dir, else $MPRABI_OUTPUT_DIR, else "." (an absolute path
+    stands), and the problems that stop them being written: paths that are
+    directories, then missing or unwritable directories, then shared files."""
     base = output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    return os.path.join(base, path)
-
-
-def check_writable(paths) -> list[str]:
-    """Return one problem string per output path that is a directory and per
-    unusable directory of the output paths."""
-    paths = list(paths)
-    problems = [f"output path is a directory: {path}" for path in paths if os.path.isdir(path)]
-    for directory in dict.fromkeys(os.path.dirname(os.path.abspath(path)) for path in paths):
+    paths = {key: os.path.join(base, getattr(config, f"{key}_path")) for key in keys}
+    problems = [f"output path is a directory: {path}" for path in paths.values() if os.path.isdir(path)]
+    for directory in dict.fromkeys(os.path.dirname(os.path.abspath(path)) for path in paths.values()):
         if not os.path.isdir(directory):
             problems.append(f"output directory does not exist: {directory}")
         elif not os.access(directory, os.W_OK):
             problems.append(f"output directory not writable: {directory}")
-    return problems
+    files = {key: os.path.realpath(path) for key, path in paths.items()}
+    for file in dict.fromkeys(files.values()):
+        names = [f"'{key}_path'" for key in files if files[key] == file]
+        if len(names) > 1:
+            problems.append(f"keys {' and '.join(names)} resolve to the same file {file}")
+    return paths, problems
 
 
 class RunPlan(NamedTuple):
@@ -435,34 +431,32 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     """Everything :func:`run_scenario` settles before any compute.
 
     Resolves the files the run writes (the manifest, plus one CSV per
-    propagator) and checks that they are distinct files in writable
-    directories, resolves the model parameters and prepares the initial
+    propagator) with :func:`resolve_outputs`, resolves the model parameters,
+    builds the sample grid the routes build and prepares the initial
     state.  When the secular route runs, it keeps the state's
     :func:`~mprabi.dynamics.project_secular` projection, which
     :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
-    :class:`ConfigError` with every unusable output path and a start state
-    that does not fit the truncation or the secular basis (an order-2 basis
-    off the resonance included).  ``mprabi validate`` runs this call,
-    so it rejects exactly what a run rejects before compute.
+    :class:`ConfigError` with every unusable output path, a grid or a state
+    too large to allocate, and a start state that does not fit the
+    truncation or the secular basis (an order-2 basis off the resonance
+    included).  ``mprabi validate`` runs this call, so it rejects exactly
+    what a run rejects before compute.
     """
-    paths = {"manifest": default_manifest_path(config), "csv": config.csv_path,
-             "rwa_csv": default_rwa_csv_path(config)}
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
-    outputs = {key: resolve_output_path(paths[key], output_dir) for key in written}
-    problems = check_writable(outputs.values())
-    keys_by_file: dict = {}
-    for key, path in outputs.items():
-        keys_by_file.setdefault(os.path.realpath(path), []).append(f"'{key}_path'")
-    problems += [
-        f"keys {' and '.join(keys)} resolve to the same file {file}"
-        for file, keys in keys_by_file.items() if len(keys) > 1
-    ]
+    outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
+    period = 2.0 * math.pi / params.omega
+    try:  # the grid both routes sample on
+        sample_steps(config.t_end * period, config.dt * period, config.sample_every)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        problems.append(f"t_end / dt = {config.t_end / config.dt:.6g} steps is too many: {exc}")
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
         psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
         secular = "rwa" in config.propagators
         projection = project_secular(params, n, psi0, config.order) if secular else None
+    except MemoryError as exc:
+        raise ConfigError([*problems, f"n_max = {config.n_max} is too large: {exc}"]) from exc
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
     if problems:

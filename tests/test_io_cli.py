@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 from mprabi import cli, dynamics, runner, rwa
 from mprabi import config as config_module
-from mprabi.config import (
-    ConfigError,
-    ScenarioConfig,
-    default_manifest_path,
-    default_rwa_csv_path,
-    parse_config,
-)
+from mprabi.config import ConfigError, ScenarioConfig, parse_config
 from mprabi.dynamics import Trajectory, evolve_rwa
 from mprabi.fockmath import displacement_matrix
 from mprabi.model import ModelParams
@@ -136,16 +130,30 @@ class TestParseConfig:
 
     def test_derived_output_paths(self):
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "csv_path": "out/run.csv"}')
-        assert default_rwa_csv_path(config) == "out/run_rwa.csv"
-        assert default_manifest_path(config) == "out/run.manifest.json"
+        assert config.rwa_csv_path == "out/run_rwa.csv"
+        assert config.manifest_path == "out/run.manifest.json"
         # explicit paths stand; null ones are derived
         config = parse_config(json.dumps(
             {"n": 1, "lambda_eg": 0.01, "rwa_csv_path": "s.csv", "manifest_path": None}
         ))
-        assert default_rwa_csv_path(config) == "s.csv"
-        assert default_manifest_path(config) == "trajectory.manifest.json"
+        assert config.rwa_csv_path == "s.csv"
+        assert config.manifest_path == "trajectory.manifest.json"
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "manifest_path": "m.json"}')
-        assert default_manifest_path(config) == "m.json"
+        assert config.manifest_path == "m.json"
+
+    @pytest.mark.parametrize("csv_path, rwa_csv_path, manifest_path", [
+        ("run.csv", "run_rwa.csv", "run.manifest.json"),
+        ("trajectory", "trajectory_rwa", "trajectory.manifest.json"),
+        ("a.tar.gz", "a.tar_rwa.gz", "a.tar.manifest.json"),
+        ("out.d/run", "out.d/run_rwa", "out.d/run.manifest.json"),
+        ("./run", "./run_rwa", "./run.manifest.json"),
+        ("../x/run", "../x/run_rwa", "../x/run.manifest.json"),
+        (".hidden", ".hidden_rwa", ".hidden.manifest.json"),
+    ])
+    def test_names_derive_from_the_file_name(self, csv_path, rwa_csv_path, manifest_path):
+        # a dot in a directory name is not an extension
+        config = parse_config(json.dumps({"n": 1, "lambda_eg": 0.01, "csv_path": csv_path}))
+        assert (config.rwa_csv_path, config.manifest_path) == (rwa_csv_path, manifest_path)
 
     @pytest.mark.parametrize("text, problem", [
         ('{"n": 2}', "missing key 'lambda_eg'"),
@@ -985,6 +993,76 @@ class TestCli:
         path = write_config(tmp_path)
         assert cli.main(["run", str(path)]) == 0
         assert (target / "trajectory.csv").exists()
+
+    def test_run_into_a_dotted_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, csv_path="out.d/run", propagators=["numeric", "rwa"])
+        (tmp_path / "out.d").mkdir()
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out.d").iterdir()) == [
+            "run", "run.manifest.json", "run_rwa",
+        ]
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_absolute_output_paths_stand(self, tmp_path, monkeypatch, via):
+        # an output directory, from the flag or the environment, leaves
+        # absolute paths as they are
+        target, elsewhere = tmp_path / "abs", tmp_path / "elsewhere"
+        target.mkdir()
+        elsewhere.mkdir()
+        names = {"csv_path": "n.csv", "rwa_csv_path": "s.csv", "manifest_path": "m.json",
+                 "spectrum_path": "spec.json"}
+        path = write_config(tmp_path, propagators=["numeric", "rwa"],
+                            **{key: str(target / name) for key, name in names.items()})
+        flags = ["--output-dir", str(elsewhere)] if via == "flag" else []
+        if via == "env":
+            monkeypatch.setenv(runner.OUTPUT_DIR_ENV, str(elsewhere))
+        for command in ("run", "spectrum"):
+            assert cli.main([command, str(path), *flags]) == 0
+        assert sorted(p.name for p in target.iterdir()) == sorted(names.values())
+        assert list(elsewhere.iterdir()) == []
+
+    def test_output_dir_flag_beats_env(self, tmp_path, monkeypatch):
+        from_env, from_flag = tmp_path / "env", tmp_path / "flag"
+        from_env.mkdir()
+        from_flag.mkdir()
+        monkeypatch.setenv(runner.OUTPUT_DIR_ENV, str(from_env))
+        path = write_config(tmp_path)
+        assert cli.main(["run", str(path), "--output-dir", str(from_flag)]) == 0
+        assert sorted(p.name for p in from_flag.iterdir()) == [
+            "trajectory.csv", "trajectory.manifest.json",
+        ]
+        assert list(from_env.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("extra, problem", [
+        ({"t_end": 1e300}, "t_end / dt = 5e+302 steps is too many: Maximum allowed size exceeded"),
+        ({"t_end": 1e300, "dt": 1e-10}, "t_end / dt = inf steps is too many: "),
+        ({"n_max": 10**16}, "n_max = 10000000000000000 is too large: "),
+    ], ids=["grid", "step-count-overflow", "state"])
+    def test_unallocatable_plan_is_config_error(self, tmp_path, capsys, command, extra, problem):
+        # neither the sample grid nor the state can be mapped at these sizes;
+        # each is one problem line, before any file is written
+        path = write_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error:\n  - {problem}")
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", str(CONFIGS[0]), "--n-max", "abc"], "invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-value", "no-command"])
+    def test_usage_error_exit_one(self, capsys, argv, message):
+        # exit 2 is kept for numerical-validity failures
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: mprabi" in capsys.readouterr().out
 
     def test_sweep_runs_all_matching(self, tmp_path):
         write_config(tmp_path, name="s1.json")
