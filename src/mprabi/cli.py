@@ -10,9 +10,10 @@ Sub-commands:
                         manifold range, every problem in one report
 
 Exit codes: 0 success, 1 configuration error (a usage error, a start state
-outside the truncation, or one the secular basis cannot represent, included),
-2 numerical-validity failure (norm drift or top-level occupancy); one map,
-:func:`_guarded`, gives them for every command and every config of a sweep.
+outside the truncation, one the secular basis cannot represent, and an output
+file that cannot be written, included), 2 numerical-validity failure (norm
+drift or top-level occupancy); one map, :func:`_guarded`, gives them for
+every command and every config of a sweep.
 Output paths the config names resolve against --output-dir, else
 $MPRABI_OUTPUT_DIR, else the working directory.  --dt, --n-max, --t-end and
 --manifold-max override config values and are validated with them.
@@ -24,6 +25,8 @@ import argparse
 import glob
 import sys
 import warnings
+
+import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import NormDriftError
@@ -56,17 +59,21 @@ def _load_config(path: str, args) -> ScenarioConfig:
 
 def _spectrum_target(
     config: ScenarioConfig, n: int, output_dir: str | None
-) -> tuple[str, range]:
-    """The resolved path of the spectrum export, checked writable, and its
-    manifolds n .. manifold_max (n + 20 by default); one :class:`ConfigError`
-    lists the problems of both."""
+) -> tuple[str, np.ndarray]:
+    """The resolved path of the spectrum export, checked writable, and the
+    index array of its manifolds n .. manifold_max (n + 20 by default),
+    allocated here; one :class:`ConfigError` lists the problems of both."""
     paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
+    try:
+        manifolds = np.arange(n, manifold_max + 1)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        problems.append(f"manifold_max = {manifold_max} is too large: {exc}")
     if problems:
         raise ConfigError(problems)
-    return paths["spectrum"], range(n, manifold_max + 1)
+    return paths["spectrum"], manifolds
 
 
 def _cmd_run(path: str, args) -> int:
@@ -137,9 +144,10 @@ def _guarded(command, path: str, args) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NormDriftError, ValidityError) as exc:
+    except (OSError, NormDriftError, ValidityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        # an output that cannot be written is configuration, as at plan time
+        return EXIT_CONFIG if isinstance(exc, OSError) else EXIT_NUMERIC
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,10 +14,9 @@ transition function
                       * L_{s'}^{s-s'}(alpha)
                     = (-1)^(s-s') I(s', s, alpha),
 
-with ``alpha = beta**2``, so that
-
-    <m|D(beta)|k> = I(m, k, beta**2)                  for beta >= 0,
-    <m|D(beta)|k> = (-1)^(m-k) I(m, k, beta**2)       for beta < 0.
+with ``alpha = beta**2``, so that ``<m|D(beta)|k> = I(m, k, beta**2)`` for
+``beta >= 0``; a negative displacement is the transpose, ``D(-beta) = D(beta)^T``
+(``D(beta)`` is real and unitary).
 
 A displaced Fock state ``D(beta)|k>`` is column ``k`` of
 ``displacement_matrix(beta, space)``.  The ``k = 0`` column is a coherent
@@ -135,10 +134,13 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
 
     One sweep of the degree recurrence of :func:`laguerre_poly`, run over the
     vector of superscripts l = 0 .. n_max-1, yields every L_k^l(beta**2) the
-    lower triangle m >= k needs; the upper triangle follows by antisymmetry.
+    lower triangle m >= k needs; the upper triangle follows by antisymmetry,
+    and a negative beta by D(-beta) = D(beta)^T (returned C-contiguous).
     """
     if not math.isfinite(beta):
         raise ValueError(f"displacement must be finite, got {beta}")
+    if beta < 0.0:
+        return np.ascontiguousarray(displacement_matrix(-beta, space).T)
     n_max = space.n_max
     alpha = beta * beta
     out = np.zeros((n_max, n_max))
@@ -168,8 +170,4 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
     m_idx, k_idx = np.triu_indices(n_max, 1)
     signs = np.where((k_idx - m_idx) % 2 == 1, -1.0, 1.0)
     out[m_idx, k_idx] = signs * out[k_idx, m_idx]
-    if beta < 0.0:
-        parity = np.where((m_idx - k_idx) % 2 == 1, -1.0, 1.0)
-        out[m_idx, k_idx] *= parity
-        out[k_idx, m_idx] *= parity  # (-1)^(k-m) == (-1)^(m-k)
     return out

@@ -13,7 +13,7 @@ randomness: identical configs produce byte-identical CSV bytes.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
 with the ``error`` text) and the ``timings`` of its stages; a run that aborts
-on norm drift still writes it, and no CSV.
+on norm drift or on a failed CSV write still writes it.
 
 Trajectory CSV layout: header row then one row per sample with columns
 ``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in oscillator
@@ -362,7 +362,7 @@ def emit_spectrum(
     """Write the dressed-spectrum JSON export of some manifolds of the
     n-photon resonance at secular ``order``."""
     payload = {"params": _params_record(params), "omega_eg": omega_eg(params)}
-    payload.update(spectrum_records(params, n, list(manifolds), order=order))
+    payload.update(spectrum_records(params, n, manifolds, order=order))
     _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
@@ -478,9 +478,10 @@ def run_scenario(
     of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
     A run that aborts on norm drift writes no CSV, and one that fails its
-    validity checks writes its CSVs; either way the manifest says
-    ``"status": "failed"`` with the error text, and the error is raised once
-    the manifest is written.
+    validity checks or a CSV write keeps the CSVs it wrote; either way the
+    manifest says ``"status": "failed"`` with the error text and lists the
+    files on disk, and the error is raised once the manifest is written (or
+    without it, if that write fails too).
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -524,7 +525,16 @@ def run_scenario(
             f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
         )
     rabi = 2.0 * abs(v_leading)
-    aborted = isinstance(error, NormDriftError)  # before any CSV was written
+    written = {"manifest": outputs["manifest"]}
+    if not isinstance(error, NormDriftError):  # a run that aborted has no CSV to write
+        try:
+            with _timed(timings, "emit"):
+                for route, traj in trajs.items():
+                    key = _CSV_KEYS[route]
+                    emit_csv(traj, outputs[key], omega=params.omega)
+                    written[key] = outputs[key]
+        except OSError as exc:
+            error = exc
 
     manifest = {
         "config": {
@@ -554,24 +564,22 @@ def run_scenario(
             },
             "warnings": caught,
         },
-        "outputs": {"manifest": outputs["manifest"]} if aborted else outputs,
+        "outputs": written,
         "status": "ok" if error is None else "failed",
         "error": None if error is None else str(error),
         "code_version": __version__,
         "wall_clock_utc": wall,
+        "timings": {stage: round(seconds, 6) for stage, seconds in timings.items()},
+        "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
-
-    if not aborted:
-        with _timed(timings, "emit"):
-            for route, traj in trajs.items():
-                emit_csv(traj, outputs[_CSV_KEYS[route]], omega=params.omega)
-    manifest["timings"] = {stage: round(seconds, 6) for stage, seconds in timings.items()}
-    manifest["elapsed_seconds"] = round(time.perf_counter() - start, 6)
-    _atomic_write(
-        outputs["manifest"],
-        [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()],
-    )
-
+    try:
+        _atomic_write(
+            outputs["manifest"],
+            [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()],
+        )
+    except OSError:
+        if error is None:
+            raise
     if error is not None:
         raise error
     return next(iter(trajs.values())), manifest

@@ -61,7 +61,7 @@ from .fockmath import (
     SPIN_UP,
     FockSpace,
     displacement_matrix,
-    laguerre_transition,
+    laguerre_poly,
 )
 from .model import ModelParams, displaced_energy, position_operator
 
@@ -108,43 +108,30 @@ def _transition_coupling(params: ModelParams, n_loc: int):
     return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up), d_down, d_up
 
 
-def coupling_element(
-    params: ModelParams,
-    n_manifold: int,
-    n: int,
-    *,
-    singular_threshold: float = 1e-6,
-) -> float:
+def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     """Transition matrix element V_N(n) between the two displaced ladders.
 
-    Closed form:
+    The paper's form lambda_eg [(lambda_g - lambda_e)/omega - n/s] I(N - n, N, s**2),
+    s = (lambda_e + lambda_g)/omega, has a pole at s = 0 that the |s|**n of I
+    cancels.  Written out, with the sign of the displacement direction,
 
-        V_N(n) = lambda_eg [ (lambda_g - lambda_e)/omega
-                             - n omega / (lambda_e + lambda_g) ]
-                 * I(N - n, N, (lambda_g + lambda_e)**2 / omega**2)
+        V_N(n) = (-1)**n lambda_eg sqrt((N - n)!/N!) exp(-s**2/2)
+                 * L_{N-n}^{(n)}(s**2) s**(n-1) ((lambda_g - lambda_e) s/omega - n)
 
-    For a negative coupling sum the closed form picks up an extra (-1)^n from
-    the displacement direction.  When |lambda_e + lambda_g| / omega falls below
-    ``singular_threshold`` the 0 * inf form is replaced by the direct matrix
-    element C[N, N-n] of :func:`_transition_coupling`, on a truncation padded
-    past the displacement tails; it is finite there (and exactly zero for
-    n >= 2 when both diagonal couplings vanish).
+    is finite for every sign and size of s.  At s = 0 only n = 1 survives,
+    with V_N(1) = lambda_eg sqrt(N): the selection rule of the symmetric model.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
-    if abs(s) < singular_threshold:
-        c = _transition_coupling(params, _padded_size(params, n_manifold))[0]
-        val = float(c[n_manifold, n_manifold - n])
-    else:
-        pref = (params.lambda_g - params.lambda_e) / params.omega - n * params.omega / (
-            params.lambda_e + params.lambda_g
-        )
-        val = params.lambda_eg * pref * laguerre_transition(n_manifold - n, n_manifold, s * s)
-        if s < 0.0 and n % 2:
-            val = -val
+    val = (
+        (-1) ** n * params.lambda_eg * math.exp(-0.5 * s * s)
+        * laguerre_poly(n_manifold - n, n, s * s) * s ** (n - 1)
+        * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
+        / math.sqrt(math.perm(n_manifold, n))
+    )
     if abs(val) >= WEAK_COUPLING_LIMIT * params.omega:
         warnings.warn(
             f"|V_{n_manifold}({n})| = {abs(val):.3g} is not small against "
@@ -266,9 +253,7 @@ def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None
     )
 
 
-def spectrum_records(
-    params: ModelParams, n: int, manifolds: "list[int] | range", *, order: int = 1
-) -> dict:
+def spectrum_records(params: ModelParams, n: int, manifolds, *, order: int = 1) -> dict:
     """JSON-shaped spectrum export of the n-photon resonance at secular ``order``.
 
     One record per requested manifold N >= n with keys
@@ -281,7 +266,7 @@ def spectrum_records(
     :func:`_secular_spectrum`; at ``order=2`` every energy carries its level
     shift.  Warns once about the manifolds whose |V_N(n)| is not small.
     """
-    wanted = np.array(list(manifolds), dtype=int)
+    wanted = np.asarray(manifolds, dtype=int)
     if np.any(wanted < n):
         raise ValueError(f"manifolds must be >= n = {n}, got {wanted.min()}")
     s = _secular_spectrum(params, n, int(wanted.max(initial=n - 1)) + 1, order)

@@ -158,6 +158,15 @@ class TestDisplacementMatrix:
         block = prod[:25, :25]
         assert np.max(np.abs(block - np.eye(25))) < 1e-12
 
+    @pytest.mark.parametrize("n_max", [2, 3, 24, 160])
+    @pytest.mark.parametrize("beta", [1e-9, 0.1, 0.85, math.sqrt(20)])
+    def test_negative_displacement_is_the_transpose(self, beta, n_max):
+        # D(-b) = D(b)^T for real b, bit for bit, returned as its own array
+        space = FockSpace(n_max)
+        got = displacement_matrix(-beta, space)
+        assert got.tobytes() == displacement_matrix(beta, space).T.tobytes()
+        assert got.flags.c_contiguous
+
     def test_expm_oracle_random_cases(self):
         rng = np.random.default_rng(42)
         space = FockSpace(24)

@@ -1,5 +1,6 @@
 """Config parsing, emitters, orchestration, CLI exit codes."""
 
+import errno
 import json
 import math
 import os
@@ -863,6 +864,60 @@ class TestCli:
         assert stored["config"]["dt_periods"] == 0.01
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
 
+    def test_failed_csv_write_leaves_failed_manifest(self, tmp_path, capsys, monkeypatch):
+        # the secular CSV cannot be written: exit 1 with one error line, the
+        # numeric CSV stays, and the manifest lists it and says why
+        emit = runner.emit_csv
+
+        def full_disk(traj, path, **kwargs):
+            if path.endswith("_rwa.csv"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            emit(traj, path, **kwargs)
+
+        monkeypatch.setattr(runner, "emit_csv", full_disk)
+        path = write_config(tmp_path, propagators=["numeric", "rwa"])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+        text = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {text}\n"
+        csv, manifest = out / "trajectory.csv", out / "trajectory.manifest.json"
+        assert sorted(out.iterdir()) == [csv, manifest]
+        stored = json.loads(manifest.read_text())
+        assert (stored["status"], stored["error"]) == ("failed", text)
+        assert stored["outputs"] == {"manifest": str(manifest), "csv": str(csv)}
+
+    def test_failed_manifest_write_raises_the_run_error(self, tmp_path, monkeypatch):
+        # with the manifest unwritable too, the CSV's error is the one raised
+        def fail(code):
+            def raiser(*args, **kwargs):
+                raise OSError(code, os.strerror(code))
+            return raiser
+
+        monkeypatch.setattr(runner, "emit_csv", fail(errno.ENOSPC))
+        monkeypatch.setattr(runner, "_atomic_write", fail(errno.EACCES))
+        config = parse_config(json.dumps(QUICK))
+        with pytest.raises(OSError) as info:
+            run_scenario(config, output_dir=str(tmp_path))
+        assert info.value.errno == errno.ENOSPC
+
+    def test_run_imports_no_test_dependency(self, tmp_path):
+        # numpy is the only runtime dependency: a run pulls in none of the
+        # test extras
+        path = write_config(tmp_path)
+        script = (
+            "import sys\n"
+            "from mprabi import cli\n"
+            f"assert cli.main(['run', {str(path)!r}, '--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted({'scipy', 'sympy', 'hypothesis', 'pytest'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_missing_output_directory_reported_once(self, tmp_path, capsys):
         # the manifest and both CSVs would land in one missing directory
         missing = tmp_path / "missing"
@@ -975,6 +1030,18 @@ class TestCli:
             assert cli.main([command, str(path), "--output-dir", str(tmp_path)]) == 1
             assert "manifold_max = 1 below the first manifold n = 2" in capsys.readouterr().err
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    def test_unallocatable_manifold_range_is_config_error(self, tmp_path, capsys, command):
+        # 10**16 manifolds cannot be mapped: one problem line, no file
+        path = write_config(tmp_path, manifold_max=10**16)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:\n  - manifold_max = 10000000000000000 is too large: ")
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
 
     def test_spectrum_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path)

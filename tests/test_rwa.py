@@ -152,8 +152,7 @@ class TestCouplingElement:
     @example(log_sum=-1.0, split=0.0, negative=True, lambda_eg=0.02, n=3, above=12)
     def test_closed_form_matches_band_element(self, log_sum, split, negative, lambda_eg, n, above):
         # V_N(n) is the band element C[N, N - n] of the transition coupling,
-        # for coupling sums on both sides of the default singular_threshold;
-        # the closed form alone (threshold 0) must match it there too
+        # for large and tiny coupling sums of either sign
         total = (-1.0 if negative else 1.0) * 10.0**log_sum
         params = ModelParams(
             omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
@@ -161,22 +160,43 @@ class TestCouplingElement:
         )
         n_manifold = n + above
         band = _transition_coupling(params, _padded_size(params, n_manifold))[0]
-        expect = band[n_manifold, n_manifold - n]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RWAValidityWarning)
-            default = coupling_element(params, n_manifold, n)
-            closed = coupling_element(params, n_manifold, n, singular_threshold=0.0)
-        assert default == pytest.approx(expect, rel=1e-11, abs=1e-300)
-        assert closed == pytest.approx(expect, rel=1e-11, abs=1e-300)
+            closed = coupling_element(params, n_manifold, n)
+        assert closed == pytest.approx(band[n_manifold, n_manifold - n], rel=1e-11, abs=1e-300)
 
-    def test_singular_threshold_continuity(self):
-        # crossing the closed-form/direct switch must not jump
-        base = dict(omega=1.0, omega0=2.0, lambda_eg=0.05)
-        params_above = ModelParams(lambda_g=1.1e-6, lambda_e=0.0, **base)
-        params_below = ModelParams(lambda_g=0.9e-6, lambda_e=0.0, **base)
-        v_above = coupling_element(params_above, 4, 1)
-        v_below = coupling_element(params_below, 4, 1)
-        assert v_above == pytest.approx(v_below, rel=1e-6)
+    def test_continuity_across_zero_sum(self):
+        # V_N(n) at s = (lambda_g + lambda_e)/omega -> 0 from either sign
+        # tends to its value at s = 0, with an offset of O(s)
+        lambda_eg, n_manifold = 0.02, 6
+        base = dict(omega=1.0, omega0=2.0, lambda_eg=lambda_eg, allow_signed=True)
+        for n in (1, 2, 3, 4):
+            at_zero = coupling_element(
+                ModelParams(lambda_g=0.1, lambda_e=-0.1, **base), n_manifold, n
+            )
+            for s in (1e-3, 1e-6, 1e-9, -1e-9, -1e-6, -1e-3):
+                near = coupling_element(
+                    ModelParams(lambda_g=0.1 + s, lambda_e=-0.1, **base), n_manifold, n
+                )
+                assert abs(near - at_zero) <= 2.0 * lambda_eg * n_manifold * abs(s)
+
+    # |V_N(1)| = 0.02 sqrt(N) reaches 0.1 omega at N = 25
+    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
+    @pytest.mark.parametrize("lambda_g", [0.0, 1e-12, 0.1, 0.3])
+    def test_selection_rule_at_zero_sum(self, lambda_g):
+        # lambda_g = -lambda_e puts both wells on one centre (s = 0): only
+        # the one-photon element survives, V_N(1) = lambda_eg sqrt(N); the
+        # ulp bound allows the rounding of lambda_eg * N / sqrt(N)
+        params = ModelParams(
+            omega=1.0, omega0=1.0, lambda_g=lambda_g, lambda_e=-lambda_g, lambda_eg=0.02,
+            allow_signed=True,
+        )
+        for n_manifold in range(1, 160):
+            expect = 0.02 * math.sqrt(n_manifold)
+            got = coupling_element(params, n_manifold, 1)
+            assert abs(got - expect) <= 2 * math.ulp(expect)
+            for n in range(2, min(n_manifold, 5) + 1):
+                assert coupling_element(params, n_manifold, n) == 0.0
 
     def test_domain_violation(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
@@ -304,8 +324,8 @@ class TestDressedPair:
 
 
 def _secular_cases():
-    # (params, n): the shipped regimes, signed couplings, coupling sums below
-    # singular_threshold (where the closed form is 0 * inf), a detuned
+    # (params, n): the shipped regimes, signed couplings, a tiny coupling
+    # sum (where the paper's form of V_N(n) is 0 * inf), a detuned
     # selection-rule zero (V = 0, delta != 0) and no transition coupling at
     # all (every manifold degenerate)
     signed = dict(omega=1.0, lambda_g=-0.12, lambda_e=0.05, lambda_eg=0.02, allow_signed=True)
@@ -373,25 +393,24 @@ class TestSecularProperties:
         log_sum=st.floats(min_value=-8.0, max_value=-0.7),
         split=st.floats(min_value=0.0, max_value=1.0),
         negative=st.booleans(),
-        direct=st.booleans(),
         n=st.integers(min_value=1, max_value=4),
         above=st.integers(min_value=0, max_value=20),
     )
-    @example(log_sum=-6.0, split=0.5, negative=False, direct=True, n=1, above=3)
-    @example(log_sum=-6.0, split=0.5, negative=True, direct=False, n=1, above=3)
-    def test_coupling_element_is_the_direct_overlap(
-        self, log_sum, split, negative, direct, n, above
-    ):
-        # singular_threshold a decade above the coupling sum selects the
-        # direct element, a decade below it the closed form; either way the
-        # value is the expm-built overlap
+    # coupling sums s = 0 (10**-inf), +-1e-300 and +-1e-7
+    @example(log_sum=-math.inf, split=0.5, negative=False, n=1, above=3)
+    @example(log_sum=-math.inf, split=0.5, negative=False, n=2, above=3)
+    @example(log_sum=-300.0, split=0.5, negative=False, n=1, above=3)
+    @example(log_sum=-300.0, split=0.5, negative=True, n=2, above=3)
+    @example(log_sum=-7.0, split=0.5, negative=False, n=1, above=3)
+    @example(log_sum=-7.0, split=0.3, negative=True, n=2, above=3)
+    def test_coupling_element_is_the_direct_overlap(self, log_sum, split, negative, n, above):
+        # the closed form is the expm-built overlap for every coupling sum
         total = (-1.0 if negative else 1.0) * 10.0**log_sum
         params = ModelParams(
             omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
             lambda_eg=0.02, allow_signed=True,
         )
-        threshold = abs(total) * (10.0 if direct else 0.1)
-        got = coupling_element(params, n + above, n, singular_threshold=threshold)
+        got = coupling_element(params, n + above, n)
         assert got == pytest.approx(brute_coupling(params, n + above, n), rel=1e-9, abs=1e-14)
 
     # couplings up to 0.05 omega reach |V_N(n)| >= 0.1 omega in high manifolds
