@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import NormDriftError
+from .model import ModelParams
 from .runner import (
     ValidityError,
     emit_spectrum,
@@ -38,6 +39,7 @@ from .runner import (
     resolve_params,
     run_scenario,
 )
+from .rwa import _padded_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,16 +60,20 @@ def _load_config(path: str, args) -> ScenarioConfig:
 
 
 def _spectrum_target(
-    config: ScenarioConfig, n: int, output_dir: str | None
+    config: ScenarioConfig, params: ModelParams, n: int, output_dir: str | None
 ) -> tuple[str, np.ndarray]:
     """The resolved path of the spectrum export, checked writable, and the
     index array of its manifolds n .. manifold_max (n + 20 by default),
-    allocated here; one :class:`ConfigError` lists the problems of both."""
+    allocated here after one (n_loc x n_loc) matrix of the ladder that the
+    export pads past manifold_max; one :class:`ConfigError` lists the
+    problems of both."""
     paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
     try:
+        n_loc = _padded_size(params, manifold_max + 1)
+        np.empty((n_loc, n_loc))  # never written, so no page of it is touched
         manifolds = np.arange(n, manifold_max + 1)
     except (ValueError, OverflowError, MemoryError) as exc:
         problems.append(f"manifold_max = {manifold_max} is too large: {exc}")
@@ -89,7 +95,7 @@ def _cmd_run(path: str, args) -> int:
 def _cmd_spectrum(path: str, args) -> int:
     config = _load_config(path, args)
     params, n = resolve_params(config)
-    out_path, manifolds = _spectrum_target(config, n, args.output_dir)
+    out_path, manifolds = _spectrum_target(config, params, n, args.output_dir)
     emit_spectrum(params, n, manifolds, out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -99,14 +105,15 @@ def _cmd_validate(path: str, args) -> int:
     config = _load_config(path, args)
     problems = []
     try:
-        n = plan_run(config, args.output_dir).n
+        plan = plan_run(config, args.output_dir)
+        params, n = plan.params, plan.n
     except ConfigError as exc:
         problems = exc.problems
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # plan_run has shown them
-            n = resolve_params(config)[1]
+            params, n = resolve_params(config)
     try:
-        _spectrum_target(config, n, args.output_dir)
+        _spectrum_target(config, params, n, args.output_dir)
     except ConfigError as exc:
         problems = problems + exc.problems
     if problems:
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None, help="override dt (oscillator periods)")
         p.add_argument("--t-end", type=float, default=None, help="override t_end (periods)")
         p.add_argument("--n-max", type=int, default=None, help="override the boson truncation")
-        if name == "spectrum":
+        if name in ("spectrum", "validate"):
             p.add_argument("--manifold-max", type=int, default=None,
                            help="highest manifold to export")
     return parser

@@ -6,10 +6,15 @@ resolved input, the derived resonance quantities, and the validity flags, so
 a run is reconstructible from its outputs alone.  The config names the
 output files and :func:`resolve_outputs` places and checks them.  All files
 are written atomically (temp file in the target directory, then rename), with
-the mode ``open(path, "w")`` would give them; CSV text is rendered in blocks
-of rows by a vectorized kernel and streamed into that temp file, so no copy of
-the whole CSV text is ever held in memory.  The pipeline is free of
-randomness: identical configs produce byte-identical CSV bytes.
+the mode ``open(path, "w")`` would give them.  CSV text is rendered in blocks
+of rows by a vectorized kernel and streamed to disk, so no copy of the whole
+CSV text is ever held in memory.  A CSV large enough to repay a fork is cut
+into contiguous row ranges, one per usable CPU: forked workers render every
+range but the first into part files beside the target while this process
+renders the header and the first range, then appends the parts in row order
+and renames once (see :func:`emit_csv`).  The pipeline is free of
+randomness: identical configs produce byte-identical CSV bytes, however the
+rows were split.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
 with the ``error`` text) and the ``timings`` of its stages; a run that aborts
@@ -31,6 +36,7 @@ import functools
 import json
 import math
 import os
+import threading
 import time
 import warnings
 from typing import NamedTuple
@@ -85,18 +91,24 @@ def _timed(timings: dict, stage: str):
         timings[stage] = time.perf_counter() - start
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write byte chunks so that no partial file is ever visible at ``path``.
+def _temp_path(directory: str) -> str:
+    """A fresh name for a temp file in ``directory``."""
+    return os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+
+
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """A binary file whose bytes appear at ``path`` only once the ``with``
+    block completes, so that no partial file is ever visible there.
 
     The temp file is created with mode 0o666 under the process umask, the
     mode ``open(path, "w")`` would give ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+    tmp_path = _temp_path(os.path.dirname(os.path.abspath(path)))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp_path, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
+            yield handle
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -146,6 +158,11 @@ _SOURCE_CONSTANTS = {_DOT: ".", _MINUS: "-", _E: "e", _PLUS: "+", _ZERO: "0"}
 #: (~90k minor faults per 19 MB CSV, as glibc trims the heap between blocks),
 #: which costs more than the larger block saves
 _CSV_BLOCK = 5_000
+#: fewest values each row range must hold for a CSV to be split over
+#: processes.  On a 2-vCPU VM a split of 50,000 values in all lost to one
+#: process, 74,000 won by 3 ms of 23 ms and 124,000 by 22 ms of 63 ms: below
+#: that the fork and the join of the part cost about what the second CPU saves
+_RANGE_MIN_VALUES = 50_000
 
 
 class _KernelTables(NamedTuple):
@@ -339,9 +356,138 @@ def _csv_blocks(traj: Trajectory, omega: float):
         yield _format_block(values[:n].reshape(-1), source[: n * n_cols])
 
 
+def _rows(traj: Trajectory, start: int, stop: int) -> Trajectory:
+    """The samples start .. stop - 1 of a trajectory, as views."""
+    rows = slice(start, stop)
+    return Trajectory(
+        times=traj.times[rows], inversion=traj.inversion[rows],
+        photon_dist=traj.photon_dist[rows], norm=traj.norm[rows], energy=traj.energy[rows],
+    )
+
+
+def _row_bounds(n_rows: int, n_cols: int) -> list:
+    """Bounds of the contiguous row ranges a CSV is rendered in: one per
+    usable CPU, each of at least :data:`_RANGE_MIN_VALUES` values, and a
+    single range where this process cannot fork safely: without ``os.fork``,
+    off the main thread, or beside another Python thread."""
+    forkable = (
+        hasattr(os, "fork") and threading.active_count() == 1
+        and threading.current_thread() is threading.main_thread()
+    )
+    cpus = len(os.sched_getaffinity(0)) if forkable and hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, n_rows, n_rows * n_cols // _RANGE_MIN_VALUES))
+    return [n_rows * i // parts for i in range(parts + 1)]
+
+
+def _fork_worker(traj: Trajectory, omega: float, directory: str) -> tuple:
+    """Fork a process that renders the rows of ``traj``, without the header,
+    into a part file in ``directory``; returns (pid, error pipe, part fd).
+
+    The part is unlinked as soon as it is created, so no failure can leave
+    it behind; the parent reads it through its fd.  A worker that fails
+    writes its error text into the pipe and exits nonzero."""
+    part_path = _temp_path(directory)
+    fds = [os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)]
+    try:
+        os.unlink(part_path)
+        fds += os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a process with other OS threads forks.
+            # Those are OpenBLAS's: its pthread_atfork handler stops its pool,
+            # and workers make no BLAS call
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    part, read, write = fds
+    if pid == 0:  # the worker: it never returns into the caller
+        status = 1
+        try:
+            blocks = _csv_blocks(traj, omega)
+            next(blocks)  # the header is the parent's
+            with open(part, "wb", closefd=False) as out:
+                out.writelines(blocks)
+            status = 0
+        except BaseException as exc:
+            os.write(write, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read, part
+
+
+def _join(pid: int, pipe: int) -> str:
+    """Wait for a worker to end; returns its error text, '' if it succeeded."""
+    text = b""
+    while chunk := os.read(pipe, 1 << 16):
+        text += chunk
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return ""
+    return text.decode(errors="replace") or f"exit status {status}"
+
+
+def _append(part: int, out: int) -> None:
+    """Append all of file ``part`` to ``out`` at its offset: in the kernel
+    where the platform and the file system can, else in chunks (a file
+    system that refuses the in-kernel copy gets the chunks, where a real
+    write error recurs and is raised)."""
+    size = os.fstat(part).st_size
+    offset = 0
+    in_kernel = hasattr(os, "copy_file_range")
+    while offset < size:
+        if in_kernel:
+            try:
+                offset += os.copy_file_range(part, out, size - offset, offset)
+                continue
+            except OSError:
+                in_kernel = False
+        offset += os.write(out, os.pread(part, min(size - offset, 1 << 20), offset))
+
+
 def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
-    """Stream a trajectory CSV block by block into an atomic write."""
-    _atomic_write(path, _csv_blocks(traj, omega))
+    """Stream a trajectory CSV into an atomic write, its rows rendered in
+    contiguous ranges, one per usable CPU (see :func:`_row_bounds`).
+
+    Forked workers render every range but the first into parts beside
+    ``path`` while this process writes the header and the first range; it
+    then appends the parts in row order and renames once.  A worker's
+    failure raises :class:`OSError` with its text.  On every path each
+    worker is reaped and no temp file or part is left."""
+    n_rows, n_max = traj.photon_dist.shape
+    bounds = _row_bounds(n_rows, 4 + n_max)
+    directory = os.path.dirname(os.path.abspath(path))
+    _kernel_tables()  # built once, before any fork, for every worker
+    workers = []  # (first row, last row, pid, pipe, part), in row order
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            worker = _fork_worker(_rows(traj, start, stop), omega, directory)
+            workers.append((start, stop - 1, *worker))
+        with _atomic_write(path) as handle:
+            handle.writelines(_csv_blocks(_rows(traj, 0, bounds[1]), omega))
+            handle.flush()
+            while workers:
+                first, last, pid, pipe, part = workers[0]
+                error = _join(pid, pipe)
+                workers.pop(0)
+                try:
+                    if error:
+                        raise OSError(f"CSV worker for rows {first}..{last} of {path}: {error}")
+                    _append(part, handle.fileno())
+                finally:
+                    os.close(pipe)
+                    os.close(part)
+    finally:
+        if workers:
+            import signal  # needed only when an emit fails
+
+            for _, _, pid, pipe, part in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(pipe)
+                os.close(part)
 
 
 def _params_record(params: ModelParams) -> dict:
@@ -363,7 +509,8 @@ def emit_spectrum(
     n-photon resonance at secular ``order``."""
     payload = {"params": _params_record(params), "omega_eg": omega_eg(params)}
     payload.update(spectrum_records(params, n, manifolds, order=order))
-    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+    with _atomic_write(path) as handle:
+        handle.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
@@ -573,10 +720,8 @@ def run_scenario(
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
     try:
-        _atomic_write(
-            outputs["manifest"],
-            [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()],
-        )
+        with _atomic_write(outputs["manifest"]) as handle:
+            handle.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     except OSError:
         if error is None:
             raise

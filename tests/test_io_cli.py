@@ -1,6 +1,7 @@
 """Config parsing, emitters, orchestration, CLI exit codes."""
 
 import errno
+import functools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from decimal import Decimal
 from dataclasses import fields
 from pathlib import Path
@@ -352,6 +354,22 @@ class TestEmitCsv:
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_atomic_write_failing_unlink_raises_the_write_error(self, tmp_path, monkeypatch):
+        # the temp file cannot be removed either: the write's error is the one
+        # raised, and nothing appears at the path
+        def stuck(path):
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY))
+
+        monkeypatch.setattr(os, "unlink", stuck)
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="disk gremlin"):
+            with runner._atomic_write(str(path)) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("disk gremlin")
+        assert not path.exists()
+        [left] = tmp_path.iterdir()
+        assert left.name.startswith(".tmp_")
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(traj=trajectories(), omega=st.sampled_from([1.0, 0.7, 3.0]))
     @example(
@@ -466,6 +484,172 @@ class TestCsvKernel:
             assert len(digits) == 18 and digits[-1] == 5
         assert len(values) > 500
         assert rendering_mismatches(with_negatives(values), tmp_path) == []
+
+
+def force_split(monkeypatch, cpus):
+    """Let emit_csv split any CSV over ``cpus`` usable CPUs; returns the list
+    that records the row count of every worker it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(runner, "_RANGE_MIN_VALUES", 1)
+    fork_worker = runner._fork_worker
+    forked = []
+
+    def counted(traj, omega, directory):
+        forked.append(len(traj))
+        return fork_worker(traj, omega, directory)
+
+    monkeypatch.setattr(runner, "_fork_worker", counted)
+    return forked
+
+
+def edge_values(size):
+    """Random bit patterns with NaN, +-inf, -0.0, subnormals and exact
+    17th-digit ties among them."""
+    rng = np.random.default_rng(size)
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    ties = [math.ldexp(2**17 + 1, -17), -math.ldexp(10 * 2**16 + 1, -16)]
+    edges = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, *ties]
+    values = np.resize(edges, size)
+    keep = rng.uniform(size=size) < 0.5
+    values[keep] = bits[keep]
+    return values
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitEmit:
+    """emit_csv's forked row ranges against the oracle and the sequential stream."""
+
+    # rows per kernel block at n_max 16 (20 columns)
+    BLOCK_ROWS = runner._CSV_BLOCK // 20
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 2 * BLOCK_ROWS, 509],
+                             ids=["one", "two", "fewer-than-workers", "block-multiple", "prime"])
+    def test_bytes_match_oracle_and_sequential_stream(self, tmp_path, monkeypatch, rows):
+        traj = values_trajectory(edge_values(rows * 20))
+        with np.errstate(invalid="ignore"):
+            sequential = tmp_path / "sequential.csv"
+            emit_csv(traj, str(sequential), omega=2.0 * math.pi)
+            forked = force_split(monkeypatch, cpus=4)
+            split = tmp_path / "split.csv"
+            emit_csv(traj, str(split), omega=2.0 * math.pi)
+        assert len(forked) == min(4, rows) - 1
+        assert sum(forked) == rows - rows // min(4, rows)
+        assert split.read_bytes() == sequential.read_bytes()
+        assert split.read_bytes() == reference_csv(traj, 2.0 * math.pi).encode("ascii")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sequential.csv", "split.csv"]
+        assert_no_child_left()
+
+    def test_two_route_run_writes_the_one_route_bytes(self, tmp_path, monkeypatch):
+        forked = force_split(monkeypatch, cpus=3)
+        outputs = {}
+        for propagators in (["numeric", "rwa"], ["numeric"], ["rwa"]):
+            out = tmp_path / "+".join(propagators)
+            out.mkdir()
+            config = parse_config(json.dumps({**QUICK, "propagators": propagators}))
+            manifest = run_scenario(config, output_dir=str(out))[1]
+            outputs.update({
+                ("+".join(propagators), key): Path(file).read_bytes()
+                for key, file in manifest["outputs"].items() if key != "manifest"
+            })
+        assert len(forked) == 8  # two workers per CSV
+        for key in ("csv", "rwa_csv"):
+            only = "numeric" if key == "csv" else "rwa"
+            assert outputs["numeric+rwa", key] == outputs[only, key]
+        assert_no_child_left()
+
+    def test_failing_worker_fails_the_run(self, tmp_path, monkeypatch):
+        # rows 10..20 of 21 fall to the worker; the kernel fails on them only
+        forked = force_split(monkeypatch, cpus=2)
+        format_block = runner._format_block
+
+        def gremlin(values, source):
+            if values[0] >= 0.95:  # the block of rows 10..20, t = 1.0 .. 2.0 periods
+                raise RuntimeError("kernel gremlin")
+            return format_block(values, source)
+
+        monkeypatch.setattr(runner, "_format_block", gremlin)
+        config = parse_config(json.dumps(QUICK))
+        with pytest.raises(OSError, match="RuntimeError: kernel gremlin"):
+            run_scenario(config, output_dir=str(tmp_path))
+        assert forked == [11]
+        manifest = tmp_path / "trajectory.manifest.json"
+        assert list(tmp_path.iterdir()) == [manifest]
+        stored = json.loads(manifest.read_text())
+        assert stored["status"] == "failed"
+        assert "rows 10..20" in stored["error"] and "kernel gremlin" in stored["error"]
+        assert stored["outputs"] == {"manifest": str(manifest)}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), OSError(errno.ENOSPC, "full")],
+                             ids=["keyboard-interrupt", "os-error"])
+    def test_parent_failure_reaps_every_worker(self, tmp_path, monkeypatch, interrupt):
+        # the parent's own range fails while its workers render theirs
+        forked = force_split(monkeypatch, cpus=3)
+        format_block = runner._format_block
+        parent = os.getpid()
+
+        def gremlin(values, source):
+            if os.getpid() == parent:
+                raise interrupt
+            return format_block(values, source)
+
+        monkeypatch.setattr(runner, "_format_block", gremlin)
+        traj = values_trajectory(edge_values(600 * 20))
+        with pytest.raises(type(interrupt)):
+            emit_csv(traj, str(tmp_path / "out.csv"), omega=1.0)
+        assert forked == [200, 200]
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["missing", "refused"])
+    def test_parts_join_without_the_in_kernel_copy(self, tmp_path, monkeypatch, how):
+        traj = values_trajectory(edge_values(300 * 20))
+        forked = force_split(monkeypatch, cpus=3)
+        if how == "missing":
+            monkeypatch.delattr(os, "copy_file_range", raising=False)
+        else:
+            def refuse(*args):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+            monkeypatch.setattr(os, "copy_file_range", refuse, raising=False)
+        with np.errstate(invalid="ignore"):
+            emit_csv(traj, str(tmp_path / "out.csv"), omega=2.0 * math.pi)
+        assert forked == [100, 100]
+        expected = reference_csv(traj, 2.0 * math.pi).encode("ascii")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("how", ["no-fork", "one-cpu", "other-thread", "off-main-thread"])
+    def test_fallback_writes_the_sequential_bytes(self, tmp_path, monkeypatch, how):
+        traj = values_trajectory(edge_values(300 * 20))
+        reference = reference_csv(traj, 2.0 * math.pi).encode("ascii")
+        forked = force_split(monkeypatch, cpus=1 if how == "one-cpu" else 4)
+        if how == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        path = str(tmp_path / "out.csv")
+        emit = functools.partial(emit_csv, traj, path, omega=2.0 * math.pi)
+        with np.errstate(invalid="ignore"):
+            if how == "off-main-thread":
+                worker = threading.Thread(target=emit)
+                worker.start()
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            elif how == "other-thread":
+                stop = threading.Event()
+                other = threading.Thread(target=stop.wait, args=(60,))
+                other.start()
+                try:
+                    emit()
+                finally:
+                    stop.set()
+                    other.join(timeout=60)
+            else:
+                emit()
+        assert forked == []
+        assert (tmp_path / "out.csv").read_bytes() == reference
 
 
 class TestEmitSpectrum:
@@ -1043,6 +1227,23 @@ class TestCli:
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_unallocatable_padded_ladder_is_config_error(self, tmp_path, capsys, command, via):
+        # 10**7 manifolds fit as indices, but not the (n_loc x n_loc) matrices
+        # of the ladder padded past them: one problem line, no file
+        if via == "config":
+            path, flag = write_config(tmp_path, manifold_max=10**7), []
+        else:
+            path, flag = write_config(tmp_path), ["--manifold-max", str(10**7)]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:\n  - manifold_max = 10000000 is too large: ")
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
+
     def test_spectrum_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = cli.main(
@@ -1051,6 +1252,43 @@ class TestCli:
         assert code == 1
         assert "'manifold_max' must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("command, lines", [
+        ("run", ["a", "b"]), ("validate", ["a", "b", "c"]), ("spectrum", ["c"]),
+    ])
+    def test_unwritable_directories_one_line_each(
+        self, tmp_path, capsys, monkeypatch, command, lines
+    ):
+        # os.access is faked: a process running as root ignores directory modes
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        for name in "abc":
+            (tmp_path / name).mkdir()
+        path = write_config(
+            tmp_path, propagators=["numeric", "rwa"], csv_path="a/t.csv",
+            rwa_csv_path="b/t_rwa.csv", spectrum_path="c/s.json",
+        )
+        assert cli.main([command, str(path), "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "configuration error:\n" + "".join(
+            f"  - output directory not writable: {tmp_path / name}\n" for name in lines
+        )
+        assert all(list((tmp_path / name).iterdir()) == [] for name in "abc")
+
+    def test_failed_manifest_write_after_clean_run(self, tmp_path, capsys, monkeypatch):
+        # every CSV was written, then the manifest cannot be: exit 1
+        atomic_write = runner._atomic_write
+
+        def full_disk(path):
+            if path.endswith(".manifest.json"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return atomic_write(path)
+
+        monkeypatch.setattr(runner, "_atomic_write", full_disk)
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list(out.iterdir()) == [out / "trajectory.csv"]
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "fromenv"
