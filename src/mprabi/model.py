@@ -26,7 +26,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -45,9 +45,10 @@ class ModelParams:
     lambda_eg is the transition coupling (taken real).
 
     The down-state coupling enters the Hamiltonian with a built-in minus sign,
-    which encodes mean dipole moments of opposite sign for the two levels; by
-    default lambda_g and lambda_e must therefore be >= 0.  Pass
-    ``allow_signed=True`` to lift that check and map signed values literally.
+    which encodes mean dipole moments of opposite sign for the two levels;
+    lambda_g and lambda_e may have either sign and are mapped literally.
+    ``allow_signed`` is accepted and ignored, as ``perfbench/reference.py``
+    still passes it.
     """
 
     omega: float
@@ -55,19 +56,14 @@ class ModelParams:
     lambda_g: float = 0.0
     lambda_e: float = 0.0
     lambda_eg: float = 0.0
-    allow_signed: bool = field(default=False, compare=False, repr=False)
+    allow_signed: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _allow_signed):
         for name in ("omega", "omega0", "lambda_g", "lambda_e", "lambda_eg"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not self.allow_signed and (self.lambda_g < 0 or self.lambda_e < 0):
-            raise ValueError(
-                "lambda_g and lambda_e must be >= 0 "
-                "(use allow_signed=True to permit signed couplings)"
-            )
 
 
 def position_operator(n_max: int) -> np.ndarray:

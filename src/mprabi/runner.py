@@ -12,9 +12,12 @@ CSV text is ever held in memory.  A CSV large enough to repay a fork is cut
 into contiguous row ranges, one per usable CPU: forked workers render every
 range but the first into part files beside the target while this process
 renders the header and the first range, then appends the parts in row order
-and renames once (see :func:`emit_csv`).  The pipeline is free of
-randomness: identical configs produce byte-identical CSV bytes, however the
-rows were split.
+with plain reads and writes and renames once (see :func:`emit_csv`).  The
+pipeline is free of randomness, and the split does not change the bytes:
+identical configs produce byte-identical CSVs at one BLAS build and one BLAS
+thread count.  At another thread count the BLAS routines of the numeric
+route (``eigh`` and the expansion's matrix products) round differently, and
+its values move in their last digits (up to ~4e-12 in W).
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
 with the ``error`` text) and the ``timings`` of its stages; a run that aborts
@@ -332,11 +335,19 @@ def _format_block(values: np.ndarray, source: np.ndarray) -> np.ndarray:
 
 def _csv_blocks(traj: Trajectory, omega: float):
     """The canonical CSV bytes of a trajectory: the header, then blocks of
-    rows rendered by :func:`_format_block`."""
+    rows rendered by :func:`_format_block`.
+
+    The P columns after the last one with a nonzero bit pattern in some row
+    are +0.0 throughout: the kernel renders the columns up to it, and each
+    row end gets the others' ',0' text.  A -0.0 has a nonzero bit pattern,
+    so it is rendered ('-0')."""
     n_t, n_max = traj.photon_dist.shape
     period = 2.0 * math.pi / omega
     yield ("t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max)) + "\n").encode()
-    n_cols = 4 + n_max
+    used = np.flatnonzero(np.bitwise_or.reduce(traj.photon_dist.view(np.uint64), axis=0))
+    n_p = int(used[-1]) + 1 if used.size else 0
+    row_end = b",0" * (n_max - n_p) + b"\n"
+    n_cols = 4 + n_p
     rows = max(1, _CSV_BLOCK // n_cols)
     values = np.empty((min(rows, n_t), n_cols))
     source = np.zeros((values.size, 32), dtype=np.uint8)
@@ -352,8 +363,10 @@ def _csv_blocks(traj: Trajectory, omega: float):
         values[:n, 1] = traj.inversion[block]
         values[:n, 2] = traj.norm[block]
         values[:n, 3] = traj.energy[block]
-        values[:n, 4:] = traj.photon_dist[block]
-        yield _format_block(values[:n].reshape(-1), source[: n * n_cols])
+        values[:n, 4:] = traj.photon_dist[block, :n_p]
+        text = _format_block(values[:n].reshape(-1), source[: n * n_cols])
+        # the kernel writes a LF at row ends only
+        yield text if n_p == n_max else text.tobytes().replace(b"\n", row_end)
 
 
 def _rows(traj: Trajectory, start: int, stop: int) -> Trajectory:
@@ -430,20 +443,10 @@ def _join(pid: int, pipe: int) -> str:
 
 
 def _append(part: int, out: int) -> None:
-    """Append all of file ``part`` to ``out`` at its offset: in the kernel
-    where the platform and the file system can, else in chunks (a file
-    system that refuses the in-kernel copy gets the chunks, where a real
-    write error recurs and is raised)."""
+    """Append all of file ``part`` to ``out`` at its offset, in 1 MiB chunks."""
     size = os.fstat(part).st_size
     offset = 0
-    in_kernel = hasattr(os, "copy_file_range")
     while offset < size:
-        if in_kernel:
-            try:
-                offset += os.copy_file_range(part, out, size - offset, offset)
-                continue
-            except OSError:
-                in_kernel = False
         offset += os.write(out, os.pread(part, min(size - offset, 1 << 20), offset))
 
 
@@ -529,7 +532,7 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
         omega0 = resonant_omega0(config.n, omega=omega, lambda_g=lambda_g, lambda_e=lambda_e)
     params = ModelParams(
         omega=omega, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
-        lambda_eg=config.lambda_eg * omega, allow_signed=True,
+        lambda_eg=config.lambda_eg * omega,
     )
     n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
     delta = omega_eg(params) - n * params.omega
@@ -583,9 +586,9 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     state.  When the secular route runs, it keeps the state's
     :func:`~mprabi.dynamics.project_secular` projection, which
     :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
-    :class:`ConfigError` with every unusable output path, a grid or a state
-    too large to allocate, and a start state that does not fit the
-    truncation or the secular basis (an order-2 basis off the resonance
+    :class:`ConfigError` with every unusable output path, a grid, a state or
+    trajectories too large to allocate, and a start state that does not fit
+    the truncation or the secular basis (an order-2 basis off the resonance
     included).  ``mprabi validate`` runs this call, so it rejects exactly
     what a run rejects before compute.
     """
@@ -593,8 +596,9 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
     period = 2.0 * math.pi / params.omega
+    samples = 0  # stays 0 when the grid is the problem
     try:  # the grid both routes sample on
-        sample_steps(config.t_end * period, config.dt * period, config.sample_every)
+        samples = sample_steps(config.t_end * period, config.dt * period, config.sample_every).size
     except (ValueError, OverflowError, MemoryError) as exc:
         problems.append(f"t_end / dt = {config.t_end / config.dt:.6g} steps is too many: {exc}")
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
@@ -606,6 +610,13 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         raise ConfigError([*problems, f"n_max = {config.n_max} is too large: {exc}"]) from exc
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
+    try:  # the arrays the routes then hold at once; never written, so no page is touched
+        np.empty((len(config.propagators), samples, config.n_max + 4))
+    except (ValueError, MemoryError) as exc:
+        problems.append(
+            f"t_end / dt / sample_every = {samples} samples x n_max = {config.n_max} "
+            f"is too large: {exc}"
+        )
     if problems:
         raise ConfigError(problems)
     return RunPlan(outputs, params, n, psi0, projection)
@@ -624,11 +635,11 @@ def run_scenario(
     W or P value), every warning raised on the way and the time of each stage
     of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
-    A run that aborts on norm drift writes no CSV, and one that fails its
-    validity checks or a CSV write keeps the CSVs it wrote; either way the
-    manifest says ``"status": "failed"`` with the error text and lists the
-    files on disk, and the error is raised once the manifest is written (or
-    without it, if that write fails too).
+    A run that aborts on norm drift or out of memory in compute writes no
+    CSV, and one that fails its validity checks or a CSV write keeps the
+    CSVs it wrote; either way the manifest says ``"status": "failed"`` with
+    the error text and lists the files on disk, and the error is raised once
+    the manifest is written (or without it, if that write fails too).
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -659,6 +670,8 @@ def run_scenario(
                     )
         except NormDriftError as exc:
             error = exc
+        except MemoryError as exc:  # an allocation the plan's probe did not foresee
+            error = MemoryError(f"out of memory during compute: {exc}")
         v_leading = coupling_element(params, n, n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
@@ -673,7 +686,7 @@ def run_scenario(
         )
     rabi = 2.0 * abs(v_leading)
     written = {"manifest": outputs["manifest"]}
-    if not isinstance(error, NormDriftError):  # a run that aborted has no CSV to write
+    if not isinstance(error, (NormDriftError, MemoryError)):  # an aborted run has no CSV
         try:
             with _timed(timings, "emit"):
                 for route, traj in trajs.items():

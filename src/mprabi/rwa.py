@@ -40,11 +40,12 @@ Every dressed pair, at either order, comes from one array solver,
 :func:`mprabi.dynamics.evolve_rwa` expands is built from it too.
 
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
-:func:`mprabi.runner.resolve_params` warns about the detuning and
-:func:`coupling_element` about its element; :func:`spectrum_records` and
+:func:`mprabi.runner.resolve_params` warns about the detuning.
+:func:`coupling_element`, :func:`spectrum_records` and
 :func:`mprabi.dynamics.evolve_rwa` each emit at most one
-:class:`RWAValidityWarning`, for the manifolds they use whose |V_N(n)|
-reaches 0.1 omega (``evolve_rwa`` with the initial weight there).
+:class:`RWAValidityWarning`, through one rule, for the manifolds they use
+whose |V_N(n)| reaches 0.1 omega (``evolve_rwa`` with the initial weight
+there).
 All functions are pure and thread safe.
 """
 
@@ -132,13 +133,7 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
         / math.sqrt(math.perm(n_manifold, n))
     )
-    if abs(val) >= WEAK_COUPLING_LIMIT * params.omega:
-        warnings.warn(
-            f"|V_{n_manifold}({n})| = {abs(val):.3g} is not small against "
-            f"omega = {params.omega:.3g}; secular results are unreliable",
-            RWAValidityWarning,
-            stacklevel=2,
-        )
+    _warn_strong(params, n, [n_manifold], [val])
     return val
 
 
@@ -240,15 +235,22 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
 def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None:
     """One RWAValidityWarning for the manifolds whose |V_N(n)| is not small
     against omega; ``weight`` (one entry per manifold) adds their sum."""
-    strong = np.abs(v) >= WEAK_COUPLING_LIMIT * params.omega
-    if not np.any(strong):
+    size = np.abs(v)
+    strong = size >= WEAK_COUPLING_LIMIT * params.omega
+    if not strong.any():
         return
     picked = np.asarray(manifolds)[strong]
+    ratio = size[strong] / params.omega
+    if picked.size == 1:
+        which = f"manifold N = {picked[0]} has |V_{picked[0]}({n})|/omega = {ratio[0]:.3g}"
+    else:
+        which = (
+            f"{picked.size} manifolds N = {picked.min()}..{picked.max()} have |V_N({n})|/omega "
+            f"up to {np.max(ratio):.3g}"
+        )
     held = "" if weight is None else f", and hold {np.sum(weight[strong]):.3g} of the initial state"
     warnings.warn(
-        f"{picked.size} manifolds N = {picked.min()}..{picked.max()} have |V_N({n})|/omega "
-        f"up to {np.max(np.abs(v[strong])) / params.omega:.3g}, not small{held}; "
-        "secular results there are unreliable",
+        f"{which}, not small{held}; secular results there are unreliable",
         RWAValidityWarning, stacklevel=3,
     )
 

@@ -605,22 +605,45 @@ class TestSplitEmit:
         assert list(tmp_path.iterdir()) == []
         assert_no_child_left()
 
-    @pytest.mark.parametrize("how", ["missing", "refused"])
-    def test_parts_join_without_the_in_kernel_copy(self, tmp_path, monkeypatch, how):
-        traj = values_trajectory(edge_values(300 * 20))
-        forked = force_split(monkeypatch, cpus=3)
-        if how == "missing":
-            monkeypatch.delattr(os, "copy_file_range", raising=False)
-        else:
-            def refuse(*args):
-                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
-
-            monkeypatch.setattr(os, "copy_file_range", refuse, raising=False)
-        with np.errstate(invalid="ignore"):
-            emit_csv(traj, str(tmp_path / "out.csv"), omega=2.0 * math.pi)
-        assert forked == [100, 100]
+    @pytest.mark.parametrize("tail, kept", [
+        ("zeros", 9), ("negative-zero", 13), ("nan", 16), ("all-zero", 0), ("none", 16),
+        ("one-range", 16),
+    ])
+    def test_zero_tail_matches_oracle(self, tmp_path, monkeypatch, tail, kept):
+        # the P columns after the last nonzero bit pattern are not rendered
+        # value by value; each row range decides its own tail, and the
+        # sequential and the split path both give the oracle's bytes
+        rng = np.random.default_rng(11)
+        p = rng.uniform(size=(300, 16))
+        if tail != "none":
+            p[200 if tail == "one-range" else 0:, 9:] = 0.0
+        if tail == "negative-zero":
+            p[150, 12] = -0.0
+        elif tail == "nan":
+            p[5, 15] = math.nan
+        elif tail == "all-zero":
+            p[:] = 0.0
+        traj = Trajectory(
+            times=np.arange(300) * 0.01, inversion=rng.uniform(-1.0, 1.0, 300),
+            photon_dist=p, norm=np.ones(300), energy=rng.uniform(size=300),
+        )
         expected = reference_csv(traj, 2.0 * math.pi).encode("ascii")
-        assert (tmp_path / "out.csv").read_bytes() == expected
+        format_block = runner._format_block
+        rendered = []
+
+        def counted(values, source):
+            rendered.append(values.size)
+            return format_block(values, source)
+
+        monkeypatch.setattr(runner, "_format_block", counted)
+        emit_csv(traj, str(tmp_path / "sequential.csv"), omega=2.0 * math.pi)
+        assert sum(rendered) == 300 * (4 + kept)
+        forked = force_split(monkeypatch, cpus=3)
+        emit_csv(traj, str(tmp_path / "split.csv"), omega=2.0 * math.pi)
+        assert forked == [100, 100]
+        assert (tmp_path / "sequential.csv").read_bytes() == expected
+        assert (tmp_path / "split.csv").read_bytes() == expected
+        assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["no-fork", "one-cpu", "other-thread", "off-main-thread"])
     def test_fallback_writes_the_sequential_bytes(self, tmp_path, monkeypatch, how):
@@ -1124,6 +1147,33 @@ class TestCli:
         assert done.stderr == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("extra, argv, code", [
+        ({}, [], 0), ({"order": 3}, [], 1), ({}, ["--dt", "0.05"], 2),
+    ], ids=["ok", "config-error", "norm-drift"])
+    def test_run_entry_point_exit_codes(self, tmp_path, extra, argv, code):
+        # python -m mprabi.cli runs entry(), which freezes the objects of the
+        # imports before main(); its exit codes and outputs are main()'s
+        path = write_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mprabi.cli", "run", str(path), "--output-dir", str(out),
+             *argv], env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == code, done.stderr
+        files = sorted(p.name for p in out.iterdir())
+        if code == 0:
+            assert files == ["trajectory.csv", "trajectory.manifest.json"]
+            assert done.stdout.startswith(f"wrote {out / 'trajectory.csv'}\n")
+        elif code == 1:
+            assert done.stderr.startswith("configuration error:")
+            assert files == []
+        else:
+            assert "deviated from 1" in done.stderr
+            assert files == ["trajectory.manifest.json"]
+            assert json.loads((out / files[0]).read_text())["status"] == "failed"
+
     def test_validate_rejects_order_three(self, tmp_path, capsys):
         path = write_config(tmp_path, order=3)
         assert cli.main(["validate", str(path), "--output-dir", str(tmp_path)]) == 1
@@ -1355,6 +1405,45 @@ class TestCli:
         assert err.startswith(f"configuration error:\n  - {problem}")
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unallocatable_trajectories_are_config_error(self, tmp_path, capsys, command):
+        # 2e7 samples of n_max 200 need 30.4 GiB of trajectory arrays; both
+        # commands reject them before any compute and write nothing
+        payload = json.loads((REPO / "configs" / "two_photon_vacuum.json").read_text())
+        payload.update(t_end=20000.0, sample_every=1, propagators=["numeric"])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "configuration error:\n  - t_end / dt / sample_every = 20000001 samples x "
+            "n_max = 200 is too large: "
+        )
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
+
+    def test_out_of_memory_in_compute_leaves_failed_manifest(self, tmp_path, monkeypatch, capsys):
+        # an allocation the plan did not foresee fails the run with exit 1
+        # and a manifest that names the error, and no CSV
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr(runner, "evolve_numeric", exhausted)
+        path = write_config(tmp_path, propagators=["rwa", "numeric"])
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory during compute: Unable to allocate 29.8 GiB\n"
+        manifest = tmp_path / "trajectory.manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert stored["status"] == "failed"
+        assert stored["error"] == "out of memory during compute: Unable to allocate 29.8 GiB"
+        assert stored["outputs"] == {"manifest": str(manifest)}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scenario.json", "trajectory.manifest.json",
+        ]
 
     @pytest.mark.parametrize("argv, message", [
         (["validate", str(CONFIGS[0]), "--n-max", "abc"], "invalid int value: 'abc'"),

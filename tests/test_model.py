@@ -20,15 +20,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega=0.0, omega0=1.0)
 
-    def test_rejects_negative_diagonal_couplings_by_default(self):
-        with pytest.raises(ValueError):
-            ModelParams(omega=1.0, omega0=1.0, lambda_g=-0.1)
-        with pytest.raises(ValueError):
-            ModelParams(omega=1.0, omega0=1.0, lambda_e=-0.1)
-
-    def test_signed_override(self):
-        params = ModelParams(omega=1.0, omega0=1.0, lambda_g=-0.1, allow_signed=True)
-        assert params.lambda_g == -0.1
+    def test_signed_couplings_map_literally(self):
+        # either sign of either well is a valid model: -lambda_g and
+        # +lambda_e multiply a_dag + a on the spin diagonal as given
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_g=-0.1, lambda_e=-0.2)
+        h = build_full(params, FockSpace(4))
+        assert (h[0, 1], h[4, 5]) == (0.1, -0.2)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

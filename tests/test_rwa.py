@@ -132,7 +132,7 @@ class TestCouplingElement:
             for lam_g, lam_e in ((-0.3, 0.1), (0.1, -0.25), (-0.05, 0.01)):
                 params = ModelParams(
                     omega=1.0, omega0=1.0, lambda_g=lam_g, lambda_e=lam_e,
-                    lambda_eg=0.02, allow_signed=True,
+                    lambda_eg=0.02,
                 )
                 for n_manifold, n in ((3, 1), (5, 2), (7, 3)):
                     closed = coupling_element(params, n_manifold, n)
@@ -156,7 +156,7 @@ class TestCouplingElement:
         total = (-1.0 if negative else 1.0) * 10.0**log_sum
         params = ModelParams(
             omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
-            lambda_eg=lambda_eg, allow_signed=True,
+            lambda_eg=lambda_eg,
         )
         n_manifold = n + above
         band = _transition_coupling(params, _padded_size(params, n_manifold))[0]
@@ -169,7 +169,7 @@ class TestCouplingElement:
         # V_N(n) at s = (lambda_g + lambda_e)/omega -> 0 from either sign
         # tends to its value at s = 0, with an offset of O(s)
         lambda_eg, n_manifold = 0.02, 6
-        base = dict(omega=1.0, omega0=2.0, lambda_eg=lambda_eg, allow_signed=True)
+        base = dict(omega=1.0, omega0=2.0, lambda_eg=lambda_eg)
         for n in (1, 2, 3, 4):
             at_zero = coupling_element(
                 ModelParams(lambda_g=0.1, lambda_e=-0.1, **base), n_manifold, n
@@ -189,7 +189,6 @@ class TestCouplingElement:
         # ulp bound allows the rounding of lambda_eg * N / sqrt(N)
         params = ModelParams(
             omega=1.0, omega0=1.0, lambda_g=lambda_g, lambda_e=-lambda_g, lambda_eg=0.02,
-            allow_signed=True,
         )
         for n_manifold in range(1, 160):
             expect = 0.02 * math.sqrt(n_manifold)
@@ -205,8 +204,12 @@ class TestCouplingElement:
 
     def test_weak_coupling_monitor(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.5)
-        with pytest.warns(RWAValidityWarning):
+        with pytest.warns(RWAValidityWarning) as record:
             coupling_element(params, 1, 1)
+        assert [str(w.message) for w in record] == [
+            "manifold N = 1 has |V_1(1)|/omega = 0.5, not small; "
+            "secular results there are unreliable"
+        ]
 
 
 class TestRabiFrequency:
@@ -328,7 +331,7 @@ def _secular_cases():
     # sum (where the paper's form of V_N(n) is 0 * inf), a detuned
     # selection-rule zero (V = 0, delta != 0) and no transition coupling at
     # all (every manifold degenerate)
-    signed = dict(omega=1.0, lambda_g=-0.12, lambda_e=0.05, lambda_eg=0.02, allow_signed=True)
+    signed = dict(omega=1.0, lambda_g=-0.12, lambda_e=0.05, lambda_eg=0.02)
     return {
         "two-photon": (two_photon_params(), 2),
         "three-photon": (three_photon_params(), 3),
@@ -408,7 +411,7 @@ class TestSecularProperties:
         total = (-1.0 if negative else 1.0) * 10.0**log_sum
         params = ModelParams(
             omega=1.0, omega0=1.0, lambda_g=split * total, lambda_e=(1.0 - split) * total,
-            lambda_eg=0.02, allow_signed=True,
+            lambda_eg=0.02,
         )
         got = coupling_element(params, n + above, n)
         assert got == pytest.approx(brute_coupling(params, n + above, n), rel=1e-9, abs=1e-14)
