@@ -40,7 +40,7 @@ from .runner import (
     resolve_params,
     run_scenario,
 )
-from .rwa import _padded_size
+from .rwa import _SPECTRUM_MATRICES, _padded_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,16 +65,16 @@ def _spectrum_target(
 ) -> tuple[str, np.ndarray]:
     """The resolved path of the spectrum export, checked writable, and the
     index array of its manifolds n .. manifold_max (n + 20 by default),
-    allocated here after one (n_loc x n_loc) matrix of the ladder that the
-    export pads past manifold_max; one :class:`ConfigError` lists the
-    problems of both."""
+    allocated here after the (n_loc x n_loc) matrices that the spectrum
+    solver holds at its peak on the ladder the export pads past
+    manifold_max; one :class:`ConfigError` lists the problems of both."""
     paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
     try:
         n_loc = _padded_size(params, manifold_max + 1)
-        np.empty((n_loc, n_loc))  # never written, so no page of it is touched
+        np.empty((_SPECTRUM_MATRICES, n_loc, n_loc))  # never written, so no page is touched
         manifolds = np.arange(n, manifold_max + 1)
     except (ValueError, OverflowError, MemoryError) as exc:
         problems.append(f"manifold_max = {manifold_max} is too large: {exc}")

@@ -16,12 +16,13 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
   the rotating-wave treatment.  At ``order=2`` the secular energies carry the
   second-order level shifts (see :mod:`mprabi.rwa`).
 
-Both routes sample on the same grid of steps and expand over a real
-eigenbasis, each column j times the factor exp(L_j x) at sample position x
-(r_j^k = exp(k log r_j) for RK4, exp(-i E_j t) secular), in blocks of time
-samples (:func:`_expand`).  Columns whose initial weight is negligible are
-dropped before the expansion, and each block takes its factors from a
-table of phases over its step offsets.
+Both routes sample on one grid of :func:`sample_count` steps and expand
+over a real eigenbasis, each column j times the factor exp(L_j x) at sample
+position x (r_j^k = exp(k log r_j) for RK4, exp(-i E_j t) secular), in
+blocks of time samples (:func:`_expand`, which returns the trajectory).
+Columns whose initial weight is negligible are dropped before the
+expansion, and each block takes its factors from a table of phases over its
+step offsets.  One top-five rule flags either route's truncation.
 
 The sampled observables are the population inversion W = <sigma_z>, the
 photon-number distribution P_N summed over spin, the squared norm, and the
@@ -77,7 +78,7 @@ class TruncationError(ValueError):
 
 
 class IntegratorWarning(UserWarning):
-    """Truncation advisories from the numeric propagator."""
+    """Truncation advisories from either propagator."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class Trajectory:
 
     ``norm`` stores the squared norm (total probability), so each row of
     ``photon_dist`` sums to the matching ``norm`` entry identically.
-    ``truncation_ok`` is cleared when the top five photon levels ever hold
-    more than the truncation tolerance.  ``final_state`` is the propagated
+    ``truncation_ok`` is cleared by the top-five rule of both routes
+    (:func:`_flag_truncation`).  ``final_state`` is the propagated
     state at the last sample, handy for chaining runs or convergence studies.
     ``pruned_weight`` is the initial weight w of the eigenbasis columns the
     expansion dropped (see :func:`_expand`); no W or P value moves by more
@@ -164,24 +165,30 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
     return vec
 
 
+def sample_count(t_end: float, dt: float, sample_every: int) -> int:
+    """Number of samples of a run of duration t_end: step 0, every
+    ``sample_every`` steps, and the last of round(t_end / dt) steps.  A count
+    no array can hold raises ValueError, as numpy would for such an array."""
+    if not (dt > 0 and t_end > 0 and sample_every >= 1):
+        raise ValueError(f"need dt, t_end > 0, sample_every >= 1: {dt}, {t_end}, {sample_every}")
+    count = -(-max(1, int(round(t_end / dt))) // sample_every) + 1
+    if count > np.iinfo(np.intp).max:
+        raise ValueError("Maximum allowed size exceeded")
+    return count
+
+
 def sample_steps(t_end: float, dt: float, sample_every: int) -> np.ndarray:
-    """Steps at which a run of duration t_end samples: 0, every
-    ``sample_every`` steps, and the last of round(t_end / dt) steps."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = max(1, int(round(t_end / dt)))
-    steps = np.arange(0, n_steps + 1, sample_every)
-    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+    """The :func:`sample_count` steps at which a run samples, as int64."""
+    steps = np.arange(sample_count(t_end, dt, sample_every), dtype=np.int64) * sample_every
+    steps[-1] = max(1, int(round(t_end / dt)))
+    return steps
 
 
-def _expand(basis, coeffs, rates, energies, steps, unit, traj: Trajectory):
-    """Fill traj's W, P, norm, energy, final state and pruned weight from
-    psi_i = basis @ (coeffs * exp(rates * x_i)), x_i = steps[i] * unit, the
-    expansion over eigenvectors ``basis`` of H with ``energies``.
+def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
+    """The trajectory of psi_i = basis @ (coeffs * exp(rates * x_i)),
+    x_i = steps[i] * unit, at the times steps * dt: the expansion over
+    eigenvectors ``basis`` of H with ``energies``, which fills W, P, norm,
+    energy, the final state and the pruned weight.
 
     ``basis`` is real (float64).  Columns whose weight |c_j|^2 is at most
     :data:`_PRUNE_TOL` are dropped first (a NaN weight is kept); with w their
@@ -194,15 +201,16 @@ def _expand(basis, coeffs, rates, energies, steps, unit, traj: Trajectory):
     a uniform grid).  Its product with the basis is one real GEMM on the
     float view of the complex factors.  The energy sum_j |f_j|^2 E_j of
     factors f = head * table, head = c exp(L x_0), is (|head|^2 E) @ |table|^2
-    over the kept columns.  Each block is yielded as
-    ``(rows, top)`` once its rows are filled, with ``top`` the population of
-    the top five photon levels at those samples.
+    over the kept columns.
     """
     weights = np.abs(coeffs) ** 2
     keep = ~(weights <= _PRUNE_TOL)
-    traj.pruned_weight = float(np.sum(weights[~keep]))
+    n_t, n_max = steps.size, basis.shape[0] // 2
+    traj = Trajectory(
+        steps * dt, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t),
+        pruned_weight=float(np.sum(weights[~keep])),
+    )
     basis, coeffs, rates, energies = basis[:, keep], coeffs[keep], rates[keep], energies[keep]
-    n_t = steps.size
     offsets = table = None
     # A lone last sample joins the block before it: a block of its own would
     # cost a table and a product for one sample.
@@ -223,8 +231,22 @@ def _expand(basis, coeffs, rates, energies, steps, unit, traj: Trajectory):
         traj.photon_dist[rows] = block.T
         traj.norm[rows] = np.sum(block, axis=0)
         traj.energy[rows] = (np.abs(head) ** 2 * energies) @ table_sq
-        yield rows, np.sum(traj.photon_dist[rows, -5:], axis=1)
     traj.final_state = psi_t[:, -1].copy()
+    return traj
+
+
+def _flag_truncation(traj: Trajectory, unit: float, label: str) -> None:
+    """The top-five rule of both routes: where the top five photon levels
+    first hold :data:`TRUNCATION_TOL` or more (or NaN), clear ``truncation_ok``
+    and warn once, in multiples of ``unit``, whose name ``label`` follows."""
+    top = np.sum(traj.photon_dist[:, -5:], axis=1)
+    over = np.flatnonzero(~(top < TRUNCATION_TOL))
+    if over.size:
+        traj.truncation_ok = False
+        warnings.warn(
+            f"top five photon levels reached {top[over[0]]:.3e} population at t = "
+            f"{traj.times[over[0]] / unit:.6g}{label}; raise n_max", IntegratorWarning, stacklevel=3
+        )
 
 
 def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,11 +303,10 @@ def evolve_numeric(
 
     Observables are sampled at step 0, every ``sample_every`` steps, and at
     the final step.  The squared norm is never renormalized; if it deviates
-    from 1 by more than :data:`NORM_TOL`, or is not finite, the run aborts
-    with a hint naming a step dt/2^m that keeps it within bound.  The run is flagged
-    invalid (``truncation_ok = False``) if the top five photon levels ever
-    accumulate more than :data:`TRUNCATION_TOL` population, and the first such
-    sample is reported in one :class:`IntegratorWarning`.  Those messages
+    from 1 by more than :data:`NORM_TOL`, or is not finite, the finished run
+    aborts at the first such sample with a hint naming a step dt/2^m that
+    keeps it within bound.  Only then does :func:`_flag_truncation`, the
+    top-five rule of both routes, run.  Those messages
     give times and the hinted step in units of ``period`` when it is given
     (oscillator periods, as the CLI takes them), else in the units of t_end.
     """
@@ -301,29 +322,16 @@ def evolve_numeric(
     coeffs = vectors.T @ psi0
     log_mod, phase = _rk4_log_gain(dt * energies)
 
-    times = steps * dt
-    n_t, n_max = steps.size, h.shape[0] // 2
-    traj = Trajectory(times, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t))
-
-    for rows, top in _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, traj):
-        drift = np.abs(traj.norm[rows] - 1.0)
-        # written so that a NaN norm fails the check
-        bad = np.flatnonzero(~(drift <= NORM_TOL))
-        if bad.size:
-            raise NormDriftError(
-                f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = "
-                f"{times[rows][bad[0]] / unit:.6g}{label} (bound {NORM_TOL:.1e}); "
-                + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, unit, label)
-            )
-        over = np.flatnonzero(~(top < TRUNCATION_TOL))
-        if traj.truncation_ok and over.size:
-            traj.truncation_ok = False
-            warnings.warn(
-                f"top five photon levels reached {top[over[0]]:.3e} "
-                f"population at t = {times[rows][over[0]] / unit:.6g}{label}; raise n_max",
-                IntegratorWarning,
-                stacklevel=2,
-            )
+    traj = _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, dt)
+    drift = np.abs(traj.norm - 1.0)
+    bad = np.flatnonzero(~(drift <= NORM_TOL))  # written so that a NaN norm fails the check
+    if bad.size:
+        raise NormDriftError(
+            f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = {traj.times[bad[0]] / unit:.6g}"
+            f"{label} (bound {NORM_TOL:.1e}); "
+            + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, unit, label)
+        )
+    _flag_truncation(traj, unit, label)
     return traj
 
 
@@ -398,8 +406,8 @@ def evolve_rwa(
     The energy is sum_j |c_j|^2 E_j over the kept columns, constant up to
     rounding.  The manifolds whose |V_N(n)| is not small against omega
     are reported in one :class:`~mprabi.rwa.RWAValidityWarning` with the
-    initial weight they hold.  The run is flagged invalid when the top five
-    photon levels ever hold :data:`TRUNCATION_TOL` or more.
+    initial weight they hold.  The run is flagged invalid by the top-five
+    rule of both routes (:func:`_flag_truncation`), timed in periods.
 
     The expansion runs in time blocks (:func:`_expand`): each block's phases
     are exp(-i E (k_0 dt)) at its first step k_0, the argument a single
@@ -411,16 +419,10 @@ def evolve_rwa(
     """
     steps = sample_steps(t_end, dt, sample_every)
     basis, energies, v, coeffs = projection
-    weights = np.abs(coeffs) ** 2
-    n_max = basis.shape[0] // 2
-    _warn_strong(params, n, range(n, n_max), v, weights[n:].reshape(-1, 2).sum(axis=1))
-
-    n_t = steps.size
-    traj = Trajectory(
-        steps * dt, np.empty(n_t), np.empty((n_t, n_max)), np.empty(n_t), np.empty(n_t)
-    )
-    for _, top in _expand(basis, coeffs, -1j * energies, energies, steps, dt, traj):
-        traj.truncation_ok &= bool(np.max(top) < TRUNCATION_TOL)
+    weights = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
+    _warn_strong(params, n, range(n, basis.shape[0] // 2), v, weights)
+    traj = _expand(basis, coeffs, -1j * energies, energies, steps, dt, dt)
+    _flag_truncation(traj, 2.0 * math.pi / params.omega, " periods")
     return traj
 
 

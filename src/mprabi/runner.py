@@ -17,7 +17,9 @@ pipeline is free of randomness, and the split does not change the bytes:
 identical configs produce byte-identical CSVs at one BLAS build and one BLAS
 thread count.  At another thread count the BLAS routines of the numeric
 route (``eigh`` and the expansion's matrix products) round differently, and
-its values move in their last digits (up to ~4e-12 in W).
+its values move in their last digits (up to ~4e-12 in W).  The manifest's
+``environment`` records what decides the bytes besides the config (see
+:func:`_environment`), so two manifests say whether their CSVs should match.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
 with the ``error`` text) and the ``timings`` of its stages; a run that aborts
@@ -39,6 +41,7 @@ import functools
 import json
 import math
 import os
+import platform
 import threading
 import time
 import warnings
@@ -58,7 +61,7 @@ from .dynamics import (
     evolve_rwa,
     prepare_initial,
     project_secular,
-    sample_steps,
+    sample_count,
 )
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
@@ -76,6 +79,8 @@ OUTPUT_DIR_ENV = "MPRABI_OUTPUT_DIR"
 STAGES = ("plan", "build", "numeric", "rwa", "emit")
 #: the manifest ``outputs`` key of each route's CSV, in the order routes run
 _CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
+#: the environment variables that set the BLAS thread count, echoed where set
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: the config keys the manifest echoes as they are
 _CONFIG_RECORD = ("initial_kind", "n_photons", "mean_photons", "sample_every", "n_max", "order")
 
@@ -161,10 +166,11 @@ _SOURCE_CONSTANTS = {_DOT: ".", _MINUS: "-", _E: "e", _PLUS: "+", _ZERO: "0"}
 #: (~90k minor faults per 19 MB CSV, as glibc trims the heap between blocks),
 #: which costs more than the larger block saves
 _CSV_BLOCK = 5_000
-#: fewest values each row range must hold for a CSV to be split over
-#: processes.  On a 2-vCPU VM a split of 50,000 values in all lost to one
-#: process, 74,000 won by 3 ms of 23 ms and 124,000 by 22 ms of 63 ms: below
-#: that the fork and the join of the part cost about what the second CPU saves
+#: fewest rendered values (see :func:`_rendered_p`) each row range must hold
+#: for a CSV to be split over processes.  On a 2-vCPU VM a split of 50,000
+#: values in all lost to one process, 74,000 won by 3 ms of 23 ms and 124,000
+#: by 22 ms of 63 ms: below that the fork and the join of the part cost about
+#: what the second CPU saves
 _RANGE_MIN_VALUES = 50_000
 
 
@@ -333,6 +339,13 @@ def _format_block(values: np.ndarray, source: np.ndarray) -> np.ndarray:
     return text[text != 0]
 
 
+def _rendered_p(photon_dist: np.ndarray) -> int:
+    """How many P columns the kernel renders: up to the last one with a
+    nonzero bit pattern in some row."""
+    used = np.flatnonzero(np.bitwise_or.reduce(photon_dist.view(np.uint64), axis=0))
+    return int(used[-1]) + 1 if used.size else 0
+
+
 def _csv_blocks(traj: Trajectory, omega: float):
     """The canonical CSV bytes of a trajectory: the header, then blocks of
     rows rendered by :func:`_format_block`.
@@ -344,8 +357,7 @@ def _csv_blocks(traj: Trajectory, omega: float):
     n_t, n_max = traj.photon_dist.shape
     period = 2.0 * math.pi / omega
     yield ("t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max)) + "\n").encode()
-    used = np.flatnonzero(np.bitwise_or.reduce(traj.photon_dist.view(np.uint64), axis=0))
-    n_p = int(used[-1]) + 1 if used.size else 0
+    n_p = _rendered_p(traj.photon_dist)
     row_end = b",0" * (n_max - n_p) + b"\n"
     n_cols = 4 + n_p
     rows = max(1, _CSV_BLOCK // n_cols)
@@ -378,16 +390,21 @@ def _rows(traj: Trajectory, start: int, stop: int) -> Trajectory:
     )
 
 
+def _usable_cpus() -> int | None:
+    """How many CPUs this process may run on; None where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+
+
 def _row_bounds(n_rows: int, n_cols: int) -> list:
     """Bounds of the contiguous row ranges a CSV is rendered in: one per
-    usable CPU, each of at least :data:`_RANGE_MIN_VALUES` values, and a
-    single range where this process cannot fork safely: without ``os.fork``,
-    off the main thread, or beside another Python thread."""
+    usable CPU, each of at least :data:`_RANGE_MIN_VALUES` rendered values,
+    and a single range where this process cannot fork safely: without
+    ``os.fork``, off the main thread, or beside another Python thread."""
     forkable = (
         hasattr(os, "fork") and threading.active_count() == 1
         and threading.current_thread() is threading.main_thread()
     )
-    cpus = len(os.sched_getaffinity(0)) if forkable and hasattr(os, "sched_getaffinity") else 1
+    cpus = (_usable_cpus() or 1) if forkable else 1
     parts = max(1, min(cpus, n_rows, n_rows * n_cols // _RANGE_MIN_VALUES))
     return [n_rows * i // parts for i in range(parts + 1)]
 
@@ -459,8 +476,7 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
     then appends the parts in row order and renames once.  A worker's
     failure raises :class:`OSError` with its text.  On every path each
     worker is reaped and no temp file or part is left."""
-    n_rows, n_max = traj.photon_dist.shape
-    bounds = _row_bounds(n_rows, 4 + n_max)
+    bounds = _row_bounds(len(traj), 4 + _rendered_p(traj.photon_dist))
     directory = os.path.dirname(os.path.abspath(path))
     _kernel_tables()  # built once, before any fork, for every worker
     workers = []  # (first row, last row, pid, pipe, part), in row order
@@ -491,6 +507,18 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
                 os.waitpid(pid, 0)
                 os.close(pipe)
                 os.close(part)
+
+
+def _environment() -> dict:
+    """What decides a CSV's bytes besides the config: the Python and numpy
+    versions, the usable CPU count, which sets the BLAS thread count unless
+    one of the thread variables is set, and those variables where set."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "usable_cpus": _usable_cpus(),
+        "thread_env": {name: os.environ[name] for name in _THREAD_ENV if name in os.environ},
+    }
 
 
 def _params_record(params: ModelParams) -> dict:
@@ -582,24 +610,24 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
 
     Resolves the files the run writes (the manifest, plus one CSV per
     propagator) with :func:`resolve_outputs`, resolves the model parameters,
-    builds the sample grid the routes build and prepares the initial
-    state.  When the secular route runs, it keeps the state's
-    :func:`~mprabi.dynamics.project_secular` projection, which
-    :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
-    :class:`ConfigError` with every unusable output path, a grid, a state or
-    trajectories too large to allocate, and a start state that does not fit
-    the truncation or the secular basis (an order-2 basis off the resonance
-    included).  ``mprabi validate`` runs this call, so it rejects exactly
-    what a run rejects before compute.
+    counts the samples (:func:`~mprabi.dynamics.sample_count`, with no grid
+    built) and prepares the initial state.  When the secular route runs, it
+    keeps the state's :func:`~mprabi.dynamics.project_secular` projection,
+    which :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
+    :class:`ConfigError` with every unusable output path, a sample count, a
+    state or trajectories too large to allocate, and a start state that does
+    not fit the truncation or the secular basis (an order-2 basis off the
+    resonance included).  ``mprabi validate`` runs this call, so it rejects
+    exactly what a run rejects before compute.
     """
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
     outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
     period = 2.0 * math.pi / params.omega
-    samples = 0  # stays 0 when the grid is the problem
-    try:  # the grid both routes sample on
-        samples = sample_steps(config.t_end * period, config.dt * period, config.sample_every).size
-    except (ValueError, OverflowError, MemoryError) as exc:
+    samples = 0  # stays 0 when the count is the problem
+    try:
+        samples = sample_count(config.t_end * period, config.dt * period, config.sample_every)
+    except (ValueError, OverflowError) as exc:
         problems.append(f"t_end / dt = {config.t_end / config.dt:.6g} steps is too many: {exc}")
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
@@ -652,8 +680,7 @@ def run_scenario(
         with _timed(timings, "plan"):
             outputs, params, n, psi0, projection = plan_run(config, output_dir)
         period = 2.0 * math.pi / params.omega
-        t_end = config.t_end * period
-        dt = config.dt * period
+        t_end, dt = config.t_end * period, config.dt * period
         try:
             if "numeric" in config.propagators:
                 with _timed(timings, "build"):
@@ -665,9 +692,7 @@ def run_scenario(
                     )
             if projection is not None:
                 with _timed(timings, "rwa"):
-                    trajs["rwa"] = evolve_rwa(
-                        params, n, projection, t_end, dt, config.sample_every
-                    )
+                    trajs["rwa"] = evolve_rwa(params, n, projection, t_end, dt, config.sample_every)
         except NormDriftError as exc:
             error = exc
         except MemoryError as exc:  # an allocation the plan's probe did not foresee
@@ -728,6 +753,7 @@ def run_scenario(
         "status": "ok" if error is None else "failed",
         "error": None if error is None else str(error),
         "code_version": __version__,
+        "environment": _environment(),
         "wall_clock_utc": wall,
         "timings": {stage: round(seconds, 6) for stage, seconds in timings.items()},
         "elapsed_seconds": round(time.perf_counter() - start, 6),

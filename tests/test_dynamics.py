@@ -32,6 +32,7 @@ from mprabi.dynamics import (
     observables,
     prepare_initial,
     project_secular,
+    sample_count,
     sample_steps,
 )
 
@@ -221,6 +222,37 @@ class TestObservables:
         assert np.max(np.abs(traj.energy - expected) / np.abs(expected)) < 1e-14
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("t_end, dt, sample_every", [
+        (10.0, 1.0, 1), (10.0, 1.0, 5), (10.0, 1.0, 3), (10.0, 1.0, 10), (10.0, 1.0, 11),
+        (0.2, 1.0, 4), (7.0, 0.5, 2), (100.0, 0.1, 7),
+    ], ids=["every", "on-stride", "off-stride", "one-interval", "past-end", "one-step",
+            "even", "long"])
+    def test_count_is_the_grid_length(self, t_end, dt, sample_every):
+        # the grid the routes sample on: step 0, every sample_every steps and
+        # the last of round(t_end / dt) steps, at least one
+        n_steps = max(1, round(t_end / dt))
+        expected = sorted({*range(0, n_steps + 1, sample_every), n_steps})
+        steps = sample_steps(t_end, dt, sample_every)
+        assert steps.dtype == np.int64
+        assert steps.tolist() == expected
+        assert sample_count(t_end, dt, sample_every) == len(expected)
+
+    def test_count_no_array_can_hold(self):
+        # counted, never allocated: the count alone says it cannot be held
+        with pytest.raises(ValueError, match="^Maximum allowed size exceeded$"):
+            sample_count(1e300, 1.0, 1)
+        assert sample_count(1e300, 1.0, int(1e300)) == 2  # steps 0 and the last
+        with pytest.raises(OverflowError):
+            sample_count(1e300, 1e-10, 1)
+
+    @pytest.mark.parametrize("args", [(1.0, -0.1, 1), (1.0, 0.0, 1), (-1.0, 0.1, 1),
+                                      (1.0, 0.1, 0), (1.0, math.nan, 1)])
+    def test_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError, match="need dt, t_end > 0"):
+            sample_count(*args)
+
+
 class TestEvolveNumeric:
     def test_stationary_excited_state_uncoupled(self):
         params = ModelParams(omega=1.0, omega0=2.0)
@@ -317,6 +349,24 @@ class TestEvolveNumeric:
         assert len(messages) == 1
         reported = float(re.search(r"at t = (\S+);", messages[0]).group(1))
         assert reported == float(f"{traj.times[first]:.6g}")
+
+    def test_norm_drift_raises_before_any_truncation_warning(self):
+        # the top-of-ladder start is truncated from its first sample; under a
+        # huge step its norm drifts too, and the drift is raised with no
+        # top-five warning before it, while the hinted step runs and warns
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
+        space = FockSpace(30)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
+        h = build_full(params, space)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            with pytest.raises(NormDriftError) as info:
+                evolve_numeric(h, psi0, 10.0, 1.0, sample_every=1)
+        assert not [w for w in log if issubclass(w.category, IntegratorWarning)]
+        hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
+        with pytest.warns(IntegratorWarning, match="at t = 0;"):
+            traj = evolve_numeric(h, psi0, 10.0, hinted, sample_every=1)
+        assert not traj.truncation_ok
 
     def test_closer_to_long_double_rk4_than_folded_route(self):
         # dim 80, two-photon couplings, coherent start, 400k steps, against
@@ -544,6 +594,31 @@ class TestEvolveRwa:
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
+
+    def test_truncation_warns_once_in_periods(self, monkeypatch):
+        # the top-five rule of both routes, here on the secular one: a vacuum
+        # Rabi cycle at omega = 2 moves population into |down, 1>, one of the
+        # top five levels at n_max = 6, and the first sample over the
+        # tolerance is named once, in periods 2 pi / omega = pi
+        params = ModelParams(omega=2.0, omega0=2.0, lambda_eg=0.02)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(6))
+        run = (params, 1, project_secular(params, 1, psi0, 1), 60.0, 0.1, 3)
+        monkeypatch.setattr(dynamics, "TRUNCATION_TOL", 2.0)
+        quiet = evolve_rwa(*run)
+        assert quiet.truncation_ok
+        top = np.sum(quiet.photon_dist[:, -5:], axis=1)
+        target = 100
+        assert int(np.argmax(top >= top[target])) == target
+        monkeypatch.setattr(dynamics, "TRUNCATION_TOL", top[target])
+        with pytest.warns(IntegratorWarning) as record:
+            traj = evolve_rwa(*run)
+        assert not traj.truncation_ok
+        messages = [str(w.message) for w in record if w.category is IntegratorWarning]
+        assert messages == [
+            f"top five photon levels reached {top[target]:.3e} population at "
+            f"t = {traj.times[target] / math.pi:.6g} periods; raise n_max"
+        ]
+        assert "t = 9.5493 periods" in messages[0]
 
     def test_order_validated(self):
         params = two_photon_params()

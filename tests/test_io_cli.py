@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -40,6 +41,15 @@ QUICK = {
     "dt": 0.002,
     "sample_every": 50,
 }
+
+
+def long_numeric_config(tmp_path):
+    """two_photon_vacuum, numeric only, with 20000001 samples (30.4 GiB)."""
+    payload = json.loads((REPO / "configs" / "two_photon_vacuum.json").read_text())
+    payload.update(t_end=20000.0, sample_every=1, propagators=["numeric"])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def write_config(tmp_path, name="scenario.json", **extra):
@@ -645,6 +655,37 @@ class TestSplitEmit:
         assert (tmp_path / "split.csv").read_bytes() == expected
         assert_no_child_left()
 
+    def test_split_sized_on_the_rendered_columns(self, tmp_path, monkeypatch):
+        # 1000 rows of 4 + 96 columns hold 100,000 values, two ranges' worth
+        # on two CPUs; with P columns 6 and up zero throughout, 10,000 values
+        # are rendered, and they take one range, with the oracle's bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fork_worker = runner._fork_worker
+        forked = []
+
+        def counted(traj, omega, directory):
+            forked.append(len(traj))
+            return fork_worker(traj, omega, directory)
+
+        monkeypatch.setattr(runner, "_fork_worker", counted)
+        rng = np.random.default_rng(5)
+        p = np.zeros((1000, 96))
+        p[:, :6] = rng.uniform(size=(1000, 6))
+        traj = Trajectory(
+            times=np.arange(1000) * 0.01, inversion=rng.uniform(-1.0, 1.0, 1000),
+            photon_dist=p, norm=np.ones(1000), energy=rng.uniform(size=1000),
+        )
+        assert 1000 * (4 + 96) >= 2 * runner._RANGE_MIN_VALUES > 1000 * (4 + 6)
+        emit_csv(traj, str(tmp_path / "tail.csv"), omega=2.0 * math.pi)
+        assert forked == []
+        assert (tmp_path / "tail.csv").read_bytes() == reference_csv(traj, 2.0 * math.pi).encode()
+        # the same rows with their last column rendered split in two
+        p[0, -1] = 0.5
+        emit_csv(traj, str(tmp_path / "full.csv"), omega=2.0 * math.pi)
+        assert forked == [500]
+        assert (tmp_path / "full.csv").read_bytes() == reference_csv(traj, 2.0 * math.pi).encode()
+        assert_no_child_left()
+
     @pytest.mark.parametrize("how", ["no-fork", "one-cpu", "other-thread", "off-main-thread"])
     def test_fallback_writes_the_sequential_bytes(self, tmp_path, monkeypatch, how):
         traj = values_trajectory(edge_values(300 * 20))
@@ -786,6 +827,45 @@ class TestRunScenario:
         assert stored["validity"]["truncation_ok"] is False
         assert stored["status"] == "failed"
         assert stored["error"].startswith("run finished but failed validity checks")
+
+    def test_secular_truncation_warns_in_periods(self, tmp_path):
+        # the secular route breaks the top-five bound as the numeric one
+        # does, and its manifest says where, in periods
+        payload = {**QUICK, "n_max": 5, "t_end": 1.0, "propagators": ["rwa"]}
+        config = parse_config(json.dumps(payload))
+        with pytest.raises(runner.ValidityError):
+            run_scenario(config, output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["validity"]["truncation_ok"] is False
+        lines = [w for w in stored["validity"]["warnings"] if w.startswith("IntegratorWarning")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"IntegratorWarning: top five photon levels reached \S+ population at "
+            r"t = \S+ periods; raise n_max", lines[0]
+        )
+
+    def test_manifest_records_what_decides_the_bytes(self, tmp_path, monkeypatch):
+        for name in runner._THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        _, manifest = run_scenario(parse_config(json.dumps(QUICK)), output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["environment"] == manifest["environment"]
+        env = stored["environment"]
+        assert set(env) == {"python", "numpy", "usable_cpus", "thread_env"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        if hasattr(os, "sched_getaffinity"):
+            assert env["usable_cpus"] == len(os.sched_getaffinity(0))
+            assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
+        else:
+            assert env["usable_cpus"] is None
+        assert env["thread_env"] == {"OMP_NUM_THREADS": "3"}
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert runner._environment()["thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2",
+        }
 
     def test_secular_validity_warnings_fold_into_one_line(self, tmp_path):
         # at lambda_eg = 0.15 the couplings of manifolds 8..11 reach 0.1 omega
@@ -1424,6 +1504,65 @@ class TestCli:
         )
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
+
+    def test_validate_counts_samples_without_a_grid(self, tmp_path, capsys, monkeypatch):
+        # the plan sizes the 2e7-sample run from its count: with the grid
+        # builder broken, validate still rejects it with the same one line
+        def no_grid(*args):
+            raise AssertionError("the plan built the sample grid")
+
+        monkeypatch.setattr(dynamics, "sample_steps", no_grid)
+        monkeypatch.setattr(runner, "sample_steps", no_grid, raising=False)
+        path = long_numeric_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["validate", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "configuration error:\n  - t_end / dt / sample_every = 20000001 samples x "
+            "n_max = 200 is too large: "
+        )
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_validate_of_a_long_run_stays_small(self, tmp_path):
+        # a fresh launcher, so that the peak is that of validate alone; building
+        # the 2e7-entry grid took it to 182 MiB
+        path = long_numeric_config(tmp_path)
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run(sys.argv[1:], capture_output=True).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "mprabi.cli", "validate",
+             str(path), "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 1
+        assert peak_kib < 100 * 1024
+
+    def test_spectrum_probe_covers_the_solver_peak(self, tmp_path, monkeypatch):
+        # the probe maps as many padded-ladder matrices as the solver holds at
+        # its peak (see tests/test_rwa.py), not one
+        empty = np.empty
+        shapes = []
+
+        def recorded(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(cli.np, "empty", recorded)
+        path = write_config(tmp_path)
+        assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path),
+                         "--manifold-max", "30"]) == 0
+        params, _ = runner.resolve_params(parse_config(path.read_text()))
+        n_loc = rwa._padded_size(params, 31)
+        assert shapes[0] == (rwa._SPECTRUM_MATRICES, n_loc, n_loc)
 
     def test_out_of_memory_in_compute_leaves_failed_manifest(self, tmp_path, monkeypatch, capsys):
         # an allocation the plan did not foresee fails the run with exit 1

@@ -1,6 +1,7 @@
 """Resonance bookkeeping, coupling matrix elements, dressed states."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from mprabi.rwa import (
     spectrum_records,
 )
 from mprabi.rwa import _padded_size, _secular_spectrum, _shifts, _transition_coupling
+from mprabi.rwa import _SPECTRUM_MATRICES
 
 
 def brute_coupling(params, n_manifold, n, n_big=None):
@@ -388,6 +390,30 @@ class TestSecularSpectrum:
                 vecs = vecs[:, ::-1] * np.where(vecs[0, ::-1] < 0.0, -1.0, 1.0)
                 gap = exact[1] - exact[0]
                 assert np.max(np.abs(pair - vecs)) < 1e-15 + 1e-14 * scale / gap
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("lambdas, n", [((0.0, 0.1), 2), ((0.1, 0.1), 3), ((0.3, 0.5), 2)])
+    def test_peak_within_the_probed_matrices(self, lambdas, n, order):
+        # cli probes _SPECTRUM_MATRICES (n_loc x n_loc) float64 matrices
+        # before a spectrum export; the solver's traced peak must fit in them
+        lambda_g, lambda_e = lambdas
+        omega0 = resonant_omega0(n, omega=1.0, lambda_g=lambda_g, lambda_e=lambda_e)
+        params = ModelParams(omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
+                             lambda_eg=0.02)
+        n_top = 250
+        n_loc = _padded_size(params, n_top)
+        assert 280 <= n_loc <= 380
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        tracemalloc.start()
+        try:
+            _secular_spectrum(params, n, n_top, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * n_loc**2
+        assert matrix < peak <= _SPECTRUM_MATRICES * matrix
 
 
 class TestSecularProperties:
