@@ -22,8 +22,8 @@ $MPRABI_OUTPUT_DIR, else the working directory.  --dt, --n-max, --t-end and
 from __future__ import annotations
 
 import argparse
-import gc
 import glob
+import os
 import sys
 import warnings
 
@@ -193,11 +193,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # Everything alive now, mostly what the imports of numpy made, lives
-    # until exit; frozen, the final collection does not walk it (~20 ms of
-    # every run)
-    gc.freeze()
-    raise SystemExit(main())
+    """The ``mprabi`` command: exits with :func:`main`'s code once stdout and
+    stderr are flushed, skipping the interpreter's teardown (~7-19 ms a run)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ are written atomically (temp file in the target directory, then rename), with
 the mode ``open(path, "w")`` would give them.  CSV text is rendered in blocks
 of rows by a vectorized kernel and streamed to disk, so no copy of the whole
 CSV text is ever held in memory.  A CSV large enough to repay a fork is cut
-into contiguous row ranges, one per usable CPU: forked workers render every
-range but the first into part files beside the target while this process
-renders the header and the first range, then appends the parts in row order
-with plain reads and writes and renames once (see :func:`emit_csv`).  The
+into contiguous row ranges, one per usable CPU, all rendering the columns
+:func:`emit_csv` settles once: forked workers render every range but the
+first into part files beside the target while this process writes the
+header and renders the first range, then appends each part in row order as
+its worker ends, and renames once.  A worker whose parent is gone stops.  The
 pipeline is free of randomness, and the split does not change the bytes:
 identical configs produce byte-identical CSVs at one BLAS build and one BLAS
 thread count.  At another thread count the BLAS routines of the numeric
@@ -99,9 +100,9 @@ def _timed(timings: dict, stage: str):
         timings[stage] = time.perf_counter() - start
 
 
-def _temp_path(directory: str) -> str:
-    """A fresh name for a temp file in ``directory``."""
-    return os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+def _temp_path(path: str) -> str:
+    """A fresh name for a temp file beside ``path``."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}~")
 
 
 @contextlib.contextmanager
@@ -111,7 +112,7 @@ def _atomic_write(path: str):
 
     The temp file is created with mode 0o666 under the process umask, the
     mode ``open(path, "w")`` would give ``path``."""
-    tmp_path = _temp_path(os.path.dirname(os.path.abspath(path)))
+    tmp_path = _temp_path(path)
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp_path, flags, 0o666)
     try:
@@ -341,36 +342,31 @@ def _format_block(values: np.ndarray, source: np.ndarray) -> np.ndarray:
 
 def _rendered_p(photon_dist: np.ndarray) -> int:
     """How many P columns the kernel renders: up to the last one with a
-    nonzero bit pattern in some row."""
+    nonzero bit pattern in some row (a -0.0 has one, so it is rendered '-0')."""
     used = np.flatnonzero(np.bitwise_or.reduce(photon_dist.view(np.uint64), axis=0))
     return int(used[-1]) + 1 if used.size else 0
 
 
-def _csv_blocks(traj: Trajectory, omega: float):
-    """The canonical CSV bytes of a trajectory: the header, then blocks of
-    rows rendered by :func:`_format_block`.
+def _csv_rows(traj: Trajectory, omega: float, n_p: int, start: int, stop: int):
+    """The canonical CSV bytes of rows start .. stop - 1 of a trajectory, in
+    blocks rendered by :func:`_format_block`.
 
-    The P columns after the last one with a nonzero bit pattern in some row
-    are +0.0 throughout: the kernel renders the columns up to it, and each
-    row end gets the others' ',0' text.  A -0.0 has a nonzero bit pattern,
-    so it is rendered ('-0')."""
-    n_t, n_max = traj.photon_dist.shape
+    The kernel renders the first ``n_p`` P columns (see :func:`_rendered_p`);
+    the others are +0.0 throughout, and each row end gets their ',0' text."""
     period = 2.0 * math.pi / omega
-    yield ("t_periods,W,norm,energy," + ",".join(f"P{i}" for i in range(n_max)) + "\n").encode()
-    n_p = _rendered_p(traj.photon_dist)
-    row_end = b",0" * (n_max - n_p) + b"\n"
+    row_end = b",0" * (traj.photon_dist.shape[1] - n_p) + b"\n"
     n_cols = 4 + n_p
     rows = max(1, _CSV_BLOCK // n_cols)
-    values = np.empty((min(rows, n_t), n_cols))
+    values = np.empty((min(rows, stop - start), n_cols))
     source = np.zeros((values.size, 32), dtype=np.uint8)
     for offset, char in _SOURCE_CONSTANTS.items():
         source[:, offset] = ord(char)
     separators = source.reshape(*values.shape, 32)[..., _SEP]
     separators[:] = ord(",")
     separators[:, -1] = ord("\n")
-    for start in range(0, n_t, rows):
-        block = slice(start, start + rows)
-        n = min(rows, n_t - start)
+    for first in range(start, stop, rows):
+        block = slice(first, min(first + rows, stop))
+        n = block.stop - first
         values[:n, 0] = traj.times[block] / period
         values[:n, 1] = traj.inversion[block]
         values[:n, 2] = traj.norm[block]
@@ -378,16 +374,7 @@ def _csv_blocks(traj: Trajectory, omega: float):
         values[:n, 4:] = traj.photon_dist[block, :n_p]
         text = _format_block(values[:n].reshape(-1), source[: n * n_cols])
         # the kernel writes a LF at row ends only
-        yield text if n_p == n_max else text.tobytes().replace(b"\n", row_end)
-
-
-def _rows(traj: Trajectory, start: int, stop: int) -> Trajectory:
-    """The samples start .. stop - 1 of a trajectory, as views."""
-    rows = slice(start, stop)
-    return Trajectory(
-        times=traj.times[rows], inversion=traj.inversion[rows],
-        photon_dist=traj.photon_dist[rows], norm=traj.norm[rows], energy=traj.energy[rows],
-    )
+        yield text if row_end == b"\n" else text.tobytes().replace(b"\n", row_end)
 
 
 def _usable_cpus() -> int | None:
@@ -409,15 +396,19 @@ def _row_bounds(n_rows: int, n_cols: int) -> list:
     return [n_rows * i // parts for i in range(parts + 1)]
 
 
-def _fork_worker(traj: Trajectory, omega: float, directory: str) -> tuple:
-    """Fork a process that renders the rows of ``traj``, without the header,
-    into a part file in ``directory``; returns (pid, error pipe, part fd).
+def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int,
+                 path: str) -> tuple:
+    """Fork a process that renders rows start .. stop - 1 of ``traj`` (see
+    :func:`_csv_rows`) into a part file beside ``path``; returns (pid, error
+    pipe, part fd).
 
     The part is unlinked as soon as it is created, so no failure can leave
     it behind; the parent reads it through its fd.  A worker that fails
-    writes its error text into the pipe and exits nonzero."""
-    part_path = _temp_path(directory)
+    writes its error text into the pipe and exits nonzero, and one whose
+    parent is gone stops at its next kernel block."""
+    part_path = _temp_path(path)
     fds = [os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)]
+    parent = os.getpid()
     try:
         os.unlink(part_path)
         fds += os.pipe()
@@ -435,10 +426,11 @@ def _fork_worker(traj: Trajectory, omega: float, directory: str) -> tuple:
     if pid == 0:  # the worker: it never returns into the caller
         status = 1
         try:
-            blocks = _csv_blocks(traj, omega)
-            next(blocks)  # the header is the parent's
             with open(part, "wb", closefd=False) as out:
-                out.writelines(blocks)
+                for text in _csv_rows(traj, omega, n_p, start, stop):
+                    if os.getppid() != parent:  # killed: nobody joins this part
+                        os._exit(status)
+                    out.write(text)
             status = 0
         except BaseException as exc:
             os.write(write, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
@@ -448,56 +440,56 @@ def _fork_worker(traj: Trajectory, omega: float, directory: str) -> tuple:
     return pid, read, part
 
 
-def _join(pid: int, pipe: int) -> str:
-    """Wait for a worker to end; returns its error text, '' if it succeeded."""
+def _join(workers: list, out: int) -> str:
+    """Wait for the first of ``workers`` to end and take it off the list,
+    then append all of its part to ``out`` in 1 MiB chunks; returns its
+    error text instead if it failed, else ''."""
+    *_, pid, pipe, part = workers[0]
     text = b""
     while chunk := os.read(pipe, 1 << 16):
         text += chunk
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
+    del workers[0]  # reaped: emit_csv's cleanup must not kill it
+    try:
+        if status != 0:
+            return text.decode(errors="replace") or f"exit status {status}"
+        size, offset = os.fstat(part).st_size, 0
+        while offset < size:
+            offset += os.write(out, os.pread(part, min(size - offset, 1 << 20), offset))
         return ""
-    return text.decode(errors="replace") or f"exit status {status}"
-
-
-def _append(part: int, out: int) -> None:
-    """Append all of file ``part`` to ``out`` at its offset, in 1 MiB chunks."""
-    size = os.fstat(part).st_size
-    offset = 0
-    while offset < size:
-        offset += os.write(out, os.pread(part, min(size - offset, 1 << 20), offset))
+    finally:
+        os.close(pipe)
+        os.close(part)
 
 
 def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
     """Stream a trajectory CSV into an atomic write, its rows rendered in
     contiguous ranges, one per usable CPU (see :func:`_row_bounds`).
 
-    Forked workers render every range but the first into parts beside
-    ``path`` while this process writes the header and the first range; it
-    then appends the parts in row order and renames once.  A worker's
-    failure raises :class:`OSError` with its text.  On every path each
-    worker is reaped and no temp file or part is left."""
-    bounds = _row_bounds(len(traj), 4 + _rendered_p(traj.photon_dist))
-    directory = os.path.dirname(os.path.abspath(path))
+    This is the one place that decides a CSV: it counts the P columns the
+    kernel renders (:func:`_rendered_p`) once, sizes the ranges on them and
+    hands every range the count.  Forked workers render every range but the
+    first into parts beside ``path`` while this process writes the header and
+    the first range, then appends each part in row order as its worker ends and
+    renames once.  A worker's failure raises :class:`OSError` with its text.  On
+    every path each worker is reaped and no temp file or part is left."""
+    n_rows, n_max = traj.photon_dist.shape
+    n_p = _rendered_p(traj.photon_dist)
+    bounds = _row_bounds(n_rows, 4 + n_p)
     _kernel_tables()  # built once, before any fork, for every worker
     workers = []  # (first row, last row, pid, pipe, part), in row order
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            worker = _fork_worker(_rows(traj, start, stop), omega, directory)
-            workers.append((start, stop - 1, *worker))
+            workers.append((start, stop - 1, *_fork_worker(traj, omega, n_p, start, stop, path)))
         with _atomic_write(path) as handle:
-            handle.writelines(_csv_blocks(_rows(traj, 0, bounds[1]), omega))
+            header = "t_periods,W,norm,energy" + "".join(f",P{i}" for i in range(n_max))
+            handle.write(f"{header}\n".encode())
+            handle.writelines(_csv_rows(traj, omega, n_p, 0, bounds[1]))
             handle.flush()
             while workers:
-                first, last, pid, pipe, part = workers[0]
-                error = _join(pid, pipe)
-                workers.pop(0)
-                try:
-                    if error:
-                        raise OSError(f"CSV worker for rows {first}..{last} of {path}: {error}")
-                    _append(part, handle.fileno())
-                finally:
-                    os.close(pipe)
-                    os.close(part)
+                first, last = workers[0][:2]
+                if error := _join(workers, handle.fileno()):
+                    raise OSError(f"CSV worker for rows {first}..{last} of {path}: {error}")
     finally:
         if workers:
             import signal  # needed only when an emit fails

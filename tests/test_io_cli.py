@@ -7,10 +7,13 @@ import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
+import warnings
 from decimal import Decimal
 from dataclasses import fields
 from pathlib import Path
@@ -346,17 +349,17 @@ class TestEmitCsv:
             norm=dist.sum(axis=1),
             energy=rng.normal(size=1000),
         )
-        blocks = runner._csv_blocks
+        csv_rows = runner._csv_rows
         temp_sizes = []
 
-        def flaky(traj, omega):
-            for i, chunk in enumerate(blocks(traj, omega)):
-                if i == 2:
+        def flaky(traj, omega, n_p, start, stop):
+            for i, chunk in enumerate(csv_rows(traj, omega, n_p, start, stop)):
+                if i == 1:
                     temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir())
                     raise RuntimeError("disk gremlin")
                 yield chunk
 
-        monkeypatch.setattr(runner, "_csv_blocks", flaky)
+        monkeypatch.setattr(runner, "_csv_rows", flaky)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="disk gremlin"):
             emit_csv(traj, str(path), omega=1.0)
@@ -504,9 +507,9 @@ def force_split(monkeypatch, cpus):
     fork_worker = runner._fork_worker
     forked = []
 
-    def counted(traj, omega, directory):
-        forked.append(len(traj))
-        return fork_worker(traj, omega, directory)
+    def counted(traj, omega, n_p, start, stop, path):
+        forked.append(stop - start)
+        return fork_worker(traj, omega, n_p, start, stop, path)
 
     monkeypatch.setattr(runner, "_fork_worker", counted)
     return forked
@@ -615,17 +618,64 @@ class TestSplitEmit:
         assert list(tmp_path.iterdir()) == []
         assert_no_child_left()
 
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs /proc/<pid>/task/<tid>/children")
+    def test_worker_stops_once_its_parent_is_gone(self, tmp_path, monkeypatch):
+        # a SIGKILL leaves emit_csv no chance to reap its worker; the worker
+        # sees its parent change between kernel blocks and stops, instead of
+        # rendering the rest of its range (40 blocks of ~50 ms each)
+        force_split(monkeypatch, cpus=2)
+        format_block = runner._format_block
+
+        def slow(values, source):
+            time.sleep(0.05)
+            return format_block(values, source)
+
+        monkeypatch.setattr(runner, "_format_block", slow)
+        rows = 80 * (runner._CSV_BLOCK // 20)
+        traj = values_trajectory(np.arange(rows * 20, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork beside BLAS threads
+            emitter = os.fork()
+        if emitter == 0:
+            try:
+                emit_csv(traj, str(tmp_path / "out.csv"), omega=2.0 * math.pi)
+            finally:
+                os._exit(0)
+        children = Path(f"/proc/{emitter}/task/{emitter}/children")
+        deadline = time.monotonic() + 30.0
+        while not (listed := children.read_text().split()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(emitter, signal.SIGKILL)
+        os.waitpid(emitter, 0)
+        [worker] = listed
+        stat = Path(f"/proc/{worker}/stat")
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            try:
+                state = stat.read_text().rpartition(")")[2].split()[0]
+            except FileNotFoundError:
+                break
+            if state == "Z":  # exited; its new parent reaps it when it gets to it
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"worker {worker} still running 1 s after its parent was killed")
+
     @pytest.mark.parametrize("tail, kept", [
         ("zeros", 9), ("negative-zero", 13), ("nan", 16), ("all-zero", 0), ("none", 16),
-        ("one-range", 16),
+        ("one-range", 16), ("first-range", 16),
     ])
     def test_zero_tail_matches_oracle(self, tmp_path, monkeypatch, tail, kept):
         # the P columns after the last nonzero bit pattern are not rendered
-        # value by value; each row range decides its own tail, and the
-        # sequential and the split path both give the oracle's bytes
+        # value by value; the whole CSV decides the tail once, so every row
+        # range renders the same columns, and the sequential and the split
+        # path both give the oracle's bytes
         rng = np.random.default_rng(11)
         p = rng.uniform(size=(300, 16))
-        if tail != "none":
+        if tail == "first-range":
+            p[:100, 9:] = 0.0
+        elif tail != "none":
             p[200 if tail == "one-range" else 0:, 9:] = 0.0
         if tail == "negative-zero":
             p[150, 12] = -0.0
@@ -648,9 +698,11 @@ class TestSplitEmit:
         monkeypatch.setattr(runner, "_format_block", counted)
         emit_csv(traj, str(tmp_path / "sequential.csv"), omega=2.0 * math.pi)
         assert sum(rendered) == 300 * (4 + kept)
+        rendered.clear()
         forked = force_split(monkeypatch, cpus=3)
         emit_csv(traj, str(tmp_path / "split.csv"), omega=2.0 * math.pi)
         assert forked == [100, 100]
+        assert sum(rendered) == 100 * (4 + kept)  # this process's range; workers count apart
         assert (tmp_path / "sequential.csv").read_bytes() == expected
         assert (tmp_path / "split.csv").read_bytes() == expected
         assert_no_child_left()
@@ -663,9 +715,9 @@ class TestSplitEmit:
         fork_worker = runner._fork_worker
         forked = []
 
-        def counted(traj, omega, directory):
-            forked.append(len(traj))
-            return fork_worker(traj, omega, directory)
+        def counted(traj, omega, n_p, start, stop, path):
+            forked.append(stop - start)
+            return fork_worker(traj, omega, n_p, start, stop, path)
 
         monkeypatch.setattr(runner, "_fork_worker", counted)
         rng = np.random.default_rng(5)
@@ -1231,8 +1283,9 @@ class TestCli:
         ({}, [], 0), ({"order": 3}, [], 1), ({}, ["--dt", "0.05"], 2),
     ], ids=["ok", "config-error", "norm-drift"])
     def test_run_entry_point_exit_codes(self, tmp_path, extra, argv, code):
-        # python -m mprabi.cli runs entry(), which freezes the objects of the
-        # imports before main(); its exit codes and outputs are main()'s
+        # python -m mprabi.cli runs entry(), which flushes stdout and stderr
+        # after main() and exits without the interpreter's teardown; its exit
+        # codes and outputs are main()'s
         path = write_config(tmp_path, **extra)
         out = tmp_path / "out"
         out.mkdir()
