@@ -12,7 +12,9 @@ Sub-commands:
 Exit codes: 0 success, 1 configuration error (a usage error, a start state
 outside the truncation, one the secular basis cannot represent, an output
 file that cannot be written and a run out of memory included), 2
-numerical-validity failure (norm drift or top-level occupancy); one map,
+numerical-validity failure (norm drift or top-level occupancy), 128 + the
+signal number for an interrupt (130 for SIGINT, 143 for SIGTERM, which
+:func:`main` raises as :class:`Interrupted`; a sweep stops there); one map,
 :func:`_guarded`, gives them for every command and every config of a sweep.
 Output paths the config names resolve against --output-dir, else
 $MPRABI_OUTPUT_DIR, else the working directory.  --dt, --n-max, --t-end and
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import signal
 import sys
 import warnings
 
@@ -33,6 +36,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import NormDriftError
 from .model import ModelParams
 from .runner import (
+    INTERRUPT_SIGNALS,
     ValidityError,
     emit_spectrum,
     plan_run,
@@ -45,6 +49,19 @@ from .rwa import _SPECTRUM_MATRICES, _padded_size
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+
+
+class Interrupted(KeyboardInterrupt):
+    """SIGINT or SIGTERM, raised in the main thread by the handler that
+    :func:`main` installs; its text is the signal's name."""
+
+    def __init__(self, signum: int):
+        super().__init__(signal.Signals(signum).name)
+        self.signum = signum
+
+
+def _interrupt(signum, frame):
+    raise Interrupted(signum)
 
 
 def _load_config(path: str, args) -> ScenarioConfig:
@@ -130,7 +147,10 @@ def _cmd_sweep(pattern: str, args) -> int:
     worst = EXIT_OK
     for path in paths:
         print(f"== {path}")
-        worst = max(worst, _guarded(_cmd_run, path, args))
+        code = _guarded(_cmd_run, path, args)
+        if code > EXIT_NUMERIC:  # interrupted: the configs after it do not run
+            return code
+        worst = max(worst, code)
     return worst
 
 
@@ -152,8 +172,10 @@ def _guarded(command, path: str, args) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, MemoryError, NormDriftError, ValidityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError, NormDriftError, ValidityError, KeyboardInterrupt) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if isinstance(exc, KeyboardInterrupt):  # a bare one is SIGINT's
+            return 128 + getattr(exc, "signum", signal.SIGINT)
         # an output that cannot be written, or a run too large for memory, is
         # configuration, as at plan time
         return EXIT_CONFIG if isinstance(exc, (OSError, MemoryError)) else EXIT_NUMERIC
@@ -189,7 +211,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_CONFIG if exc.code == 2 else exc.code
-    return _guarded(_COMMANDS[args.command], args.config, args)
+    # a signal ignored where the process started stays ignored
+    previous = {
+        signum: signal.signal(signum, _interrupt) for signum in INTERRUPT_SIGNALS
+        if signal.getsignal(signum) is not signal.SIG_IGN
+    }
+    try:
+        return _guarded(_COMMANDS[args.command], args.config, args)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def entry() -> None:

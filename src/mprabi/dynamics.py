@@ -44,7 +44,7 @@ import numpy as np
 
 from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
 from .model import ModelParams
-from .rwa import _secular_spectrum, _warn_strong, coupling_element
+from .rwa import _secular_spectrum, _warn_strong, rabi_frequency
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
@@ -455,7 +455,7 @@ def inversion_fock(params: ModelParams, n: int, t):
     out = np.zeros_like(t)
     e2 = (params.lambda_e / params.omega) ** 2
     for n_photon, w in _series_weights(e2):
-        omega_r = 2.0 * abs(coupling_element(params, n_photon + n, n))
+        omega_r = rabi_frequency(params, n_photon + n, n)
         out = out + w * np.cos(omega_r * t)
     return out if out.ndim else float(out)
 
@@ -481,6 +481,6 @@ def inversion_coherent(params: ModelParams, n: int, mean_photons: float, t):
     for n_photon, w in _series_weights(rho):
         if n_photon < n:
             continue
-        omega_r = 2.0 * abs(coupling_element(params, n_photon, n))
+        omega_r = rabi_frequency(params, n_photon, n)
         out = out + 2.0 * w * np.sin(0.5 * omega_r * t) ** 2
     return out if out.ndim else float(out)

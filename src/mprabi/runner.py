@@ -23,8 +23,10 @@ its values move in their last digits (up to ~4e-12 in W).  The manifest's
 :func:`_environment`), so two manifests say whether their CSVs should match.
 
 The manifest also records the run's ``status`` (``"ok"`` or ``"failed"``,
-with the ``error`` text) and the ``timings`` of its stages; a run that aborts
-on norm drift or on a failed CSV write still writes it.
+with the ``error`` text) and the ``timings`` of its stages.  Every ending of
+a run after its plan writes it: a clean finish, failed validity checks, and
+any exception in compute or emission (norm drift, a failed CSV write, memory
+running out and an interrupt, SIGINT or SIGTERM, included).
 
 Trajectory CSV layout: header row then one row per sample with columns
 ``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in oscillator
@@ -43,6 +45,7 @@ import json
 import math
 import os
 import platform
+import signal
 import threading
 import time
 import warnings
@@ -55,7 +58,6 @@ from .config import ConfigError, ScenarioConfig
 from .dynamics import (
     NORM_TOL,
     InitialStateSpec,
-    NormDriftError,
     ProjectionError,
     Trajectory,
     evolve_numeric,
@@ -84,6 +86,9 @@ _CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: the config keys the manifest echoes as they are
 _CONFIG_RECORD = ("initial_kind", "n_photons", "mean_photons", "sample_every", "n_max", "order")
+#: the signals that interrupt a run: the CLI raises them in the main thread,
+#: and CSV workers ignore them, so that the run alone decides its ending
+INTERRUPT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 class ValidityError(RuntimeError):
@@ -405,10 +410,14 @@ def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int
     The part is unlinked as soon as it is created, so no failure can leave
     it behind; the parent reads it through its fd.  A worker that fails
     writes its error text into the pipe and exits nonzero, and one whose
-    parent is gone stops at its next kernel block."""
+    parent is gone stops at its next kernel block.  A worker ignores
+    :data:`INTERRUPT_SIGNALS`: they are blocked across the fork, so none
+    reaches it before it ignores them, and its parent, which takes them,
+    kills it."""
     part_path = _temp_path(path)
     fds = [os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)]
     parent = os.getpid()
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPT_SIGNALS)
     try:
         os.unlink(part_path)
         fds += os.pipe()
@@ -419,9 +428,14 @@ def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         for fd in fds:
             os.close(fd)
         raise
+    if pid == 0:
+        for signum in INTERRUPT_SIGNALS:
+            signal.signal(signum, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_SETMASK, held)
     part, read, write = fds
     if pid == 0:  # the worker: it never returns into the caller
         status = 1
@@ -491,14 +505,11 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
                 if error := _join(workers, handle.fileno()):
                     raise OSError(f"CSV worker for rows {first}..{last} of {path}: {error}")
     finally:
-        if workers:
-            import signal  # needed only when an emit fails
-
-            for _, _, pid, pipe, part in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(pipe)
-                os.close(part)
+        for _, _, pid, pipe, part in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(pipe)
+            os.close(part)
 
 
 def _environment() -> dict:
@@ -655,11 +666,13 @@ def run_scenario(
     W or P value), every warning raised on the way and the time of each stage
     of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
-    A run that aborts on norm drift or out of memory in compute writes no
-    CSV, and one that fails its validity checks or a CSV write keeps the
-    CSVs it wrote; either way the manifest says ``"status": "failed"`` with
-    the error text and lists the files on disk, and the error is raised once
-    the manifest is written (or without it, if that write fails too).
+    Compute and emission run in one ``try``, so every ending in them writes
+    the manifest.  An exception of any kind, interrupts included, leaves the
+    CSVs written before it, and failed validity checks leave them all; the
+    manifest then says ``"status": "failed"`` with the error text (else its
+    type name), lists the files on disk and has ``norm_ok`` false unless
+    every route finished, and the error is raised once the manifest is
+    written (or without it, if that write fails too).
     """
     start = time.perf_counter()
     wall = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -671,6 +684,7 @@ def run_scenario(
         warnings.simplefilter("always")
         with _timed(timings, "plan"):
             outputs, params, n, psi0, projection = plan_run(config, output_dir)
+        written = {"manifest": outputs["manifest"]}
         period = 2.0 * math.pi / params.omega
         t_end, dt = config.t_end * period, config.dt * period
         try:
@@ -685,14 +699,20 @@ def run_scenario(
             if projection is not None:
                 with _timed(timings, "rwa"):
                     trajs["rwa"] = evolve_rwa(params, n, projection, t_end, dt, config.sample_every)
-        except NormDriftError as exc:
+            with _timed(timings, "emit"):
+                for route, traj in trajs.items():
+                    key = _CSV_KEYS[route]
+                    emit_csv(traj, outputs[key], omega=params.omega)
+                    written[key] = outputs[key]
+        except BaseException as exc:  # interrupts included: the manifest says how the run ended
             error = exc
-        except MemoryError as exc:  # an allocation the plan's probe did not foresee
-            error = MemoryError(f"out of memory during compute: {exc}")
         v_leading = coupling_element(params, n, n)
         caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
-    norm_ok = error is None and all(
+    computed = len(trajs) == len(config.propagators)
+    if isinstance(error, MemoryError):  # an allocation the plan's probe did not foresee
+        error = MemoryError(f"out of memory during {'emission' if computed else 'compute'}: {error}")
+    norm_ok = computed and all(
         bool(np.max(np.abs(t.norm - 1.0)) <= NORM_TOL) for t in trajs.values()
     )
     truncation_ok = all(t.truncation_ok for t in trajs.values())
@@ -702,16 +722,6 @@ def run_scenario(
             f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
         )
     rabi = 2.0 * abs(v_leading)
-    written = {"manifest": outputs["manifest"]}
-    if not isinstance(error, (NormDriftError, MemoryError)):  # an aborted run has no CSV
-        try:
-            with _timed(timings, "emit"):
-                for route, traj in trajs.items():
-                    key = _CSV_KEYS[route]
-                    emit_csv(traj, outputs[key], omega=params.omega)
-                    written[key] = outputs[key]
-        except OSError as exc:
-            error = exc
 
     manifest = {
         "config": {
@@ -743,7 +753,7 @@ def run_scenario(
         },
         "outputs": written,
         "status": "ok" if error is None else "failed",
-        "error": None if error is None else str(error),
+        "error": None if error is None else str(error) or type(error).__name__,
         "code_version": __version__,
         "environment": _environment(),
         "wall_clock_utc": wall,

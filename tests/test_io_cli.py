@@ -1637,6 +1637,116 @@ class TestCli:
             "scenario.json", "trajectory.manifest.json",
         ]
 
+    def test_out_of_memory_in_emission_leaves_failed_manifest(self, tmp_path, monkeypatch, capsys):
+        # compute finished, so norm_ok holds; the CSV never reached the disk
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(runner, "emit_csv", exhausted)
+        path = write_config(tmp_path)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        text = "out of memory during emission: Unable to allocate 1.00 GiB"
+        assert capsys.readouterr().err == f"error: {text}\n"
+        manifest = tmp_path / "trajectory.manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert (stored["status"], stored["error"]) == ("failed", text)
+        assert stored["outputs"] == {"manifest": str(manifest)}
+        assert stored["validity"]["norm_ok"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scenario.json", "trajectory.manifest.json",
+        ]
+
+    @pytest.mark.parametrize("exc, code, text", [
+        (ValueError("secular gremlin"), None, "secular gremlin"),
+        (KeyboardInterrupt(), 128 + signal.SIGINT, "KeyboardInterrupt"),
+    ], ids=["value-error", "bare-keyboard-interrupt"])
+    def test_any_ending_in_compute_leaves_failed_manifest(
+        self, tmp_path, monkeypatch, capsys, exc, code, text
+    ):
+        # an exception no handler names still writes the manifest; one the CLI
+        # does not map is raised out of main, an interrupt is exit 128 + its
+        # signal, and main puts the signal handlers back either way
+        def gremlin(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(runner, "evolve_rwa", gremlin)
+        handlers = [signal.getsignal(signum) for signum in runner.INTERRUPT_SIGNALS]
+        path = write_config(tmp_path, propagators=["numeric", "rwa"])
+        argv = ["run", str(path), "--output-dir", str(tmp_path)]
+        if code is None:
+            with pytest.raises(type(exc)) as info:
+                cli.main(argv)
+            assert info.value is exc
+        else:
+            assert cli.main(argv) == code
+            assert capsys.readouterr().err == f"error: {text}\n"
+        assert [signal.getsignal(signum) for signum in runner.INTERRUPT_SIGNALS] == handlers
+        manifest = tmp_path / "trajectory.manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert (stored["status"], stored["error"]) == ("failed", text)
+        assert stored["outputs"] == {"manifest": str(manifest)}
+        assert stored["validity"]["norm_ok"] is False  # the secular route did not finish
+        assert stored["timings"]["numeric"] > 0.0 and stored["timings"]["emit"] == 0.0
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs /proc/<pid>/task/<tid>/children")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_interrupted_run_leaves_failed_manifest(self, tmp_path, signum):
+        # collapse_revival_n4 with its CSV split over two processes and each
+        # kernel block slowed to 50 ms, so that the run is still emitting
+        # when the signal reaches its process group, as a terminal's Ctrl-C
+        # or a job scheduler's SIGTERM would
+        script = (
+            "import time\n"
+            "from mprabi import cli, runner\n"
+            "format_block = runner._format_block\n"
+            "def slow(values, source):\n"
+            "    time.sleep(0.05)\n"
+            "    return format_block(values, source)\n"
+            "runner._format_block = slow\n"
+            "runner._usable_cpus = lambda: 2\n"
+            "cli.entry()\n"
+        )
+        config = REPO / "configs" / "collapse_revival_n4.json"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.Popen(
+            [sys.executable, "-c", script, "run", str(config), "--output-dir", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            children = Path(f"/proc/{run.pid}/task/{run.pid}/children")
+            deadline = time.monotonic() + 60.0
+            while not (listed := children.read_text().split()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert listed, "no CSV worker within 60 s"
+            os.killpg(run.pid, signum)
+            _, err = run.communicate(timeout=60)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
+        name = signal.Signals(signum).name
+        assert run.returncode == 128 + signum, err
+        assert err == f"error: {name}\n"
+        manifest = tmp_path / "collapse_revival_n4.manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert (stored["status"], stored["error"]) == ("failed", name)
+        assert sorted(tmp_path.iterdir()) == sorted(Path(p) for p in stored["outputs"].values())
+        [worker] = listed
+        stat = Path(f"/proc/{worker}/stat")
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            try:
+                state = stat.read_text().rpartition(")")[2].split()[0]
+            except FileNotFoundError:
+                break
+            if state == "Z":
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"worker {worker} still running 1 s after its run ended")
+
     @pytest.mark.parametrize("argv, message", [
         (["validate", str(CONFIGS[0]), "--n-max", "abc"], "invalid int value: 'abc'"),
         ([], "the following arguments are required: command"),
@@ -1663,6 +1773,24 @@ class TestCli:
         (tmp_path / "broken.json").write_text("{}", encoding="utf-8")
         code = cli.main(["sweep", str(tmp_path / "*.json"), "--output-dir", str(tmp_path)])
         assert code == 1
+
+    def test_sweep_stops_at_an_interrupted_config(self, tmp_path, monkeypatch, capsys):
+        write_config(tmp_path, name="a.json", csv_path="a.csv")
+        write_config(tmp_path, name="b.json", csv_path="b.csv")
+        run = runner.run_scenario
+        started = []
+
+        def interrupted(config, **kwargs):
+            started.append(config.csv_path)
+            if config.csv_path == "a.csv":
+                raise cli.Interrupted(signal.SIGTERM)
+            return run(config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", interrupted)
+        code = cli.main(["sweep", str(tmp_path / "*.json"), "--output-dir", str(tmp_path)])
+        assert code == 128 + signal.SIGTERM
+        assert started == ["a.csv"]
+        assert capsys.readouterr().err == "error: SIGTERM\n"
 
     def test_sweep_empty_glob_is_config_error(self, tmp_path):
         assert cli.main(["sweep", str(tmp_path / "none*.json")]) == 1
