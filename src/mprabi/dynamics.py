@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,8 @@ NORM_TOL = 1e-6
 COMPLETENESS_TOL = 1e-6
 #: weight the closed-form inversion series leave out
 WEIGHT_TOL = 1e-10
+#: photon levels at the top of the truncation that the truncation rule watches
+TOP_LEVELS = 5
 #: combined population of the top five photon levels that flags a run invalid
 TRUNCATION_TOL = 1e-8
 #: time samples per block of the eigenbasis expansion; bounds its temporaries
@@ -212,13 +215,8 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
     )
     basis, coeffs, rates, energies = basis[:, keep], coeffs[keep], rates[keep], energies[keep]
     offsets = table = None
-    # A lone last sample joins the block before it: a block of its own would
-    # cost a table and a product for one sample.
-    for start in range(0, max(n_t - 1, 1), _RWA_BLOCK):
-        stop = start + _RWA_BLOCK
-        if stop >= n_t - 1:
-            stop = n_t
-        rows = slice(start, stop)
+    for start in range(0, n_t, _RWA_BLOCK):
+        rows = slice(start, start + _RWA_BLOCK)
         block_offsets = steps[rows] - steps[start]
         if table is None or not np.array_equal(block_offsets, offsets):
             offsets = block_offsets
@@ -239,7 +237,7 @@ def _flag_truncation(traj: Trajectory, unit: float, label: str) -> None:
     """The top-five rule of both routes: where the top five photon levels
     first hold :data:`TRUNCATION_TOL` or more (or NaN), clear ``truncation_ok``
     and warn once, in multiples of ``unit``, whose name ``label`` follows."""
-    top = np.sum(traj.photon_dist[:, -5:], axis=1)
+    top = np.sum(traj.photon_dist[:, -TOP_LEVELS:], axis=1)
     over = np.flatnonzero(~(top < TRUNCATION_TOL))
     if over.size:
         traj.truncation_ok = False
@@ -361,13 +359,27 @@ def _rwa_basis(
     return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 
-def project_secular(params: ModelParams, n: int, psi0: np.ndarray, order: int):
-    """The projection ``(basis, energies, v, coeffs)`` that :func:`evolve_rwa`
-    expands: :func:`_rwa_basis` at ``order`` on the truncation of the flat
-    vector ``psi0``, then psi0's coefficients on it.  Raises
-    :class:`ProjectionError` when they hold less than ``1 - COMPLETENESS_TOL``
-    of psi0's weight (truncation too tight, or the state leans on the top
-    levels the basis cannot represent)."""
+class SecularProjection(NamedTuple):
+    """A start state on the secular eigenbasis (see :func:`project_secular`)."""
+
+    basis: np.ndarray  # real columns on the product space
+    energies: np.ndarray  # secular energy of each column
+    coeffs: np.ndarray  # the state's coefficient on each column
+    strong_weight: float  # the state's weight on manifolds with |V_N(n)| >= 0.1 omega
+
+
+def project_secular(
+    params: ModelParams, n: int, psi0: np.ndarray, order: int
+) -> SecularProjection:
+    """The projection that :func:`evolve_rwa` expands: :func:`_rwa_basis` at
+    ``order`` on the truncation of the flat vector ``psi0``, psi0's
+    coefficients on it, and the weight they put on the manifolds whose
+    |V_N(n)| is not small against omega.  Raises :class:`ProjectionError`
+    when the coefficients hold less than ``1 - COMPLETENESS_TOL`` of psi0's
+    weight (truncation too tight, or the state leans on the top levels the
+    basis cannot represent).  When the strong-coupling weight reaches
+    :data:`COMPLETENESS_TOL`, those manifolds are reported in one
+    :class:`~mprabi.rwa.RWAValidityWarning` with the weight they hold."""
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or psi0.size % 2:
         raise ValueError("psi0 must be a flat vector of even length")
@@ -380,16 +392,18 @@ def project_secular(params: ModelParams, n: int, psi0: np.ndarray, order: int):
             f"secular basis captures only {captured / total:.8f} of the state; "
             "raise n_max or reconsider the initial state"
         )
-    return basis, energies, v, coeffs
+    pairs = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
+    strong = _warn_strong(params, n, range(n, psi0.size // 2), v, pairs, COMPLETENESS_TOL)
+    return SecularProjection(basis, energies, coeffs, strong)
 
 
 def evolve_rwa(
-    params: ModelParams,
-    n: int,
-    projection: tuple,
+    projection: SecularProjection,
     t_end: float,
     dt: float,
     sample_every: int = 1,
+    *,
+    period: float | None = None,
 ) -> Trajectory:
     """Analytic secular evolution of the state that ``projection`` (from
     :func:`project_secular`) expands at t = 0, sampled on the grid
@@ -404,10 +418,8 @@ def evolve_rwa(
     displaced Fock states; only the energies and the mixing within pairs differ.
 
     The energy is sum_j |c_j|^2 E_j over the kept columns, constant up to
-    rounding.  The manifolds whose |V_N(n)| is not small against omega
-    are reported in one :class:`~mprabi.rwa.RWAValidityWarning` with the
-    initial weight they hold.  The run is flagged invalid by the top-five
-    rule of both routes (:func:`_flag_truncation`), timed in periods.
+    rounding.  The top-five rule (:func:`_flag_truncation`) flags the run as
+    it flags :func:`evolve_numeric`'s, in units of ``period`` when given.
 
     The expansion runs in time blocks (:func:`_expand`): each block's phases
     are exp(-i E (k_0 dt)) at its first step k_0, the argument a single
@@ -418,11 +430,10 @@ def evolve_rwa(
     2 sqrt(w) + w.
     """
     steps = sample_steps(t_end, dt, sample_every)
-    basis, energies, v, coeffs = projection
-    weights = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
-    _warn_strong(params, n, range(n, basis.shape[0] // 2), v, weights)
+    unit, label = (1.0, "") if period is None else (period, " periods")
+    basis, energies, coeffs, _ = projection
     traj = _expand(basis, coeffs, -1j * energies, energies, steps, dt, dt)
-    _flag_truncation(traj, 2.0 * math.pi / params.omega, " periods")
+    _flag_truncation(traj, unit, label)
     return traj
 
 

@@ -56,9 +56,12 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig
 from .dynamics import (
+    COMPLETENESS_TOL,
     NORM_TOL,
+    TOP_LEVELS,
     InitialStateSpec,
     ProjectionError,
+    SecularProjection,
     Trajectory,
     evolve_numeric,
     evolve_rwa,
@@ -605,7 +608,7 @@ class RunPlan(NamedTuple):
     params: ModelParams
     n: int  # photon order of the resonance
     psi0: np.ndarray
-    projection: tuple | None  # project_secular's, when the secular route runs
+    projection: SecularProjection | None  # when the secular route runs
 
 
 def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
@@ -616,12 +619,14 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     counts the samples (:func:`~mprabi.dynamics.sample_count`, with no grid
     built) and prepares the initial state.  When the secular route runs, it
     keeps the state's :func:`~mprabi.dynamics.project_secular` projection,
-    which :func:`~mprabi.dynamics.evolve_rwa` then expands.  Raises one
-    :class:`ConfigError` with every unusable output path, a sample count, a
-    state or trajectories too large to allocate, and a start state that does
-    not fit the truncation or the secular basis (an order-2 basis off the
-    resonance included).  ``mprabi validate`` runs this call, so it rejects
-    exactly what a run rejects before compute.
+    which :func:`~mprabi.dynamics.evolve_rwa` then expands, and which raises
+    the strong-coupling warning.  Raises one :class:`ConfigError` with every
+    unusable output path, a sample count, an n_max within the top levels the
+    truncation rule watches, a state or trajectories too large to allocate,
+    and a start state that does not fit the truncation or the secular basis
+    (an order-2 basis off the resonance included).  ``mprabi validate`` runs
+    this call, so it rejects what a run rejects before compute and shows the
+    warnings a run records here.
     """
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
     outputs, problems = resolve_outputs(config, written, output_dir)
@@ -632,6 +637,11 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         samples = sample_count(config.t_end * period, config.dt * period, config.sample_every)
     except (ValueError, OverflowError) as exc:
         problems.append(f"t_end / dt = {config.t_end / config.dt:.6g} steps is too many: {exc}")
+    if config.n_max <= TOP_LEVELS:  # the top levels would hold every photon
+        problems.append(
+            f"n_max = {config.n_max} must exceed the top {TOP_LEVELS} photon levels that "
+            "the truncation rule watches, or every run fails it"
+        )
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
         psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
@@ -663,7 +673,8 @@ def run_scenario(
     the dict it wrote.
     Numerical validity (norm drift of every trajectory, truncation occupancy,
     the initial weight each expansion pruned beside the bound it sets on any
-    W or P value), every warning raised on the way and the time of each stage
+    W or P value, and the secular projection's strong-coupling weight beside
+    :data:`~mprabi.dynamics.COMPLETENESS_TOL`), every warning raised on the way and the time of each stage
     of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
     Compute and emission run in one ``try``, so every ending in them writes
@@ -698,7 +709,7 @@ def run_scenario(
                     )
             if projection is not None:
                 with _timed(timings, "rwa"):
-                    trajs["rwa"] = evolve_rwa(params, n, projection, t_end, dt, config.sample_every)
+                    trajs["rwa"] = evolve_rwa(projection, t_end, dt, config.sample_every, period=period)
             with _timed(timings, "emit"):
                 for route, traj in trajs.items():
                     key = _CSV_KEYS[route]
@@ -760,6 +771,9 @@ def run_scenario(
         "timings": {stage: round(seconds, 6) for stage, seconds in timings.items()},
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
+    if projection is not None:  # the start's weight where the secular route is unreliable
+        strong = {"weight": projection.strong_weight, "bound": COMPLETENESS_TOL}
+        manifest["validity"]["strong_coupling"] = strong
     try:
         with _atomic_write(outputs["manifest"]) as handle:
             handle.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())

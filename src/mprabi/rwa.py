@@ -42,10 +42,10 @@ Every dressed pair, at either order, comes from one array solver,
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
 :func:`mprabi.runner.resolve_params` warns about the detuning.
 :func:`coupling_element`, :func:`spectrum_records` and
-:func:`mprabi.dynamics.evolve_rwa` each emit at most one
+:func:`mprabi.dynamics.project_secular` each emit at most one
 :class:`RWAValidityWarning`, through one rule, for the manifolds they use
-whose |V_N(n)| reaches 0.1 omega (``evolve_rwa`` with the initial weight
-there).
+whose |V_N(n)| reaches 0.1 omega (``project_secular`` with the initial
+weight there).
 All functions are pure and thread safe.
 """
 
@@ -188,7 +188,6 @@ class _Spectrum:
     energy: np.ndarray
     c_down: np.ndarray
     c_up: np.ndarray
-    degenerate: np.ndarray
 
 
 #: n_loc x n_loc float64 matrices :func:`_secular_spectrum` holds at its peak,
@@ -230,20 +229,20 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     norm = np.where(degenerate, 1.0, np.hypot(c_down, c_up))
     sign = np.where((c_down < 0.0) | ((c_down == 0.0) & (c_up < 0.0)), -1.0, 1.0)
     c_down, c_up = sign * c_down / norm, sign * c_up / norm
-    degenerate = degenerate[:, 0]
-    c_down[degenerate], c_up[degenerate] = (0.0, 1.0), (1.0, 0.0)
-    return _Spectrum(
-        d_down, d_up, e_down[:n], v[:, 0], delta[:, 0], energy, c_down, c_up, degenerate
-    )
+    c_down[degenerate[:, 0]], c_up[degenerate[:, 0]] = (0.0, 1.0), (1.0, 0.0)
+    return _Spectrum(d_down, d_up, e_down[:n], v[:, 0], delta[:, 0], energy, c_down, c_up)
 
 
-def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None:
+def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None, floor=0.0) -> float:
     """One RWAValidityWarning for the manifolds whose |V_N(n)| is not small
-    against omega; ``weight`` (one entry per manifold) adds their sum."""
+    against omega.  ``weight`` (one entry per manifold) adds their sum, which
+    is returned (0 without it), and no warning is raised while the sum is
+    below ``floor``."""
     size = np.abs(v)
     strong = size >= WEAK_COUPLING_LIMIT * params.omega
-    if not strong.any():
-        return
+    held = 0.0 if weight is None else float(np.sum(weight[strong]))
+    if not strong.any() or held < floor:
+        return held
     picked = np.asarray(manifolds)[strong]
     ratio = size[strong] / params.omega
     if picked.size == 1:
@@ -253,11 +252,12 @@ def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None) -> None
             f"{picked.size} manifolds N = {picked.min()}..{picked.max()} have |V_N({n})|/omega "
             f"up to {np.max(ratio):.3g}"
         )
-    held = "" if weight is None else f", and hold {np.sum(weight[strong]):.3g} of the initial state"
+    share = "" if weight is None else f", and hold {held:.3g} of the initial state"
     warnings.warn(
-        f"{which}, not small{held}; secular results there are unreliable",
+        f"{which}, not small{share}; secular results there are unreliable",
         RWAValidityWarning, stacklevel=3,
     )
+    return held
 
 
 def spectrum_records(params: ModelParams, n: int, manifolds, *, order: int = 1) -> dict:

@@ -136,9 +136,7 @@ def two_photon_run():
 @pytest.fixture(scope="module")
 def two_photon_rwa(two_photon_run):
     params, _, psi0, _, t_rabi = two_photon_run
-    return evolve_rwa(
-        params, 2, project_secular(params, 2, psi0, 2), 3.0 * t_rabi, DT, sample_every=100
-    )
+    return evolve_rwa(project_secular(params, 2, psi0, 2), 3.0 * t_rabi, DT, sample_every=100)
 
 
 @pytest.fixture(scope="module")

@@ -190,7 +190,7 @@ class TestObservables:
         if propagator == "numeric":
             traj = evolve_numeric(build_full(params, space), psi0, 30.0, DT, sample_every=300)
         else:
-            traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 30.0, 3.0)
+            traj = evolve_rwa(project_secular(params, 2, psi0, 1), 30.0, 3.0)
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
@@ -215,8 +215,8 @@ class TestObservables:
             gains = np.exp(np.outer(steps, 2.0 * dynamics._rk4_log_gain(DT * energies)[0]))
         else:
             projection = project_secular(params, 2, psi0, 2)
-            traj = evolve_rwa(params, 2, projection, 30.0, DT, 100)
-            _, energies, _, coeffs = projection
+            traj = evolve_rwa(projection, 30.0, DT, 100)
+            energies, coeffs = projection.energies, projection.coeffs
             gains = np.ones((steps.size, energies.size))
         expected = gains @ (np.abs(coeffs) ** 2 * energies)
         assert np.max(np.abs(traj.energy - expected) / np.abs(expected)) < 1e-14
@@ -506,7 +506,7 @@ class TestEvolveRwa:
         # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
         vec = np.zeros(space.dim)
         vec[space.block(SPIN_DOWN)] = displacement_matrix(params.lambda_g, space)[:, 0]
-        traj = evolve_rwa(params, 2, project_secular(params, 2, vec, 1), 500.0, 500.0 / 59)
+        traj = evolve_rwa(project_secular(params, 2, vec, 1), 500.0, 500.0 / 59)
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
         assert np.max(np.abs(traj.photon_dist - traj.photon_dist[0])) < 1e-12
 
@@ -514,7 +514,7 @@ class TestEvolveRwa:
         params = two_photon_params()
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 3000.0, 3000.0 / 99)
+        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 3000.0, 3000.0 / 99)
         closed = inversion_fock(params, 2, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-8
 
@@ -525,7 +525,7 @@ class TestEvolveRwa:
             InitialStateSpec("excited-fock", n_photons=11), params, space
         )
         with pytest.raises(ProjectionError):
-            evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 10.0, 2.5)
+            evolve_rwa(project_secular(params, 2, psi0, 1), 10.0, 2.5)
 
     def test_agrees_with_numeric_jc(self):
         # cross-propagator check in the plain single-photon regime
@@ -533,9 +533,7 @@ class TestEvolveRwa:
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj_num = evolve_numeric(build_full(params, space), psi0, 320.0, DT, sample_every=100)
-        traj_rwa = evolve_rwa(
-            params, 1, project_secular(params, 1, psi0, 1), 320.0, DT, sample_every=100
-        )
+        traj_rwa = evolve_rwa(project_secular(params, 1, psi0, 1), 320.0, DT, sample_every=100)
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
 
 
@@ -546,8 +544,8 @@ class TestEvolveRwa:
         space = FockSpace(20)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         t_end = 3.0 * 2.0 * math.pi / rabi_frequency(params, 2, 2)
-        first = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), t_end, t_end / 399)
-        second = evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), t_end, t_end / 399)
+        first = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, t_end / 399)
+        second = evolve_rwa(project_secular(params, 2, psi0, 2), t_end, t_end / 399)
         grid = first.times
         evals, evecs = np.linalg.eigh(build_full(params, space))
         coeffs = evecs.conj().T @ psi0
@@ -562,9 +560,9 @@ class TestEvolveRwa:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize(
         "n_t",
-        # B + 1 and 2B + 1 leave a lone last sample, which joins the block
-        # before it; the last step of 3B + 17 falls off the sampling interval,
-        # so its block needs a phase table of its own
+        # B + 1 and 2B + 1 leave a lone last sample in a block of its own; the
+        # last step of 3B + 17 falls off the sampling interval, so its block
+        # needs a phase table of its own
         [2, _RWA_BLOCK, _RWA_BLOCK + 1, 2 * _RWA_BLOCK + 1, 3 * _RWA_BLOCK + 17],
     )
     def test_blocks_match_one_shot_expansion(self, n_t, order):
@@ -583,14 +581,39 @@ class TestEvolveRwa:
         )
         projection = project_secular(params, 2, psi0, order)
         dt = 5000.0 / n_steps
-        traj = evolve_rwa(params, 2, projection, 5000.0, dt, sample_every)
+        traj = evolve_rwa(projection, 5000.0, dt, sample_every)
         assert len(traj) == n_t and traj.pruned_weight == 0.0
-        basis, energies, _, coeffs = projection
+        basis, energies, coeffs, _ = projection
         x = sample_steps(5000.0, dt, sample_every).astype(np.longdouble) * np.longdouble(dt)
         exact = expansion_long_double(basis, coeffs, -1j * energies, x)
         # one unblocked complex128 expansion of the whole grid errs by up to
         # 9.6e-13 on these runs; the bound is twice that
         assert_close_to_long_double(traj, exact, 2e-12)
+        w, p = observables(traj.final_state)
+        assert w == traj.inversion[-1]
+        assert np.array_equal(p, traj.photon_dist[-1])
+
+    @pytest.mark.parametrize("propagator", ["numeric", "rwa"])
+    def test_lone_last_sample_block(self, propagator):
+        # B + 1 samples on a uniform grid: the last sample is a block of its
+        # own, and both routes follow their references through it, RK4 eigh
+        # propagation and the secular closed form
+        params = two_photon_params()
+        space = FockSpace(30)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        t_end = _RWA_BLOCK * 100 * DT
+        if propagator == "numeric":
+            h = build_full(params, space)
+            traj = evolve_numeric(h, psi0, t_end, DT, sample_every=100)
+            energies, vectors = np.linalg.eigh(h)
+            phases = np.exp(-1j * np.outer(energies, traj.times))
+            inversion, dist = observables(vectors @ (phases * (vectors.T @ psi0)[:, None]))
+            assert np.max(np.abs(traj.photon_dist - dist.T)) < 1e-8
+        else:
+            traj = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, DT, 100)
+            inversion = inversion_fock(params, 2, traj.times)
+        assert len(traj) == _RWA_BLOCK + 1
+        assert np.max(np.abs(traj.inversion - inversion)) < 1e-8
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
@@ -602,16 +625,16 @@ class TestEvolveRwa:
         # tolerance is named once, in periods 2 pi / omega = pi
         params = ModelParams(omega=2.0, omega0=2.0, lambda_eg=0.02)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(6))
-        run = (params, 1, project_secular(params, 1, psi0, 1), 60.0, 0.1, 3)
+        run = (project_secular(params, 1, psi0, 1), 60.0, 0.1, 3)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", 2.0)
-        quiet = evolve_rwa(*run)
+        quiet = evolve_rwa(*run, period=math.pi)
         assert quiet.truncation_ok
         top = np.sum(quiet.photon_dist[:, -5:], axis=1)
         target = 100
         assert int(np.argmax(top >= top[target])) == target
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", top[target])
         with pytest.warns(IntegratorWarning) as record:
-            traj = evolve_rwa(*run)
+            traj = evolve_rwa(*run, period=math.pi)
         assert not traj.truncation_ok
         messages = [str(w.message) for w in record if w.category is IntegratorWarning]
         assert messages == [
@@ -624,7 +647,7 @@ class TestEvolveRwa:
         params = two_photon_params()
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(10))
         with pytest.raises(ValueError, match="order"):
-            evolve_rwa(params, 2, project_secular(params, 2, psi0, 3), 10.0, 2.5)
+            evolve_rwa(project_secular(params, 2, psi0, 3), 10.0, 2.5)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_one_displacement_per_ladder(self, monkeypatch, order):
@@ -655,29 +678,41 @@ class TestEvolveRwa:
             assert np.array_equal(basis[:, col], vec)
             assert energies[col] == displaced_energy(params, SPIN_DOWN, col) + shifts[col]
 
-    def test_validity_warnings_fold_into_one(self):
+    def test_validity_warnings_fold_into_one(self, monkeypatch):
         # lambda_eg = 0.08 at the one-photon resonance: |V_N(1)| = 0.08 sqrt(N)
         # reaches 0.1 omega from N = 2, up to 0.24 at N = 9
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.08)
         space = FockSpace(10)
 
         def warned(psi0):
+            # the projection warns; the expansion, outside the log, must not
             with warnings.catch_warnings(record=True) as log:
                 warnings.simplefilter("always")
-                evolve_rwa(params, 1, project_secular(params, 1, psi0, 1), 10.0, 2.5)
-            return [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
+                projection = project_secular(params, 1, psi0, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegratorWarning)  # n_max 10 is tight here
+                evolve_rwa(projection, 10.0, 2.5)
+            lines = [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
+            return projection.strong_weight, lines
 
-        vacuum = warned(prepare_initial(InitialStateSpec("ground-coherent"), params, space))
-        assert vacuum == [
-            "8 manifolds N = 2..9 have |V_N(1)|/omega up to 0.24, not small, "
-            "and hold 0 of the initial state; secular results there are unreliable"
-        ]
+        # a vacuum holds nothing there, below COMPLETENESS_TOL: no warning
+        vacuum = prepare_initial(InitialStateSpec("ground-coherent"), params, space)
+        assert warned(vacuum) == (0.0, [])
         # a coherent field of mean 1 puts 1 - 2/e = 0.264 on N >= 2
-        (coherent,) = warned(
-            prepare_initial(InitialStateSpec("ground-coherent", mean_photons=1.0), params, space)
+        coherent = prepare_initial(
+            InitialStateSpec("ground-coherent", mean_photons=1.0), params, space
         )
-        held = float(re.search(r"hold (\S+) of", coherent).group(1))
-        assert held == pytest.approx(1.0 - 2.0 / math.e, abs=1e-3)
+        weight, (line,) = warned(coherent)
+        assert weight == pytest.approx(1.0 - 2.0 / math.e, abs=1e-3)
+        assert line == (
+            "8 manifolds N = 2..9 have |V_N(1)|/omega up to 0.24, not small, "
+            f"and hold {weight:.3g} of the initial state; secular results there are unreliable"
+        )
+        # the warning fires from a weight of COMPLETENESS_TOL on
+        monkeypatch.setattr(dynamics, "COMPLETENESS_TOL", np.nextafter(weight, 1.0))
+        assert warned(coherent) == (weight, [])
+        monkeypatch.setattr(dynamics, "COMPLETENESS_TOL", weight)
+        assert warned(coherent) == (weight, [line])
 
 
 class TestPruning:
@@ -693,7 +728,7 @@ class TestPruning:
         def run():
             if propagator == "numeric":
                 return evolve_numeric(h, psi0, 300.0, DT, sample_every=500)
-            return evolve_rwa(params, 2, project_secular(params, 2, psi0, 2), 300.0, DT, 500)
+            return evolve_rwa(project_secular(params, 2, psi0, 2), 300.0, DT, 500)
 
         pruned = run()
         w = pruned.pruned_weight
@@ -772,6 +807,6 @@ class TestInversionCoherent:
         )
         space = FockSpace(60)
         psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=4.0), params, space)
-        traj = evolve_rwa(params, 2, project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99)
+        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99)
         closed = inversion_coherent(params, 2, 4.0, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-7

@@ -872,7 +872,7 @@ class TestRunScenario:
 
     def test_truncation_failure_raises_validity_error(self, tmp_path):
         # five photon levels cannot hold a spreading state: flagged invalid
-        config = parse_config(json.dumps({**QUICK, "n_max": 5, "t_end": 1.0}))
+        config = parse_config(json.dumps({**QUICK, "n_max": 6, "t_end": 1.0}))
         with pytest.raises(runner.ValidityError):
             run_scenario(config, output_dir=str(tmp_path))
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
@@ -883,7 +883,7 @@ class TestRunScenario:
     def test_secular_truncation_warns_in_periods(self, tmp_path):
         # the secular route breaks the top-five bound as the numeric one
         # does, and its manifest says where, in periods
-        payload = {**QUICK, "n_max": 5, "t_end": 1.0, "propagators": ["rwa"]}
+        payload = {**QUICK, "n_max": 6, "t_end": 1.0, "propagators": ["rwa"]}
         config = parse_config(json.dumps(payload))
         with pytest.raises(runner.ValidityError):
             run_scenario(config, output_dir=str(tmp_path))
@@ -920,15 +920,39 @@ class TestRunScenario:
         }
 
     def test_secular_validity_warnings_fold_into_one_line(self, tmp_path):
-        # at lambda_eg = 0.15 the couplings of manifolds 8..11 reach 0.1 omega
-        config = parse_config(json.dumps({**QUICK, "lambda_eg": 0.15, "propagators": ["rwa"]}))
-        run_scenario(config, output_dir=str(tmp_path))
+        # at lambda_eg = 0.15 the couplings of manifolds 8..11 reach 0.1 omega;
+        # a coherent field of mean 2 holds ~1e-3 there, past COMPLETENESS_TOL
+        # (and in the top five levels, so the run fails its truncation check)
+        config = parse_config(json.dumps({
+            **QUICK, "lambda_eg": 0.15, "propagators": ["rwa"],
+            "initial_kind": "ground-coherent", "mean_photons": 2.0,
+        }))
+        with pytest.raises(runner.ValidityError):
+            run_scenario(config, output_dir=str(tmp_path))
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
         lines = [w for w in stored["validity"]["warnings"] if w.startswith("RWAValidityWarning")]
         assert len(lines) == 1
         assert lines[0].startswith(
             "RWAValidityWarning: 4 manifolds N = 8..11 have |V_N(2)|/omega up to 0.153"
         )
+        weight = stored["validity"]["strong_coupling"]["weight"]
+        assert weight >= dynamics.COMPLETENESS_TOL
+        assert f"hold {weight:.3g} of the initial state" in lines[0]
+
+    def test_strong_coupling_weight_beside_its_bound(self, tmp_path):
+        # the vacuum start holds next to nothing on manifolds 8..11: its weight
+        # is recorded beside the bound, and no warning is; a numeric-only run
+        # projects nothing and records no weight
+        config = parse_config(json.dumps({**QUICK, "lambda_eg": 0.15, "propagators": ["rwa"]}))
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["validity"]["strong_coupling"] == manifest["validity"]["strong_coupling"]
+        strong = stored["validity"]["strong_coupling"]
+        assert strong["bound"] == dynamics.COMPLETENESS_TOL
+        assert 0.0 <= strong["weight"] < strong["bound"]
+        assert stored["validity"]["warnings"] == []
+        _, manifest = run_scenario(parse_config(json.dumps(QUICK)), output_dir=str(tmp_path))
+        assert "strong_coupling" not in manifest["validity"]
 
 
     def test_outputs_planned_once(self, tmp_path):
@@ -1130,7 +1154,7 @@ class TestCli:
         assert cli.main(["run", str(tmp_path / "ghost.json")]) == 1
 
     def test_numeric_validity_exit_two(self, tmp_path, capsys):
-        path = write_config(tmp_path, n_max=5, t_end=1.0)
+        path = write_config(tmp_path, n_max=6, t_end=1.0)
         code = cli.main(["run", str(path), "--output-dir", str(tmp_path)])
         assert code == 2
         assert "validity" in capsys.readouterr().err
@@ -1268,16 +1292,54 @@ class TestCli:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_validate_shipped_config_is_silent(self, tmp_path, path):
-        # validate holds the secular projection but runs no propagator, so no
-        # warning of the run may reach its stderr
+        # validate holds the secular projection but runs no propagator, so its
+        # stderr shows the plan's warnings alone: none, but for
+        # collapse_revival_n4, whose start holds 1.7e-4 on strong manifolds
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
             [sys.executable, "-m", "mprabi.cli", "validate", str(path), "--output-dir",
              str(tmp_path)], env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0
-        assert done.stderr == ""
+        if path.stem == "collapse_revival_n4":
+            assert ": RWAValidityWarning: 68 manifolds N = 92..159 have |V_N(4)|/omega up to " \
+                "0.157, not small, and hold 0.000174 of the initial state; " in done.stderr
+        else:
+            assert done.stderr == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_validate_prints_the_warnings_the_run_records(self, tmp_path):
+        # the strong-coupling warning comes from the plan, so validate shows
+        # each line the run's manifest lists, as Python shows a warning
+        path = REPO / "configs" / "collapse_revival_n4.json"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mprabi.cli", "validate", str(path), "--output-dir",
+             str(tmp_path)], env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        shown = re.findall(r"^\S+:\d+: (\w+Warning: .*)$", done.stderr, flags=re.MULTILINE)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "collapse_revival_n4.manifest.json").read_text())
+        assert shown == manifest["validity"]["warnings"]
+        assert [line.split(":")[0] for line in shown] == ["RWAValidityWarning"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("n_max", [2, 3, 5])
+    def test_n_max_within_the_top_levels_rejected(self, tmp_path, capsys, command, n_max):
+        # the top five photon levels hold every photon when n_max <= 5, so the
+        # truncation rule would fail every run after its compute
+        path = write_config(tmp_path, n_max=n_max)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error:\n  - n_max = {n_max} must exceed the top 5 photon levels "
+            "that the truncation rule watches, or every run fails it\n"
+        )
+        assert list(out.iterdir()) == []
+        # the spectrum export builds no state and keeps taking such configs
+        assert cli.main(["spectrum", str(path), "--output-dir", str(out)]) == 0
 
     @pytest.mark.parametrize("extra, argv, code", [
         ({}, [], 0), ({"order": 3}, [], 1), ({}, ["--dt", "0.05"], 2),

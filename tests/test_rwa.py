@@ -382,8 +382,10 @@ class TestSecularSpectrum:
             assert np.max(np.abs(got.energy[row, ::-1] - exact)) < 4e-15 * scale
             pair = np.array([got.c_down[row], got.c_up[row]])  # columns: alpha = +1, -1
             assert np.all(pair[0] >= 0.0)
-            assert got.degenerate[row] == (case == "no-transition")
-            if got.degenerate[row]:
+            # V = delta = 0: the block keeps the unmixed states, alpha = +1 up
+            degenerate = got.v[row] == 0.0 and got.delta[row] == 0.0
+            assert degenerate == (case == "no-transition")
+            if degenerate:
                 assert np.array_equal(pair, [[0.0, 1.0], [1.0, 0.0]])
             else:
                 # eigh's vectors fixed to c_down >= 0, as the pairs are
