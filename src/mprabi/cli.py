@@ -15,7 +15,8 @@ file that cannot be written and a run out of memory included), 2
 numerical-validity failure (norm drift or top-level occupancy), 128 + the
 signal number for an interrupt (130 for SIGINT, 143 for SIGTERM, which
 :func:`main` raises as :class:`Interrupted`; a sweep stops there); one map,
-:func:`_guarded`, gives them for every command and every config of a sweep.
+:func:`_guarded`, gives them for every command and every config of a sweep,
+and prints each warning a command raised as the line a manifest lists.
 Output paths the config names resolve against --output-dir, else
 $MPRABI_OUTPUT_DIR, else the working directory.  --dt, --n-max, --t-end and
 --manifold-max override config values and are validated with them.
@@ -28,7 +29,6 @@ import glob
 import os
 import signal
 import sys
-import warnings
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .runner import (
     ValidityError,
     emit_spectrum,
     plan_run,
+    recorded_warnings,
     resolve_outputs,
     resolve_params,
     run_scenario,
@@ -127,9 +128,7 @@ def _cmd_validate(path: str, args) -> int:
         params, n = plan.params, plan.n
     except ConfigError as exc:
         problems = exc.problems
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # plan_run has shown them
-            params, n = resolve_params(config)
+        params, n = resolve_params(config)  # a warning it repeats is shown once
     try:
         _spectrum_target(config, params, n, args.output_dir)
     except ConfigError as exc:
@@ -164,9 +163,11 @@ _COMMANDS = {
 
 def _guarded(command, path: str, args) -> int:
     """Run one command on one config; report a failure the CLI knows on
-    stderr and return its exit code."""
+    stderr, then each warning the command raised as one line (see
+    :func:`~mprabi.runner.recorded_warnings`), and return its exit code."""
     try:
-        return command(path, args)
+        with recorded_warnings() as caught:
+            return command(path, args)
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)
         for problem in exc.problems:
@@ -179,6 +180,9 @@ def _guarded(command, path: str, args) -> int:
         # an output that cannot be written, or a run too large for memory, is
         # configuration, as at plan time
         return EXIT_CONFIG if isinstance(exc, (OSError, MemoryError)) else EXIT_NUMERIC
+    finally:
+        for line in caught:
+            print(line, file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

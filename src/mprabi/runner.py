@@ -108,6 +108,19 @@ def _timed(timings: dict, stage: str):
         timings[stage] = time.perf_counter() - start
 
 
+@contextlib.contextmanager
+def recorded_warnings():
+    """Record, not show, every warning the ``with`` block raises; the list it
+    yields then holds each distinct one as ``"<category>: <message>"``, sorted."""
+    lines = []
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        try:
+            yield lines
+        finally:
+            lines[:] = sorted({f"{w.category.__name__}: {w.message}" for w in log})
+
+
 def _temp_path(path: str) -> str:
     """A fresh name for a temp file beside ``path``."""
     return os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}~")
@@ -674,7 +687,8 @@ def run_scenario(
     Numerical validity (norm drift of every trajectory, truncation occupancy,
     the initial weight each expansion pruned beside the bound it sets on any
     W or P value, and the secular projection's strong-coupling weight beside
-    :data:`~mprabi.dynamics.COMPLETENESS_TOL`), every warning raised on the way and the time of each stage
+    :data:`~mprabi.dynamics.COMPLETENESS_TOL`), every warning raised on the
+    way (the lines of :func:`recorded_warnings`) and the time of each stage
     of :data:`STAGES` (0 for one not run) are recorded in the manifest; the
     returned trajectory is the numeric one when it ran, else the secular one.
     Compute and emission run in one ``try``, so every ending in them writes
@@ -691,8 +705,7 @@ def run_scenario(
 
     trajs = {}  # by route, in the order of _CSV_KEYS
     error = None
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
+    with recorded_warnings() as caught:
         with _timed(timings, "plan"):
             outputs, params, n, psi0, projection = plan_run(config, output_dir)
         written = {"manifest": outputs["manifest"]}
@@ -717,8 +730,6 @@ def run_scenario(
                     written[key] = outputs[key]
         except BaseException as exc:  # interrupts included: the manifest says how the run ended
             error = exc
-        v_leading = coupling_element(params, n, n)
-        caught = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
     computed = len(trajs) == len(config.propagators)
     if isinstance(error, MemoryError):  # an allocation the plan's probe did not foresee
@@ -732,6 +743,7 @@ def run_scenario(
             f"run finished but failed validity checks (norm_ok={norm_ok}, "
             f"truncation_ok={truncation_ok}); see manifest {outputs['manifest']}"
         )
+    v_leading = coupling_element(params, n, n)
     rabi = 2.0 * abs(v_leading)
 
     manifest = {

@@ -40,12 +40,13 @@ Every dressed pair, at either order, comes from one array solver,
 :func:`mprabi.dynamics.evolve_rwa` expands is built from it too.
 
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
-:func:`mprabi.runner.resolve_params` warns about the detuning.
-:func:`coupling_element`, :func:`spectrum_records` and
-:func:`mprabi.dynamics.project_secular` each emit at most one
-:class:`RWAValidityWarning`, through one rule, for the manifolds they use
-whose |V_N(n)| reaches 0.1 omega (``project_secular`` with the initial
-weight there).
+:func:`mprabi.runner.resolve_params` warns about the detuning.  Two callers
+warn about the coupling, each with at most one :class:`RWAValidityWarning`
+through one rule, :func:`_warn_strong`, for the manifolds whose |V_N(n)|
+reaches 0.1 omega: :func:`spectrum_records` about the manifolds it exports,
+and :func:`mprabi.dynamics.project_secular` about those its start state
+leans on, with the initial weight there.  :func:`coupling_element` and
+:func:`rabi_frequency` are closed forms and warn about nothing.
 All functions are pure and thread safe.
 """
 
@@ -121,20 +122,19 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
 
     is finite for every sign and size of s.  At s = 0 only n = 1 survives,
     with V_N(1) = lambda_eg sqrt(N): the selection rule of the symmetric model.
+    Raises no warning, however large V_N(n) is against omega.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
-    val = (
+    return (
         (-1) ** n * params.lambda_eg * math.exp(-0.5 * s * s)
         * laguerre_poly(n_manifold - n, n, s * s) * s ** (n - 1)
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
         / math.sqrt(math.perm(n_manifold, n))
     )
-    _warn_strong(params, n, [n_manifold], [val])
-    return val
 
 
 def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:

@@ -17,7 +17,6 @@ independently in test_rwa.py):
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -369,13 +368,11 @@ def test_criterion_9_coherent_weight_convention():
             lambda_g=g, lambda_e=0.1, lambda_eg=0.02,
         )
         t = np.linspace(0.0, 900.0, 120)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            brute = np.full_like(t, -1.0)
-            for k in range(n, 70):
-                omega_r = 2.0 * abs(coupling_element(params, k, n))
-                brute += 2.0 * weights[k] * np.sin(0.5 * omega_r * t) ** 2
-            shipped = inversion_coherent(params, n, nbar, t)
+        brute = np.full_like(t, -1.0)
+        for k in range(n, 70):
+            omega_r = 2.0 * abs(coupling_element(params, k, n))
+            brute += 2.0 * weights[k] * np.sin(0.5 * omega_r * t) ** 2
+        shipped = inversion_coherent(params, n, nbar, t)
         worst_curve = max(worst_curve, float(np.max(np.abs(shipped - brute))))
     ok = worst_good < 1e-9 and best_bad > 1e-3 and worst_curve < 1e-9
     _report(

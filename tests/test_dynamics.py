@@ -798,6 +798,21 @@ class TestInversionCoherent:
         w = inversion_coherent(params, 1, 0.0, t)
         assert np.max(np.abs(w + 1.0)) < 1e-12
 
+    def test_closed_forms_are_silent_at_strong_coupling(self):
+        # |V_N(1)| = 0.15 sqrt(N) omega is past 0.1 omega on every manifold of
+        # the series; the closed forms report nothing, the plan does
+        params, n = resolve_params(parse_config(
+            '{"n": 1, "lambda_eg": 0.15, "n_max": 12, "t_end": 1.0, "dt": 0.002, '
+            '"sample_every": 50}'
+        ))
+        t = np.linspace(0.0, 20.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = inversion_coherent(params, n, 20.0, t)
+            assert inversion_fock(params, n, t) == pytest.approx(np.cos(0.3 * t), abs=1e-12)
+            assert rabi_frequency(params, 1, n) == pytest.approx(0.3, rel=1e-12)
+        assert w[0] == pytest.approx(-1.0, abs=1e-10)
+
     def test_matches_rwa_propagator_with_dressing(self):
         # nonzero lambda_g exercises the coherent-weight argument
         params = ModelParams(

@@ -1293,8 +1293,9 @@ class TestCli:
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_validate_shipped_config_is_silent(self, tmp_path, path):
         # validate holds the secular projection but runs no propagator, so its
-        # stderr shows the plan's warnings alone: none, but for
-        # collapse_revival_n4, whose start holds 1.7e-4 on strong manifolds
+        # stderr shows the plan's warnings alone, one line each with no source
+        # location: none, but for collapse_revival_n4, whose start holds
+        # 1.7e-4 on strong manifolds
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
             [sys.executable, "-m", "mprabi.cli", "validate", str(path), "--output-dir",
@@ -1302,15 +1303,18 @@ class TestCli:
         )
         assert done.returncode == 0
         if path.stem == "collapse_revival_n4":
-            assert ": RWAValidityWarning: 68 manifolds N = 92..159 have |V_N(4)|/omega up to " \
-                "0.157, not small, and hold 0.000174 of the initial state; " in done.stderr
+            assert done.stderr == (
+                "RWAValidityWarning: 68 manifolds N = 92..159 have |V_N(4)|/omega up to "
+                "0.157, not small, and hold 0.000174 of the initial state; secular results "
+                "there are unreliable\n"
+            )
         else:
             assert done.stderr == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_validate_prints_the_warnings_the_run_records(self, tmp_path):
-        # the strong-coupling warning comes from the plan, so validate shows
-        # each line the run's manifest lists, as Python shows a warning
+        # the strong-coupling warning comes from the plan, so validate's
+        # stderr is exactly the lines the run's manifest lists
         path = REPO / "configs" / "collapse_revival_n4.json"
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
@@ -1318,11 +1322,37 @@ class TestCli:
              str(tmp_path)], env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0
-        shown = re.findall(r"^\S+:\d+: (\w+Warning: .*)$", done.stderr, flags=re.MULTILINE)
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "collapse_revival_n4.manifest.json").read_text())
-        assert shown == manifest["validity"]["warnings"]
-        assert [line.split(":")[0] for line in shown] == ["RWAValidityWarning"]
+        lines = manifest["validity"]["warnings"]
+        assert done.stderr == "".join(f"{line}\n" for line in lines)
+        assert [line.split(":")[0] for line in lines] == ["RWAValidityWarning"]
+
+    def test_numeric_run_at_strong_coupling_records_no_warning(self, tmp_path, capsys):
+        # manifold 1 has |V_1(1)| = 0.15 omega, but a numeric-only run makes no
+        # secular claim: validate prints nothing and the manifest lists nothing
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({
+            "n": 1, "lambda_eg": 0.15, "n_max": 12, "t_end": 1.0, "dt": 0.002, "sample_every": 50,
+        }), encoding="utf-8")
+        assert cli.main(["validate", str(path), "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, manifest = run_scenario(parse_config(path.read_text()), output_dir=str(tmp_path))
+        assert manifest["derived"]["V_leading"] == pytest.approx(0.15, rel=1e-12)
+        assert manifest["validity"]["warnings"] == []
+
+    def test_spectrum_prints_its_warning_as_one_line(self, tmp_path, capsys):
+        # |V_N(1)| = 0.02 sqrt(N) reaches 0.1 omega from N = 25 on: the export
+        # of manifolds 1..30 prints one line for N = 25..30, with no source
+        # location
+        path = write_config(tmp_path, n=1, lambda_e=0.0, manifold_max=30)
+        assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "RWAValidityWarning: 6 manifolds N = 25..30 have |V_N(1)|/omega up to 0.11, "
+            "not small; secular results there are unreliable\n"
+        )
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("n_max", [2, 3, 5])
@@ -1433,12 +1463,11 @@ class TestCli:
         assert "secular basis captures only 0.00769974 of the state" in err
         assert list(out.iterdir()) == []
 
-    # the detuning is 0.95 omega, far outside the secular window, on purpose
-    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_order_two_off_resonance_is_config_error(self, tmp_path, capsys, command):
         # omega0 = 0.05 resolves to n = 1 with the n = 0 pairs 0.05 omega apart,
-        # inside the window the second-order shifts refuse
+        # inside the window the second-order shifts refuse; the detuning, 0.95
+        # omega, is far outside the secular window on purpose
         path = tmp_path / "off.json"
         path.write_text(json.dumps({
             "omega0": 0.05, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,

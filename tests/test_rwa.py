@@ -110,36 +110,32 @@ class TestCouplingElement:
     def test_brute_force_oracle_200_draws(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RWAValidityWarning)
-            for _ in range(200):
-                params = ModelParams(
-                    omega=1.0,
-                    omega0=1.0,
-                    lambda_g=float(rng.uniform(0.0, 0.3)),
-                    lambda_e=float(rng.uniform(0.0, 0.3)),
-                    lambda_eg=float(rng.uniform(0.001, 0.1)),
-                )
-                n = int(rng.integers(1, 6))
-                n_manifold = int(rng.integers(n, 31))
-                closed = coupling_element(params, n_manifold, n)
-                brute = brute_coupling(params, n_manifold, n)
-                worst = max(worst, abs(closed - brute) / max(abs(brute), 1e-300))
+        for _ in range(200):
+            params = ModelParams(
+                omega=1.0,
+                omega0=1.0,
+                lambda_g=float(rng.uniform(0.0, 0.3)),
+                lambda_e=float(rng.uniform(0.0, 0.3)),
+                lambda_eg=float(rng.uniform(0.001, 0.1)),
+            )
+            n = int(rng.integers(1, 6))
+            n_manifold = int(rng.integers(n, 31))
+            closed = coupling_element(params, n_manifold, n)
+            brute = brute_coupling(params, n_manifold, n)
+            worst = max(worst, abs(closed - brute) / max(abs(brute), 1e-300))
         assert worst < 1e-9
 
     def test_signed_couplings_negative_sum(self):
         # net negative well separation flips odd orders; magnitude unchanged
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RWAValidityWarning)
-            for lam_g, lam_e in ((-0.3, 0.1), (0.1, -0.25), (-0.05, 0.01)):
-                params = ModelParams(
-                    omega=1.0, omega0=1.0, lambda_g=lam_g, lambda_e=lam_e,
-                    lambda_eg=0.02,
-                )
-                for n_manifold, n in ((3, 1), (5, 2), (7, 3)):
-                    closed = coupling_element(params, n_manifold, n)
-                    brute = brute_coupling(params, n_manifold, n)
-                    assert closed == pytest.approx(brute, rel=1e-9, abs=1e-14)
+        for lam_g, lam_e in ((-0.3, 0.1), (0.1, -0.25), (-0.05, 0.01)):
+            params = ModelParams(
+                omega=1.0, omega0=1.0, lambda_g=lam_g, lambda_e=lam_e,
+                lambda_eg=0.02,
+            )
+            for n_manifold, n in ((3, 1), (5, 2), (7, 3)):
+                closed = coupling_element(params, n_manifold, n)
+                brute = brute_coupling(params, n_manifold, n)
+                assert closed == pytest.approx(brute, rel=1e-9, abs=1e-14)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -162,9 +158,7 @@ class TestCouplingElement:
         )
         n_manifold = n + above
         band = _transition_coupling(params, _padded_size(params, n_manifold))[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RWAValidityWarning)
-            closed = coupling_element(params, n_manifold, n)
+        closed = coupling_element(params, n_manifold, n)
         assert closed == pytest.approx(band[n_manifold, n_manifold - n], rel=1e-11, abs=1e-300)
 
     def test_continuity_across_zero_sum(self):
@@ -182,8 +176,6 @@ class TestCouplingElement:
                 )
                 assert abs(near - at_zero) <= 2.0 * lambda_eg * n_manifold * abs(s)
 
-    # |V_N(1)| = 0.02 sqrt(N) reaches 0.1 omega at N = 25
-    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
     @pytest.mark.parametrize("lambda_g", [0.0, 1e-12, 0.1, 0.3])
     def test_selection_rule_at_zero_sum(self, lambda_g):
         # lambda_g = -lambda_e puts both wells on one centre (s = 0): only
@@ -205,9 +197,13 @@ class TestCouplingElement:
             coupling_element(params, 1, 2)
 
     def test_weak_coupling_monitor(self):
+        # the closed form is silent; the spectrum export warns
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coupling_element(params, 1, 1) == pytest.approx(0.5, rel=1e-12)
         with pytest.warns(RWAValidityWarning) as record:
-            coupling_element(params, 1, 1)
+            spectrum_records(params, 1, [1])
         assert [str(w.message) for w in record] == [
             "manifold N = 1 has |V_1(1)|/omega = 0.5, not small; "
             "secular results there are unreliable"
@@ -359,8 +355,6 @@ def _secular_cases():
 
 
 class TestSecularSpectrum:
-    # |V_N(1)| = 0.02 sqrt(N) of the cases without dipoles reaches 0.1 omega
-    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("case", list(_secular_cases()))
     def test_every_pair_diagonalizes_its_block(self, case, order):
@@ -444,8 +438,6 @@ class TestSecularProperties:
         got = coupling_element(params, n + above, n)
         assert got == pytest.approx(brute_coupling(params, n + above, n), rel=1e-9, abs=1e-14)
 
-    # couplings up to 0.05 omega reach |V_N(n)| >= 0.1 omega in high manifolds
-    @pytest.mark.filterwarnings("ignore::mprabi.rwa.RWAValidityWarning")
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.integers(min_value=1, max_value=3),
