@@ -46,6 +46,7 @@ from .dynamics import (
     inversion_fock,
     observables,
     prepare_initial,
+    project_numeric,
     project_secular,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
@@ -82,6 +83,7 @@ __all__ = [
     "inversion_fock",
     "observables",
     "prepare_initial",
+    "project_numeric",
     "project_secular",
     "ConfigError",
     "ScenarioConfig",

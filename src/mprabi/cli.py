@@ -4,10 +4,11 @@ Sub-commands:
     run <config>        integrate a scenario and write CSV + manifest
     spectrum <config>   export the dressed-spectrum JSON for the scenario
     sweep <glob>        run every config matching a glob, sequentially
-    validate <config>   run's checks without the compute: the config with its
-                        overrides, the output paths, the initial state against
-                        the truncation, and spectrum's output path and
-                        manifold range, every problem in one report
+    validate <config>   run's checks without the propagation: the config with
+                        its overrides, the output paths, the initial state
+                        against the truncation, each route's projection of it,
+                        and spectrum's output path and manifold range, every
+                        problem in one report
 
 Exit codes: 0 success, 1 configuration error (a usage error, a start state
 outside the truncation, one the secular basis cannot represent, an output
@@ -165,24 +166,24 @@ def _guarded(command, path: str, args) -> int:
     """Run one command on one config; report a failure the CLI knows on
     stderr, then each warning the command raised as one line (see
     :func:`~mprabi.runner.recorded_warnings`), and return its exit code."""
-    try:
-        with recorded_warnings() as caught:
-            return command(path, args)
-    except ConfigError as exc:
-        print("configuration error:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, MemoryError, NormDriftError, ValidityError, KeyboardInterrupt) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        if isinstance(exc, KeyboardInterrupt):  # a bare one is SIGINT's
-            return 128 + getattr(exc, "signum", signal.SIGINT)
-        # an output that cannot be written, or a run too large for memory, is
-        # configuration, as at plan time
-        return EXIT_CONFIG if isinstance(exc, (OSError, MemoryError)) else EXIT_NUMERIC
-    finally:
-        for line in caught:
-            print(line, file=sys.stderr)
+    with recorded_warnings() as caught:
+        try:
+            code = command(path, args)
+        except ConfigError as exc:
+            print("configuration error:", file=sys.stderr)
+            for problem in exc.problems:
+                print(f"  - {problem}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except (OSError, MemoryError, NormDriftError, ValidityError, KeyboardInterrupt) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            if isinstance(exc, KeyboardInterrupt):  # a bare one is SIGINT's
+                code = 128 + getattr(exc, "signum", signal.SIGINT)
+            else:  # an output that cannot be written, or a run too large for
+                # memory, is configuration, as at plan time
+                code = EXIT_CONFIG if isinstance(exc, (OSError, MemoryError)) else EXIT_NUMERIC
+    for line in caught:
+        print(line, file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "integrate a scenario and write its outputs"),
         ("spectrum", "export the dressed-spectrum JSON"),
         ("sweep", "run every config matching a glob"),
-        ("validate", "run's checks without the compute"),
+        ("validate", "run's checks without the propagation"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="scenario config path" + (" glob" if name == "sweep" else ""))

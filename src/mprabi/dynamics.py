@@ -5,10 +5,11 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
 
 * :func:`evolve_numeric` integrates i d|psi>/dt = H |psi> (hbar = 1) with the
   classic fourth-order Runge-Kutta scheme on the full Hamiltonian.  H does
-  not depend on time, so the RK4 step is diagonal in the eigenbasis of H and
-  its powers are taken there in closed form.  No renormalization is ever
-  applied; the drift of the squared norm is the integrator's accuracy meter
-  and aborts the run when it exceeds a bound.
+  not depend on time, so the RK4 step is diagonal in the eigenbasis of H
+  (see :func:`project_numeric`) and its powers are taken there in closed
+  form.  No renormalization is ever applied; the drift of the squared norm
+  is the integrator's accuracy meter and aborts the run when it exceeds a
+  bound.
 
 * :func:`evolve_rwa` expands the initial state over the secular eigenbasis
   (unmixed low manifolds plus the dressed pairs), as :func:`project_secular`
@@ -16,10 +17,13 @@ basis and Hamiltonians real arrays, both plain numpy.  Two routes propagate:
   the rotating-wave treatment.  At ``order=2`` the secular energies carry the
   second-order level shifts (see :mod:`mprabi.rwa`).
 
-Both routes sample on one grid of :func:`sample_count` steps and expand
-over a real eigenbasis, each column j times the factor exp(L_j x) at sample
-position x (r_j^k = exp(k log r_j) for RK4, exp(-i E_j t) secular), in
-blocks of time samples (:func:`_expand`, which returns the trajectory).
+Both routes expand a :class:`Projection` of the start state, made before
+any propagation (``mprabi validate`` runs the run's checks, these
+projections included, without the propagation).  They sample on one grid
+of :func:`sample_count` steps and expand over the real eigenbasis, each
+column j times the factor exp(L_j x) at sample position x (r_j^k =
+exp(k log r_j) for RK4, exp(-i E_j t) secular), in blocks of time samples
+(:func:`_expand`, which returns the trajectory).
 Columns whose initial weight is negligible are dropped before the
 expansion, and each block takes its factors from a table of phases over its
 step offsets.  One top-five rule flags either route's truncation.
@@ -278,21 +282,45 @@ def _step_hint(weights, energies, t_end, dt, unit, label) -> str:
     return "no step down to dt/2^59 keeps it within bound"
 
 
+class Projection(NamedTuple):
+    """A start state on a real eigenbasis, as :func:`project_numeric` and
+    :func:`project_secular` project it."""
+
+    basis: np.ndarray  # real columns on the product space
+    energies: np.ndarray  # energy of each column
+    coeffs: np.ndarray  # the state's coefficient on each column
+    strong_weight: float  # weight on manifolds with |V_N(n)| >= 0.1 omega; 0 for numeric
+
+
+def project_numeric(h: np.ndarray, psi0: np.ndarray) -> Projection:
+    """The projection that :func:`evolve_numeric` expands: the eigenvectors
+    and energies of the real symmetric ``h`` from one ``eigh``, and the flat
+    vector psi0's coefficients on them.  ``strong_weight`` is 0, as the
+    exact route has no secular validity bound."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (h.shape[0],):
+        raise ValueError("state and Hamiltonian dimensions disagree")
+    if np.any(h.imag):
+        raise ValueError("the Hamiltonian must be real symmetric")
+    energies, vectors = np.linalg.eigh(h.real)
+    return Projection(vectors, energies, vectors.T @ psi0, 0.0)
+
+
 def evolve_numeric(
-    h: np.ndarray,
-    psi0: np.ndarray,
+    projection: Projection,
     t_end: float,
     dt: float,
     sample_every: int = 1,
     *,
     period: float | None = None,
 ) -> Trajectory:
-    """Integrate i d psi/dt = h psi with classic RK4 from ``psi0`` at t = 0 for
-    a duration t_end; ``h`` is real symmetric of dimension 2 n_max.
+    """Integrate i d psi/dt = H psi with classic RK4 for a duration t_end from
+    the state that ``projection`` (from :func:`project_numeric`) expands at
+    t = 0 on the eigenbasis of H.
 
     One RK4 step multiplies the amplitude on eigenvector j of H by
-    r_j = R(-i dt E_j) (see :func:`_rk4_log_gain`).  With E, V from one
-    ``eigh`` of the real H and c = V^T psi0, the state after k steps is
+    r_j = R(-i dt E_j) (see :func:`_rk4_log_gain`).  With E, V and
+    c = V^T psi0 from the projection, the state after k steps is
     V (c * r^k): the stepwise RK4 trajectory up to rounding, at a cost set by
     the sample count alone (see :func:`_expand`, which also drops the
     eigenvectors holding at most :data:`_PRUNE_TOL` of psi0 and records their
@@ -309,15 +337,8 @@ def evolve_numeric(
     (oscillator periods, as the CLI takes them), else in the units of t_end.
     """
     steps = sample_steps(t_end, dt, sample_every)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.shape[0],):
-        raise ValueError("state and Hamiltonian dimensions disagree")
-    if np.any(h.imag):
-        raise ValueError("the Hamiltonian must be real symmetric")
     unit, label = (1.0, "") if period is None else (period, " periods")
-
-    energies, vectors = np.linalg.eigh(h.real)
-    coeffs = vectors.T @ psi0
+    vectors, energies, coeffs, _ = projection
     log_mod, phase = _rk4_log_gain(dt * energies)
 
     traj = _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, dt)
@@ -359,18 +380,9 @@ def _rwa_basis(
     return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 
-class SecularProjection(NamedTuple):
-    """A start state on the secular eigenbasis (see :func:`project_secular`)."""
-
-    basis: np.ndarray  # real columns on the product space
-    energies: np.ndarray  # secular energy of each column
-    coeffs: np.ndarray  # the state's coefficient on each column
-    strong_weight: float  # the state's weight on manifolds with |V_N(n)| >= 0.1 omega
-
-
 def project_secular(
     params: ModelParams, n: int, psi0: np.ndarray, order: int
-) -> SecularProjection:
+) -> Projection:
     """The projection that :func:`evolve_rwa` expands: :func:`_rwa_basis` at
     ``order`` on the truncation of the flat vector ``psi0``, psi0's
     coefficients on it, and the weight they put on the manifolds whose
@@ -394,11 +406,11 @@ def project_secular(
         )
     pairs = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
     strong = _warn_strong(params, n, range(n, psi0.size // 2), v, pairs, COMPLETENESS_TOL)
-    return SecularProjection(basis, energies, coeffs, strong)
+    return Projection(basis, energies, coeffs, strong)
 
 
 def evolve_rwa(
-    projection: SecularProjection,
+    projection: Projection,
     t_end: float,
     dt: float,
     sample_every: int = 1,

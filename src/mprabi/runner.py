@@ -60,12 +60,14 @@ from .dynamics import (
     NORM_TOL,
     TOP_LEVELS,
     InitialStateSpec,
+    IntegratorWarning,
+    Projection,
     ProjectionError,
-    SecularProjection,
     Trajectory,
     evolve_numeric,
     evolve_rwa,
     prepare_initial,
+    project_numeric,
     project_secular,
     sample_count,
 )
@@ -82,7 +84,7 @@ from .rwa import (
 
 OUTPUT_DIR_ENV = "MPRABI_OUTPUT_DIR"
 #: stages a run times into its manifest's ``timings``
-STAGES = ("plan", "build", "numeric", "rwa", "emit")
+STAGES = ("plan", "numeric", "rwa", "emit")
 #: the manifest ``outputs`` key of each route's CSV, in the order routes run
 _CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
 #: the environment variables that set the BLAS thread count, echoed where set
@@ -111,14 +113,22 @@ def _timed(timings: dict, stage: str):
 @contextlib.contextmanager
 def recorded_warnings():
     """Record, not show, every warning the ``with`` block raises; the list it
-    yields then holds each distinct one as ``"<category>: <message>"``, sorted."""
+    yields then holds each distinct one as ``"<category>: <message>"``, sorted.
+    The package's RWAValidityWarning and IntegratorWarning are always
+    recorded, other categories as the filters in force allow.  A block that
+    raises passes its warnings on to the enclosing filters first."""
     lines = []
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        try:
+    try:
+        with warnings.catch_warnings(record=True) as log:
+            for category in (RWAValidityWarning, IntegratorWarning):
+                warnings.simplefilter("always", category)
             yield lines
-        finally:
-            lines[:] = sorted({f"{w.category.__name__}: {w.message}" for w in log})
+    except BaseException:
+        for w in log:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        raise
+    finally:
+        lines[:] = sorted({f"{w.category.__name__}: {w.message}" for w in log})
 
 
 def _temp_path(path: str) -> str:
@@ -620,8 +630,7 @@ class RunPlan(NamedTuple):
     outputs: dict  # manifest "outputs": manifest, csv and rwa_csv paths
     params: ModelParams
     n: int  # photon order of the resonance
-    psi0: np.ndarray
-    projection: SecularProjection | None  # when the secular route runs
+    projections: dict[str, Projection]  # the start state's, per route run, in _CSV_KEYS order
 
 
 def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
@@ -630,16 +639,17 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     Resolves the files the run writes (the manifest, plus one CSV per
     propagator) with :func:`resolve_outputs`, resolves the model parameters,
     counts the samples (:func:`~mprabi.dynamics.sample_count`, with no grid
-    built) and prepares the initial state.  When the secular route runs, it
-    keeps the state's :func:`~mprabi.dynamics.project_secular` projection,
-    which :func:`~mprabi.dynamics.evolve_rwa` then expands, and which raises
+    built) and prepares the initial state.  It keeps the state's projection
+    for each route that runs, which the route's propagator then expands:
+    :func:`~mprabi.dynamics.project_numeric` on the full Hamiltonian, which
+    it assembles, and :func:`~mprabi.dynamics.project_secular`, which raises
     the strong-coupling warning.  Raises one :class:`ConfigError` with every
     unusable output path, a sample count, an n_max within the top levels the
-    truncation rule watches, a state or trajectories too large to allocate,
-    and a start state that does not fit the truncation or the secular basis
-    (an order-2 basis off the resonance included).  ``mprabi validate`` runs
-    this call, so it rejects what a run rejects before compute and shows the
-    warnings a run records here.
+    truncation rule watches, a state, Hamiltonian or trajectories too large
+    to allocate, and a start state that does not fit the truncation or the
+    secular basis (an order-2 basis off the resonance included).
+    ``mprabi validate`` runs this call, so it rejects what a run rejects
+    before compute and shows the warnings a run records here.
     """
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
     outputs, problems = resolve_outputs(config, written, output_dir)
@@ -657,9 +667,13 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         )
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
-        psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
-        secular = "rwa" in config.propagators
-        projection = project_secular(params, n, psi0, config.order) if secular else None
+        space = FockSpace(config.n_max)
+        psi0 = prepare_initial(initial, params, space)
+        projections = {}
+        if "numeric" in config.propagators:
+            projections["numeric"] = project_numeric(build_full(params, space), psi0)
+        if "rwa" in config.propagators:
+            projections["rwa"] = project_secular(params, n, psi0, config.order)
     except MemoryError as exc:
         raise ConfigError([*problems, f"n_max = {config.n_max} is too large: {exc}"]) from exc
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
@@ -673,7 +687,7 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         )
     if problems:
         raise ConfigError(problems)
-    return RunPlan(outputs, params, n, psi0, projection)
+    return RunPlan(outputs, params, n, projections)
 
 
 def run_scenario(
@@ -681,9 +695,9 @@ def run_scenario(
 ) -> tuple[Trajectory, dict]:
     """Execute one scenario end to end.
 
-    Settles the run with :func:`plan_run`, runs the requested propagators,
-    and writes the CSV trajectories plus the manifest, which it returns as
-    the dict it wrote.
+    Settles the run with :func:`plan_run`, runs each route's propagator on
+    its projection, and writes the CSV trajectories plus the manifest, which
+    it returns as the dict it wrote.
     Numerical validity (norm drift of every trajectory, truncation occupancy,
     the initial weight each expansion pruned beside the bound it sets on any
     W or P value, and the secular projection's strong-coupling weight beside
@@ -707,22 +721,15 @@ def run_scenario(
     error = None
     with recorded_warnings() as caught:
         with _timed(timings, "plan"):
-            outputs, params, n, psi0, projection = plan_run(config, output_dir)
+            outputs, params, n, projections = plan_run(config, output_dir)
         written = {"manifest": outputs["manifest"]}
         period = 2.0 * math.pi / params.omega
-        t_end, dt = config.t_end * period, config.dt * period
+        grid = (config.t_end * period, config.dt * period, config.sample_every)
         try:
-            if "numeric" in config.propagators:
-                with _timed(timings, "build"):
-                    hamiltonian = build_full(params, FockSpace(config.n_max))
-                with _timed(timings, "numeric"):
-                    trajs["numeric"] = evolve_numeric(
-                        hamiltonian, psi0, t_end, dt, sample_every=config.sample_every,
-                        period=period,
-                    )
-            if projection is not None:
-                with _timed(timings, "rwa"):
-                    trajs["rwa"] = evolve_rwa(projection, t_end, dt, config.sample_every, period=period)
+            evolve = {"numeric": evolve_numeric, "rwa": evolve_rwa}
+            for route, projection in projections.items():
+                with _timed(timings, route):
+                    trajs[route] = evolve[route](projection, *grid, period=period)
             with _timed(timings, "emit"):
                 for route, traj in trajs.items():
                     key = _CSV_KEYS[route]
@@ -783,8 +790,8 @@ def run_scenario(
         "timings": {stage: round(seconds, 6) for stage, seconds in timings.items()},
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
-    if projection is not None:  # the start's weight where the secular route is unreliable
-        strong = {"weight": projection.strong_weight, "bound": COMPLETENESS_TOL}
+    if "rwa" in projections:  # the start's weight where the secular route is unreliable
+        strong = {"weight": projections["rwa"].strong_weight, "bound": COMPLETENESS_TOL}
         manifest["validity"]["strong_coupling"] = strong
     try:
         with _atomic_write(outputs["manifest"]) as handle:

@@ -42,6 +42,7 @@ from mprabi.dynamics import (
     evolve_rwa,
     inversion_coherent,
     prepare_initial,
+    project_numeric,
     project_secular,
 )
 
@@ -127,7 +128,7 @@ def two_photon_run():
     psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
     t_rabi = 2.0 * math.pi / rabi_frequency(params, 2, 2)
     traj = evolve_numeric(
-        build_full(params, space), psi0, 3.0 * t_rabi, DT, sample_every=100
+        project_numeric(build_full(params, space), psi0), 3.0 * t_rabi, DT, sample_every=100
     )
     return params, space, psi0, traj, t_rabi
 
@@ -151,7 +152,8 @@ def collapse_runs():
     space = FockSpace(110)
     psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=nbar), params, space)
     traj = evolve_numeric(
-        build_full(params, space), psi0, 32.0 * PERIOD, PERIOD / 8000.0, sample_every=400
+        project_numeric(build_full(params, space), psi0),
+        32.0 * PERIOD, PERIOD / 8000.0, sample_every=400
     )
     return grid, closed, traj
 
@@ -227,7 +229,7 @@ def test_criterion_4_three_photon_exchange():
     (rec,) = spectrum_records(params, 3, [3], order=2)["manifolds"]
     expected = 2.0 * math.pi / (rec["E_plus"] - rec["E_minus"])
     traj = evolve_numeric(
-        build_full(params, space), psi0, 1.45 * first_order, DT, sample_every=100
+        project_numeric(build_full(params, space), psi0), 1.45 * first_order, DT, sample_every=100
     )
     p3 = traj.photon_dist[:, 3]
     spacing = traj.times[1] - traj.times[0]
@@ -291,7 +293,7 @@ def test_criterion_7_integrator_order(two_photon_run):
     window = 4.0 * PERIOD
 
     def end_state(dt):
-        run = evolve_numeric(h, psi0, window, dt, sample_every=10_000_000)
+        run = evolve_numeric(project_numeric(h, psi0), window, dt, sample_every=10_000_000)
         return run.final_state
 
     ref = end_state(DT / 8.0)

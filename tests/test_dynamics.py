@@ -31,6 +31,7 @@ from mprabi.dynamics import (
     inversion_fock,
     observables,
     prepare_initial,
+    project_numeric,
     project_secular,
     sample_count,
     sample_steps,
@@ -188,7 +189,9 @@ class TestObservables:
             InitialStateSpec("ground-coherent", mean_photons=2.0), params, space
         )
         if propagator == "numeric":
-            traj = evolve_numeric(build_full(params, space), psi0, 30.0, DT, sample_every=300)
+            traj = evolve_numeric(
+                project_numeric(build_full(params, space), psi0), 30.0, DT, sample_every=300
+            )
         else:
             traj = evolve_rwa(project_secular(params, 2, psi0, 1), 30.0, 3.0)
         w, p = observables(traj.final_state)
@@ -209,7 +212,7 @@ class TestObservables:
         steps = sample_steps(30.0, DT, 100)
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(h, psi0, 30.0, DT, sample_every=100)
+            traj = evolve_numeric(project_numeric(h, psi0), 30.0, DT, sample_every=100)
             energies, vectors = np.linalg.eigh(h)
             coeffs = vectors.T @ psi0
             gains = np.exp(np.outer(steps, 2.0 * dynamics._rk4_log_gain(DT * energies)[0]))
@@ -258,7 +261,9 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=2.0)
         space = FockSpace(6)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj = evolve_numeric(build_full(params, space), psi0, 20.0, DT, sample_every=100)
+        traj = evolve_numeric(
+            project_numeric(build_full(params, space), psi0), 20.0, DT, sample_every=100
+        )
         assert np.max(np.abs(traj.inversion - 1.0)) < 1e-9
 
     def test_displaced_eigenstate_frozen_distribution(self):
@@ -266,7 +271,9 @@ class TestEvolveNumeric:
         space = FockSpace(25)
         vec = np.zeros(50, dtype=complex)
         vec[space.block(SPIN_UP)] = displacement_matrix(-0.25, space)[:, 0]
-        traj = evolve_numeric(build_full(params, space), vec, 30.0, DT, sample_every=200)
+        traj = evolve_numeric(
+            project_numeric(build_full(params, space), vec), 30.0, DT, sample_every=200
+        )
         drift = np.max(np.abs(traj.photon_dist - traj.photon_dist[0]))
         assert drift < 1e-8
 
@@ -274,7 +281,9 @@ class TestEvolveNumeric:
         params = two_photon_params()
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj = evolve_numeric(build_full(params, space), psi0, 200.0, DT, sample_every=500)
+        traj = evolve_numeric(
+            project_numeric(build_full(params, space), psi0), 200.0, DT, sample_every=500
+        )
         rel = np.abs(traj.energy - traj.energy[0]) / abs(traj.energy[0])
         assert np.max(rel) < 1e-6
 
@@ -282,7 +291,9 @@ class TestEvolveNumeric:
         params = two_photon_params()
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj = evolve_numeric(build_full(params, space), psi0, 60.0, DT, sample_every=100)
+        traj = evolve_numeric(
+            project_numeric(build_full(params, space), psi0), 60.0, DT, sample_every=100
+        )
         row_sums = np.sum(traj.photon_dist, axis=1)
         assert np.max(np.abs(row_sums - traj.norm)) < 1e-12
         assert np.all(traj.inversion <= 1.0 + 1e-8)
@@ -296,7 +307,9 @@ class TestEvolveNumeric:
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         with pytest.raises(NormDriftError, match="dt"):
-            evolve_numeric(build_full(params, space), psi0, 10.0, 1.0, sample_every=1)
+            evolve_numeric(
+                project_numeric(build_full(params, space), psi0), 10.0, 1.0, sample_every=1
+            )
 
     def test_nan_norm_aborts(self):
         # the folded propagator overflows at this step long before the first
@@ -306,7 +319,9 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match="nan"):
-                evolve_numeric(build_full(params, space), psi0, 4000.0, 1.0, sample_every=2000)
+                evolve_numeric(
+                    project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000
+                )
 
     # the state starts on the top level, so every run here is truncated
     @pytest.mark.filterwarnings("ignore::mprabi.dynamics.IntegratorWarning")
@@ -318,12 +333,12 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         h = build_full(params, space)
         with pytest.raises(NormDriftError) as info:
-            evolve_numeric(h, psi0, 10.0, 1.0, sample_every=1)
+            evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1)
         hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
-        traj = evolve_numeric(h, psi0, 10.0, hinted, sample_every=1)
+        traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1)
         assert np.max(np.abs(traj.norm - 1.0)) <= NORM_TOL
         with pytest.raises(NormDriftError):
-            evolve_numeric(h, psi0, 10.0, 2.0 * hinted, sample_every=1)
+            evolve_numeric(project_numeric(h, psi0), 10.0, 2.0 * hinted, sample_every=1)
 
     @pytest.mark.parametrize("target", [5, _RWA_BLOCK + 40])
     def test_truncation_warns_once_at_first_offending_sample(self, monkeypatch, target):
@@ -336,14 +351,14 @@ class TestEvolveNumeric:
         h = build_full(params, space)
         run = dict(t_end=700 * 40 * DT, dt=DT, sample_every=40)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", 2.0)
-        quiet = evolve_numeric(h, psi0, **run)
+        quiet = evolve_numeric(project_numeric(h, psi0), **run)
         top = np.sum(quiet.photon_dist[:, -5:], axis=1)
         tol = top[target]
         first = int(np.argmax(top >= tol))
         assert first % _RWA_BLOCK and (first > _RWA_BLOCK) == (target > _RWA_BLOCK)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", tol)
         with pytest.warns(IntegratorWarning) as record:
-            traj = evolve_numeric(h, psi0, **run)
+            traj = evolve_numeric(project_numeric(h, psi0), **run)
         assert not traj.truncation_ok
         messages = [str(w.message) for w in record if w.category is IntegratorWarning]
         assert len(messages) == 1
@@ -361,11 +376,11 @@ class TestEvolveNumeric:
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             with pytest.raises(NormDriftError) as info:
-                evolve_numeric(h, psi0, 10.0, 1.0, sample_every=1)
+                evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1)
         assert not [w for w in log if issubclass(w.category, IntegratorWarning)]
         hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
         with pytest.warns(IntegratorWarning, match="at t = 0;"):
-            traj = evolve_numeric(h, psi0, 10.0, hinted, sample_every=1)
+            traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1)
         assert not traj.truncation_ok
 
     def test_closer_to_long_double_rk4_than_folded_route(self):
@@ -380,7 +395,7 @@ class TestEvolveNumeric:
         coherent = InitialStateSpec("ground-coherent", mean_photons=10.0)
         psi0 = prepare_initial(coherent, params, space)
         dt, n_steps, every = 1e-3, 400_000, 10_000
-        traj = evolve_numeric(h, psi0, n_steps * dt, dt, sample_every=every)
+        traj = evolve_numeric(project_numeric(h, psi0), n_steps * dt, dt, sample_every=every)
         states = rk4_long_double(h, psi0, dt, n_steps, every)
         probs = np.abs(states) ** 2
         inversion = (np.sum(probs[:, 40:], axis=1) - np.sum(probs[:, :40], axis=1)).astype(float)
@@ -397,7 +412,7 @@ class TestEvolveNumeric:
         h = build_full(params, space)
         coherent = InitialStateSpec("ground-coherent", mean_photons=4.0)
         psi0 = prepare_initial(coherent, params, space)
-        traj = evolve_numeric(h, psi0, 200.0, DT, sample_every=71)
+        traj = evolve_numeric(project_numeric(h, psi0), 200.0, DT, sample_every=71)
         assert len(traj) > _RWA_BLOCK and traj.pruned_weight == 0.0
         energies, vectors = np.linalg.eigh(h)
         log_mod, phase = dynamics._rk4_log_gain(DT * energies)
@@ -429,7 +444,7 @@ class TestEvolveNumeric:
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 = vec / np.linalg.norm(vec)
-        traj = evolve_numeric(h, psi0, n_steps * DT, DT, sample_every=sample_every)
+        traj = evolve_numeric(project_numeric(h, psi0), n_steps * DT, DT, sample_every=sample_every)
         steps, states = rk4_stepwise(h, psi0, DT, n_steps, sample_every)
         assert np.array_equal(traj.times, steps * DT)
         probs = np.abs(states) ** 2
@@ -469,7 +484,9 @@ class TestEvolveNumeric:
         space = FockSpace(8)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         t_half = math.pi / (2.0 * lam)
-        traj = evolve_numeric(build_full(params, space), psi0, 1.2 * t_half, DT, sample_every=20)
+        traj = evolve_numeric(
+            project_numeric(build_full(params, space), psi0), 1.2 * t_half, DT, sample_every=20
+        )
         i = int(np.argmin(traj.inversion))
         t, w = traj.times, traj.inversion
         denom = w[i - 1] - 2 * w[i] + w[i + 1]
@@ -483,9 +500,9 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         h = build_full(params, space)
         with pytest.raises(ValueError):
-            evolve_numeric(h, psi0, 1.0, -0.1)
+            evolve_numeric(project_numeric(h, psi0), 1.0, -0.1)
         with pytest.raises(ValueError):
-            evolve_numeric(h, psi0, 1.0, 0.1, sample_every=0)
+            evolve_numeric(project_numeric(h, psi0), 1.0, 0.1, sample_every=0)
 
     def test_rejects_complex_hamiltonian(self):
         # the eigenbasis route diagonalizes the real part only
@@ -496,7 +513,14 @@ class TestEvolveNumeric:
         matrix[0, 1] += 1e-3j
         matrix[1, 0] -= 1e-3j
         with pytest.raises(ValueError, match="real"):
-            evolve_numeric(matrix, psi0, 1.0, 0.1)
+            project_numeric(matrix, psi0)
+
+    def test_rejects_state_of_another_dimension(self):
+        params = two_photon_params()
+        h = build_full(params, FockSpace(4))
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(5))
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            project_numeric(h, psi0)
 
 
 class TestEvolveRwa:
@@ -532,7 +556,9 @@ class TestEvolveRwa:
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj_num = evolve_numeric(build_full(params, space), psi0, 320.0, DT, sample_every=100)
+        traj_num = evolve_numeric(
+            project_numeric(build_full(params, space), psi0), 320.0, DT, sample_every=100
+        )
         traj_rwa = evolve_rwa(project_secular(params, 1, psi0, 1), 320.0, DT, sample_every=100)
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
 
@@ -604,7 +630,7 @@ class TestEvolveRwa:
         t_end = _RWA_BLOCK * 100 * DT
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(h, psi0, t_end, DT, sample_every=100)
+            traj = evolve_numeric(project_numeric(h, psi0), t_end, DT, sample_every=100)
             energies, vectors = np.linalg.eigh(h)
             phases = np.exp(-1j * np.outer(energies, traj.times))
             inversion, dist = observables(vectors @ (phases * (vectors.T @ psi0)[:, None]))
@@ -727,7 +753,7 @@ class TestPruning:
 
         def run():
             if propagator == "numeric":
-                return evolve_numeric(h, psi0, 300.0, DT, sample_every=500)
+                return evolve_numeric(project_numeric(h, psi0), 300.0, DT, sample_every=500)
             return evolve_rwa(project_secular(params, 2, psi0, 2), 300.0, DT, 500)
 
         pruned = run()
@@ -748,10 +774,10 @@ class TestPruning:
         space = FockSpace(200)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         h = build_full(params, space)
-        pruned = evolve_numeric(h, psi0, 20.0, DT, sample_every=500)
+        pruned = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500)
         assert np.all(pruned.photon_dist[:, 100:] == 0.0)
         monkeypatch.setattr(dynamics, "_PRUNE_TOL", -1.0)
-        full = evolve_numeric(h, psi0, 20.0, DT, sample_every=500)
+        full = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500)
         assert not np.any(np.all(full.photon_dist == 0.0, axis=0))
 
     def test_nan_coefficient_is_kept(self):
@@ -762,7 +788,9 @@ class TestPruning:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         psi0[3] = np.nan
         with pytest.raises(NormDriftError, match="nan"):
-            evolve_numeric(build_full(params, space), psi0, 10.0, DT, sample_every=100)
+            evolve_numeric(
+                project_numeric(build_full(params, space), psi0), 10.0, DT, sample_every=100
+            )
 
 
 class TestInversionFock:

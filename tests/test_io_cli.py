@@ -980,21 +980,35 @@ class TestRunScenario:
 
     def test_one_secular_basis_per_run(self, tmp_path, monkeypatch):
         # a coherent start costs one displacement; the secular basis two, built
-        # once by the plan and expanded by evolve_rwa as it stands
+        # once by the plan and expanded by evolve_rwa as it stands; the numeric
+        # eigenbasis one H and one eigh, in the plan too
         calls = []
 
-        def counted(beta, space):
-            calls.append(beta)
-            return displacement_matrix(beta, space)
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
 
-        monkeypatch.setattr(dynamics, "displacement_matrix", counted)
-        monkeypatch.setattr(rwa, "displacement_matrix", counted)
+        def planned(*args):
+            plan = plan_run(*args)
+            calls.append("planned")
+            return plan
+
+        plan_run = runner.plan_run
+        monkeypatch.setattr(dynamics, "displacement_matrix", counted("D", displacement_matrix))
+        monkeypatch.setattr(rwa, "displacement_matrix", counted("D", displacement_matrix))
+        monkeypatch.setattr(runner, "build_full", counted("H", runner.build_full))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(runner, "plan_run", planned)
         config = parse_config(json.dumps({
             **QUICK, "initial_kind": "ground-coherent", "mean_photons": 1.0, "n_max": 30,
             "propagators": ["numeric", "rwa"],
         }))
         run_scenario(config, output_dir=str(tmp_path))
-        assert len(calls) == 3
+        assert calls.count("D") == 3
+        assert calls.count("H") == calls.count("eigh") == 1
+        assert calls[-1] == "planned"
 
     def test_every_trajectory_norm_checked(self, tmp_path, monkeypatch):
         # a secular trajectory off by 1e-5 fails the run beside a clean numeric one
@@ -1010,6 +1024,31 @@ class TestRunScenario:
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
         assert stored["validity"]["norm_ok"] is False
         assert stored["validity"]["truncation_ok"] is True
+
+
+class TestRecordedWarnings:
+    def test_only_the_package_categories_are_always_recorded(self):
+        # so that -W error::ResourceWarning still fails a command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ResourceWarning, match="unclosed"):
+                with runner.recorded_warnings():
+                    warnings.warn("unclosed file", ResourceWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with runner.recorded_warnings() as lines:
+                warnings.warn("top levels", dynamics.IntegratorWarning)
+                warnings.warn("detuning", rwa.RWAValidityWarning)
+                warnings.warn("detuning", rwa.RWAValidityWarning)
+        assert lines == ["IntegratorWarning: top levels", "RWAValidityWarning: detuning"]
+
+    def test_a_failed_block_passes_its_warnings_on(self):
+        with runner.recorded_warnings() as outer:
+            with pytest.raises(ConfigError):
+                with runner.recorded_warnings() as inner:
+                    warnings.warn("detuning", rwa.RWAValidityWarning)
+                    raise ConfigError(["no output directory"])
+        assert inner == outer == ["RWAValidityWarning: detuning"]
 
 
 class TestCli:
@@ -1292,7 +1331,7 @@ class TestCli:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_validate_shipped_config_is_silent(self, tmp_path, path):
-        # validate holds the secular projection but runs no propagator, so its
+        # validate holds each route's projection but runs no propagator, so its
         # stderr shows the plan's warnings alone, one line each with no source
         # location: none, but for collapse_revival_n4, whose start holds
         # 1.7e-4 on strong manifolds
@@ -1327,6 +1366,25 @@ class TestCli:
         lines = manifest["validity"]["warnings"]
         assert done.stderr == "".join(f"{line}\n" for line in lines)
         assert [line.split(":")[0] for line in lines] == ["RWAValidityWarning"]
+
+    def test_run_prints_the_warnings_of_a_failed_plan(self, tmp_path, capsys):
+        # the detuning warning is raised as the plan resolves the parameters;
+        # a plan that fails leaves no manifest, so run prints it as validate does
+        path = tmp_path / "detuned.json"
+        path.write_text(json.dumps({
+            "omega0": 2.3, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,
+        }), encoding="utf-8")
+        missing = tmp_path / "missing"
+        stderr = {}
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path), "--output-dir", str(missing)]) == 1
+            stderr[command] = capsys.readouterr().err
+        assert stderr["run"] == stderr["validate"] == (
+            f"configuration error:\n  - output directory does not exist: {missing}\n"
+            "RWAValidityWarning: detuning |delta_2| = 0.3 is not small against omega = 1; "
+            "secular results are unreliable\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_numeric_run_at_strong_coupling_records_no_warning(self, tmp_path, capsys):
         # manifold 1 has |V_1(1)| = 0.15 omega, but a numeric-only run makes no
@@ -1665,6 +1723,26 @@ class TestCli:
         assert err.startswith(
             "configuration error:\n  - t_end / dt / sample_every = 20000001 samples x "
             "n_max = 200 is too large: "
+        )
+        assert err.count("\n") == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_hamiltonian_too_large_is_rejected_by_the_plan(self, tmp_path, capsys, command):
+        # H at n_max = 5e6 needs 728 TiB, past any machine's memory and a
+        # 47-bit address space, so its allocation fails at once; the plan
+        # assembles it, so validate rejects it and run fails before compute
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 1, "lambda_eg": 0.001, "n_max": 5000000, "t_end": 0.01, "dt": 0.001,
+            "sample_every": 10,
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "configuration error:\n  - n_max = 5000000 is too large: Unable to allocate 728. TiB"
         )
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
