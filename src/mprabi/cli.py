@@ -31,22 +31,17 @@ import os
 import signal
 import sys
 
-import numpy as np
-
 from .config import ConfigError, ScenarioConfig, parse_config
+from .csvtext import INTERRUPT_SIGNALS
 from .dynamics import NormDriftError
-from .model import ModelParams
 from .runner import (
-    INTERRUPT_SIGNALS,
     ValidityError,
     emit_spectrum,
     plan_run,
+    plan_spectrum,
     recorded_warnings,
-    resolve_outputs,
-    resolve_params,
     run_scenario,
 )
-from .rwa import _SPECTRUM_MATRICES, _padded_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,29 +74,6 @@ def _load_config(path: str, args) -> ScenarioConfig:
     return parse_config(text, overrides)
 
 
-def _spectrum_target(
-    config: ScenarioConfig, params: ModelParams, n: int, output_dir: str | None
-) -> tuple[str, np.ndarray]:
-    """The resolved path of the spectrum export, checked writable, and the
-    index array of its manifolds n .. manifold_max (n + 20 by default),
-    allocated here after the (n_loc x n_loc) matrices that the spectrum
-    solver holds at its peak on the ladder the export pads past
-    manifold_max; one :class:`ConfigError` lists the problems of both."""
-    paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
-    manifold_max = config.manifold_max or n + 20
-    if manifold_max < n:
-        problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
-    try:
-        n_loc = _padded_size(params, manifold_max + 1)
-        np.empty((_SPECTRUM_MATRICES, n_loc, n_loc))  # never written, so no page is touched
-        manifolds = np.arange(n, manifold_max + 1)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        problems.append(f"manifold_max = {manifold_max} is too large: {exc}")
-    if problems:
-        raise ConfigError(problems)
-    return paths["spectrum"], manifolds
-
-
 def _cmd_run(path: str, args) -> int:
     config = _load_config(path, args)
     traj, manifest = run_scenario(config, output_dir=args.output_dir)
@@ -114,8 +86,7 @@ def _cmd_run(path: str, args) -> int:
 
 def _cmd_spectrum(path: str, args) -> int:
     config = _load_config(path, args)
-    params, n = resolve_params(config)
-    out_path, manifolds = _spectrum_target(config, params, n, args.output_dir)
+    params, n, manifolds, out_path = plan_spectrum(config, args.output_dir)
     emit_spectrum(params, n, manifolds, out_path, order=config.order)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -124,16 +95,11 @@ def _cmd_spectrum(path: str, args) -> int:
 def _cmd_validate(path: str, args) -> int:
     config = _load_config(path, args)
     problems = []
-    try:
-        plan = plan_run(config, args.output_dir)
-        params, n = plan.params, plan.n
-    except ConfigError as exc:
-        problems = exc.problems
-        params, n = resolve_params(config)  # a warning it repeats is shown once
-    try:
-        _spectrum_target(config, params, n, args.output_dir)
-    except ConfigError as exc:
-        problems = problems + exc.problems
+    for plan in (plan_run, plan_spectrum):  # a warning both raise is shown once
+        try:
+            plan(config, args.output_dir)
+        except ConfigError as exc:
+            problems += exc.problems
     if problems:
         raise ConfigError(dict.fromkeys(problems))  # a directory both miss, once
     print(f"{path}: ok")

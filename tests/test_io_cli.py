@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mprabi import cli, dynamics, runner, rwa
+from mprabi import cli, csvtext, dynamics, runner, rwa
 from mprabi import config as config_module
 from mprabi.config import ConfigError, ScenarioConfig, parse_config
 from mprabi.dynamics import Trajectory, evolve_rwa
@@ -349,7 +349,7 @@ class TestEmitCsv:
             norm=dist.sum(axis=1),
             energy=rng.normal(size=1000),
         )
-        csv_rows = runner._csv_rows
+        csv_rows = csvtext._csv_rows
         temp_sizes = []
 
         def flaky(traj, omega, n_p, start, stop):
@@ -359,7 +359,7 @@ class TestEmitCsv:
                     raise RuntimeError("disk gremlin")
                 yield chunk
 
-        monkeypatch.setattr(runner, "_csv_rows", flaky)
+        monkeypatch.setattr(csvtext, "_csv_rows", flaky)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="disk gremlin"):
             emit_csv(traj, str(path), omega=1.0)
@@ -376,7 +376,7 @@ class TestEmitCsv:
         monkeypatch.setattr(os, "unlink", stuck)
         path = tmp_path / "out.csv"
         with pytest.raises(RuntimeError, match="disk gremlin"):
-            with runner._atomic_write(str(path)) as handle:
+            with csvtext._atomic_write(str(path)) as handle:
                 handle.write(b"partial")
                 raise RuntimeError("disk gremlin")
         assert not path.exists()
@@ -503,15 +503,15 @@ def force_split(monkeypatch, cpus):
     """Let emit_csv split any CSV over ``cpus`` usable CPUs; returns the list
     that records the row count of every worker it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(runner, "_RANGE_MIN_VALUES", 1)
-    fork_worker = runner._fork_worker
+    monkeypatch.setattr(csvtext, "_RANGE_MIN_VALUES", 1)
+    fork_worker = csvtext._fork_worker
     forked = []
 
     def counted(traj, omega, n_p, start, stop, path):
         forked.append(stop - start)
         return fork_worker(traj, omega, n_p, start, stop, path)
 
-    monkeypatch.setattr(runner, "_fork_worker", counted)
+    monkeypatch.setattr(csvtext, "_fork_worker", counted)
     return forked
 
 
@@ -537,7 +537,7 @@ class TestSplitEmit:
     """emit_csv's forked row ranges against the oracle and the sequential stream."""
 
     # rows per kernel block at n_max 16 (20 columns)
-    BLOCK_ROWS = runner._CSV_BLOCK // 20
+    BLOCK_ROWS = csvtext._CSV_BLOCK // 20
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 2 * BLOCK_ROWS, 509],
                              ids=["one", "two", "fewer-than-workers", "block-multiple", "prime"])
@@ -577,14 +577,14 @@ class TestSplitEmit:
     def test_failing_worker_fails_the_run(self, tmp_path, monkeypatch):
         # rows 10..20 of 21 fall to the worker; the kernel fails on them only
         forked = force_split(monkeypatch, cpus=2)
-        format_block = runner._format_block
+        format_block = csvtext._format_block
 
         def gremlin(values, source):
             if values[0] >= 0.95:  # the block of rows 10..20, t = 1.0 .. 2.0 periods
                 raise RuntimeError("kernel gremlin")
             return format_block(values, source)
 
-        monkeypatch.setattr(runner, "_format_block", gremlin)
+        monkeypatch.setattr(csvtext, "_format_block", gremlin)
         config = parse_config(json.dumps(QUICK))
         with pytest.raises(OSError, match="RuntimeError: kernel gremlin"):
             run_scenario(config, output_dir=str(tmp_path))
@@ -597,12 +597,46 @@ class TestSplitEmit:
         assert stored["outputs"] == {"manifest": str(manifest)}
         assert_no_child_left()
 
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_signalled_worker_fails_the_emission(self, tmp_path, monkeypatch):
+        # the worker of rows 300..599 renders its first block (rows 300..549)
+        # into its part, then is killed by SIGKILL: its status is the error,
+        # never the CSV text in its part
+        force_split(monkeypatch, cpus=2)
+        format_block, join = csvtext._format_block, csvtext._join
+        parent = os.getpid()
+
+        def killer(values, source):
+            if os.getpid() != parent and values[0] >= 550 * 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return format_block(values, source)
+
+        part_sizes = []
+
+        def measured(workers, out):
+            # the worker's end, awaited without reaping it, then its part's size
+            pid, part = workers[0][2:]
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            part_sizes.append(os.fstat(part.fileno()).st_size)
+            return join(workers, out)
+
+        monkeypatch.setattr(csvtext, "_format_block", killer)
+        monkeypatch.setattr(csvtext, "_join", measured)
+        path = tmp_path / "out.csv"
+        traj = values_trajectory(np.arange(600 * 20, dtype=float))
+        with pytest.raises(OSError) as info:
+            emit_csv(traj, str(path), omega=2.0 * math.pi)
+        assert str(info.value) == f"CSV worker for rows 300..599 of {path}: exit status -9"
+        assert part_sizes[0] > 0  # the rows it rendered before it was killed
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), OSError(errno.ENOSPC, "full")],
                              ids=["keyboard-interrupt", "os-error"])
     def test_parent_failure_reaps_every_worker(self, tmp_path, monkeypatch, interrupt):
         # the parent's own range fails while its workers render theirs
         forked = force_split(monkeypatch, cpus=3)
-        format_block = runner._format_block
+        format_block = csvtext._format_block
         parent = os.getpid()
 
         def gremlin(values, source):
@@ -610,7 +644,7 @@ class TestSplitEmit:
                 raise interrupt
             return format_block(values, source)
 
-        monkeypatch.setattr(runner, "_format_block", gremlin)
+        monkeypatch.setattr(csvtext, "_format_block", gremlin)
         traj = values_trajectory(edge_values(600 * 20))
         with pytest.raises(type(interrupt)):
             emit_csv(traj, str(tmp_path / "out.csv"), omega=1.0)
@@ -625,14 +659,14 @@ class TestSplitEmit:
         # sees its parent change between kernel blocks and stops, instead of
         # rendering the rest of its range (40 blocks of ~50 ms each)
         force_split(monkeypatch, cpus=2)
-        format_block = runner._format_block
+        format_block = csvtext._format_block
 
         def slow(values, source):
             time.sleep(0.05)
             return format_block(values, source)
 
-        monkeypatch.setattr(runner, "_format_block", slow)
-        rows = 80 * (runner._CSV_BLOCK // 20)
+        monkeypatch.setattr(csvtext, "_format_block", slow)
+        rows = 80 * (csvtext._CSV_BLOCK // 20)
         traj = values_trajectory(np.arange(rows * 20, dtype=float))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork beside BLAS threads
@@ -688,14 +722,14 @@ class TestSplitEmit:
             photon_dist=p, norm=np.ones(300), energy=rng.uniform(size=300),
         )
         expected = reference_csv(traj, 2.0 * math.pi).encode("ascii")
-        format_block = runner._format_block
+        format_block = csvtext._format_block
         rendered = []
 
         def counted(values, source):
             rendered.append(values.size)
             return format_block(values, source)
 
-        monkeypatch.setattr(runner, "_format_block", counted)
+        monkeypatch.setattr(csvtext, "_format_block", counted)
         emit_csv(traj, str(tmp_path / "sequential.csv"), omega=2.0 * math.pi)
         assert sum(rendered) == 300 * (4 + kept)
         rendered.clear()
@@ -712,14 +746,14 @@ class TestSplitEmit:
         # on two CPUs; with P columns 6 and up zero throughout, 10,000 values
         # are rendered, and they take one range, with the oracle's bytes
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        fork_worker = runner._fork_worker
+        fork_worker = csvtext._fork_worker
         forked = []
 
         def counted(traj, omega, n_p, start, stop, path):
             forked.append(stop - start)
             return fork_worker(traj, omega, n_p, start, stop, path)
 
-        monkeypatch.setattr(runner, "_fork_worker", counted)
+        monkeypatch.setattr(csvtext, "_fork_worker", counted)
         rng = np.random.default_rng(5)
         p = np.zeros((1000, 96))
         p[:, :6] = rng.uniform(size=(1000, 6))
@@ -727,7 +761,7 @@ class TestSplitEmit:
             times=np.arange(1000) * 0.01, inversion=rng.uniform(-1.0, 1.0, 1000),
             photon_dist=p, norm=np.ones(1000), energy=rng.uniform(size=1000),
         )
-        assert 1000 * (4 + 96) >= 2 * runner._RANGE_MIN_VALUES > 1000 * (4 + 6)
+        assert 1000 * (4 + 96) >= 2 * csvtext._RANGE_MIN_VALUES > 1000 * (4 + 6)
         emit_csv(traj, str(tmp_path / "tail.csv"), omega=2.0 * math.pi)
         assert forked == []
         assert (tmp_path / "tail.csv").read_bytes() == reference_csv(traj, 2.0 * math.pi).encode()
@@ -1778,7 +1812,7 @@ class TestCli:
             shapes.append(shape)
             return empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr(cli.np, "empty", recorded)
+        monkeypatch.setattr(runner.np, "empty", recorded)
         path = write_config(tmp_path)
         assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path),
                          "--manifold-max", "30"]) == 0
@@ -1839,7 +1873,7 @@ class TestCli:
             raise exc
 
         monkeypatch.setattr(runner, "evolve_rwa", gremlin)
-        handlers = [signal.getsignal(signum) for signum in runner.INTERRUPT_SIGNALS]
+        handlers = [signal.getsignal(signum) for signum in csvtext.INTERRUPT_SIGNALS]
         path = write_config(tmp_path, propagators=["numeric", "rwa"])
         argv = ["run", str(path), "--output-dir", str(tmp_path)]
         if code is None:
@@ -1849,13 +1883,40 @@ class TestCli:
         else:
             assert cli.main(argv) == code
             assert capsys.readouterr().err == f"error: {text}\n"
-        assert [signal.getsignal(signum) for signum in runner.INTERRUPT_SIGNALS] == handlers
+        assert [signal.getsignal(signum) for signum in csvtext.INTERRUPT_SIGNALS] == handlers
         manifest = tmp_path / "trajectory.manifest.json"
         stored = json.loads(manifest.read_text())
         assert (stored["status"], stored["error"]) == ("failed", text)
         assert stored["outputs"] == {"manifest": str(manifest)}
         assert stored["validity"]["norm_ok"] is False  # the secular route did not finish
         assert stored["timings"]["numeric"] > 0.0 and stored["timings"]["emit"] == 0.0
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_interrupt_while_the_manifest_is_written(self, tmp_path, monkeypatch, capsys, signum):
+        # both CSVs are on disk when the signal lands as the manifest is
+        # built: the manifest is still written, and says how the run ended
+        environment = runner._environment
+        raised = []
+
+        def interrupted():
+            if not raised:
+                raised.append(signum)
+                raise cli.Interrupted(signum)
+            return environment()
+
+        monkeypatch.setattr(runner, "_environment", interrupted)
+        path = write_config(tmp_path, propagators=["numeric", "rwa"])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == 128 + signum
+        name = signal.Signals(signum).name
+        assert capsys.readouterr().err == f"error: {name}\n"
+        stored = json.loads((out / "trajectory.manifest.json").read_text())
+        assert (stored["status"], stored["error"]) == ("failed", name)
+        assert sorted(stored["outputs"]) == ["csv", "manifest", "rwa_csv"]
+        assert sorted(out.iterdir()) == sorted(Path(p) for p in stored["outputs"].values())
+        assert stored["validity"]["norm_ok"] is True
+        assert raised == [signum]
 
     @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                         reason="needs /proc/<pid>/task/<tid>/children")
@@ -1867,13 +1928,13 @@ class TestCli:
         # or a job scheduler's SIGTERM would
         script = (
             "import time\n"
-            "from mprabi import cli, runner\n"
-            "format_block = runner._format_block\n"
+            "from mprabi import cli, csvtext\n"
+            "format_block = csvtext._format_block\n"
             "def slow(values, source):\n"
             "    time.sleep(0.05)\n"
             "    return format_block(values, source)\n"
-            "runner._format_block = slow\n"
-            "runner._usable_cpus = lambda: 2\n"
+            "csvtext._format_block = slow\n"
+            "csvtext._usable_cpus = lambda: 2\n"
             "cli.entry()\n"
         )
         config = REPO / "configs" / "collapse_revival_n4.json"

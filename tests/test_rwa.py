@@ -391,8 +391,8 @@ class TestSecularSpectrum:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("lambdas, n", [((0.0, 0.1), 2), ((0.1, 0.1), 3), ((0.3, 0.5), 2)])
     def test_peak_within_the_probed_matrices(self, lambdas, n, order):
-        # cli probes _SPECTRUM_MATRICES (n_loc x n_loc) float64 matrices
-        # before a spectrum export; the solver's traced peak must fit in them
+        # runner.plan_spectrum probes _SPECTRUM_MATRICES (n_loc x n_loc) float64
+        # matrices before a spectrum export; the solver's traced peak must fit in them
         lambda_g, lambda_e = lambdas
         omega0 = resonant_omega0(n, omega=1.0, lambda_g=lambda_g, lambda_e=lambda_e)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
