@@ -103,6 +103,25 @@ def two_photon_params():
     return ModelParams(omega=1.0, omega0=omega0, lambda_g=0.0, lambda_e=0.1, lambda_eg=0.02)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: InitialStateSpec("sideways"), "kind must be one of"),
+    (lambda: InitialStateSpec("excited-fock", n_photons=-1), "n_photons must be >= 0"),
+    (lambda: InitialStateSpec("ground-coherent", mean_photons=-0.5), "mean_photons must be >= 0"),
+    (lambda: InitialStateSpec("ground-coherent", mean_photons=math.nan), "mean_photons must be >= 0"),
+    (lambda: project_secular(two_photon_params(), 2, np.zeros((2, 4)), 1),
+     "psi0 must be a flat vector of even length"),
+    (lambda: project_secular(two_photon_params(), 2, np.zeros(5), 1),
+     "psi0 must be a flat vector of even length"),
+    (lambda: inversion_fock(two_photon_params(), 0, 0.0), "photon order must be >= 1, got 0"),
+    (lambda: inversion_coherent(two_photon_params(), 0, 1.0, 0.0), "photon order must be >= 1, got 0"),
+    (lambda: inversion_coherent(two_photon_params(), 2, -1.0, 0.0), "mean_photons must be >= 0"),
+], ids=["unknown-kind", "negative-n-photons", "negative-mean", "nan-mean", "psi0-2d",
+        "psi0-odd", "fock-order-0", "coherent-order-0", "coherent-negative-mean"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestPrepareInitial:
     def test_excited_fock_vacuum(self):
         params = two_photon_params()

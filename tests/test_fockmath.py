@@ -2,6 +2,7 @@
 displacement matrices and their columns, the displaced Fock states."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,17 @@ from mprabi.fockmath import (
     laguerre_poly,
     laguerre_transition,
 )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FockSpace(3).block("sideways"), "spin must be 'down' or 'up', got 'sideways'"),
+    (lambda: laguerre_poly(-1, 0, 1.0), "degree must be >= 0, got -1"),
+    (lambda: laguerre_poly(2, 0, math.inf), "argument must be finite, got inf"),
+    (lambda: displacement_matrix(math.nan, FockSpace(3)), "displacement must be finite, got nan"),
+], ids=["unknown-spin", "negative-degree", "infinite-argument", "nan-beta"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestFockSpace:

@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 from mprabi import cli, csvtext, dynamics, runner, rwa
 from mprabi import config as config_module
 from mprabi.config import ConfigError, ScenarioConfig, parse_config
+from mprabi.csvtext import emit_csv
 from mprabi.dynamics import Trajectory, evolve_rwa
 from mprabi.fockmath import displacement_matrix
 from mprabi.model import ModelParams
-from mprabi.runner import emit_csv, emit_spectrum, run_scenario
+from mprabi.runner import emit_spectrum, run_scenario
 from mprabi.rwa import resonant_omega0, spectrum_records
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1303,7 +1304,7 @@ class TestCli:
     def test_failed_csv_write_leaves_failed_manifest(self, tmp_path, capsys, monkeypatch):
         # the secular CSV cannot be written: exit 1 with one error line, the
         # numeric CSV stays, and the manifest lists it and says why
-        emit = runner.emit_csv
+        emit = csvtext.emit_csv
 
         def full_disk(traj, path, **kwargs):
             if path.endswith("_rwa.csv"):
@@ -1353,6 +1354,22 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_package_import_loads_nothing(self):
+        # the package namespace is only __version__: importing it loads no
+        # numpy and no module of the package, so the CLI module runs first
+        script = (
+            "import json, sys\n"
+            "import mprabi\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('mprabi.'))\n"
+            "print(json.dumps([mprabi.__version__, loaded]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["0.1.0", []]
 
     def test_missing_output_directory_reported_once(self, tmp_path, capsys):
         # the manifest and both CSVs would land in one missing directory

@@ -1,5 +1,7 @@
 """Hamiltonian assembly: structure, decomposition, closed-form ladders."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ from mprabi.model import (
 )
 
 TWO_PHOTON = dict(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), "left", 0),
+     "branch must be 'down' or 'up', got 'left'"),
+    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), SPIN_UP, -1), "level index must be >= 0, got -1"),
+    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), SPIN_DOWN, np.array([0, -2])),
+     "level index must be >= 0"),
+], ids=["unknown-branch", "negative-level", "negative-level-in-array"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestModelParams:

@@ -1,6 +1,7 @@
 """Resonance bookkeeping, coupling matrix elements, dressed states."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -37,6 +38,15 @@ def brute_coupling(params, n_manifold, n, n_big=None):
     ve = displacement_expm(-e, n_big)[:, n_manifold - n]
     a = ladder_matrix(n_big)
     return params.lambda_eg * (vg @ (a.T + a) @ ve)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coupling_element(ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02), 3, 0),
+     "photon order must be >= 1, got 0"),
+], ids=["order-0"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestOmegaEg:
