@@ -32,26 +32,48 @@ import numpy as np
 from .dynamics import Trajectory
 
 #: the signals that interrupt a run: the CLI raises them in the main thread,
-#: and CSV workers ignore them, so that the run alone decides its ending
+#: and CSV workers never take them, so that the run alone decides its ending
 INTERRUPT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 #: the exit status of a CSV worker whose part holds its error text, not rows
 _ERROR_STATUS = 2
 
 
 @contextlib.contextmanager
-def _atomic_write(path: str):
+def _interrupts_held():
+    """Hold :data:`INTERRUPT_SIGNALS` over the ``with`` block: one that comes
+    then reaches its handler as the block ends.  The handlers are swapped, as
+    a signal mask holds nothing: OpenBLAS's thread takes a signal the main
+    thread blocks, and CPython runs its handler all the same.  Off the main
+    thread, which alone runs handlers, there is nothing to hold."""
+    caught, saved = [], {}
+    main = threading.current_thread() is threading.main_thread()
+    try:
+        for signum in INTERRUPT_SIGNALS if main else ():
+            saved[signum] = signal.signal(signum, lambda num, _: caught.append(num))
+        yield
+    finally:
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+        for signum in caught:
+            signal.raise_signal(signum)
+
+
+@contextlib.contextmanager
+def _atomic_write(path: str, done=lambda: None):
     """A binary file whose bytes appear at ``path`` only once the ``with``
     block completes, so that no partial file is ever visible there.
 
     The temp file is created with mode 0o666 under the process umask, the
-    mode ``open(path, "w")`` would give ``path``."""
+    mode ``open(path, "w")`` would give ``path``.  ``done()`` runs right after
+    the rename, both under :func:`_interrupts_held`."""
     tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}~")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp_path, flags, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with os.fdopen(os.open(tmp_path, flags, 0o666), "wb") as handle:
             yield handle
-        os.replace(tmp_path, path)
+        with _interrupts_held():
+            os.replace(tmp_path, path)
+            done()
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -337,13 +359,11 @@ def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int
     The part has no name (``O_TMPFILE``, else unlinked once created), so no
     failure can leave it behind.  A worker that fails replaces its rows with
     its error text and exits :data:`_ERROR_STATUS`, and one whose parent is
-    gone stops at its next kernel block.  A worker ignores
-    :data:`INTERRUPT_SIGNALS`: they are blocked across the fork, so none
-    reaches it before it ignores them, and its parent, which takes them,
+    gone stops at its next kernel block.  The caller holds interrupts over
+    the fork and the worker never lets them go: its parent takes them, and
     kills it."""
     part = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
     parent = os.getpid()
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPT_SIGNALS)
     try:
         with warnings.catch_warnings():
             # Python 3.12 warns when a process with other OS threads forks.
@@ -352,13 +372,8 @@ def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         part.close()
         raise
-    if pid == 0:
-        for signum in INTERRUPT_SIGNALS:
-            signal.signal(signum, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_SETMASK, held)
     if pid == 0:  # the worker: it never returns into the caller
         status = 1
         try:
@@ -397,7 +412,7 @@ def _join(workers: list, out: int) -> str:
         return ""
 
 
-def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
+def emit_csv(traj: Trajectory, path: str, *, omega: float, done=lambda: None) -> None:
     """Stream a trajectory CSV into an atomic write, its rows rendered in
     contiguous ranges, one per usable CPU (see :func:`_row_bounds`).
 
@@ -406,8 +421,9 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
     hands every range the count.  Forked workers render every range but the
     first into parts beside ``path`` while this process writes the header and
     the first range, then appends each part in row order as its worker ends and
-    renames once.  A worker's failure raises :class:`OSError` with its text.  On
-    every path each worker is reaped and no temp file or part is left."""
+    renames once, with ``done`` as :func:`_atomic_write` takes it.  A worker's
+    failure raises :class:`OSError` with its text.  On every path each worker
+    is reaped and no temp file or part is left."""
     n_rows, n_max = traj.photon_dist.shape
     n_p = _rendered_p(traj.photon_dist)
     bounds = _row_bounds(n_rows, 4 + n_p)
@@ -415,8 +431,10 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float) -> None:
     workers = []  # (first row, last row, pid, part), in row order
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            workers.append((start, stop - 1, *_fork_worker(traj, omega, n_p, start, stop, path)))
-        with _atomic_write(path) as handle:
+            with _interrupts_held():  # until the worker is listed for the cleanup below
+                worker = _fork_worker(traj, omega, n_p, start, stop, path)
+                workers.append((start, stop - 1, *worker))
+        with _atomic_write(path, done) as handle:
             header = "t_periods,W,norm,energy" + "".join(f",P{i}" for i in range(n_max))
             handle.write(f"{header}\n".encode())
             handle.writelines(_csv_rows(traj, omega, n_p, 0, bounds[1]))

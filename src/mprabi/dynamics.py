@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix, laguerre_transition
+from .fockmath import FockSpace, displacement_matrix, laguerre_transition
 from .model import ModelParams
 from .rwa import _secular_spectrum, _warn_strong, rabi_frequency
 
@@ -160,7 +160,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
             raise TruncationError(
                 f"Fock level {spec.n_photons} outside truncation 0..{space.n_max - 1}"
             )
-        vec[space.index(SPIN_UP, spec.n_photons)] = 1.0
+        vec[space.up][spec.n_photons] = 1.0
     else:
         nbar = spec.mean_photons
         if nbar + 5.0 * math.sqrt(nbar) > space.n_max:
@@ -168,7 +168,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
                 f"mean_photons = {nbar} needs n_max > "
                 f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got n_max = {space.n_max}"
             )
-        vec[space.block(SPIN_DOWN)] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
+        vec[space.down] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
     return vec
 
 
@@ -373,10 +373,9 @@ def _rwa_basis(
     n_max = space.n_max
     s = _secular_spectrum(params, n, n_max, order)
     basis = np.zeros((space.dim, n + 2 * (n_max - n)))
-    dn, up = space.block(SPIN_DOWN), space.block(SPIN_UP)
-    basis[dn, :n] = s.d_down[:n_max, :n]
-    basis[dn, n:] = (s.d_down[:n_max, n:n_max, None] * s.c_down).reshape(n_max, -1)
-    basis[up, n:] = (s.d_up[:n_max, : n_max - n, None] * s.c_up).reshape(n_max, -1)
+    basis[space.down, :n] = s.d_down[:n_max, :n]
+    basis[space.down, n:] = (s.d_down[:n_max, n:n_max, None] * s.c_down).reshape(n_max, -1)
+    basis[space.up, n:] = (s.d_up[:n_max, : n_max - n, None] * s.c_up).reshape(n_max, -1)
     return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
 
 

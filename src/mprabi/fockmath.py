@@ -34,20 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPIN_DOWN = "down"
-SPIN_UP = "up"
-_SPIN_INDEX = {SPIN_DOWN: 0, SPIN_UP: 1}
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated boson space keeping photon numbers 0 .. n_max-1.
 
-    The two-level product basis uses two contiguous spin blocks:
-    state (spin, N) sits at integer index ``spin_index * n_max + N`` with
-    spin "down" -> 0 and "up" -> 1.  This layout is fixed; code that needs a
-    different ordering must permute explicitly.
-    """
+    The two-level product basis is the down block, then the up block: the
+    slices :attr:`down` and :attr:`up`.  This layout is fixed; code that
+    needs another order permutes explicitly."""
 
     n_max: int
 
@@ -60,20 +53,15 @@ class FockSpace:
         """Dimension of the spin (x) boson product space."""
         return 2 * self.n_max
 
-    def index(self, spin: str, n: int) -> int:
-        """Product-basis index of state (spin, photon number n)."""
-        if spin not in _SPIN_INDEX:
-            raise ValueError(f"spin must be '{SPIN_DOWN}' or '{SPIN_UP}', got {spin!r}")
-        if not 0 <= n < self.n_max:
-            raise ValueError(f"photon index {n} outside truncation 0..{self.n_max - 1}")
-        return _SPIN_INDEX[spin] * self.n_max + n
+    @property
+    def down(self) -> slice:
+        """Slice of the product basis belonging to the down state."""
+        return slice(0, self.n_max)
 
-    def block(self, spin: str) -> slice:
-        """Slice of the product basis belonging to one spin projection."""
-        if spin not in _SPIN_INDEX:
-            raise ValueError(f"spin must be '{SPIN_DOWN}' or '{SPIN_UP}', got {spin!r}")
-        i = _SPIN_INDEX[spin]
-        return slice(i * self.n_max, (i + 1) * self.n_max)
+    @property
+    def up(self) -> slice:
+        """Slice of the product basis belonging to the up state."""
+        return slice(self.n_max, self.dim)
 
 
 def laguerre_poly(n: int, l: int, x: float) -> float:

@@ -11,9 +11,10 @@ where P_down/P_up project on the spin-down/up state.  Setting
 lambda_g = lambda_e = 0 recovers the usual two-level/oscillator model with
 counter-rotating terms included.
 
-Each spin branch alone is a position-displaced oscillator: the up branch has
-eigenstates D(-lambda_e/omega)|N> and the down branch D(+lambda_g/omega)|N>,
-with the closed-form ladder energies returned by :func:`displaced_energy`.
+Each spin block alone is a position-displaced oscillator, a ladder: the down
+ladder has eigenstates D(+lambda_g/omega)|N> and the up ladder
+D(-lambda_e/omega)|N>, with the closed-form energies that
+:func:`ladder_energies` returns for both.
 
 Matrices are plain numpy arrays, dense (the dimensions are desk scale) and
 real (float64), as the model is real symmetric; the full one acts on the
@@ -30,9 +31,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .fockmath import SPIN_DOWN, SPIN_UP, FockSpace
-
-_BRANCHES = (SPIN_DOWN, SPIN_UP)
+from .fockmath import FockSpace
 
 
 @dataclass(frozen=True)
@@ -72,58 +71,38 @@ def position_operator(n_max: int) -> np.ndarray:
     return np.diag(sq, 1) + np.diag(sq, -1)
 
 
-def build_displaced_branch(params: ModelParams, branch: str, space: FockSpace) -> np.ndarray:
-    """Single-branch displaced-oscillator block (n_max x n_max, read-only).
+def build_full(params: ModelParams, space: FockSpace) -> np.ndarray:
+    """Full Hamiltonian on the 2 n_max product space (read-only float64),
+    assembled literally on the blocks of :class:`FockSpace`, so that each
+    diagonal block is its displaced ladder entrywise exactly:
 
-    up:   omega (a_dag a + 1/2) + omega0/2 + lambda_e (a_dag + a)
-    down: omega (a_dag a + 1/2) - omega0/2 - lambda_g (a_dag + a)
+    down, down: omega (a_dag a + 1/2) - omega0/2 - lambda_g (a_dag + a)
+    up, up:     omega (a_dag a + 1/2) + omega0/2 + lambda_e (a_dag + a)
+    off-diagonal: lambda_eg (a_dag + a)
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be '{SPIN_DOWN}' or '{SPIN_UP}', got {branch!r}")
     n_max = space.n_max
+    h = np.zeros((space.dim, space.dim))  # first, so a too large n_max fails on H
     ho = params.omega * (np.arange(n_max) + 0.5)
     x = position_operator(n_max)
-    if branch == SPIN_UP:
-        block = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
-    else:
-        block = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
-    block.setflags(write=False)
-    return block
-
-
-def build_full(params: ModelParams, space: FockSpace) -> np.ndarray:
-    """Full Hamiltonian on the 2 n_max product space (read-only float64).
-
-    Assembled literally as the two displaced branch blocks on the spin
-    diagonal plus lambda_eg (a_dag + a) on the spin off-diagonal, so the
-    decomposition into branches holds entrywise exactly.
-    """
-    n_max = space.n_max
-    h = np.zeros((space.dim, space.dim))
-    dn = space.block(SPIN_DOWN)
-    up = space.block(SPIN_UP)
-    h[dn, dn] = build_displaced_branch(params, SPIN_DOWN, space)
-    h[up, up] = build_displaced_branch(params, SPIN_UP, space)
-    coupling = params.lambda_eg * position_operator(n_max)
-    h[dn, up] = coupling
-    h[up, dn] = coupling
+    dn, up = space.down, space.up
+    h[dn, dn] = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
+    h[up, up] = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
+    h[dn, up] = h[up, dn] = params.lambda_eg * x
     h.setflags(write=False)
     return h
 
 
-def displaced_energy(params: ModelParams, branch: str, n):
-    """Closed-form eigenenergy of level n of one displaced branch.
+def ladder_energies(params: ModelParams, n) -> tuple:
+    """Closed-form energies (down, up) of level n of the two displaced
+    ladders; an integer array ``n`` gives two arrays.
 
-    up:   omega0/2 + omega (n + 1/2) - lambda_e**2 / omega
     down: -omega0/2 + omega (n + 1/2) - lambda_g**2 / omega
-
-    ``n`` may be an integer array, which gives the levels' energies as one.
+    up:   omega0/2 + omega (n + 1/2) - lambda_e**2 / omega
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be '{SPIN_DOWN}' or '{SPIN_UP}', got {branch!r}")
     if np.any(np.asarray(n) < 0):
         raise ValueError(f"level index must be >= 0, got {n}")
     base = params.omega * (n + 0.5)
-    if branch == SPIN_UP:
-        return base + 0.5 * params.omega0 - params.lambda_e**2 / params.omega
-    return base - 0.5 * params.omega0 - params.lambda_g**2 / params.omega
+    return (
+        base - 0.5 * params.omega0 - params.lambda_g**2 / params.omega,
+        base + 0.5 * params.omega0 - params.lambda_e**2 / params.omega,
+    )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -336,8 +337,8 @@ def run_scenario(
             with _timed(timings, "emit"):
                 for route, traj in trajs.items():
                     key = _CSV_KEYS[route]
-                    emit_csv(traj, outputs[key], omega=params.omega)
-                    written[key] = outputs[key]
+                    emit_csv(traj, outputs[key], omega=params.omega,
+                             done=functools.partial(written.update, {key: outputs[key]}))
         except BaseException as exc:  # interrupts included: the manifest says how the run ended
             error = exc
 

@@ -58,14 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmath import (
-    SPIN_DOWN,
-    SPIN_UP,
-    FockSpace,
-    displacement_matrix,
-    laguerre_poly,
-)
-from .model import ModelParams, displaced_energy, position_operator
+from .fockmath import FockSpace, displacement_matrix, laguerre_poly
+from .model import ModelParams, ladder_energies, position_operator
 
 #: detuning window (in units of omega) beyond which a resonance is flagged
 RESONANCE_WINDOW = 0.1
@@ -158,7 +152,7 @@ def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.
     the resonance window, i.e. when n is not the resonance of the model.
     """
     levels = np.arange(c.shape[0])
-    e_down, e_up = (displaced_energy(params, spin, levels) for spin in (SPIN_DOWN, SPIN_UP))
+    e_down, e_up = ladder_energies(params, levels)
     partner = levels[:, None] - levels[None, :] == n
     # gap[k, m] = E_down(k) - E_up(m); the partner entries are near zero and
     # carry no weight
@@ -212,7 +206,7 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     n_loc = _padded_size(params, n_top)
     c, d_down, d_up = _transition_coupling(params, n_loc)
     levels = np.arange(n_loc)
-    e_down, e_up = (displaced_energy(params, spin, levels) for spin in (SPIN_DOWN, SPIN_UP))
+    e_down, e_up = ladder_energies(params, levels)
     if order == 2:
         shift_down, shift_up = _shifts(params, n, c)
         e_down, e_up = e_down + shift_down, e_up + shift_up

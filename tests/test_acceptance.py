@@ -22,14 +22,8 @@ import numpy as np
 import pytest
 
 from oracles import displacement_expm
-from mprabi.fockmath import (
-    SPIN_DOWN,
-    SPIN_UP,
-    FockSpace,
-    displacement_matrix,
-    laguerre_transition,
-)
-from mprabi.model import ModelParams, build_full, displaced_energy
+from mprabi.fockmath import FockSpace, displacement_matrix, laguerre_transition
+from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.rwa import (
     coupling_element,
     rabi_frequency,
@@ -162,10 +156,7 @@ def test_criterion_1_ladder_energies():
     params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1, lambda_eg=0.0)
     space = FockSpace(200)
     evals = np.linalg.eigvalsh(build_full(params, space))[:20]
-    ladder = sorted(
-        [displaced_energy(params, SPIN_DOWN, k) for k in range(30)]
-        + [displaced_energy(params, SPIN_UP, k) for k in range(30)]
-    )[:20]
+    ladder = sorted(np.concatenate(ladder_energies(params, np.arange(30))))[:20]
     rel = np.max(np.abs(evals - np.array(ladder)) / np.abs(ladder))
     _report(1, "ladder energies", rel < 1e-6, f"max rel dev {rel:.2e} (tol 1e-6)")
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from mprabi import dynamics, rwa
 from mprabi.config import parse_config
-from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
-from mprabi.model import ModelParams, build_full, displaced_energy
+from mprabi.fockmath import FockSpace, displacement_matrix
+from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.runner import resolve_params
 from mprabi.rwa import rabi_frequency, resonant_omega0
 from mprabi.dynamics import (
@@ -289,7 +289,7 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.25)
         space = FockSpace(25)
         vec = np.zeros(50, dtype=complex)
-        vec[space.block(SPIN_UP)] = displacement_matrix(-0.25, space)[:, 0]
+        vec[space.up] = displacement_matrix(-0.25, space)[:, 0]
         traj = evolve_numeric(
             project_numeric(build_full(params, space), vec), 30.0, DT, sample_every=200
         )
@@ -548,7 +548,7 @@ class TestEvolveRwa:
         space = FockSpace(30)
         # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
         vec = np.zeros(space.dim)
-        vec[space.block(SPIN_DOWN)] = displacement_matrix(params.lambda_g, space)[:, 0]
+        vec[space.down] = displacement_matrix(params.lambda_g, space)[:, 0]
         traj = evolve_rwa(project_secular(params, 2, vec, 1), 500.0, 500.0 / 59)
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
         assert np.max(np.abs(traj.photon_dist - traj.photon_dist[0])) < 1e-12
@@ -595,9 +595,7 @@ class TestEvolveRwa:
         evals, evecs = np.linalg.eigh(build_full(params, space))
         coeffs = evecs.conj().T @ psi0
         psi_t = np.abs(evecs @ (np.exp(-1j * np.outer(evals, grid)) * coeffs[:, None])) ** 2
-        exact = np.sum(psi_t[space.block(SPIN_UP)], axis=0) - np.sum(
-            psi_t[space.block(SPIN_DOWN)], axis=0
-        )
+        exact = np.sum(psi_t[space.up], axis=0) - np.sum(psi_t[space.down], axis=0)
         first, second = first.inversion, second.inversion
         assert np.max(np.abs(first - exact)) > 0.5
         assert np.max(np.abs(second - exact)) < 0.05
@@ -719,9 +717,9 @@ class TestEvolveRwa:
         d_down = displacement_matrix(params.lambda_g / params.omega, space)
         for col in range(3):
             vec = np.zeros(space.dim)
-            vec[space.block(SPIN_DOWN)] = d_down[:, col]
+            vec[space.down] = d_down[:, col]
             assert np.array_equal(basis[:, col], vec)
-            assert energies[col] == displaced_energy(params, SPIN_DOWN, col) + shifts[col]
+            assert energies[col] == ladder_energies(params, col)[0] + shifts[col]
 
     def test_validity_warnings_fold_into_one(self, monkeypatch):
         # lambda_eg = 0.08 at the one-photon resonance: |V_N(1)| = 0.08 sqrt(N)
@@ -872,3 +870,18 @@ class TestInversionCoherent:
         traj = evolve_rwa(project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99)
         closed = inversion_coherent(params, 2, 4.0, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-7
+
+
+def test_readme_library_example_runs():
+    # the README's "Library layout" example as written: both routes over
+    # 300 periods, 3001 samples at n_max 40.  They agree to the secular
+    # route's own error (0.016 in W, measured)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    namespace = {}
+    exec(code, namespace)
+    exact, secular = namespace["exact"], namespace["secular"]
+    assert exact.times.size == secular.times.size == 3001
+    assert (exact.inversion[0], secular.inversion[0]) == pytest.approx((1.0, 1.0))
+    assert np.max(np.abs(exact.inversion - secular.inversion)) < 0.03

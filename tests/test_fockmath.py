@@ -20,11 +20,10 @@ from mprabi.fockmath import (
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FockSpace(3).block("sideways"), "spin must be 'down' or 'up', got 'sideways'"),
     (lambda: laguerre_poly(-1, 0, 1.0), "degree must be >= 0, got -1"),
     (lambda: laguerre_poly(2, 0, math.inf), "argument must be finite, got inf"),
     (lambda: displacement_matrix(math.nan, FockSpace(3)), "displacement must be finite, got nan"),
-], ids=["unknown-spin", "negative-degree", "infinite-argument", "nan-beta"])
+], ids=["negative-degree", "infinite-argument", "nan-beta"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -37,18 +36,9 @@ class TestFockSpace:
 
     def test_index_layout_is_block_down_then_up(self):
         space = FockSpace(5)
-        assert space.index("down", 0) == 0
-        assert space.index("down", 4) == 4
-        assert space.index("up", 0) == 5
-        assert space.index("up", 3) == 8
+        assert range(space.dim)[space.down] == range(0, 5)
+        assert range(space.dim)[space.up] == range(5, 10)
         assert space.dim == 10
-
-    def test_index_bounds(self):
-        space = FockSpace(3)
-        with pytest.raises(ValueError):
-            space.index("down", 3)
-        with pytest.raises(ValueError):
-            space.index("sideways", 0)
 
 
 class TestLaguerrePoly:

@@ -803,6 +803,89 @@ class TestSplitEmit:
         assert (tmp_path / "out.csv").read_bytes() == reference
 
 
+
+def send_sigint(sender):
+    """SIGINT to this process, from itself or from another process, as a
+    terminal or a job scheduler sends it.  The latter finds out a hold by
+    signal mask: a signal the main thread blocks is then taken by another
+    thread of the process (OpenBLAS's), and CPython raises it all the same."""
+    if sender == "other-process":
+        kill = "import os, signal, sys; os.kill(int(sys.argv[1]), signal.SIGINT)"
+        subprocess.run([sys.executable, "-c", kill, str(os.getpid())], check=True)
+    else:
+        os.kill(os.getpid(), signal.SIGINT)
+
+
+class TestInterruptWindows:
+    """An interrupt right after each step of emission that creates a file or
+    a process: the failed manifest lists exactly the files on disk, and no
+    worker is left."""
+
+    def interrupted_run(self, directory):
+        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(config, output_dir=str(directory))
+        stored = json.loads((directory / "trajectory.manifest.json").read_text())
+        assert (stored["status"], stored["error"]) == ("failed", "KeyboardInterrupt")
+        assert sorted(directory.iterdir()) == sorted(Path(p) for p in stored["outputs"].values())
+        assert_no_child_left()
+        return stored["outputs"]
+
+    def test_interrupt_after_the_temp_file_is_opened(self, tmp_path, monkeypatch):
+        # the first CSV's temp file exists when the interrupt is raised
+        real_open = os.open
+        opened = []
+
+        def interrupted(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if not opened and os.path.basename(path).startswith(".tmp_"):
+                opened.append(fd)
+                raise KeyboardInterrupt
+            return fd
+
+        monkeypatch.setattr(csvtext.os, "open", interrupted)
+        try:
+            outputs = self.interrupted_run(tmp_path)
+        finally:
+            for fd in opened:
+                os.close(fd)
+        assert sorted(outputs) == ["manifest"]
+
+    @pytest.mark.parametrize("sender", ["same-process", "other-process"])
+    def test_interrupt_after_the_csv_is_renamed(self, tmp_path, monkeypatch, sender):
+        # the first CSV is at its path when the signal arrives: the manifest
+        # lists it, and the run stops before the second
+        real_replace = os.replace
+        renamed = []
+
+        def interrupted(src, dst, *args, **kwargs):
+            real_replace(src, dst, *args, **kwargs)
+            if not renamed and str(dst).endswith(".csv"):
+                renamed.append(dst)
+                send_sigint(sender)
+
+        monkeypatch.setattr(csvtext.os, "replace", interrupted)
+        assert sorted(self.interrupted_run(tmp_path)) == ["csv", "manifest"]
+        assert renamed == [str(tmp_path / "trajectory.csv")]
+
+    @pytest.mark.parametrize("sender", ["same-process", "other-process"])
+    def test_interrupt_after_a_worker_is_forked(self, tmp_path, monkeypatch, sender):
+        # the first of two workers of the first CSV exists when the signal
+        # arrives: it is killed and reaped, and its part is closed
+        forked = force_split(monkeypatch, cpus=3)
+        real_fork = os.fork
+
+        def interrupted():
+            pid = real_fork()
+            if pid:
+                send_sigint(sender)
+            return pid
+
+        monkeypatch.setattr(csvtext.os, "fork", interrupted)
+        assert sorted(self.interrupted_run(tmp_path)) == ["manifest"]
+        assert len(forked) == 1
+
+
 class TestEmitSpectrum:
     def test_jc_sqrt_scaling_in_file(self, tmp_path):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
@@ -1942,7 +2025,8 @@ class TestCli:
         # collapse_revival_n4 with its CSV split over two processes and each
         # kernel block slowed to 50 ms, so that the run is still emitting
         # when the signal reaches its process group, as a terminal's Ctrl-C
-        # or a job scheduler's SIGTERM would
+        # or a job scheduler's SIGTERM would.  The run is in development mode
+        # with ResourceWarning an error, so an unclosed part shows in stderr
         script = (
             "import time\n"
             "from mprabi import cli, csvtext\n"
@@ -1957,7 +2041,8 @@ class TestCli:
         config = REPO / "configs" / "collapse_revival_n4.json"
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         run = subprocess.Popen(
-            [sys.executable, "-c", script, "run", str(config), "--output-dir", str(tmp_path)],
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+             "run", str(config), "--output-dir", str(tmp_path)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
         )
@@ -1979,7 +2064,11 @@ class TestCli:
         manifest = tmp_path / "collapse_revival_n4.manifest.json"
         stored = json.loads(manifest.read_text())
         assert (stored["status"], stored["error"]) == ("failed", name)
-        assert sorted(tmp_path.iterdir()) == sorted(Path(p) for p in stored["outputs"].values())
+        listing = sorted(tmp_path.iterdir())
+        assert listing == sorted(Path(p) for p in stored["outputs"].values()), (
+            f"directory holds {[p.name for p in listing]}, manifest lists "
+            f"{stored['outputs']}; stderr {err!r}"
+        )
         [worker] = listed
         stat = Path(f"/proc/{worker}/stat")
         deadline = time.monotonic() + 1.0

@@ -5,25 +5,17 @@ import re
 import numpy as np
 import pytest
 
-from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace, displacement_matrix
-from mprabi.model import (
-    ModelParams,
-    build_displaced_branch,
-    build_full,
-    displaced_energy,
-    position_operator,
-)
+from mprabi.fockmath import FockSpace, displacement_matrix
+from mprabi.model import ModelParams, build_full, ladder_energies, position_operator
 
 TWO_PHOTON = dict(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), "left", 0),
-     "branch must be 'down' or 'up', got 'left'"),
-    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), SPIN_UP, -1), "level index must be >= 0, got -1"),
-    (lambda: displaced_energy(ModelParams(**TWO_PHOTON), SPIN_DOWN, np.array([0, -2])),
+    (lambda: ladder_energies(ModelParams(**TWO_PHOTON), -1), "level index must be >= 0, got -1"),
+    (lambda: ladder_energies(ModelParams(**TWO_PHOTON), np.array([0, -2])),
      "level index must be >= 0"),
-], ids=["unknown-branch", "negative-level", "negative-level-in-array"])
+], ids=["negative-level", "negative-level-in-array"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -62,8 +54,8 @@ class TestBuildFull:
         h = build_full(params, space)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
         # photon-index bandwidth 1 within every spin block
-        for rows in (space.block(SPIN_DOWN), space.block(SPIN_UP)):
-            for cols in (space.block(SPIN_DOWN), space.block(SPIN_UP)):
+        for rows in (space.down, space.up):
+            for cols in (space.down, space.up):
                 block = h[rows, cols]
                 off = np.triu(np.abs(block), 2)
                 assert np.max(off) == 0.0
@@ -80,11 +72,12 @@ class TestBuildFull:
         params = ModelParams(omega=1.0, omega0=1.7, lambda_g=0.12, lambda_e=0.3, lambda_eg=0.04)
         space = FockSpace(15)
         h = build_full(params, space)
-        dn = space.block(SPIN_DOWN)
-        up = space.block(SPIN_UP)
-        assert np.array_equal(h[dn, dn], build_displaced_branch(params, SPIN_DOWN, space))
-        assert np.array_equal(h[up, up], build_displaced_branch(params, SPIN_UP, space))
-        coupling = (params.lambda_eg * position_operator(space.n_max)).astype(complex)
+        dn, up = space.down, space.up
+        x = position_operator(space.n_max)
+        ho = params.omega * (np.arange(space.n_max) + 0.5)
+        assert np.array_equal(h[dn, dn], np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x)
+        assert np.array_equal(h[up, up], np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x)
+        coupling = (params.lambda_eg * x).astype(complex)
         assert np.array_equal(h[dn, up], coupling)
         assert np.array_equal(h[up, dn], coupling)
 
@@ -111,46 +104,42 @@ class TestBuildFull:
 
 
 class TestDisplacedBranch:
+    """Each diagonal block of H is its displaced ladder, whatever lambda_eg."""
+
     def test_uncoupled_up_branch_diagonal(self):
-        params = ModelParams(omega=1.0, omega0=0.9)
+        params = ModelParams(omega=1.0, omega0=0.9, lambda_eg=0.3)
         space = FockSpace(7)
-        block = build_displaced_branch(params, SPIN_UP, space)
+        block = build_full(params, space)[space.up, space.up]
         assert np.array_equal(block, np.diag(np.arange(7) + 0.5 + 0.45).astype(complex))
 
     def test_eigenvalues_match_closed_form(self):
-        params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
+        params = ModelParams(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1, lambda_eg=0.05)
         space = FockSpace(60)
-        evals = np.linalg.eigvalsh(build_displaced_branch(params, SPIN_UP, space))
+        evals = np.linalg.eigvalsh(build_full(params, space)[space.up, space.up])
         for n in range(12):
-            expect = displaced_energy(params, SPIN_UP, n)
+            expect = ladder_energies(params, n)[1]
             assert abs(evals[n] - expect) < 1e-9
 
     def test_eigenvectors_are_displacement_matrix_columns(self):
-        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.3)
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.3, lambda_eg=0.05)
         space = FockSpace(70)
-        _, vecs = np.linalg.eigh(build_displaced_branch(params, SPIN_DOWN, space))
+        _, vecs = np.linalg.eigh(build_full(params, space)[space.down, space.down])
         displaced = displacement_matrix(params.lambda_g / params.omega, space)
         for n in range(6):
             reference = displaced[:, n]
             overlap = abs(np.vdot(vecs[:, n], reference))
             assert overlap >= 1.0 - 1e-6
 
-    def test_branch_label_checked(self):
-        params = ModelParams(omega=1.0, omega0=1.0)
-        with pytest.raises(ValueError):
-            build_displaced_branch(params, "left", FockSpace(4))
-
 
 class TestDisplacedEnergy:
     def test_uncoupled_up_ground(self):
         params = ModelParams(omega=1.0, omega0=2.0)
-        assert displaced_energy(params, SPIN_UP, 0) == pytest.approx(1.5)
+        assert ladder_energies(params, 0) == pytest.approx((-0.5, 1.5))
 
     def test_equidistant_ladder(self):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.2)
-        for n in range(1, 8):
-            gap = displaced_energy(params, SPIN_DOWN, n) - displaced_energy(params, SPIN_DOWN, n - 1)
-            assert gap == pytest.approx(params.omega, abs=1e-14)
+        for ladder in ladder_energies(params, np.arange(8)):
+            assert np.diff(ladder) == pytest.approx(np.full(7, params.omega), abs=1e-14)
 
     def test_union_of_ladders_spectrum(self):
         # lambda_eg = 0 at n_max = 200: the 20 lowest exact eigenvalues are the
@@ -158,9 +147,6 @@ class TestDisplacedEnergy:
         params = ModelParams(lambda_eg=0.0, **TWO_PHOTON)
         space = FockSpace(200)
         evals = np.linalg.eigvalsh(build_full(params, space))[:20]
-        ladders = sorted(
-            [displaced_energy(params, SPIN_DOWN, n) for n in range(30)]
-            + [displaced_energy(params, SPIN_UP, n) for n in range(30)]
-        )[:20]
+        ladders = sorted(np.concatenate(ladder_energies(params, np.arange(30))))[:20]
         rel = np.abs(evals - np.array(ladders)) / np.abs(np.array(ladders))
         assert np.max(rel) < 1e-6

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from oracles import displacement_expm, ladder_matrix
 from mprabi.config import parse_config
 from mprabi.dynamics import _rwa_basis, project_secular
-from mprabi.fockmath import SPIN_DOWN, SPIN_UP, FockSpace
-from mprabi.model import ModelParams, build_full, displaced_energy
+from mprabi.fockmath import FockSpace
+from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.runner import resolve_params
 from mprabi.rwa import (
     RWAValidityWarning,
@@ -262,8 +262,8 @@ def exact_gap(params, n, n_manifold, n_max=120):
     bare ladder energies."""
     evals = np.linalg.eigvalsh(build_full(params, FockSpace(n_max)))
     mid = 0.5 * (
-        displaced_energy(params, SPIN_DOWN, n_manifold)
-        + displaced_energy(params, SPIN_UP, n_manifold - n)
+        ladder_energies(params, n_manifold)[0]
+        + ladder_energies(params, n_manifold - n)[1]
     )
     lo, hi = np.sort(evals[np.argsort(np.abs(evals - mid))[:2]])
     return hi - lo
@@ -374,8 +374,8 @@ class TestSecularSpectrum:
         got = _secular_spectrum(params, n, 40, order)
         shifts = level_shifts(params, n, 40) if order == 2 else None
         for row, n_manifold in enumerate(range(n, 40)):
-            e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
-            e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
+            e_down = ladder_energies(params, n_manifold)[0]
+            e_up = ladder_energies(params, n_manifold - n)[1]
             if shifts is not None:
                 e_down += shifts[0][n_manifold]
                 e_up += shifts[1][n_manifold - n]
@@ -465,8 +465,8 @@ class TestSecularProperties:
             omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e, lambda_eg=lambda_eg
         )
         n_manifold = n + above
-        e_down = displaced_energy(params, SPIN_DOWN, n_manifold)
-        e_up = displaced_energy(params, SPIN_UP, n_manifold - n)
+        e_down = ladder_energies(params, n_manifold)[0]
+        e_up = ladder_energies(params, n_manifold - n)[1]
         if order == 2:
             down, up = level_shifts(params, n, n_manifold + 1)
             e_down += down[n_manifold]
@@ -511,7 +511,7 @@ class TestLevelShifts:
         # first-order error of lambda_eg^2 / omega size
         params = two_photon_params()
         exact = np.linalg.eigvalsh(build_full(params, FockSpace(60)))[0]
-        bare = displaced_energy(params, SPIN_DOWN, 0)
+        bare = ladder_energies(params, 0)[0]
         shifted = bare + level_shifts(params, 2, 2)[0][0]
         assert abs(bare - exact) > 1e-4
         assert abs(shifted - exact) < 1e-6
