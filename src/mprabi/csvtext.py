@@ -64,12 +64,15 @@ def _atomic_write(path: str, done=lambda: None):
     block completes, so that no partial file is ever visible there.
 
     The temp file is created with mode 0o666 under the process umask, the
-    mode ``open(path, "w")`` would give ``path``.  ``done()`` runs right after
-    the rename, both under :func:`_interrupts_held`."""
+    mode ``open(path, "w")`` would give ``path``.  Interrupts are held
+    (:func:`_interrupts_held`) from its open until its file object is on the
+    stack that closes it, and over the rename and ``done()``, run right after."""
     tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}~")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        with os.fdopen(os.open(tmp_path, flags, 0o666), "wb") as handle:
+        with contextlib.ExitStack() as stack:
+            with _interrupts_held():
+                handle = stack.enter_context(os.fdopen(os.open(tmp_path, flags, 0o666), "wb"))
             yield handle
         with _interrupts_held():
             os.replace(tmp_path, path)

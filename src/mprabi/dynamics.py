@@ -354,36 +354,13 @@ def evolve_numeric(
     return traj
 
 
-def _rwa_basis(
-    params: ModelParams, n: int, space: FockSpace, order: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular eigenbasis of the n-photon resonance as real columns on the
-    product space, with energies.
-
-    Covers the unmixed manifolds N < n and the dressed pairs for
-    n <= N <= n_max-1, all from one :func:`mprabi.rwa._secular_spectrum`:
-    D(+lambda_g/omega)|N> and D(-lambda_e/omega)|N-n> are columns of its two
-    displacement matrices, sliced to n_max levels.  Column n + 2(N - n) is
-    the alpha = +1 state of manifold N, the next its alpha = -1 partner.
-    The top n up-branch displaced states have no partner inside the
-    truncation and are not representable (see :func:`project_secular`).  At
-    ``order=2`` every energy carries its level shift.  Also returns V_N(n)
-    for N = n .. n_max-1; emits no warning.
-    """
-    n_max = space.n_max
-    s = _secular_spectrum(params, n, n_max, order)
-    basis = np.zeros((space.dim, n + 2 * (n_max - n)))
-    basis[space.down, :n] = s.d_down[:n_max, :n]
-    basis[space.down, n:] = (s.d_down[:n_max, n:n_max, None] * s.c_down).reshape(n_max, -1)
-    basis[space.up, n:] = (s.d_up[:n_max, : n_max - n, None] * s.c_up).reshape(n_max, -1)
-    return basis, np.concatenate([s.low, s.energy.ravel()]), s.v
-
-
 def project_secular(
     params: ModelParams, n: int, psi0: np.ndarray, order: int
 ) -> Projection:
-    """The projection that :func:`evolve_rwa` expands: :func:`_rwa_basis` at
-    ``order`` on the truncation of the flat vector ``psi0``, psi0's
+    """The projection that :func:`evolve_rwa` expands: the basis that
+    :func:`mprabi.rwa._secular_spectrum` solves at ``order`` on the
+    truncation of the flat vector ``psi0`` (column n + 2(N - n) is the
+    alpha = +1 state of manifold N, the next its alpha = -1 partner), psi0's
     coefficients on it, and the weight they put on the manifolds whose
     |V_N(n)| is not small against omega.  Raises :class:`ProjectionError`
     when the coefficients hold less than ``1 - COMPLETENESS_TOL`` of psi0's
@@ -394,8 +371,8 @@ def project_secular(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or psi0.size % 2:
         raise ValueError("psi0 must be a flat vector of even length")
-    basis, energies, v = _rwa_basis(params, n, FockSpace(psi0.size // 2), order)
-    coeffs = basis.T @ psi0
+    s = _secular_spectrum(params, n, psi0.size // 2, order)
+    coeffs = s.basis.T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
     total = float(np.sum(np.abs(psi0) ** 2))
     if captured < total * (1.0 - COMPLETENESS_TOL):
@@ -404,8 +381,8 @@ def project_secular(
             "raise n_max or reconsider the initial state"
         )
     pairs = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
-    strong = _warn_strong(params, n, range(n, psi0.size // 2), v, pairs, COMPLETENESS_TOL)
-    return Projection(basis, energies, coeffs, strong)
+    strong = _warn_strong(params, n, range(n, psi0.size // 2), s.v, pairs, COMPLETENESS_TOL)
+    return Projection(s.basis, s.energies, coeffs, strong)
 
 
 def evolve_rwa(

@@ -158,19 +158,26 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
     ``n`` given, omega0 is placed exactly on the n-photon resonance; with an
     explicit omega0, n is the nearest integer to omega_eg / omega (at least 1).
     Warns when the detuning delta_n = omega_eg - n omega leaves the
-    |delta_n| < omega/10 window.
+    |delta_n| < omega/10 window.  Raises :class:`ConfigError`, naming the
+    keys that set them, when the parameters or omega_eg / omega leave the
+    float range.
     """
     omega = config.omega
-    lambda_g, lambda_e = config.lambda_g * omega, config.lambda_e * omega
-    omega0 = config.omega0
-    if config.n is not None:
-        omega0 = resonant_omega0(config.n, omega=omega, lambda_g=lambda_g, lambda_e=lambda_e)
-    params = ModelParams(
-        omega=omega, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
-        lambda_eg=config.lambda_eg * omega,
-    )
-    n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
-    delta = omega_eg(params) - n * params.omega
+    try:
+        lambda_g, lambda_e = config.lambda_g * omega, config.lambda_e * omega
+        omega0 = config.omega0
+        if config.n is not None:
+            omega0 = resonant_omega0(config.n, omega=omega, lambda_g=lambda_g, lambda_e=lambda_e)
+        params = ModelParams(
+            omega=omega, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
+            lambda_eg=config.lambda_eg * omega,
+        )
+        n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
+        delta = omega_eg(params) - n * params.omega
+    except (ValueError, OverflowError) as exc:  # an infinity, or a square past the range
+        keys = ("omega", "n", "omega0", "lambda_g", "lambda_e", "lambda_eg")
+        given = ", ".join(f"'{k}' = {getattr(config, k)!r}" for k in keys if getattr(config, k))
+        raise ConfigError([f"model outside the float range from {given}: {exc.args[-1]}"]) from exc
     if abs(delta) > RESONANCE_WINDOW * params.omega:
         warnings.warn(
             f"detuning |delta_{n}| = {abs(delta):.3g} is not small against "

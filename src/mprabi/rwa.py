@@ -35,9 +35,9 @@ radian.  :func:`rabi_frequency` keeps the paper's
 definition 2|V_N(n)| at either order.
 
 Every dressed pair, at either order, comes from one array solver,
-:func:`_secular_spectrum`.  :func:`spectrum_records` is its public reader
-(scalar records, the JSON export); the secular basis that
-:func:`mprabi.dynamics.evolve_rwa` expands is built from it too.
+:func:`_secular_spectrum`, which returns the secular basis itself: the
+product-space columns that :func:`mprabi.dynamics.evolve_rwa` expands.
+:func:`spectrum_records` is its public reader (scalar records, the JSON export).
 
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
 :func:`mprabi.runner.resolve_params` warns about the detuning.  Two callers
@@ -116,18 +116,29 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
 
     is finite for every sign and size of s.  At s = 0 only n = 1 survives,
     with V_N(1) = lambda_eg sqrt(N): the selection rule of the symmetric model.
-    Raises no warning, however large V_N(n) is against omega.
+    N!/(N - n)! is a float product, exact below 2**53; past the float range
+    (from n = 171 on, as it is at least n!) s**(n-1) / sqrt(N!/(N - n)!)
+    is taken as one exponential of lgamma terms.  Raises no warning, however
+    large V_N(n) is against omega.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
+    factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
+    falling = math.prod(map(float, factors)) if n <= 170 else math.inf
+    if falling < math.inf:
+        power, root = s ** (n - 1), math.sqrt(falling)
+    else:
+        log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
+        size = math.exp((n - 1) * math.log(abs(s)) - log_root) if s else 0.0
+        power, root = (-size if s < 0 and n % 2 == 0 else size), 1.0
     return (
         (-1) ** n * params.lambda_eg * math.exp(-0.5 * s * s)
-        * laguerre_poly(n_manifold - n, n, s * s) * s ** (n - 1)
+        * laguerre_poly(n_manifold - n, n, s * s) * power
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
-        / math.sqrt(math.perm(n_manifold, n))
+        / root
     )
 
 
@@ -168,39 +179,42 @@ def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class _Spectrum:
-    """What :func:`_secular_spectrum` returns: D(+lambda_g/omega), D(-lambda_e/omega)
-    and the energies ``low`` of the unmixed manifolds N < n; then, in row N - n
-    for each manifold N >= n, V, the block detuning ``delta`` (delta_n at
-    first order, delta_eff at second) and the energies and coefficients of its
-    alpha = +1 (column 0) and alpha = -1 (column 1) states."""
+    """What :func:`_secular_spectrum` returns: the secular eigenbasis as real
+    columns ``basis`` on the FockSpace(n_top) product space, one of
+    ``energies`` per column: the n unmixed D(+lambda_g/omega)|N>, N < n,
+    then the alpha = +1 state of each manifold N >= n in column n + 2(N - n)
+    and its alpha = -1 partner next.  Row N - n of the rest holds V, the
+    block detuning ``delta`` (delta_n at first order, delta_eff at second)
+    and the coefficients of the alpha = +1 (column 0) and -1 (column 1) states."""
 
-    d_down: np.ndarray
-    d_up: np.ndarray
-    low: np.ndarray
+    basis: np.ndarray
+    energies: np.ndarray
     v: np.ndarray
     delta: np.ndarray
-    energy: np.ndarray
     c_down: np.ndarray
     c_up: np.ndarray
 
 
-#: n_loc x n_loc float64 matrices :func:`_secular_spectrum` holds at its peak,
-#: rounded up: tracemalloc measures 7.00-7.02 at n_loc 285-785, orders 1 and 2
+#: n_loc x n_loc float64 matrices :func:`_secular_spectrum` holds at its peak, its
+#: basis included, rounded up: tracemalloc measures 6.50-7.02 at n_loc 272-785, orders 1-2
 _SPECTRUM_MATRICES = 8
 
 
 def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _Spectrum:
-    """Every dressed pair of the manifolds n <= N < n_top, solved as arrays.
+    """The secular eigenbasis on the levels N < n_top, solved as arrays.
 
     One :func:`_transition_coupling` on the ladder padded past level n_top
     gives both displacement matrices and C; V_N(n) is its band C[N, N - n],
     and at ``order=2`` the level shifts come from the same C.  Each block
     [[E_down(N), V], [V, E_up(N - n)]] keeps the better conditioned of its
-    two null vectors, normalized with c_down >= 0; a block with
-    V = delta = 0 is degenerate and keeps the unmixed states.
+    two null vectors, normalized with c_down >= 0; a block with V = delta = 0
+    is degenerate and keeps the unmixed states.  The top n up states are left
+    out: their partners lie past n_top.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
+    if n > n_top:
+        raise ValueError(f"photon order n = {n} exceeds the truncation n_max = {n_top}")
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
     n_loc = _padded_size(params, n_top)
@@ -212,6 +226,7 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
         e_down, e_up = e_down + shift_down, e_up + shift_up
     big = np.arange(n, n_top)
     v = c[big, big - n][:, None]
+    del c  # the basis below is built in its place
     lo, hi = e_down[big, None], e_up[big - n, None]
     delta = hi - lo  # omega_eg - n * omega at first order, delta_eff at second
     energy = 0.5 * (lo + hi) + np.hypot(0.5 * delta, v) * np.array([1.0, -1.0])
@@ -224,7 +239,14 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     sign = np.where((c_down < 0.0) | ((c_down == 0.0) & (c_up < 0.0)), -1.0, 1.0)
     c_down, c_up = sign * c_down / norm, sign * c_up / norm
     c_down[degenerate[:, 0]], c_up[degenerate[:, 0]] = (0.0, 1.0), (1.0, 0.0)
-    return _Spectrum(d_down, d_up, e_down[:n], v[:, 0], delta[:, 0], energy, c_down, c_up)
+    basis = np.zeros((2 * n_top, 2 * n_top - n))
+    down, up = basis[:n_top], basis[n_top:]  # the product space's two blocks
+    down[:, :n] = d_down[:n_top, :n]
+    for alpha in (0, 1):  # strided slices: no (n_top, n_top - n, 2) product past the probe
+        down[:, n + alpha :: 2] = d_down[:n_top, n:n_top] * c_down[:, alpha]
+        up[:, n + alpha :: 2] = d_up[:n_top, : n_top - n] * c_up[:, alpha]
+    energies = np.concatenate([e_down[:n], energy.ravel()])
+    return _Spectrum(basis, energies, v[:, 0], delta[:, 0], c_down, c_up)
 
 
 def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None, floor=0.0) -> float:
@@ -281,12 +303,12 @@ def spectrum_records(params: ModelParams, n: int, manifolds, *, order: int = 1) 
             "delta_eff": float(s.delta[row]),
             "V": float(s.v[row]),
             "Omega": 2.0 * abs(float(s.v[row])),
-            "E_plus": float(s.energy[row, 0]),
-            "E_minus": float(s.energy[row, 1]),
+            "E_plus": float(s.energies[n + 2 * row]),
+            "E_minus": float(s.energies[n + 2 * row + 1]),
             "c_down": float(s.c_down[row, 0]),
             "c_up": float(s.c_up[row, 0]),
         }
         for row in wanted - n
     ]
-    low = [{"n_manifold": k, "n": n, "energy": float(s.low[k])} for k in range(n)]
+    low = [{"n_manifold": k, "n": n, "energy": float(s.energies[k])} for k in range(n)]
     return {"order": order, "low_manifolds": low, "manifolds": records}

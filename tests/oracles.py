@@ -2,12 +2,14 @@
 
 The oracles deliberately avoid the package's own evaluation paths: displaced
 states come from the matrix exponential of the tridiagonal ladder generator,
-and Laguerre values from exact rational arithmetic, so each check is a genuine
-dual route.
+Laguerre values from exact rational arithmetic, and V_N(n) past the float
+range from its closed form in 50-digit mpmath arithmetic, so each check is a
+genuine dual route.
 """
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -36,3 +38,17 @@ def laguerre_exact(n: int, l: int, x: Fraction) -> Fraction:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + l - x) * cur - (k + l) * prev) / (k + 1)
     return cur
+
+
+def coupling_mp(params, n_manifold: int, n: int, digits: int = 50) -> float:
+    """V_N(n) from its closed form in mpmath arithmetic at ``digits`` digits,
+    with exact factorials: no float product, logarithm or overflow."""
+    with mpmath.workdps(digits):
+        s = (mpmath.mpf(params.lambda_e) + params.lambda_g) / params.omega
+        value = (
+            (-1) ** n * mpmath.mpf(params.lambda_eg)
+            * mpmath.sqrt(mpmath.factorial(n_manifold - n) / mpmath.factorial(n_manifold))
+            * mpmath.exp(-s * s / 2) * mpmath.laguerre(n_manifold - n, n, s * s) * s ** (n - 1)
+            * ((params.lambda_g - mpmath.mpf(params.lambda_e)) * s / params.omega - n)
+        )
+        return float(value)

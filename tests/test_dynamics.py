@@ -26,7 +26,6 @@ from mprabi.dynamics import (
     TruncationError,
     evolve_numeric,
     evolve_rwa,
-    _rwa_basis,
     inversion_coherent,
     inversion_fock,
     observables,
@@ -708,7 +707,8 @@ class TestEvolveRwa:
 
         monkeypatch.setattr(dynamics, "displacement_matrix", counted)
         monkeypatch.setattr(rwa, "displacement_matrix", counted)
-        basis, energies, _ = _rwa_basis(params, 3, space, order)
+        s = rwa._secular_spectrum(params, 3, space.n_max, order)
+        basis, energies = s.basis, s.energies
         assert len(calls) == 2
         shifts = np.zeros(3)
         if order == 2:

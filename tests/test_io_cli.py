@@ -852,6 +852,27 @@ class TestInterruptWindows:
         assert sorted(outputs) == ["manifest"]
 
     @pytest.mark.parametrize("sender", ["same-process", "other-process"])
+    def test_interrupt_as_the_temp_file_object_is_made(self, tmp_path, monkeypatch, sender):
+        # the signal arrives before the with block holds the first CSV's file
+        # object: the object is closed all the same, not dropped open
+        real_fdopen = os.fdopen
+        made = []
+
+        def interrupted(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+            if not made:
+                made.append(handle)
+                send_sigint(sender)
+            return handle
+
+        monkeypatch.setattr(csvtext.os, "fdopen", interrupted)
+        try:
+            assert sorted(self.interrupted_run(tmp_path)) == ["manifest"]
+            assert made[0].closed
+        finally:
+            made[0].close()
+
+    @pytest.mark.parametrize("sender", ["same-process", "other-process"])
     def test_interrupt_after_the_csv_is_renamed(self, tmp_path, monkeypatch, sender):
         # the first CSV is at its path when the signal arrives: the manifest
         # lists it, and the run stops before the second
@@ -1821,6 +1842,53 @@ class TestCli:
         assert err.startswith(f"configuration error:\n  - {problem}")
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run", "spectrum"])
+    @pytest.mark.parametrize("payload", [
+        {"lambda_eg": 0.02, "n": 2, "omega": 1e308},
+        {"lambda_eg": 0.02, "n": 2, "omega": 1e200, "lambda_g": 0.1},
+        {"lambda_eg": 0.02, "omega0": 1e300, "omega": 1e-10},
+    ], ids=["omega0-infinite", "square-overflow", "order-infinite"])
+    def test_model_past_the_float_range_is_config_error(self, tmp_path, command, payload):
+        # products and squares of finite keys that leave the float range are
+        # one configuration error naming the keys, not a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mprabi.cli", command, str(path), "--output-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("configuration error:\n  - model outside the float range ")
+        assert all(f"'{key}' = " in done.stderr for key in payload)
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("n", [25, 45])
+    def test_resonance_order_above_the_truncation(self, tmp_path, capsys, command, n):
+        # the secular basis holds the n unmixed states below n_max, so an
+        # order n > n_max is rejected in words before any compute
+        path = write_config(tmp_path, n=n, n_max=20, propagators=["rwa"])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error:\n  - photon order n = {n} exceeds the truncation n_max = 20\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_high_order_run_writes_its_manifest(self, tmp_path):
+        # V_N(n) at n = 171 divides by N!/(N - n)! > 1.8e308; the run that
+        # reports it as V_leading still ends cleanly with its manifest
+        path = tmp_path / "n171.json"
+        path.write_text(json.dumps({"lambda_eg": 0.02, "n": 171, "n_max": 20, "t_end": 0.01,
+                                    "dt": 5e-05, "sample_every": 20}), encoding="utf-8")
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["derived"]["V_leading"] == 0.0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_unallocatable_trajectories_are_config_error(self, tmp_path, capsys, command):

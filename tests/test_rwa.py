@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import displacement_expm, ladder_matrix
+from oracles import coupling_mp, displacement_expm, ladder_matrix
 from mprabi.config import parse_config
-from mprabi.dynamics import _rwa_basis, project_secular
+from mprabi.dynamics import project_secular
 from mprabi.fockmath import FockSpace
 from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.runner import resolve_params
@@ -201,6 +201,24 @@ class TestCouplingElement:
             for n in range(2, min(n_manifold, 5) + 1):
                 assert coupling_element(params, n_manifold, n) == 0.0
 
+    @pytest.mark.parametrize("lambdas, n_manifold, n", [
+        ((0.0, 0.0), 171, 171), ((0.0, 0.0), 10**5, 10**5), ((0.0, 0.0), 10**20, 10**20),
+        ((6.5, 6.5), 171, 171), ((-1.5, -1.5), 172, 172), ((0.3, 0.2), 1000, 120),
+    ])
+    def test_past_the_float_range(self, lambdas, n_manifold, n):
+        # N!/(N - n)! beyond 1.8e308 is no error, and V_N(n) keeps its value:
+        # 0 at s = 0 (the selection rule), and the closed form elsewhere
+        lambda_g, lambda_e = lambdas
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_g=lambda_g, lambda_e=lambda_e,
+                             lambda_eg=0.02)
+        got = coupling_element(params, n_manifold, n)
+        if lambda_g == lambda_e == 0.0:
+            assert got == 0.0
+        else:
+            expect = coupling_mp(params, n_manifold, n)
+            assert expect != 0.0
+            assert got == pytest.approx(expect, rel=1e-12)
+
     def test_domain_violation(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
         with pytest.raises(ValueError):
@@ -383,7 +401,8 @@ class TestSecularSpectrum:
             assert got.v[row] == pytest.approx(closed, rel=1e-11, abs=1e-15)
             exact, vecs = np.linalg.eigh(np.array([[e_down, closed], [closed, e_up]]))
             scale = max(1.0, abs(e_down), abs(e_up))
-            assert np.max(np.abs(got.energy[row, ::-1] - exact)) < 4e-15 * scale
+            pair_energies = got.energies[n + 2 * row : n + 2 * row + 2]  # alpha = +1, -1
+            assert np.max(np.abs(pair_energies[::-1] - exact)) < 4e-15 * scale
             pair = np.array([got.c_down[row], got.c_up[row]])  # columns: alpha = +1, -1
             assert np.all(pair[0] >= 0.0)
             # V = delta = 0: the block keeps the unmixed states, alpha = +1 up
@@ -399,17 +418,21 @@ class TestSecularSpectrum:
 
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("lambdas, n", [((0.0, 0.1), 2), ((0.1, 0.1), 3), ((0.3, 0.5), 2)])
-    def test_peak_within_the_probed_matrices(self, lambdas, n, order):
+    @pytest.mark.parametrize("lambdas, n, n_top", [
+        ((0.0, 0.1), 2, 250), ((0.1, 0.1), 3, 250), ((0.3, 0.5), 2, 250),
+        # no displacement: the least padding, so the basis weighs most
+        ((0.0, 0.0), 1, 250), ((0.0, 0.0), 1, 600),
+    ], ids=["lambdas0-2", "lambdas1-3", "lambdas2-2", "undisplaced-250", "undisplaced-600"])
+    def test_peak_within_the_probed_matrices(self, lambdas, n, n_top, order):
         # runner.plan_spectrum probes _SPECTRUM_MATRICES (n_loc x n_loc) float64
-        # matrices before a spectrum export; the solver's traced peak must fit in them
+        # matrices before a spectrum export; the solver's traced peak, the
+        # basis it returns included, must fit in them
         lambda_g, lambda_e = lambdas
         omega0 = resonant_omega0(n, omega=1.0, lambda_g=lambda_g, lambda_e=lambda_e)
         params = ModelParams(omega=1.0, omega0=omega0, lambda_g=lambda_g, lambda_e=lambda_e,
                              lambda_eg=0.02)
-        n_top = 250
         n_loc = _padded_size(params, n_top)
-        assert 280 <= n_loc <= 380
+        assert n_top + 22 <= n_loc <= n_top + 130
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing")
         tracemalloc.start()
@@ -475,7 +498,7 @@ class TestSecularProperties:
         block = np.array([[e_down, v], [v, e_up]])
         # the top row of the spectrum solved up to N: the pair of N alone
         s = _secular_spectrum(params, n, n_manifold + 1, order)
-        energies = s.energy[-1]
+        energies = s.energies[-2:]  # alpha = +1, -1
         vecs = np.array([s.c_down[-1], s.c_up[-1]]).T  # rows: alpha = +1, -1
         scale = max(1.0, abs(e_down), abs(e_up))
         gap = energies[0] - energies[1]
@@ -531,9 +554,9 @@ class TestLevelShifts:
 def unmixed_states(params, n, space):
     """(vector, energy) of the secular basis columns that are not dressed
     pairs; they come first."""
-    basis, energies, _ = _rwa_basis(params, n, space)
-    n_low = basis.shape[1] - 2 * (space.n_max - n)
-    return [(basis[:, k], energies[k]) for k in range(n_low)]
+    s = _secular_spectrum(params, n, space.n_max, 1)
+    n_low = s.basis.shape[1] - 2 * (space.n_max - n)
+    return [(s.basis[:, k], s.energies[k]) for k in range(n_low)]
 
 
 class TestLowManifoldStates:
