@@ -116,9 +116,10 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
 
     is finite for every sign and size of s.  At s = 0 only n = 1 survives,
     with V_N(1) = lambda_eg sqrt(N): the selection rule of the symmetric model.
-    N!/(N - n)! is a float product, exact below 2**53; past the float range
-    (from n = 171 on, as it is at least n!) s**(n-1) / sqrt(N!/(N - n)!)
-    is taken as one exponential of lgamma terms.  Raises no warning, however
+    N!/(N - n)! is a float product, exact below 2**53.  Where it or s**(n-1)
+    would leave the float range (the product always does from n = 171 on, as
+    it is at least n!), s**(n-1) exp(-s**2/2) / sqrt(N!/(N - n)!) is taken
+    as one exponential of logs and lgamma terms.  Raises no warning, however
     large V_N(n) is against omega.
     """
     if n < 1:
@@ -128,14 +129,14 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     s = (params.lambda_e + params.lambda_g) / params.omega
     factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
     falling = math.prod(map(float, factors)) if n <= 170 else math.inf
-    if falling < math.inf:
-        power, root = s ** (n - 1), math.sqrt(falling)
+    if falling < math.inf and (n - 1) * math.log(abs(s) or 1.0) < 700.0:  # e**700 ~ 1e304
+        gauss, power, root = math.exp(-0.5 * s * s), s ** (n - 1), math.sqrt(falling)
     else:
         log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
-        size = math.exp((n - 1) * math.log(abs(s)) - log_root) if s else 0.0
-        power, root = (-size if s < 0 and n % 2 == 0 else size), 1.0
+        size = math.exp((n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root) if s else 0.0
+        gauss, power, root = 1.0, (-size if s < 0 and n % 2 == 0 else size), 1.0
     return (
-        (-1) ** n * params.lambda_eg * math.exp(-0.5 * s * s)
+        (-1) ** n * params.lambda_eg * gauss
         * laguerre_poly(n_manifold - n, n, s * s) * power
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
         / root

@@ -204,20 +204,18 @@ class TestCouplingElement:
     @pytest.mark.parametrize("lambdas, n_manifold, n", [
         ((0.0, 0.0), 171, 171), ((0.0, 0.0), 10**5, 10**5), ((0.0, 0.0), 10**20, 10**20),
         ((6.5, 6.5), 171, 171), ((-1.5, -1.5), 172, 172), ((0.3, 0.2), 1000, 120),
+        ((40.0, 40.0), 170, 170), ((-40.0, -40.0), 170, 165),
     ])
     def test_past_the_float_range(self, lambdas, n_manifold, n):
-        # N!/(N - n)! beyond 1.8e308 is no error, and V_N(n) keeps its value:
-        # 0 at s = 0 (the selection rule), and the closed form elsewhere
+        # N!/(N - n)! or s**(n-1) beyond 1.8e308 is no error, and V_N(n)
+        # keeps its value: 0 at s = 0 (the selection rule), the closed form
+        # elsewhere (below 1e-300, where s = 80 leaves only exp(-s**2/2))
         lambda_g, lambda_e = lambdas
         params = ModelParams(omega=1.0, omega0=1.0, lambda_g=lambda_g, lambda_e=lambda_e,
                              lambda_eg=0.02)
         got = coupling_element(params, n_manifold, n)
-        if lambda_g == lambda_e == 0.0:
-            assert got == 0.0
-        else:
-            expect = coupling_mp(params, n_manifold, n)
-            assert expect != 0.0
-            assert got == pytest.approx(expect, rel=1e-12)
+        expect = 0.0 if lambda_g == lambda_e == 0.0 else coupling_mp(params, n_manifold, n)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
     def test_domain_violation(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
