@@ -34,6 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: n_max x n_max float64 matrices :func:`displacement_matrix` holds at its peak,
+#: rounded up: tracemalloc measures 4.50-6.66 at n_max 50-1200
+_DISPLACEMENT_MATRICES = 7
+
+
+def _reserve(matrices: int, n: int) -> None:
+    """Ask the allocator for ``matrices`` float64 (n x n), a routine's peak, and
+    let them go unwritten, so that no page is touched: a peak it refuses raises
+    MemoryError (ValueError past the address range) before any work."""
+    np.empty((matrices, n, n))
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated boson space keeping photon numbers 0 .. n_max-1.
@@ -124,12 +136,14 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
     vector of superscripts l = 0 .. n_max-1, yields every L_k^l(beta**2) the
     lower triangle m >= k needs; the upper triangle follows by antisymmetry,
     and a negative beta by D(-beta) = D(beta)^T (returned C-contiguous).
+    Its peak is reserved first (:data:`_DISPLACEMENT_MATRICES`).
     """
     if not math.isfinite(beta):
         raise ValueError(f"displacement must be finite, got {beta}")
     if beta < 0.0:
         return np.ascontiguousarray(displacement_matrix(-beta, space).T)
     n_max = space.n_max
+    _reserve(_DISPLACEMENT_MATRICES, n_max)
     alpha = beta * beta
     out = np.zeros((n_max, n_max))
     m_low, k_low = np.tril_indices(n_max)

@@ -59,7 +59,6 @@ from .dynamics import (
 from .fockmath import FockSpace
 from .model import ModelParams, build_full
 from .rwa import (
-    _SPECTRUM_MATRICES,
     RESONANCE_WINDOW,
     RWAValidityWarning,
     _padded_size,
@@ -70,8 +69,9 @@ from .rwa import (
 )
 
 OUTPUT_DIR_ENV = "MPRABI_OUTPUT_DIR"
-#: stages a run times into its manifest's ``timings``
-STAGES = ("plan", "numeric", "rwa", "emit")
+#: stages a run times into its manifest's ``timings``; ``plan`` is the plan
+#: less its two projections, ``hamiltonian`` (H and its eigh) and ``secular_basis``
+STAGES = ("plan", "hamiltonian", "secular_basis", "numeric", "rwa", "emit")
 #: the manifest ``outputs`` key of each route's CSV, in the order routes run
 _CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
 #: the environment variables that set the BLAS thread count, echoed where set
@@ -218,7 +218,9 @@ class RunPlan(NamedTuple):
     projections: dict[str, Projection]  # the start state's, per route run, in _CSV_KEYS order
 
 
-def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
+def plan_run(
+    config: ScenarioConfig, output_dir: str | None = None, timings: dict | None = None
+) -> RunPlan:
     """Everything :func:`run_scenario` settles before any compute.
 
     Resolves the files the run writes (the manifest, plus one CSV per
@@ -230,12 +232,16 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     it assembles, and :func:`~mprabi.dynamics.project_secular`, which raises
     the strong-coupling warning.  Raises one :class:`ConfigError` with every
     unusable output path, a sample count, an n_max within the top levels the
-    truncation rule watches, a state, Hamiltonian or trajectories too large
-    to allocate, and a start state that does not fit the truncation or the
-    secular basis (an order-2 basis off the resonance included).
+    truncation rule watches, a state, Hamiltonian, eigh, secular ladder or
+    trajectories too large to allocate (each routine reserves its own peak
+    first), and a start state that does not fit the truncation or the
+    secular basis (an order-2 basis off the resonance included).  The two
+    projections are timed into ``timings`` (a dict, else thrown away) as the
+    stages ``hamiltonian`` and ``secular_basis``.
     ``mprabi validate`` runs this call, so it rejects what a run rejects
     before compute and shows the warnings a run records here.
     """
+    timings = {} if timings is None else timings
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
     outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
@@ -256,9 +262,11 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         psi0 = prepare_initial(initial, params, space)
         projections = {}
         if "numeric" in config.propagators:
-            projections["numeric"] = project_numeric(build_full(params, space), psi0)
+            with _timed(timings, "hamiltonian"):
+                projections["numeric"] = project_numeric(build_full(params, space), psi0)
         if "rwa" in config.propagators:
-            projections["rwa"] = project_secular(params, n, psi0, config.order)
+            with _timed(timings, "secular_basis"):
+                projections["rwa"] = project_secular(params, n, psi0, config.order)
     except MemoryError as exc:
         raise ConfigError([*problems, f"n_max = {config.n_max} is too large: {exc}"]) from exc
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
@@ -279,24 +287,22 @@ def plan_spectrum(config: ScenarioConfig, output_dir: str | None = None) -> tupl
     """What ``mprabi spectrum`` settles before any compute, as the leading
     arguments of :func:`emit_spectrum`: the model parameters, the photon
     order n, the index array of the manifolds n .. manifold_max (n + 20 by
-    default) and the resolved path of the export, checked writable.  The
-    array is allocated after the (n_loc x n_loc) matrices that the spectrum
-    solver holds at its peak on the ladder the export pads past manifold_max;
-    one :class:`ConfigError` lists the problems of both."""
+    default) and the resolved path of the export, checked writable, once
+    :func:`~mprabi.rwa._padded_size` has reserved the solver's peak on the
+    ladder the export pads past manifold_max.  One :class:`ConfigError`
+    lists every problem."""
     params, n = resolve_params(config)
     paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
-    try:
-        n_loc = _padded_size(params, manifold_max + 1)
-        np.empty((_SPECTRUM_MATRICES, n_loc, n_loc))  # never written, so no page is touched
-        manifolds = np.arange(n, manifold_max + 1)
-    except (ValueError, OverflowError, MemoryError) as exc:
+    try:  # the ladder's peak bounds the manifolds' index array too
+        _padded_size(params, manifold_max + 1)
+    except ValueError as exc:
         problems.append(f"manifold_max = {manifold_max} is too large: {exc}")
     if problems:
         raise ConfigError(problems)
-    return params, n, manifolds, paths["spectrum"]
+    return params, n, np.arange(n, manifold_max + 1), paths["spectrum"]
 
 
 def run_scenario(
@@ -332,7 +338,8 @@ def run_scenario(
     error = None
     with recorded_warnings() as caught:
         with _timed(timings, "plan"):
-            outputs, params, n, projections = plan_run(config, output_dir)
+            outputs, params, n, projections = plan_run(config, output_dir, timings)
+        timings["plan"] -= timings["hamiltonian"] + timings["secular_basis"]
         written = {"manifest": outputs["manifest"]}
         period = 2.0 * math.pi / params.omega
         grid = (config.t_end * period, config.dt * period, config.sample_every)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmath import FockSpace, displacement_matrix, laguerre_poly
+from .fockmath import FockSpace, _reserve, displacement_matrix, laguerre_poly
 from .model import ModelParams, ladder_energies, position_operator
 
 #: detuning window (in units of omega) beyond which a resonance is flagged
@@ -85,9 +85,23 @@ def resonant_omega0(n: int, *, omega: float, lambda_g: float = 0.0, lambda_e: fl
 
 
 def _padded_size(params: ModelParams, n_top: int) -> int:
-    """Local ladder size that holds the displacement tails of levels <= n_top."""
+    """Ladder size holding the displacement tails of levels <= n_top, once
+    :func:`_secular_spectrum`'s peak on it is reserved
+    (:data:`_SPECTRUM_MATRICES`).  Raises ValueError naming the ladder, its
+    level count and |lambda_g| + |lambda_e|, where the count leaves the float
+    range or the allocator refuses the peak."""
     b = abs(params.lambda_g / params.omega) + abs(params.lambda_e / params.omega)
-    return n_top + 22 + int(math.ceil(8.0 * (b * b + b * math.sqrt(n_top + 1.0))))
+    n_loc = None
+    try:
+        n_loc = n_top + 22 + int(math.ceil(8.0 * (b * b + b * math.sqrt(n_top + 1.0))))
+        _reserve(_SPECTRUM_MATRICES, n_loc)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        size = "a level count past the float range" if n_loc is None else f"{n_loc} levels"
+        raise ValueError(
+            f"the secular ladder for |lambda_g| + |lambda_e| = {b:.6g} omega, {size}, "
+            f"cannot be allocated: {exc}"
+        ) from exc
+    return n_loc
 
 
 def _transition_coupling(params: ModelParams, n_loc: int):

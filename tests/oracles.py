@@ -4,14 +4,18 @@ The oracles deliberately avoid the package's own evaluation paths: displaced
 states come from the matrix exponential of the tridiagonal ladder generator,
 Laguerre values from exact rational arithmetic, and V_N(n) past the float
 range from its closed form in 50-digit mpmath arithmetic, so each check is a
-genuine dual route.
+genuine dual route.  :func:`traced_peak` measures a routine's own peak.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from scipy.linalg import expm
+
+from mprabi import dynamics, fockmath, model, rwa
 
 
 def ladder_matrix(n_max: int) -> np.ndarray:
@@ -52,3 +56,20 @@ def coupling_mp(params, n_manifold: int, n: int, digits: int = 50) -> float:
             * ((params.lambda_g - mpmath.mpf(params.lambda_e)) * s / params.omega - n)
         )
         return float(value)
+
+
+def traced_peak(monkeypatch, call) -> int:
+    """The tracemalloc peak of ``call()`` in bytes, with every reservation of
+    the package (``fockmath._reserve``, wherever it is bound) left out, so
+    that it is the peak of the work the reservations stand for.  Skips the
+    test when tracemalloc is already tracing."""
+    for module in (fockmath, model, rwa, dynamics):
+        monkeypatch.setattr(module, "_reserve", lambda matrices, n: None)
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,10 @@
 """Propagators, observables, closed-form inversion curves."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -38,7 +41,8 @@ from mprabi.dynamics import (
 
 PERIOD = 2.0 * math.pi
 DT = PERIOD / 1000.0
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((REPO / "configs").glob("*.json"))
 
 
 def rk4_stepwise(h, psi, dt, n_steps, sample_every):
@@ -539,6 +543,49 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(5))
         with pytest.raises(ValueError, match="dimensions disagree"):
             project_numeric(h, psi0)
+
+    def test_a_refused_reservation_stops_it(self, monkeypatch):
+        # the eigh's peak is reserved before any work, once the state fits H
+        def refused(matrices, n):
+            raise MemoryError(f"refused ({matrices}, {n}, {n})")
+
+        monkeypatch.setattr(dynamics, "_reserve", refused)
+        params = two_photon_params()
+        space = FockSpace(8)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        with pytest.raises(MemoryError, match=re.escape(f"({dynamics._EIGH_MATRICES}, 16, 16)")):
+            project_numeric(build_full(params, space), psi0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/statm")
+    def test_eigh_peak_within_the_reserved_matrices(self):
+        # tracemalloc does not see LAPACK's copy and workspace, so a fresh
+        # process reads its resident set: from just before project_numeric,
+        # with H built and BLAS warmed up, to the peak across it, it grows by
+        # more than the eigenvectors it keeps and by at most the
+        # _EIGH_MATRICES (dim x dim) float64 it reserves (4.11 measured here,
+        # dim 2400; 3.4 at dim 1200-2000, where less of the workspace is new)
+        script = (
+            "import os, resource, numpy as np\n"
+            "from mprabi.dynamics import InitialStateSpec, prepare_initial, project_numeric\n"
+            "from mprabi.fockmath import FockSpace\n"
+            "from mprabi.model import ModelParams, build_full\n"
+            "a = np.random.default_rng(0).random((400, 400))\n"
+            "np.linalg.eigh(a + a.T), a @ a\n"
+            "params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.1, lambda_eg=0.02)\n"
+            "space = FockSpace(1200)\n"
+            "psi0 = prepare_initial(InitialStateSpec('excited-fock'), params, space)\n"
+            "h = build_full(params, space)\n"
+            "with open('/proc/self/statm') as statm:\n"
+            "    now = int(statm.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "projection = project_numeric(h, psi0)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "print((peak - now) / (8 * space.dim**2))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert 1.0 < float(done.stdout) <= dynamics._EIGH_MATRICES
 
 
 class TestEvolveRwa:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import displacement_expm, laguerre_exact
+from oracles import displacement_expm, laguerre_exact, traced_peak
+from mprabi import fockmath
 from mprabi.fockmath import (
+    _DISPLACEMENT_MATRICES,
     FockSpace,
     displacement_matrix,
     laguerre_poly,
@@ -168,6 +170,31 @@ class TestDisplacementMatrix:
         got = displacement_matrix(-beta, space)
         assert got.tobytes() == displacement_matrix(beta, space).T.tobytes()
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_max", [100, 400])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, -0.7, math.sqrt(60)])
+    def test_peak_within_the_reserved_matrices(self, beta, n_max, monkeypatch):
+        # displacement_matrix reserves _DISPLACEMENT_MATRICES (n_max x n_max)
+        # float64 matrices first; its traced peak, the matrix it returns
+        # included and the reservation left out, must fit in them
+        space = FockSpace(n_max)
+        peak = traced_peak(monkeypatch, lambda: displacement_matrix(beta, space))
+        matrix = 8 * n_max**2
+        assert matrix < peak <= _DISPLACEMENT_MATRICES * matrix
+
+    @pytest.mark.parametrize("beta", [0.7, -0.7])
+    def test_a_refused_reservation_stops_it(self, beta, monkeypatch):
+        # the reservation comes first and once, for either sign of beta
+        asked = []
+
+        def refused(matrices, n):
+            asked.append((matrices, n))
+            raise MemoryError("refused")
+
+        monkeypatch.setattr(fockmath, "_reserve", refused)
+        with pytest.raises(MemoryError, match="refused"):
+            displacement_matrix(beta, FockSpace(30))
+        assert asked == [(_DISPLACEMENT_MATRICES, 30)]
 
     def test_expm_oracle_random_cases(self):
         rng = np.random.default_rng(42)

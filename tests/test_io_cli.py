@@ -56,6 +56,30 @@ def long_numeric_config(tmp_path):
     return path
 
 
+def run_capped(*argv, address_space=None):
+    """``python -m mprabi.cli *argv`` in a fresh process, spawned from a small
+    launcher so that the peak is the command's alone, under an address-space
+    limit of ``address_space`` bytes if given: its exit code, its peak
+    resident set in KiB and its stderr."""
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "if sys.argv[1] != 'None':\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)\n"
+        "done = subprocess.run(sys.argv[2:], capture_output=True, text=True)\n"
+        "sys.stderr.write(done.stderr)\n"
+        "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, str(address_space), sys.executable, "-m", "mprabi.cli",
+         *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    return code, peak_kib, result.stderr
+
+
 def write_config(tmp_path, name="scenario.json", **extra):
     payload = dict(QUICK)
     payload.update(extra)
@@ -959,6 +983,32 @@ class TestRunScenario:
         # timings are checked for presence and type only, never for value
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
         assert all(type(t) is float and t >= 0.0 for t in stored["timings"].values())
+
+    @pytest.mark.parametrize("propagators", [["numeric"], ["rwa"], ["numeric", "rwa"]])
+    def test_stages_split_the_plan(self, tmp_path, propagators):
+        # the plan's two projections are stages of their own, a route that
+        # does not run leaves its stages at 0, and no span is counted twice:
+        # the stages, each rounded to 1 us, sum to at most elapsed_seconds
+        config = parse_config(json.dumps({**QUICK, "propagators": propagators}))
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        timings = manifest["timings"]
+        assert list(timings) == list(runner.STAGES) == [
+            "plan", "hamiltonian", "secular_basis", "numeric", "rwa", "emit",
+        ]
+        for route, stage in (("numeric", "hamiltonian"), ("rwa", "secular_basis")):
+            if route not in propagators:
+                assert timings[route] == timings[stage] == 0.0
+        assert all(type(t) is float and t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= manifest["elapsed_seconds"] + 0.5e-6 * len(timings)
+
+    def test_validate_times_into_a_dict_it_throws_away(self, tmp_path):
+        # plan_run records the two projections into the timings it is given;
+        # without one (validate's call) it records into its own
+        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
+        timings = {}
+        runner.plan_run(config, str(tmp_path), timings)
+        assert sorted(timings) == ["hamiltonian", "secular_basis"]
+        assert runner.plan_run(config, str(tmp_path)).projections.keys() == {"numeric", "rwa"}
 
     def test_returns_the_manifest_it_wrote(self, tmp_path):
         config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
@@ -1954,25 +2004,90 @@ class TestCli:
         # a fresh launcher, so that the peak is that of validate alone; building
         # the 2e7-entry grid took it to 182 MiB
         path = long_numeric_config(tmp_path)
-        launcher = (
-            "import resource, subprocess, sys\n"
-            "code = subprocess.run(sys.argv[1:], capture_output=True).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        result = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m", "mprabi.cli", "validate",
-             str(path), "--output-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        code, peak_kib = map(int, result.stdout.split())
+        code, peak_kib, _ = run_capped("validate", str(path), "--output-dir", str(tmp_path))
         assert code == 1
         assert peak_kib < 100 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS, ru_maxrss in KiB")
+    @pytest.mark.parametrize("start, address_space, problem", [
+        ({}, 1 << 30, "Unable to allocate 488. MiB for an array with shape (4, 4000, 4000)"),
+        ({"initial_kind": "ground-coherent", "mean_photons": 10.0}, 3 << 28,
+         "Unable to allocate 854. MiB for an array with shape (7, 4000, 4000)"),
+    ], ids=["assembly", "coherent-start"])
+    def test_plan_too_large_to_hold_writes_no_page_of_it(
+        self, tmp_path, start, address_space, problem
+    ):
+        # under an address-space limit that H (488 MiB) or the coherent start's
+        # displacement matrix (122 MiB) alone would fit, the routine's reserved
+        # peak does not: validate exits 1 naming it, before it writes either;
+        # building them first took the peak to 762 MiB
+        path = write_config(tmp_path, n_max=4000, t_end=0.01, dt=0.001, sample_every=10, **start)
+        code, peak_kib, err = run_capped(
+            "validate", str(path), "--output-dir", str(tmp_path), address_space=address_space
+        )
+        assert code == 1
+        assert err.startswith(f"configuration error:\n  - n_max = 4000 is too large: {problem}")
+        assert err.count("\n") == 2
+        assert peak_kib < 100 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS")
+    @pytest.mark.parametrize("command", ["validate", "run", "spectrum"])
+    @pytest.mark.parametrize("lambda_e, ladders", [
+        (50.0, [
+            f"50 omega, {n_loc} levels, cannot be allocated: Unable to allocate {size} GiB for an "
+            f"array with shape (8, {n_loc}, {n_loc}) and data type float64"
+            for n_loc, size in ((21477, "27.5"), (22005, "28.9"))
+        ]),
+        (5e153, ["5e+153 omega, a level count past the float range, cannot be allocated: "
+                 "cannot convert float infinity to integer"] * 2),
+    ], ids=["ladder-too-large", "ladder-past-the-float-range"])
+    def test_secular_ladder_too_large_is_named(self, tmp_path, command, lambda_e, ladders):
+        # |lambda_e| = 50 pads the secular ladder of n_max 12 (manifold_max
+        # 22 for spectrum) to 21477 (22005) levels, and 5e153 past any count:
+        # every command rejects the ladder by name before any compute and
+        # writes nothing, where run and validate were killed for memory or
+        # raised OverflowError.  The 4 GiB limit keeps a regression from
+        # taking the machine's memory
+        path = tmp_path / "ultrastrong.json"
+        path.write_text(json.dumps({
+            "n": 2, "lambda_eg": 0.02, "lambda_e": lambda_e, "t_end": 0.5, "dt": 0.01,
+            "sample_every": 5, "n_max": 12, "propagators": ["numeric", "rwa"],
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_capped(command, str(path), "--output-dir", str(out),
+                                  address_space=4 << 30)
+        ladder, padded = (f"the secular ladder for |lambda_g| + |lambda_e| = {text}"
+                          for text in ladders)
+        problems = {"validate": [ladder, f"manifold_max = 22 is too large: {padded}"],
+                    "run": [ladder], "spectrum": [f"manifold_max = 22 is too large: {padded}"]}
+        assert code == 1
+        expected = ["configuration error:", *(f"  - {line}" for line in problems[command])]
+        assert err.splitlines()[: len(expected)] == expected
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS")
+    def test_eigh_too_large_to_hold_is_named(self, tmp_path):
+        # under 1.5 GiB, H at n_max 3200 (312 MiB) and its assembly fit, and its
+        # eigh's reserved peak (5 x 312 MiB) does not: validate names that
+        # reservation, where the eigh itself failed with no text.  Each routine
+        # reserves its own peak, so H's pages are written first
+        path = write_config(tmp_path, n_max=3200, t_end=0.01, dt=0.001, sample_every=10)
+        code, _, err = run_capped(
+            "validate", str(path), "--output-dir", str(tmp_path), address_space=3 << 29
+        )
+        assert code == 1
+        assert err.startswith(
+            "configuration error:\n  - n_max = 3200 is too large: "
+            "Unable to allocate 1.53 GiB for an array with shape (5, 6400, 6400)"
+        )
+        assert err.count("\n") == 2
+
     def test_spectrum_probe_covers_the_solver_peak(self, tmp_path, monkeypatch):
-        # the probe maps as many padded-ladder matrices as the solver holds at
-        # its peak (see tests/test_rwa.py), not one
+        # the plan's reservation (in rwa._padded_size) maps as many
+        # padded-ladder matrices as the solver holds at its peak (see
+        # tests/test_rwa.py), not one
         empty = np.empty
         shapes = []
 

@@ -5,8 +5,16 @@ import re
 import numpy as np
 import pytest
 
+from oracles import traced_peak
+from mprabi import model
 from mprabi.fockmath import FockSpace, displacement_matrix
-from mprabi.model import ModelParams, build_full, ladder_energies, position_operator
+from mprabi.model import (
+    _ASSEMBLY_MATRICES,
+    ModelParams,
+    build_full,
+    ladder_energies,
+    position_operator,
+)
 
 TWO_PHOTON = dict(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
 
@@ -94,6 +102,29 @@ class TestBuildFull:
         ev = np.linalg.eigvalsh(h)
         ev_perm = np.linalg.eigvalsh(h_perm)
         assert np.max(np.abs(ev - ev_perm)) < 1e-10
+
+    @pytest.mark.parametrize("n_max", [200, 600])
+    def test_peak_within_h_and_the_reserved_temporaries(self, n_max, monkeypatch):
+        # build_full allocates H (4 n_max**2 float64), then reserves
+        # _ASSEMBLY_MATRICES (n_max x n_max) float64 for its temporaries; its
+        # traced peak, the reservation left out, must fit in both.  Below
+        # numpy's elision of temporaries (arrays under 256 KiB, n_max < 182)
+        # it holds one more, 4.08 beside H at n_max 50, a few KiB past them
+        params = ModelParams(omega=1.0, omega0=2.3, lambda_g=0.1, lambda_e=0.2, lambda_eg=0.07)
+        space = FockSpace(n_max)
+        peak = traced_peak(monkeypatch, lambda: build_full(params, space))
+        matrix = 8 * n_max**2
+        assert 4 * matrix < peak <= (4 + _ASSEMBLY_MATRICES) * matrix
+
+    def test_a_refused_reservation_stops_it(self, monkeypatch):
+        # H is allocated first, so that a too large n_max is named by H's
+        # size; then its temporaries are reserved, before any is written
+        def refused(matrices, n):
+            raise MemoryError(f"refused ({matrices}, {n}, {n})")
+
+        monkeypatch.setattr(model, "_reserve", refused)
+        with pytest.raises(MemoryError, match=re.escape(f"({_ASSEMBLY_MATRICES}, 30, 30)")):
+            build_full(ModelParams(omega=1.0, omega0=1.0), FockSpace(30))
 
     def test_matrix_is_readonly(self):
         params = ModelParams(omega=1.0, omega0=1.0)
