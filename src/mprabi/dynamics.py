@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockmath import FockSpace, _reserve, displacement_matrix, laguerre_transition
+from .fockmath import FockSpace, _displaced_vacuum, _reserve, laguerre_transition
 from .model import ModelParams
 from .rwa import _secular_spectrum, _warn_strong, rabi_frequency
 
@@ -156,9 +156,13 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
     The coherent field state is the displaced vacuum D(-sqrt(mean_photons))|0>;
     the displacement points opposite to the down-branch well so the standard
     weight argument (sqrt(mean_photons) + lambda_g/omega)**2 applies, and the
-    photon marginal is Poisson with mean ``mean_photons`` either way.
+    photon marginal is Poisson with mean ``mean_photons`` either way.  A
+    vector past numpy's index range raises MemoryError, as one past memory does.
     """
-    vec = np.zeros(space.dim, dtype=complex)
+    try:
+        vec = np.zeros(space.dim, dtype=complex)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
     if spec.kind == EXCITED_FOCK:
         if spec.n_photons >= space.n_max:
             raise TruncationError(
@@ -172,7 +176,7 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
                 f"mean_photons = {nbar} needs n_max > "
                 f"{nbar + 5.0 * math.sqrt(nbar):.1f}, got n_max = {space.n_max}"
             )
-        vec[space.down] = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
+        vec[space.down] = _displaced_vacuum(-math.sqrt(nbar), space.n_max)
     return vec
 
 

@@ -133,28 +133,38 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     N!/(N - n)! is a float product, exact below 2**53.  Where it or s**(n-1)
     would leave the float range (the product always does from n = 171 on, as
     it is at least n!), s**(n-1) exp(-s**2/2) / sqrt(N!/(N - n)!) is taken
-    as one exponential of logs and lgamma terms.  Raises no warning, however
-    large V_N(n) is against omega.
+    as one exponential of logs and lgamma terms.  Where L_{N-n}^{(n)}(s**2)
+    overflows while that factor underflows (from |s| ~ 38 at N = 600), the
+    product leaves the float range and ValueError names N, n and s.  Raises
+    no warning, however large V_N(n) is against omega.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
     s = (params.lambda_e + params.lambda_g) / params.omega
+    if s == 0.0 and n > 1:  # the selection rule, where L_{N-n}^{(n)}(0) may overflow
+        return 0.0
     factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
     falling = math.prod(map(float, factors)) if n <= 170 else math.inf
     if falling < math.inf and (n - 1) * math.log(abs(s) or 1.0) < 700.0:  # e**700 ~ 1e304
         gauss, power, root = math.exp(-0.5 * s * s), s ** (n - 1), math.sqrt(falling)
     else:
         log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
-        size = math.exp((n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root) if s else 0.0
+        size = math.exp((n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root)
         gauss, power, root = 1.0, (-size if s < 0 and n % 2 == 0 else size), 1.0
-    return (
+    value = (
         (-1) ** n * params.lambda_eg * gauss
         * laguerre_poly(n_manifold - n, n, s * s) * power
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
         / root
     )
+    if not math.isfinite(value):
+        raise ValueError(
+            f"V_N(n) at N = {n_manifold}, n = {n}, s = {s:.6g} leaves the float range: "
+            f"L_{n_manifold - n}^({n})(s**2) overflows where exp(-s**2/2) underflows"
+        )
+    return value
 
 
 def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:
@@ -211,7 +221,7 @@ class _Spectrum:
 
 
 #: n_loc x n_loc float64 matrices :func:`_secular_spectrum` holds at its peak, its
-#: basis included, rounded up: tracemalloc measures 6.50-7.02 at n_loc 272-785, orders 1-2
+#: basis included, rounded up: tracemalloc measures 4.32-6.72 at n_loc 272-744, orders 1-2
 _SPECTRUM_MATRICES = 8
 
 

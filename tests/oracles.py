@@ -3,8 +3,9 @@
 The oracles deliberately avoid the package's own evaluation paths: displaced
 states come from the matrix exponential of the tridiagonal ladder generator,
 Laguerre values from exact rational arithmetic, and V_N(n) past the float
-range from its closed form in 50-digit mpmath arithmetic, so each check is a
-genuine dual route.  :func:`traced_peak` measures a routine's own peak.
+range and displacement elements from their closed forms in mpmath
+arithmetic, so each check is a genuine dual route.  :func:`traced_peak`
+measures a routine's own peak.
 """
 
 import tracemalloc
@@ -54,6 +55,20 @@ def coupling_mp(params, n_manifold: int, n: int, digits: int = 50) -> float:
             * mpmath.sqrt(mpmath.factorial(n_manifold - n) / mpmath.factorial(n_manifold))
             * mpmath.exp(-s * s / 2) * mpmath.laguerre(n_manifold - n, n, s * s) * s ** (n - 1)
             * ((params.lambda_g - mpmath.mpf(params.lambda_e)) * s / params.omega - n)
+        )
+        return float(value)
+
+
+def displacement_mp(m: int, k: int, beta: float, digits: int = 40) -> float:
+    """<m|D(beta)|k> from the transition function's closed form in mpmath
+    arithmetic at ``digits`` digits, with exact factorials."""
+    if m < k:
+        return (-1) ** (k - m) * displacement_mp(k, m, beta, digits)
+    with mpmath.workdps(digits):
+        b = mpmath.mpf(beta)
+        value = (
+            mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(m))
+            * mpmath.exp(-b * b / 2) * b ** (m - k) * mpmath.laguerre(k, m - k, b * b)
         )
         return float(value)
 

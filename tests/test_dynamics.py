@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mprabi import dynamics, rwa
+from mprabi import dynamics, fockmath, rwa
 from mprabi.config import parse_config
 from mprabi.fockmath import FockSpace, displacement_matrix
 from mprabi.model import ModelParams, build_full, ladder_energies
@@ -156,6 +156,22 @@ class TestPrepareInitial:
         )
         assert np.max(np.abs(p - poisson)) < 1e-12
         assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 1.0, 10.0, 60.0])
+    def test_coherent_start_is_column_zero_of_the_displacement(self, nbar, monkeypatch):
+        # the start is one vector, bit for bit the k = 0 column of the matrix,
+        # which it does not build: the matrix's reservation is refused
+        def refused(matrices, n):
+            raise MemoryError("no matrix for one column")
+
+        space = FockSpace(120)
+        column = displacement_matrix(-math.sqrt(nbar), space)[:, 0]
+        monkeypatch.setattr(fockmath, "_reserve", refused)
+        state = prepare_initial(
+            InitialStateSpec("ground-coherent", mean_photons=nbar), two_photon_params(), space
+        )
+        assert state[space.down].real.tobytes() == column.tobytes()
+        assert not state[space.down].imag.any() and not state[space.up].any()
 
     def test_coherent_truncation_guard(self):
         params = two_photon_params()
@@ -752,7 +768,6 @@ class TestEvolveRwa:
             calls.append(beta)
             return displacement_matrix(beta, space)
 
-        monkeypatch.setattr(dynamics, "displacement_matrix", counted)
         monkeypatch.setattr(rwa, "displacement_matrix", counted)
         s = rwa._secular_spectrum(params, 3, space.n_max, order)
         basis, energies = s.basis, s.energies

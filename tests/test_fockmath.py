@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import displacement_expm, laguerre_exact, traced_peak
+from oracles import displacement_expm, displacement_mp, laguerre_exact, traced_peak
 from mprabi import fockmath
 from mprabi.fockmath import (
     _DISPLACEMENT_MATRICES,
@@ -205,6 +205,31 @@ class TestDisplacementMatrix:
             got = displacement_matrix(beta, space)
             assert np.max(np.abs(got - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("beta", [0.7, -0.7, math.sqrt(60)])
+    def test_finite_and_orthonormal_past_the_factorial_range(self, beta):
+        # from k + l ~ 1030, L_k^l(beta**2) overflows and its prefactor
+        # underflows; the normalized elements stay finite, and the columns
+        # clear of the edge by test_columns_orthonormal_away_from_edge's rule
+        # stay orthonormal
+        n_max = 1200
+        mat = displacement_matrix(beta, FockSpace(n_max))
+        assert np.isfinite(mat).all()
+        n_clear = sum(
+            k + 8.0 * abs(beta) * math.sqrt(k + 1.0) + 3.0 * beta * beta + 16.0 <= n_max
+            for k in range(n_max)
+        )
+        cols = mat[:, :n_clear]
+        assert np.max(np.abs(cols.T @ cols - np.eye(n_clear))) < 1e-10
+
+    @pytest.mark.parametrize("n_max, beta", [(160, -math.sqrt(60)), (400, math.sqrt(20))])
+    def test_matches_mpmath_at_large_displacement(self, n_max, beta):
+        # 40-digit closed form of I(m, k, beta**2) at elements across the matrix
+        mat = displacement_matrix(beta, FockSpace(n_max))
+        picks = np.random.default_rng(7).integers(0, n_max, size=(40, 2))
+        for m, k in picks:
+            expect = displacement_mp(int(m), int(k), beta)
+            assert mat[m, k] == pytest.approx(expect, abs=1e-14)
+
     def test_matches_scalar_transition_function(self):
         space = FockSpace(25)
         alpha = 0.49
@@ -247,7 +272,7 @@ class TestDisplacedFock:
 
 
 class TestDisplacementSweepProperties:
-    """The one-sweep matrix against the expm oracle at random sizes."""
+    """The recurrence's matrix against the expm oracle at random sizes."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(

@@ -28,10 +28,10 @@ from mprabi import config as config_module
 from mprabi.config import ConfigError, ScenarioConfig, parse_config
 from mprabi.csvtext import emit_csv
 from mprabi.dynamics import Trajectory, evolve_rwa
-from mprabi.fockmath import displacement_matrix
+from mprabi.fockmath import _displaced_vacuum, displacement_matrix
 from mprabi.model import ModelParams
 from mprabi.runner import emit_spectrum, run_scenario
-from mprabi.rwa import resonant_omega0, spectrum_records
+from mprabi.rwa import coupling_element, resonant_omega0, spectrum_records
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
@@ -1168,9 +1168,10 @@ class TestRunScenario:
         ]
 
     def test_one_secular_basis_per_run(self, tmp_path, monkeypatch):
-        # a coherent start costs one displacement; the secular basis two, built
-        # once by the plan and expanded by evolve_rwa as it stands; the numeric
-        # eigenbasis one H and one eigh, in the plan too
+        # a coherent start costs one displaced vacuum and no matrix; the secular
+        # basis two displacements, built once by the plan and expanded by
+        # evolve_rwa as it stands; the numeric eigenbasis one H and one eigh,
+        # in the plan too
         calls = []
 
         def counted(name, function):
@@ -1185,7 +1186,7 @@ class TestRunScenario:
             return plan
 
         plan_run = runner.plan_run
-        monkeypatch.setattr(dynamics, "displacement_matrix", counted("D", displacement_matrix))
+        monkeypatch.setattr(dynamics, "_displaced_vacuum", counted("vacuum", _displaced_vacuum))
         monkeypatch.setattr(rwa, "displacement_matrix", counted("D", displacement_matrix))
         monkeypatch.setattr(runner, "build_full", counted("H", runner.build_full))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
@@ -1195,7 +1196,7 @@ class TestRunScenario:
             "propagators": ["numeric", "rwa"],
         }))
         run_scenario(config, output_dir=str(tmp_path))
-        assert calls.count("D") == 3
+        assert calls.count("D") == 2 and calls.count("vacuum") == 1
         assert calls.count("H") == calls.count("eigh") == 1
         assert calls[-1] == "planned"
 
@@ -1399,6 +1400,25 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert [rec["n_manifold"] for rec in payload["manifolds"]] == [2, 3, 4, 5]
+
+    def test_spectrum_past_the_factorial_range_is_finite(self, tmp_path):
+        # the secular ladder of manifold_max 1150 pads to 1201 levels, past
+        # where the displacement matrix's factorial form was inf * 0: the export
+        # held 4002 NaN tokens.  Every V matches the scalar closed form
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(
+            {"n": 2, "lambda_eg": 0.02, "lambda_e": 0.1, "manifold_max": 1150}
+        ), encoding="utf-8")
+        assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "spectrum.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        params, n = runner.resolve_params(parse_config(path.read_text()))
+        records = json.loads(text)["manifolds"]
+        assert [rec["n_manifold"] for rec in records] == list(range(2, 1151))
+        for rec in records:
+            assert rec["V"] == pytest.approx(
+                coupling_element(params, rec["n_manifold"], n), rel=0, abs=1e-12
+            )
 
     def test_spectrum_subcommand_honours_order(self, tmp_path):
         # an order-2 config exports the shifted energies, not first-order ones
@@ -1880,10 +1900,13 @@ class TestCli:
         ({"t_end": 1e300}, "t_end / dt = 5e+302 steps is too many: Maximum allowed size exceeded"),
         ({"t_end": 1e300, "dt": 1e-10}, "t_end / dt = inf steps is too many: "),
         ({"n_max": 10**16}, "n_max = 10000000000000000 is too large: "),
-    ], ids=["grid", "step-count-overflow", "state"])
+        ({"n_max": 10**30}, "n_max = 1000000000000000000000000000000 is too large: "
+                            "Maximum allowed dimension exceeded"),
+    ], ids=["grid", "step-count-overflow", "state", "state-past-the-index-range"])
     def test_unallocatable_plan_is_config_error(self, tmp_path, capsys, command, extra, problem):
-        # neither the sample grid nor the state can be mapped at these sizes;
-        # each is one problem line, before any file is written
+        # neither the sample grid nor the state can be mapped at these sizes,
+        # nor indexed past numpy's range; each is one problem line naming its
+        # subject, before any file is written
         path = write_config(tmp_path, **extra)
         out = tmp_path / "out"
         out.mkdir()
@@ -2012,15 +2035,16 @@ class TestCli:
     @pytest.mark.parametrize("start, address_space, problem", [
         ({}, 1 << 30, "Unable to allocate 488. MiB for an array with shape (4, 4000, 4000)"),
         ({"initial_kind": "ground-coherent", "mean_photons": 10.0}, 3 << 28,
-         "Unable to allocate 854. MiB for an array with shape (7, 4000, 4000)"),
+         "Unable to allocate 488. MiB for an array with shape (4, 4000, 4000)"),
     ], ids=["assembly", "coherent-start"])
     def test_plan_too_large_to_hold_writes_no_page_of_it(
         self, tmp_path, start, address_space, problem
     ):
-        # under an address-space limit that H (488 MiB) or the coherent start's
-        # displacement matrix (122 MiB) alone would fit, the routine's reserved
-        # peak does not: validate exits 1 naming it, before it writes either;
-        # building them first took the peak to 762 MiB
+        # under an address-space limit that H (488 MiB) alone would fit, the
+        # assembly's reserved peak does not: validate exits 1 naming it, before
+        # it writes H; building it first took the peak to 762 MiB.  A coherent
+        # start takes one vector, so under a tighter limit the assembly's
+        # reservation is still the first refused
         path = write_config(tmp_path, n_max=4000, t_end=0.01, dt=0.001, sample_every=10, **start)
         code, peak_kib, err = run_capped(
             "validate", str(path), "--output-dir", str(tmp_path), address_space=address_space

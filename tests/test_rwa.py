@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import coupling_mp, displacement_expm, ladder_matrix, traced_peak
 from mprabi.config import parse_config
-from mprabi.dynamics import project_secular
+from mprabi.dynamics import inversion_fock, project_secular
 from mprabi.fockmath import FockSpace
 from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.runner import resolve_params
@@ -204,6 +204,8 @@ class TestCouplingElement:
         ((0.0, 0.0), 171, 171), ((0.0, 0.0), 10**5, 10**5), ((0.0, 0.0), 10**20, 10**20),
         ((6.5, 6.5), 171, 171), ((-1.5, -1.5), 172, 172), ((0.3, 0.2), 1000, 120),
         ((40.0, 40.0), 170, 170), ((-40.0, -40.0), 170, 165),
+        # at s = 0, L_{N-n}^{(n)}(0) = C(N, n) overflows, and V_N(n) is 0
+        ((0.0, 0.0), 10**5, 100), ((0.0, 0.0), 5000, 1000),
     ])
     def test_past_the_float_range(self, lambdas, n_manifold, n):
         # N!/(N - n)! or s**(n-1) beyond 1.8e308 is no error, and V_N(n)
@@ -215,6 +217,20 @@ class TestCouplingElement:
         got = coupling_element(params, n_manifold, n)
         expect = 0.0 if lambda_g == lambda_e == 0.0 else coupling_mp(params, n_manifold, n)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("lam", [20.0, 33.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_overflow_times_underflow_is_named(self, lam, n):
+        # L_{600-n}^{(n)}(s**2) overflows where exp(-s**2/2) underflows, and
+        # their product was NaN (50-digit mpmath gives +9.2e-6 at lambda 20,
+        # n = 1): the closed form and the curves built on it fail loudly
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=lam, lambda_e=lam, lambda_eg=0.02)
+        named = re.escape(f"V_N(n) at N = 600, n = {n}, s = {2 * lam:g} leaves the float range")
+        for call in (coupling_element, rabi_frequency):
+            with pytest.raises(ValueError, match=named):
+                call(params, 600, n)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            inversion_fock(params, n, 1.0)
 
     def test_domain_violation(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
