@@ -27,7 +27,7 @@ order                   order of the secular route's energies: 1 for the
 csv_path                numeric trajectory CSV ("trajectory.csv")
 rwa_csv_path            secular trajectory CSV ("_rwa" before csv_path's suffix)
 manifest_path           run manifest JSON (csv_path, suffix -> ".manifest.json")
-spectrum_path           spectrum export JSON ("spectrum.json")
+spectrum_path           spectrum export JSON (csv_path, suffix -> ".spectrum.json")
 manifold_max            highest manifold in spectrum exports (n + 20)
 ======================  =========================================================
 
@@ -38,9 +38,10 @@ reporting: unknown keys, then the numeric keys in the order of one table of
 bounds (an integer beyond the float range reads as an infinity, as 1e400
 does, and fails as one), then the keys limited to a few values
 (initial_kind, order), then n / omega0, the propagators and the paths.
-An absent or null rwa_csv_path or manifest_path is derived from the file name
-in csv_path.  Checks that need the model or the file system, such as the
-initial state against n_max, are left to :func:`mprabi.runner.plan_run`.
+An absent or null rwa_csv_path, manifest_path or spectrum_path is derived
+from the file name in csv_path.  Checks that need the model or the file
+system, such as the initial state against n_max, are left to
+:func:`mprabi.runner.plan_run`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class ScenarioConfig:
     csv_path: str = "trajectory.csv"
     rwa_csv_path: str | None = None
     manifest_path: str | None = None
-    spectrum_path: str = "spectrum.json"
+    spectrum_path: str | None = None
     manifold_max: int | None = None
 
 
@@ -208,4 +209,5 @@ def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
     stem, ext = os.path.splitext(out.setdefault("csv_path", _DEFAULTS["csv_path"]))
     out.setdefault("rwa_csv_path", f"{stem}_rwa{ext}")
     out.setdefault("manifest_path", f"{stem}.manifest.json")
+    out.setdefault("spectrum_path", f"{stem}.spectrum.json")
     return ScenarioConfig(**out)

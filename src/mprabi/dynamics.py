@@ -310,7 +310,7 @@ def project_numeric(h: np.ndarray, psi0: np.ndarray) -> Projection:
     if psi0.shape != (h.shape[0],):
         raise ValueError("state and Hamiltonian dimensions disagree")
     _reserve(_EIGH_MATRICES, h.shape[0])
-    if np.any(h.imag):
+    if np.iscomplexobj(h) and np.any(h.imag):  # .imag of a real h would be a new zero array
         raise ValueError("the Hamiltonian must be real symmetric")
     energies, vectors = np.linalg.eigh(h.real)
     return Projection(vectors, energies, vectors.T @ psi0, 0.0)

@@ -19,7 +19,7 @@ D(-lambda_e/omega)|N>, with the closed-form energies that
 Matrices are plain numpy arrays, dense (the dimensions are desk scale) and
 real (float64), as the model is real symmetric; the full one acts on the
 :class:`~mprabi.fockmath.FockSpace` product basis.  The photon-index
-bandwidth is 1; a sparse backend could exploit that but is not needed here.
+bandwidth is 1, and :func:`build_full` writes only those bands into H.
 Construction is pure and the arrays are frozen read-only, safe to share
 across threads.
 """
@@ -31,7 +31,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .fockmath import FockSpace, _reserve
+from .fockmath import FockSpace
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,6 @@ class ModelParams:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
 
-def position_operator(n_max: int) -> np.ndarray:
-    """Quadrature matrix a_dag + a on the truncated Fock space (real, tridiagonal)."""
-    sq = np.sqrt(np.arange(1.0, n_max))
-    return np.diag(sq, 1) + np.diag(sq, -1)
-
-
-#: n_max x n_max float64 temporaries :func:`build_full` holds beside H at its
-#: peak, rounded up: tracemalloc measures 3.0 at n_max 200-1200
-_ASSEMBLY_MATRICES = 4
-
-
 def build_full(params: ModelParams, space: FockSpace) -> np.ndarray:
     """Full Hamiltonian on the 2 n_max product space (read-only float64),
     assembled literally on the blocks of :class:`FockSpace`, so that each
@@ -84,16 +73,20 @@ def build_full(params: ModelParams, space: FockSpace) -> np.ndarray:
     down, down: omega (a_dag a + 1/2) - omega0/2 - lambda_g (a_dag + a)
     up, up:     omega (a_dag a + 1/2) + omega0/2 + lambda_e (a_dag + a)
     off-diagonal: lambda_eg (a_dag + a)
+
+    a_dag + a is written as its two bands, through strided views of H: beside
+    H, the one n_max x n_max-sized array allocated, it takes O(n_max) vectors.
     """
-    n_max = space.n_max
-    h = np.zeros((space.dim, space.dim))  # first, so a too large n_max fails on H
-    _reserve(_ASSEMBLY_MATRICES, n_max)  # then the temporaries below, before any write
+    n_max, dn, up = space.n_max, space.down, space.up
+    h = np.zeros((space.dim, space.dim))
     ho = params.omega * (np.arange(n_max) + 0.5)
-    x = position_operator(n_max)
-    dn, up = space.down, space.up
-    h[dn, dn] = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
-    h[up, up] = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
-    h[dn, up] = h[up, dn] = params.lambda_eg * x
+    np.fill_diagonal(h, np.concatenate([ho - 0.5 * params.omega0, ho + 0.5 * params.omega0]))
+    root = np.sqrt(np.arange(1.0, n_max))
+    # 0.0 - lambda_g: a zero lambda_g writes +0.0, not -0.0, as H's zeros are
+    for rows, cols, weight in ((dn, dn, 0.0 - params.lambda_g), (up, up, params.lambda_e),
+                               (dn, up, params.lambda_eg), (up, dn, params.lambda_eg)):
+        for band in (h[rows, cols][:, 1:], h[rows, cols][1:]):  # strided views of H
+            np.fill_diagonal(band, weight * root)
     h.setflags(write=False)
     return h
 

@@ -41,6 +41,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig
 from .csvtext import _atomic_write, _usable_cpus, emit_csv
 from .dynamics import (
+    _EIGH_MATRICES,
     COMPLETENESS_TOL,
     NORM_TOL,
     TOP_LEVELS,
@@ -56,7 +57,7 @@ from .dynamics import (
     project_secular,
     sample_count,
 )
-from .fockmath import FockSpace
+from .fockmath import FockSpace, _reserve
 from .model import ModelParams, build_full
 from .rwa import (
     RESONANCE_WINDOW,
@@ -113,7 +114,6 @@ def recorded_warnings():
         raise
     finally:
         lines[:] = sorted({f"{w.category.__name__}: {w.message}" for w in log})
-
 
 
 def _environment() -> dict:
@@ -232,14 +232,14 @@ def plan_run(
     it assembles, and :func:`~mprabi.dynamics.project_secular`, which raises
     the strong-coupling warning.  Raises one :class:`ConfigError` with every
     unusable output path, a sample count, an n_max within the top levels the
-    truncation rule watches, a state, Hamiltonian, eigh, secular ladder or
-    trajectories too large to allocate (each routine reserves its own peak
-    first), and a start state that does not fit the truncation or the
-    secular basis (an order-2 basis off the resonance included).  The two
-    projections are timed into ``timings`` (a dict, else thrown away) as the
-    stages ``hamiltonian`` and ``secular_basis``.
-    ``mprabi validate`` runs this call, so it rejects what a run rejects
-    before compute and shows the warnings a run records here.
+    truncation rule watches, a state, H with its eigh, secular ladder or
+    trajectories too large to allocate (each reserved before it is written),
+    and a start state that does not fit the truncation or the secular basis
+    (an order-2 basis off the resonance included).  The two projections are
+    timed into ``timings`` (a dict, else thrown away) as the stages
+    ``hamiltonian`` and ``secular_basis``.  ``mprabi validate`` runs this
+    call, so it rejects what a run rejects before compute and shows the
+    warnings a run records here.
     """
     timings = {} if timings is None else timings
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
@@ -263,6 +263,7 @@ def plan_run(
         projections = {}
         if "numeric" in config.propagators:
             with _timed(timings, "hamiltonian"):
+                _reserve(1 + _EIGH_MATRICES, space.dim)  # H and its eigh, before H is written
                 projections["numeric"] = project_numeric(build_full(params, space), psi0)
         if "rwa" in config.propagators:
             with _timed(timings, "secular_basis"):

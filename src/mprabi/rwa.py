@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockmath import FockSpace, _reserve, displacement_matrix, laguerre_poly
-from .model import ModelParams, ladder_energies, position_operator
+from .model import ModelParams, ladder_energies
 
 #: detuning window (in units of omega) beyond which a resonance is flagged
 RESONANCE_WINDOW = 0.1
@@ -109,13 +109,18 @@ def _transition_coupling(params: ModelParams, n_loc: int):
 
     Column k of D(+lambda_g/omega) is the down-ladder level k^g and column m
     of D(-lambda_e/omega) the up-ladder level m^e, so two displacement
-    matrices give C = lambda_eg D_g^T (a_dag + a) D_e in one product.
+    matrices give C = lambda_eg D_g^T (X D_e) in one product, X = a_dag + a
+    applied as its two bands: (X D)[i] = sqrt(i) D[i - 1] + sqrt(i + 1) D[i + 1].
     Returns C with the two real displacement matrices (D_g, D_e).
     """
     space = FockSpace(n_loc)
     d_down = displacement_matrix(params.lambda_g / params.omega, space)
     d_up = displacement_matrix(-params.lambda_e / params.omega, space)
-    return params.lambda_eg * (d_down.T @ position_operator(n_loc) @ d_up), d_down, d_up
+    root = np.sqrt(np.arange(1.0, n_loc))[:, None]
+    x_up = np.zeros_like(d_up)
+    x_up[:-1] = root * d_up[1:]
+    x_up[1:] += root * d_up[:-1]
+    return params.lambda_eg * (d_down.T @ x_up), d_down, d_up
 
 
 def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
@@ -187,18 +192,17 @@ def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.
     Raises ValueError when a pair other than the resonant partners is within
     the resonance window, i.e. when n is not the resonance of the model.
     """
-    levels = np.arange(c.shape[0])
-    e_down, e_up = ladder_energies(params, levels)
-    partner = levels[:, None] - levels[None, :] == n
+    e_down, e_up = ladder_energies(params, np.arange(c.shape[0]))
     # gap[k, m] = E_down(k) - E_up(m); the partner entries are near zero and
-    # carry no weight
-    gap = np.where(partner, 1.0, e_down[:, None] - e_up[None, :])
+    # carry no weight, so their diagonal (a strided view) is set infinite
+    gap = e_down[:, None] - e_up[None, :]
+    np.fill_diagonal(gap[n:], np.inf)
     if np.any(np.abs(gap) < RESONANCE_WINDOW * params.omega):
         raise ValueError(
             f"a non-partner level pair lies within {RESONANCE_WINDOW} omega; "
             f"n = {n} is not the resonance of this model"
         )
-    weight = np.where(partner, 0.0, c * c) / gap
+    weight = c * c / gap
     return np.sum(weight, axis=1), -np.sum(weight, axis=0)
 
 
@@ -244,8 +248,7 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
     n_loc = _padded_size(params, n_top)
     c, d_down, d_up = _transition_coupling(params, n_loc)
-    levels = np.arange(n_loc)
-    e_down, e_up = ladder_energies(params, levels)
+    e_down, e_up = ladder_energies(params, np.arange(n_loc))
     if order == 2:
         shift_down, shift_up = _shifts(params, n, c)
         e_down, e_up = e_down + shift_down, e_up + shift_up

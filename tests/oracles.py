@@ -1,11 +1,11 @@
 """Shared oracle helpers for the test suite.
 
-The oracles deliberately avoid the package's own evaluation paths: displaced
-states come from the matrix exponential of the tridiagonal ladder generator,
-Laguerre values from exact rational arithmetic, and V_N(n) past the float
-range and displacement elements from their closed forms in mpmath
-arithmetic, so each check is a genuine dual route.  :func:`traced_peak`
-measures a routine's own peak.
+The oracles deliberately avoid the package's own evaluation paths: a_dag + a
+is a dense matrix, displaced states come from the matrix exponential of the
+tridiagonal ladder generator, Laguerre values from exact rational
+arithmetic, and V_N(n) past the float range and displacement elements from
+their closed forms in mpmath arithmetic, so each check is a genuine dual
+route.  :func:`traced_peak` measures a routine's own peak.
 """
 
 import tracemalloc
@@ -16,12 +16,31 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mprabi import dynamics, fockmath, model, rwa
+from mprabi import dynamics, fockmath, runner, rwa
 
 
 def ladder_matrix(n_max: int) -> np.ndarray:
     """Annihilation operator on a truncated Fock space."""
     return np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
+
+
+def position_operator(n_max: int) -> np.ndarray:
+    """Quadrature matrix a_dag + a on the truncated Fock space, dense."""
+    sq = np.sqrt(np.arange(1.0, n_max))
+    return np.diag(sq, 1) + np.diag(sq, -1)
+
+
+def full_dense(params, space) -> np.ndarray:
+    """The full Hamiltonian assembled block by block from a dense a_dag + a."""
+    n_max = space.n_max
+    h = np.zeros((space.dim, space.dim))
+    ho = params.omega * (np.arange(n_max) + 0.5)
+    x = position_operator(n_max)
+    dn, up = space.down, space.up
+    h[dn, dn] = np.diag(ho - 0.5 * params.omega0) - params.lambda_g * x
+    h[up, up] = np.diag(ho + 0.5 * params.omega0) + params.lambda_e * x
+    h[dn, up] = h[up, dn] = params.lambda_eg * x
+    return h
 
 
 def displacement_expm(beta: float, n_max: int) -> np.ndarray:
@@ -78,7 +97,7 @@ def traced_peak(monkeypatch, call) -> int:
     the package (``fockmath._reserve``, wherever it is bound) left out, so
     that it is the peak of the work the reservations stand for.  Skips the
     test when tracemalloc is already tracing."""
-    for module in (fockmath, model, rwa, dynamics):
+    for module in (fockmath, rwa, dynamics, runner):
         monkeypatch.setattr(module, "_reserve", lambda matrices, n: None)
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")

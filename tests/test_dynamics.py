@@ -553,6 +553,15 @@ class TestEvolveNumeric:
         with pytest.raises(ValueError, match="real"):
             project_numeric(matrix, psi0)
 
+    def test_accepts_complex_hamiltonian_with_real_entries(self):
+        params = two_photon_params()
+        space = FockSpace(4)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        h = build_full(params, space)
+        complex_h, real_h = project_numeric(h.astype(complex), psi0), project_numeric(h, psi0)
+        assert np.array_equal(complex_h.energies, real_h.energies)
+        assert np.array_equal(complex_h.coeffs, real_h.coeffs)
+
     def test_rejects_state_of_another_dimension(self):
         params = two_photon_params()
         h = build_full(params, FockSpace(4))

@@ -173,12 +173,15 @@ class TestParseConfig:
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "csv_path": "out/run.csv"}')
         assert config.rwa_csv_path == "out/run_rwa.csv"
         assert config.manifest_path == "out/run.manifest.json"
+        assert config.spectrum_path == "out/run.spectrum.json"
         # explicit paths stand; null ones are derived
-        config = parse_config(json.dumps(
-            {"n": 1, "lambda_eg": 0.01, "rwa_csv_path": "s.csv", "manifest_path": None}
-        ))
+        config = parse_config(json.dumps({
+            "n": 1, "lambda_eg": 0.01, "rwa_csv_path": "s.csv", "manifest_path": None,
+            "spectrum_path": None,
+        }))
         assert config.rwa_csv_path == "s.csv"
         assert config.manifest_path == "trajectory.manifest.json"
+        assert config.spectrum_path == "trajectory.spectrum.json"
         config = parse_config('{"n": 1, "lambda_eg": 0.01, "manifest_path": "m.json"}')
         assert config.manifest_path == "m.json"
 
@@ -195,6 +198,8 @@ class TestParseConfig:
         # a dot in a directory name is not an extension
         config = parse_config(json.dumps({"n": 1, "lambda_eg": 0.01, "csv_path": csv_path}))
         assert (config.rwa_csv_path, config.manifest_path) == (rwa_csv_path, manifest_path)
+        spectrum_path = manifest_path.removesuffix(".manifest.json") + ".spectrum.json"
+        assert config.spectrum_path == spectrum_path
 
     @pytest.mark.parametrize("text, problem", [
         ('{"n": 2}', "missing key 'lambda_eg'"),
@@ -210,7 +215,7 @@ class TestParseConfig:
         ('{"n": 2, "lambda_eg": 0.02, "propagators": "rwa"}', "key 'propagators'"),
         ('{"n": 2, "lambda_eg": 0.02, "csv_path": ""}', "key 'csv_path' must be a nonempty"),
         ('{"n": 2, "lambda_eg": 0.02, "rwa_csv_path": 3}', "key 'rwa_csv_path' must be"),
-        ('{"n": 2, "lambda_eg": 0.02, "spectrum_path": null}', "key 'spectrum_path' must be"),
+        ('{"n": 2, "lambda_eg": 0.02, "csv_path": null}', "key 'csv_path' must be"),
     ], ids=[
         "missing", "string", "bool", "non-integer", "nan", "infinity", "array",
         "initial-kind", "propagators-empty", "propagators-unknown", "propagators-not-list",
@@ -1315,23 +1320,25 @@ class TestCli:
         assert list((tmp_path / "taken").iterdir()) == []
 
     def test_validate_checks_spectrum_path(self, tmp_path, capsys):
-        # validate runs spectrum's output check as well as run's
+        # validate runs spectrum's output check as well as run's, on the
+        # export name derived from csv_path
         out = tmp_path / "d"
-        (out / "spectrum.json").mkdir(parents=True)
+        taken = out / "two_photon_vacuum.spectrum.json"
+        taken.mkdir(parents=True)
         path = REPO / "configs" / "two_photon_vacuum.json"
         assert cli.main(["validate", str(path), "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"output path is a directory: {out / 'spectrum.json'}" in captured.err
-        assert list(out.iterdir()) == [out / "spectrum.json"]
-        assert list((out / "spectrum.json").iterdir()) == []
+        assert f"output path is a directory: {taken}" in captured.err
+        assert list(out.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
 
     def test_validate_lists_run_and_spectrum_problems_at_once(self, tmp_path, capsys):
         # a bad csv_path does not hide the directory at spectrum.json: one
         # pass of validate reports both, and writes nothing
         out = tmp_path / "d"
         (out / "spectrum.json").mkdir(parents=True)
-        path = write_config(tmp_path, csv_path="no/such/x.csv")
+        path = write_config(tmp_path, csv_path="no/such/x.csv", spectrum_path="spectrum.json")
         assert cli.main(["validate", str(path), "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1350,7 +1357,7 @@ class TestCli:
             out = tmp_path / name
             out.mkdir()
             assert cli.main(["spectrum", str(path), "--output-dir", str(out), *extra]) == 0
-            spectra.append((out / "spectrum.json").read_bytes())
+            spectra.append((out / "collapse_revival_n2.spectrum.json").read_bytes())
         assert spectra[0] == spectra[1]
 
     def test_omega0_config_writes_one_detuning(self, tmp_path):
@@ -1367,7 +1374,7 @@ class TestCli:
         delta_n = rwa.omega_eg(params) - n * params.omega
         assert n == 2 and delta_n == pytest.approx(-0.05, abs=1e-12)
         manifest = json.loads((tmp_path / "trajectory.manifest.json").read_text())
-        spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+        spectrum = json.loads((tmp_path / "trajectory.spectrum.json").read_text())
         assert manifest["config"]["n"] == 2
         assert manifest["derived"]["delta_n"] == delta_n
         assert [rec["delta_n"] for rec in spectrum["manifolds"]] == [delta_n] * 4
@@ -1398,7 +1405,7 @@ class TestCli:
             ["spectrum", str(path), "--output-dir", str(tmp_path), "--manifold-max", "5"]
         )
         assert code == 0
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = json.loads((tmp_path / "trajectory.spectrum.json").read_text())
         assert [rec["n_manifold"] for rec in payload["manifolds"]] == [2, 3, 4, 5]
 
     def test_spectrum_past_the_factorial_range_is_finite(self, tmp_path):
@@ -1410,7 +1417,7 @@ class TestCli:
             {"n": 2, "lambda_eg": 0.02, "lambda_e": 0.1, "manifold_max": 1150}
         ), encoding="utf-8")
         assert cli.main(["spectrum", str(path), "--output-dir", str(tmp_path)]) == 0
-        text = (tmp_path / "spectrum.json").read_text()
+        text = (tmp_path / "trajectory.spectrum.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
         params, n = runner.resolve_params(parse_config(path.read_text()))
         records = json.loads(text)["manifolds"]
@@ -1427,7 +1434,7 @@ class TestCli:
             ["spectrum", str(path), "--output-dir", str(tmp_path), "--manifold-max", "5"]
         )
         assert code == 0
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = json.loads((tmp_path / "trajectory.spectrum.json").read_text())
         params, n = runner.resolve_params(parse_config(path.read_text()))
         assert payload["order"] == 2
         for order, same in ((2, True), (1, False)):
@@ -1808,7 +1815,7 @@ class TestCli:
         )
         assert code == 1
         assert "'manifold_max' must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "spectrum.json").exists()
+        assert not (tmp_path / "trajectory.spectrum.json").exists()
 
     @pytest.mark.parametrize("command, lines", [
         ("run", ["a", "b"]), ("validate", ["a", "b", "c"]), ("spectrum", ["c"]),
@@ -2004,9 +2011,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_hamiltonian_too_large_is_rejected_by_the_plan(self, tmp_path, capsys, command):
-        # H at n_max = 5e6 needs 728 TiB, past any machine's memory and a
-        # 47-bit address space, so its allocation fails at once; the plan
-        # assembles it, so validate rejects it and run fails before compute
+        # H at n_max = 5e6 needs 728 TiB, and with its eigh's peak 4.26 PiB,
+        # past any machine's memory and a 47-bit address space, so the plan's
+        # reservation of both fails at once: validate rejects it and run
+        # fails before compute
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
             "n": 1, "lambda_eg": 0.001, "n_max": 5000000, "t_end": 0.01, "dt": 0.001,
@@ -2017,7 +2025,8 @@ class TestCli:
         assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(
-            "configuration error:\n  - n_max = 5000000 is too large: Unable to allocate 728. TiB"
+            "configuration error:\n  - n_max = 5000000 is too large: Unable to allocate 4.26 PiB "
+            "for an array with shape (6, 10000000, 10000000)"
         )
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
@@ -2033,18 +2042,18 @@ class TestCli:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS, ru_maxrss in KiB")
     @pytest.mark.parametrize("start, address_space, problem", [
-        ({}, 1 << 30, "Unable to allocate 488. MiB for an array with shape (4, 4000, 4000)"),
+        ({}, 1 << 30, "Unable to allocate 2.86 GiB for an array with shape (6, 8000, 8000)"),
         ({"initial_kind": "ground-coherent", "mean_photons": 10.0}, 3 << 28,
-         "Unable to allocate 488. MiB for an array with shape (4, 4000, 4000)"),
+         "Unable to allocate 2.86 GiB for an array with shape (6, 8000, 8000)"),
     ], ids=["assembly", "coherent-start"])
     def test_plan_too_large_to_hold_writes_no_page_of_it(
         self, tmp_path, start, address_space, problem
     ):
         # under an address-space limit that H (488 MiB) alone would fit, the
-        # assembly's reserved peak does not: validate exits 1 naming it, before
-        # it writes H; building it first took the peak to 762 MiB.  A coherent
-        # start takes one vector, so under a tighter limit the assembly's
-        # reservation is still the first refused
+        # plan's reservation of H with its eigh's peak does not: validate
+        # exits 1 naming it, before it writes H; building it first took the
+        # peak to 762 MiB.  A coherent start takes one vector, so under a
+        # tighter limit that reservation is still the first refused
         path = write_config(tmp_path, n_max=4000, t_end=0.01, dt=0.001, sample_every=10, **start)
         code, peak_kib, err = run_capped(
             "validate", str(path), "--output-dir", str(tmp_path), address_space=address_space
@@ -2093,20 +2102,21 @@ class TestCli:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS")
     def test_eigh_too_large_to_hold_is_named(self, tmp_path):
-        # under 1.5 GiB, H at n_max 3200 (312 MiB) and its assembly fit, and its
-        # eigh's reserved peak (5 x 312 MiB) does not: validate names that
-        # reservation, where the eigh itself failed with no text.  Each routine
-        # reserves its own peak, so H's pages are written first
+        # under 1.5 GiB, H at n_max 3200 (312 MiB) fits, and H with its eigh's
+        # peak (6 x 312 MiB) does not: validate names the plan's reservation
+        # of both, where the eigh itself failed with no text, before it
+        # writes H
         path = write_config(tmp_path, n_max=3200, t_end=0.01, dt=0.001, sample_every=10)
-        code, _, err = run_capped(
+        code, peak_kib, err = run_capped(
             "validate", str(path), "--output-dir", str(tmp_path), address_space=3 << 29
         )
         assert code == 1
         assert err.startswith(
             "configuration error:\n  - n_max = 3200 is too large: "
-            "Unable to allocate 1.53 GiB for an array with shape (5, 6400, 6400)"
+            "Unable to allocate 1.83 GiB for an array with shape (6, 6400, 6400)"
         )
         assert err.count("\n") == 2
+        assert peak_kib < 100 * 1024
 
     def test_spectrum_probe_covers_the_solver_peak(self, tmp_path, monkeypatch):
         # the plan's reservation (in rwa._padded_size) maps as many

@@ -5,16 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import traced_peak
-from mprabi import model
+from oracles import full_dense, position_operator, traced_peak
 from mprabi.fockmath import FockSpace, displacement_matrix
-from mprabi.model import (
-    _ASSEMBLY_MATRICES,
-    ModelParams,
-    build_full,
-    ladder_energies,
-    position_operator,
-)
+from mprabi.model import ModelParams, build_full, ladder_energies
 
 TWO_PHOTON = dict(omega=1.0, omega0=2.01, lambda_g=0.0, lambda_e=0.1)
 
@@ -105,26 +98,32 @@ class TestBuildFull:
 
     @pytest.mark.parametrize("n_max", [200, 600])
     def test_peak_within_h_and_the_reserved_temporaries(self, n_max, monkeypatch):
-        # build_full allocates H (4 n_max**2 float64), then reserves
-        # _ASSEMBLY_MATRICES (n_max x n_max) float64 for its temporaries; its
-        # traced peak, the reservation left out, must fit in both.  Below
-        # numpy's elision of temporaries (arrays under 256 KiB, n_max < 182)
-        # it holds one more, 4.08 beside H at n_max 50, a few KiB past them
+        # build_full allocates H (4 n_max**2 float64) and writes its bands
+        # through views, so it reserves no temporaries: beside H its traced
+        # peak holds O(n_max), about 3 vectors of n_max float64
         params = ModelParams(omega=1.0, omega0=2.3, lambda_g=0.1, lambda_e=0.2, lambda_eg=0.07)
         space = FockSpace(n_max)
         peak = traced_peak(monkeypatch, lambda: build_full(params, space))
         matrix = 8 * n_max**2
-        assert 4 * matrix < peak <= (4 + _ASSEMBLY_MATRICES) * matrix
+        assert 4 * matrix < peak <= 4 * matrix + 8 * (8 * n_max)
 
-    def test_a_refused_reservation_stops_it(self, monkeypatch):
-        # H is allocated first, so that a too large n_max is named by H's
-        # size; then its temporaries are reserved, before any is written
-        def refused(matrices, n):
-            raise MemoryError(f"refused ({matrices}, {n}, {n})")
-
-        monkeypatch.setattr(model, "_reserve", refused)
-        with pytest.raises(MemoryError, match=re.escape(f"({_ASSEMBLY_MATRICES}, 30, 30)")):
-            build_full(ModelParams(omega=1.0, omega0=1.0), FockSpace(30))
+    @pytest.mark.parametrize("n_max", [2, 3, 160, 200])
+    @pytest.mark.parametrize("couplings", [
+        (-0.23, 0.31, 0.05), (0.4, -0.12, 0.07), (0.0, 0.1, 0.02), (-0.15, -0.3, -0.04),
+    ], ids=["g-negative", "e-negative", "shipped-n2", "all-negative"])
+    def test_bands_are_the_dense_assembly_bit_for_bit(self, couplings, n_max):
+        # the strided bands are the dense-X assembly's entries, bit for bit,
+        # but where lambda_eg < 0: there the dense product lambda_eg * 0.0
+        # puts -0.0 off the bands of the coupling blocks, where H keeps +0.0
+        lambda_g, lambda_e, lambda_eg = couplings
+        params = ModelParams(omega=1.3, omega0=1.7, lambda_g=lambda_g, lambda_e=lambda_e,
+                             lambda_eg=lambda_eg)
+        space = FockSpace(n_max)
+        h, dense = build_full(params, space), full_dense(params, space)
+        if lambda_eg < 0.0:
+            assert np.array_equal(h, dense)
+            dense += 0.0  # -0.0 + 0.0 is +0.0
+        assert h.tobytes() == dense.tobytes()
 
     def test_matrix_is_readonly(self):
         params = ModelParams(omega=1.0, omega0=1.0)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import coupling_mp, displacement_expm, ladder_matrix, traced_peak
+from oracles import (
+    coupling_mp, displacement_expm, ladder_matrix, position_operator, traced_peak,
+)
 from mprabi.config import parse_config
 from mprabi.dynamics import inversion_fock, project_secular
 from mprabi.fockmath import FockSpace
@@ -555,6 +557,37 @@ class TestLevelShifts:
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.1, lambda_e=0.2)
         down, up = level_shifts(params, 2, 10)
         assert not np.any(down) and not np.any(up)
+
+    @pytest.mark.parametrize("params, n", [
+        (ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02), 1),
+        (two_photon_params(), 2), (three_photon_params(), 3),
+    ], ids=["bloch-siegert", "two-photon", "three-photon"])
+    def test_are_the_masked_sums_bit_for_bit(self, params, n):
+        # an infinite gap on the partner diagonal weighs exactly what the
+        # mask of the partners k - m = n did
+        c = _transition_coupling(params, _padded_size(params, 40))[0]
+        levels = np.arange(c.shape[0])
+        e_down, e_up = ladder_energies(params, levels)
+        partner = levels[:, None] - levels[None, :] == n
+        gap = np.where(partner, 1.0, e_down[:, None] - e_up[None, :])
+        weight = np.where(partner, 0.0, c * c) / gap
+        down, up = _shifts(params, n, c)
+        assert down.tobytes() == np.sum(weight, axis=1).tobytes()
+        assert up.tobytes() == (-np.sum(weight, axis=0)).tobytes()
+
+
+class TestTransitionCoupling:
+    @pytest.mark.parametrize("lambdas, n_loc", [((0.1, 0.1), 203), ((0.5, 0.5), 591)])
+    def test_matches_the_dense_product(self, lambdas, n_loc):
+        # a_dag + a applied as its two bands, then one product: C is
+        # lambda_eg D_g^T (X D_e) with a dense X up to rounding.  The other
+        # association, (D_g^T X) D_e, is itself up to 9 ulp of max |C| away
+        lambda_g, lambda_e = lambdas
+        params = ModelParams(omega=1.0, omega0=3.0, lambda_g=lambda_g, lambda_e=lambda_e,
+                             lambda_eg=0.02)
+        c, d_down, d_up = _transition_coupling(params, n_loc)
+        dense = params.lambda_eg * (d_down.T @ (position_operator(n_loc) @ d_up))
+        assert np.max(np.abs(c - dense)) <= 4 * np.spacing(np.max(np.abs(dense)))
 
 
 def pair_errors(n, n_manifold, lambda_g, lambda_e, lambda_eg, order, n_max):
