@@ -1,11 +1,11 @@
 """Trajectory CSV text, and the atomic write of every output file.
 
 Trajectory CSV layout: header row then one row per sample with columns
-``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in oscillator
-periods T = 2 pi / omega, each float is written as ``'%.17g' % x`` writes it
-(17 significant digits), rows end in LF, and the ``norm`` column holds the
-squared norm (total probability), so the P columns of a row sum to it
-identically.
+``t_periods, W, norm, energy, P0 .. P{n_max-1}``.  Times are in units of the
+``period`` :func:`emit_csv` takes (a run's oscillator period), each float is
+written as ``'%.17g' % x`` writes it (17 significant digits), rows end in LF,
+and the ``norm`` column holds the squared norm (total probability), so the P
+columns of a row sum to it identically.
 
 Files are written atomically (temp file in the target directory, then
 rename), with the mode ``open(path, "w")`` would give them.  CSV text is
@@ -126,10 +126,10 @@ _SOURCE_CONSTANTS = {_DOT: ".", _MINUS: "-", _E: "e", _PLUS: "+", _ZERO: "0"}
 #: which costs more than the larger block saves
 _CSV_BLOCK = 5_000
 #: fewest rendered values (see :func:`_rendered_p`) each row range must hold
-#: for a CSV to be split over processes.  On a 2-vCPU VM a split of 50,000
-#: values in all lost to one process, 74,000 won by 3 ms of 23 ms and 124,000
-#: by 22 ms of 63 ms: below that the fork and the join of the part cost about
-#: what the second CPU saves
+#: for a CSV to be split over processes.  On a 2-vCPU VM, in 12 alternating
+#: fresh-process runs each, a split rendered 124,000 values in 35 ms against
+#: 51 ms in one process and 853,000 in 133 against 177 ms, and lost on 4,200
+#: values (10 against 4 ms); no shipped CSV falls between those sizes
 _RANGE_MIN_VALUES = 50_000
 
 
@@ -305,13 +305,12 @@ def _rendered_p(photon_dist: np.ndarray) -> int:
     return int(used[-1]) + 1 if used.size else 0
 
 
-def _csv_rows(traj: Trajectory, omega: float, n_p: int, start: int, stop: int):
-    """The canonical CSV bytes of rows start .. stop - 1 of a trajectory, in
-    blocks rendered by :func:`_format_block`.
+def _csv_rows(traj: Trajectory, period: float, n_p: int, start: int, stop: int):
+    """The canonical CSV bytes of rows start .. stop - 1 of a trajectory, its
+    times in units of ``period``, in blocks rendered by :func:`_format_block`.
 
     The kernel renders the first ``n_p`` P columns (see :func:`_rendered_p`);
     the others are +0.0 throughout, and each row end gets their ',0' text."""
-    period = 2.0 * math.pi / omega
     row_end = b",0" * (traj.photon_dist.shape[1] - n_p) + b"\n"
     n_cols = 4 + n_p
     rows = max(1, _CSV_BLOCK // n_cols)
@@ -354,7 +353,7 @@ def _row_bounds(n_rows: int, n_cols: int) -> list:
     return [n_rows * i // parts for i in range(parts + 1)]
 
 
-def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int,
+def _fork_worker(traj: Trajectory, period: float, n_p: int, start: int, stop: int,
                  path: str) -> tuple:
     """Fork a process that renders rows start .. stop - 1 of ``traj`` (see
     :func:`_csv_rows`) into a part file beside ``path``; returns (pid, part).
@@ -380,7 +379,7 @@ def _fork_worker(traj: Trajectory, omega: float, n_p: int, start: int, stop: int
     if pid == 0:  # the worker: it never returns into the caller
         status = 1
         try:
-            for text in _csv_rows(traj, omega, n_p, start, stop):
+            for text in _csv_rows(traj, period, n_p, start, stop):
                 if os.getppid() != parent:  # killed: nobody joins this part
                     os._exit(status)
                 part.write(text)
@@ -415,9 +414,9 @@ def _join(workers: list, out: int) -> str:
         return ""
 
 
-def emit_csv(traj: Trajectory, path: str, *, omega: float, done=lambda: None) -> None:
-    """Stream a trajectory CSV into an atomic write, its rows rendered in
-    contiguous ranges, one per usable CPU (see :func:`_row_bounds`).
+def emit_csv(traj: Trajectory, path: str, *, period: float, done=lambda: None) -> None:
+    """Stream a trajectory CSV (times in units of ``period``) into an atomic
+    write, rendered in row ranges, one per usable CPU (:func:`_row_bounds`).
 
     This is the one place that decides a CSV: it counts the P columns the
     kernel renders (:func:`_rendered_p`) once, sizes the ranges on them and
@@ -435,12 +434,12 @@ def emit_csv(traj: Trajectory, path: str, *, omega: float, done=lambda: None) ->
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             with _interrupts_held():  # until the worker is listed for the cleanup below
-                worker = _fork_worker(traj, omega, n_p, start, stop, path)
+                worker = _fork_worker(traj, period, n_p, start, stop, path)
                 workers.append((start, stop - 1, *worker))
         with _atomic_write(path, done) as handle:
             header = "t_periods,W,norm,energy" + "".join(f",P{i}" for i in range(n_max))
             handle.write(f"{header}\n".encode())
-            handle.writelines(_csv_rows(traj, omega, n_p, 0, bounds[1]))
+            handle.writelines(_csv_rows(traj, period, n_p, 0, bounds[1]))
             handle.flush()
             while workers:
                 first, last = workers[0][:2]

@@ -25,8 +25,8 @@ column j times the factor exp(L_j x) at sample position x (r_j^k =
 exp(k log r_j) for RK4, exp(-i E_j t) secular), in blocks of time samples
 (:func:`_expand`, which returns the trajectory).
 Columns whose initial weight is negligible are dropped before the
-expansion, and each block takes its factors from a table of phases over its
-step offsets.  One top-five rule flags either route's truncation.
+expansion, and every block takes its factors from one table of phases per
+run.  One top-five rule flags either route's truncation.
 
 The sampled observables are the population inversion W = <sigma_z>, the
 photon-number distribution P_N summed over spin, the squared norm, and the
@@ -210,13 +210,13 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
     total weight, ||psi - psi_pruned|| <= sqrt(w) wherever |exp(L_j x)| <= 1,
     so no W or P value moves by more than 2 sqrt(w) + w.  The samples go in
     blocks of at most :data:`_RWA_BLOCK`, so working memory does not depend
-    on their count.  A block starting at x_0 takes its factors as
-    exp(L x_0) exp(L (x - x_0)), the second from a table over the block's
-    step offsets, built again only when the offsets change (once per run on
-    a uniform grid).  Its product with the basis is one real GEMM on the
-    float view of the complex factors.  The energy sum_j |f_j|^2 E_j of
-    factors f = head * table, head = c exp(L x_0), is (|head|^2 E) @ |table|^2
-    over the kept columns.
+    on their count.  A block at x_0 takes its factors as exp(L x_0) times one
+    table of phases over the first block's steps, built once per run: on the
+    uniform :func:`sample_steps` grid every block's step offsets are a prefix
+    of those, and only an off-grid final step takes c exp(L x) directly.  The
+    product with the basis is one real GEMM on the float view of the complex
+    factors.  The energy sum_j |f_j|^2 E_j of factors f = head * table,
+    head = c exp(L x_0), is (|head|^2 E) @ |table|^2 over the kept columns.
     """
     weights = np.abs(coeffs) ** 2
     keep = ~(weights <= _PRUNE_TOL)
@@ -226,21 +226,21 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
         pruned_weight=float(np.sum(weights[~keep])),
     )
     basis, coeffs, rates, energies = basis[:, keep], coeffs[keep], rates[keep], energies[keep]
-    offsets = table = None
+    table = np.exp(np.outer(rates, steps[:_RWA_BLOCK] * unit))
+    table_sq = np.abs(table) ** 2
     for start in range(0, n_t, _RWA_BLOCK):
         rows = slice(start, start + _RWA_BLOCK)
-        block_offsets = steps[rows] - steps[start]
-        if table is None or not np.array_equal(block_offsets, offsets):
-            offsets = block_offsets
-            table = np.exp(np.outer(rates, offsets * unit))
-            table_sq = np.abs(table) ** 2
+        width = min(_RWA_BLOCK, n_t - start)
         head = coeffs * np.exp(rates * (steps[start] * unit))
-        factors = head[:, None] * table
+        factors = head[:, None] * table[:, :width]
+        traj.energy[rows] = (np.abs(head) ** 2 * energies) @ table_sq[:, :width]
+        if steps[start + width - 1] - steps[start] != steps[width - 1]:  # an off-grid final step
+            factors[:, -1] = coeffs * np.exp(rates * (steps[-1] * unit))
+            traj.energy[-1] = np.abs(factors[:, -1]) ** 2 @ energies
         psi_t = (basis @ factors.view(np.float64)).view(np.complex128)  # (dim, block)
         traj.inversion[rows], block = observables(psi_t)
         traj.photon_dist[rows] = block.T
         traj.norm[rows] = np.sum(block, axis=0)
-        traj.energy[rows] = (np.abs(head) ** 2 * energies) @ table_sq
     traj.final_state = psi_t[:, -1].copy()
     return traj
 
@@ -421,11 +421,11 @@ def evolve_rwa(
 
     The expansion runs in time blocks (:func:`_expand`): each block's phases
     are exp(-i E (k_0 dt)) at its first step k_0, the argument a single
-    expansion over the whole grid would take there, times a table of
-    exp(-i E ((k - k_0) dt)) over its step offsets.  Columns holding at most
-    :data:`_PRUNE_TOL` of the initial weight are dropped, and the dropped
-    weight w (``pruned_weight``) bounds the change of any W or P value by
-    2 sqrt(w) + w.
+    expansion over the whole grid would take there, times the run's one
+    table of exp(-i E ((k - k_0) dt)) over step offsets.  Columns holding at
+    most :data:`_PRUNE_TOL` of the initial weight are dropped, and the
+    dropped weight w (``pruned_weight``) bounds the change of any W or P
+    value by 2 sqrt(w) + w.
     """
     steps = sample_steps(t_end, dt, sample_every)
     unit, label = (1.0, "") if period is None else (period, " periods")

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: ln 2 = _LN2_HI + _LN2_LO, where k _LN2_HI is exact for |k| < 2**21 (Cody-Waite)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 #: n_max x n_max float64 matrices :func:`displacement_matrix` holds at its peak,
 #: rounded up: tracemalloc measures 1.01-1.35 at n_max 50-1200, the matrix it
 #: returns and its O(n_max) vectors
@@ -84,18 +86,35 @@ def laguerre_poly(n: int, l: int, x: float) -> float:
     Evaluated with the three-term recurrence in the degree, which is
     numerically stable and O(n); the Rodrigues derivative form is not used.
     The superscript may be any integer (the recurrence stays valid below -n).
+    A value past the float range raises OverflowError.
     """
+    return math.ldexp(*_laguerre_frexp(n, l, x))
+
+
+def _laguerre_frexp(n: int, l: int, x: float) -> tuple[float, int]:
+    """L_n^l(x) as (m, e), the value m 2**e with m = 0 or 0.5 <= |m| < 1:
+    :func:`laguerre_poly`'s recurrence with a binary exponent carried
+    through it, so that no step overflows and, where the plain recurrence
+    stays in range, the value is its value."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + l - x
+    prev, cur, exponent = 1.0, (1.0 + l - x if n else 1.0), 0
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + l - x) * cur - (k + l) * prev) / (k + 1)
-    return cur
+        if abs(cur) > 2.0**512:  # both terms scaled by one power of two, which rounds nothing
+            cur, scale = math.frexp(cur)
+            prev, exponent = math.ldexp(prev, -scale), exponent + scale
+    mantissa, scale = math.frexp(cur)
+    return mantissa, exponent + scale
+
+
+def _exp_frexp(y: float) -> tuple[float, int]:
+    """exp(y) as (m, k), its value m 2**k with k = round(y / ln 2), so that m
+    lies in [0.7, 1.42] for any finite y; m is exp(y) itself where k = 0."""
+    k = round(y / math.log(2.0))
+    return math.exp((y - k * _LN2_HI) - k * _LN2_LO), k
 
 
 def laguerre_transition(s: int, s_prime: int, alpha: float) -> float:
@@ -105,8 +124,9 @@ def laguerre_transition(s: int, s_prime: int, alpha: float) -> float:
     displacement sqrt(alpha) >= 0.  For s < s' the call is routed through the
     antisymmetry relation I(s, s') = (-1)^(s-s') I(s', s) so that both index
     orders share one code path and the relation holds exactly as computed.
-    Factorial ratios go through lgamma, keeping indices up to several hundred
-    free of overflow.
+    Factorial ratios go through lgamma, and the prefactor and the Laguerre
+    value each carry a binary exponent, so a representable I comes out where
+    the Laguerre value overflows and the prefactor underflows.
     """
     if s < 0 or s_prime < 0:
         raise ValueError(f"indices must be >= 0, got ({s}, {s_prime})")
@@ -123,7 +143,9 @@ def laguerre_transition(s: int, s_prime: int, alpha: float) -> float:
         + 0.5 * (s - s_prime) * math.log(alpha)
         - 0.5 * alpha
     )
-    return math.exp(log_pref) * laguerre_poly(s_prime, s - s_prime, alpha)
+    scale, twos = _exp_frexp(log_pref)
+    mantissa, exponent = _laguerre_frexp(s_prime, s - s_prime, alpha)
+    return math.ldexp(scale * mantissa, twos + exponent)
 
 
 def _displaced_vacuum(beta: float, n_max: int) -> np.ndarray:

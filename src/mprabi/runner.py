@@ -215,6 +215,8 @@ class RunPlan(NamedTuple):
     outputs: dict  # manifest "outputs": manifest, csv and rwa_csv paths
     params: ModelParams
     n: int  # photon order of the resonance
+    period: float  # 2 pi / omega: the time unit of the config, the CSVs and the messages
+    grid: tuple  # (t_end, dt, sample_every), the first two in units of 1/omega
     projections: dict[str, Projection]  # the start state's, per route run, in _CSV_KEYS order
 
 
@@ -225,9 +227,9 @@ def plan_run(
 
     Resolves the files the run writes (the manifest, plus one CSV per
     propagator) with :func:`resolve_outputs`, resolves the model parameters,
-    counts the samples (:func:`~mprabi.dynamics.sample_count`, with no grid
-    built) and prepares the initial state.  It keeps the state's projection
-    for each route that runs, which the route's propagator then expands:
+    settles the time grid and counts its samples (with no grid built) and
+    prepares the initial state.  It keeps the state's projection for each
+    route that runs, which the route's propagator then expands:
     :func:`~mprabi.dynamics.project_numeric` on the full Hamiltonian, which
     it assembles, and :func:`~mprabi.dynamics.project_secular`, which raises
     the strong-coupling warning.  Raises one :class:`ConfigError` with every
@@ -246,9 +248,10 @@ def plan_run(
     outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
     period = 2.0 * math.pi / params.omega
+    grid = (config.t_end * period, config.dt * period, config.sample_every)
     samples = 0  # stays 0 when the count is the problem
     try:
-        samples = sample_count(config.t_end * period, config.dt * period, config.sample_every)
+        samples = sample_count(*grid)
     except (ValueError, OverflowError) as exc:
         problems.append(f"t_end / dt = {config.t_end / config.dt:.6g} steps is too many: {exc}")
     if config.n_max <= TOP_LEVELS:  # the top levels would hold every photon
@@ -281,7 +284,7 @@ def plan_run(
         )
     if problems:
         raise ConfigError(problems)
-    return RunPlan(outputs, params, n, projections)
+    return RunPlan(outputs, params, n, period, grid, projections)
 
 
 def plan_spectrum(config: ScenarioConfig, output_dir: str | None = None) -> tuple:
@@ -312,8 +315,8 @@ def run_scenario(
     """Execute one scenario end to end.
 
     Settles the run with :func:`plan_run`, runs each route's propagator on
-    its projection, and writes the CSV trajectories plus the manifest, which
-    it returns as the dict it wrote.
+    its projection and the plan's grid, and writes the CSV trajectories (in
+    the plan's period) plus the manifest, which it returns as the dict it wrote.
     Numerical validity (norm drift of every trajectory, truncation occupancy,
     the initial weight each expansion pruned beside the bound it sets on any
     W or P value, and the secular projection's strong-coupling weight beside
@@ -339,11 +342,9 @@ def run_scenario(
     error = None
     with recorded_warnings() as caught:
         with _timed(timings, "plan"):
-            outputs, params, n, projections = plan_run(config, output_dir, timings)
+            outputs, params, n, period, grid, projections = plan_run(config, output_dir, timings)
         timings["plan"] -= timings["hamiltonian"] + timings["secular_basis"]
         written = {"manifest": outputs["manifest"]}
-        period = 2.0 * math.pi / params.omega
-        grid = (config.t_end * period, config.dt * period, config.sample_every)
         try:
             evolve = {"numeric": evolve_numeric, "rwa": evolve_rwa}
             for route, projection in projections.items():
@@ -352,7 +353,7 @@ def run_scenario(
             with _timed(timings, "emit"):
                 for route, traj in trajs.items():
                     key = _CSV_KEYS[route]
-                    emit_csv(traj, outputs[key], omega=params.omega,
+                    emit_csv(traj, outputs[key], period=period,
                              done=functools.partial(written.update, {key: outputs[key]}))
         except BaseException as exc:  # interrupts included: the manifest says how the run ended
             error = exc

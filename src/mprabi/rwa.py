@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmath import FockSpace, _reserve, displacement_matrix, laguerre_poly
+from .fockmath import FockSpace, _exp_frexp, _laguerre_frexp, _reserve, displacement_matrix
 from .model import ModelParams, ladder_energies
 
 #: detuning window (in units of omega) beyond which a resonance is flagged
@@ -138,10 +138,11 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     N!/(N - n)! is a float product, exact below 2**53.  Where it or s**(n-1)
     would leave the float range (the product always does from n = 171 on, as
     it is at least n!), s**(n-1) exp(-s**2/2) / sqrt(N!/(N - n)!) is taken
-    as one exponential of logs and lgamma terms.  Where L_{N-n}^{(n)}(s**2)
-    overflows while that factor underflows (from |s| ~ 38 at N = 600), the
-    product leaves the float range and ValueError names N, n and s.  Raises
-    no warning, however large V_N(n) is against omega.
+    as one exponential of logs and lgamma terms.  That exponential, the
+    Laguerre value and s**(n-1) each carry a binary exponent, so the product
+    is formed in range where L_{N-n}^{(n)}(s**2) overflows and exp(-s**2/2)
+    underflows (from |s| ~ 38 at N = 600).  ValueError names N, n and s where
+    V_N(n) itself leaves it.  Raises no warning, however large V_N(n) is.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
@@ -153,23 +154,23 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
     falling = math.prod(map(float, factors)) if n <= 170 else math.inf
     if falling < math.inf and (n - 1) * math.log(abs(s) or 1.0) < 700.0:  # e**700 ~ 1e304
-        gauss, power, root = math.exp(-0.5 * s * s), s ** (n - 1), math.sqrt(falling)
+        log_gauss, power, root = -0.5 * s * s, s ** (n - 1), math.sqrt(falling)
     else:
         log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
-        size = math.exp((n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root)
-        gauss, power, root = 1.0, (-size if s < 0 and n % 2 == 0 else size), 1.0
+        log_gauss = (n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root
+        power, root = (-1.0 if s < 0 and n % 2 == 0 else 1.0), 1.0
+    laguerre, laguerre_twos = _laguerre_frexp(n_manifold - n, n, s * s)
+    gauss, twos = _exp_frexp(log_gauss)
+    power, power_twos = math.frexp(power)
     value = (
-        (-1) ** n * params.lambda_eg * gauss
-        * laguerre_poly(n_manifold - n, n, s * s) * power
+        (-1) ** n * params.lambda_eg * gauss * laguerre * power
         * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
         / root
     )
-    if not math.isfinite(value):
-        raise ValueError(
-            f"V_N(n) at N = {n_manifold}, n = {n}, s = {s:.6g} leaves the float range: "
-            f"L_{n_manifold - n}^({n})(s**2) overflows where exp(-s**2/2) underflows"
-        )
-    return value
+    twos += laguerre_twos + power_twos
+    if not (math.isfinite(value) and math.frexp(value)[1] + twos <= 1024):
+        raise ValueError(f"V_N(n) at N = {n_manifold}, n = {n}, s = {s:.6g} leaves the float range")
+    return math.ldexp(value, twos)
 
 
 def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:

@@ -675,8 +675,8 @@ class TestEvolveRwa:
     @pytest.mark.parametrize(
         "n_t",
         # B + 1 and 2B + 1 leave a lone last sample in a block of its own; the
-        # last step of 3B + 17 falls off the sampling interval, so its block
-        # needs a phase table of its own
+        # last step of 3B + 17 falls off the sampling interval, so it takes
+        # its factor directly, not from the phase table
         [2, _RWA_BLOCK, _RWA_BLOCK + 1, 2 * _RWA_BLOCK + 1, 3 * _RWA_BLOCK + 17],
     )
     def test_blocks_match_one_shot_expansion(self, n_t, order):
@@ -727,6 +727,45 @@ class TestEvolveRwa:
             traj = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, DT, 100)
             inversion = inversion_fock(params, 2, traj.times)
         assert len(traj) == _RWA_BLOCK + 1
+        assert np.max(np.abs(traj.inversion - inversion)) < 1e-8
+        w, p = observables(traj.final_state)
+        assert w == traj.inversion[-1]
+        assert np.array_equal(p, traj.photon_dist[-1])
+
+    @pytest.mark.parametrize("propagator", ["numeric", "rwa"])
+    @pytest.mark.parametrize("off_grid", [0, 37], ids=["on-grid", "off-grid"])
+    def test_one_phase_table_per_expansion(self, monkeypatch, propagator, off_grid):
+        # B + 81 samples fill two blocks; the second block's step offsets are
+        # a prefix of the first's, so one table of phases serves both.  37
+        # steps past the last full interval, the final step falls off the
+        # grid and takes its factor directly: both routes still follow their
+        # references there, eigh propagation and the secular closed form
+        params = two_photon_params()
+        space = FockSpace(30)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        n_steps = (_RWA_BLOCK + 80 - (off_grid > 0)) * 100 + off_grid
+        h = build_full(params, space)
+        if propagator == "numeric":
+            projection, evolve = project_numeric(h, psi0), evolve_numeric
+        else:
+            projection, evolve = project_secular(params, 2, psi0, 1), evolve_rwa
+        outer, tables = np.outer, []
+        monkeypatch.setattr(np, "outer", lambda a, b: tables.append(len(b)) or outer(a, b))
+        traj = evolve(projection, n_steps * DT, DT, 100)
+        monkeypatch.undo()
+        assert tables == [_RWA_BLOCK]
+        assert len(traj) == _RWA_BLOCK + 81
+        assert traj.times[-1] == n_steps * DT
+        if propagator == "numeric":
+            energies, vectors = np.linalg.eigh(h)
+            phases = np.exp(-1j * np.outer(energies, traj.times))
+            inversion, dist = observables(vectors @ (phases * (vectors.T @ psi0)[:, None]))
+            assert np.max(np.abs(traj.photon_dist - dist.T)) < 1e-8
+            final = traj.final_state
+            assert traj.energy[-1] == pytest.approx((final.conj() @ h @ final).real, rel=1e-12)
+        else:
+            inversion = inversion_fock(params, 2, traj.times)
+            assert traj.energy[-1] == pytest.approx(traj.energy[0], rel=1e-12)
         assert np.max(np.abs(traj.inversion - inversion)) < 1e-8
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]

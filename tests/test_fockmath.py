@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,25 @@ class TestLaguerrePoly:
 
     def test_degree_one_at_zero(self):
         assert laguerre_poly(1, 0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("n, l, x", [(200, 0, 1000.0), (250, 3, 1200.5), (150, -20, 900.0)])
+    def test_scaling_rounds_nothing(self, n, l, x):
+        # these pass 2**512 on the way, so the recurrence is scaled by powers
+        # of two, and they stay in the float range: the plain recurrence's bits
+        prev, cur = 1.0, 1.0 + l - x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1 + l - x) * cur - (k + l) * prev) / (k + 1)
+        assert abs(cur) > 2.0**512 and laguerre_poly(n, l, x) == cur
+
+    def test_past_the_float_range(self):
+        # L_599^(1)(66**2) is -1.27e732: laguerre_poly raises, and the scaled
+        # recurrence holds it to the recurrence's own rounding (5.6 eps here)
+        with pytest.raises(OverflowError):
+            laguerre_poly(599, 1, 66.0**2)
+        mantissa, exponent = fockmath._laguerre_frexp(599, 1, 66.0**2)
+        with mpmath.workdps(50):
+            error = mpmath.ldexp(mantissa, exponent) / mpmath.laguerre(599, 1, 4356) - 1
+        assert abs(error) < 1e-14
 
     def test_frozen_rodrigues_value(self):
         # L_3^2(3/2) via the Rodrigues form evaluated exactly:
@@ -136,6 +156,16 @@ class TestLaguerreTransition:
         val = laguerre_transition(500, 490, 2.0)
         assert math.isfinite(val)
         assert abs(val) < 1.0
+
+    @pytest.mark.parametrize("s, s_prime", [(700, 600), (1000, 900), (1200, 1100)])
+    def test_overflow_times_underflow_is_formed_in_range(self, s, s_prime):
+        # at alpha = 66**2 the Laguerre value overflows where the prefactor
+        # underflows, and their product was NaN; each carries a binary
+        # exponent instead.  The bound is the lgamma difference's rounding
+        got = laguerre_transition(s, s_prime, 66.0**2)
+        assert got == pytest.approx(displacement_mp(s, s_prime, 66.0), rel=1e-12)
+        sign = -1.0 if (s - s_prime) % 2 else 1.0
+        assert laguerre_transition(s_prime, s, 66.0**2) == sign * got
 
     def test_domain_violation(self):
         with pytest.raises(ValueError):

@@ -327,14 +327,14 @@ class TestConfigDocs:
 class TestEmitCsv:
     def test_single_sample_is_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv(make_tiny_trajectory(), str(path), omega=1.0)
+        emit_csv(make_tiny_trajectory(), str(path), period=2.0 * math.pi)
         lines = path.read_text().split("\n")
         assert lines[0] == "t_periods,W,norm,energy,P0,P1,P2"
         assert len(lines) == 3 and lines[2] == ""
 
     def test_lf_newlines_only(self, tmp_path):
         path = tmp_path / "lf.csv"
-        emit_csv(make_tiny_trajectory(), str(path), omega=1.0)
+        emit_csv(make_tiny_trajectory(), str(path), period=2.0 * math.pi)
         raw = path.read_bytes()
         assert b"\r" not in raw
 
@@ -349,7 +349,7 @@ class TestEmitCsv:
             energy=rng.normal(size=4),
         )
         path = tmp_path / "rt.csv"
-        emit_csv(traj, str(path), omega=1.0)
+        emit_csv(traj, str(path), period=2.0 * math.pi)
         rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
         parsed = np.array([[float(x) for x in row] for row in rows])
         assert np.array_equal(parsed[:, 0], traj.times / (2.0 * math.pi))
@@ -382,8 +382,8 @@ class TestEmitCsv:
         csv_rows = csvtext._csv_rows
         temp_sizes = []
 
-        def flaky(traj, omega, n_p, start, stop):
-            for i, chunk in enumerate(csv_rows(traj, omega, n_p, start, stop)):
+        def flaky(traj, period, n_p, start, stop):
+            for i, chunk in enumerate(csv_rows(traj, period, n_p, start, stop)):
                 if i == 1:
                     temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir())
                     raise RuntimeError("disk gremlin")
@@ -392,7 +392,7 @@ class TestEmitCsv:
         monkeypatch.setattr(csvtext, "_csv_rows", flaky)
         path = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="disk gremlin"):
-            emit_csv(traj, str(path), omega=1.0)
+            emit_csv(traj, str(path), period=2.0 * math.pi)
         assert len(temp_sizes) == 1 and temp_sizes[0] > 0
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
@@ -428,14 +428,14 @@ class TestEmitCsv:
     def test_bytes_match_per_value_rendering(self, traj, omega):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "out.csv")
-            emit_csv(traj, path, omega=omega)
+            emit_csv(traj, path, period=2.0 * math.pi / omega)
             with open(path, "rb") as handle:
                 assert handle.read() == reference_csv(traj, omega).encode("utf-8")
 
 
 def values_trajectory(values, n_max=16):
     """A trajectory whose CSV rows hold ``values`` in order, the last row
-    padded with zeros; emitted with omega = 2 pi, so that t_periods holds the
+    padded with zeros; emitted with period 1, so that t_periods holds the
     times unchanged."""
     n_cols = 4 + n_max
     grid = np.zeros(-(-len(values) // n_cols) * n_cols)
@@ -454,7 +454,7 @@ def rendering_mismatches(values, directory):
     """Lines where emit_csv differs from the per-value oracle (first three)."""
     traj = values_trajectory(np.asarray(values, dtype=float))
     path = os.path.join(directory, "kernel.csv")
-    emit_csv(traj, path, omega=2.0 * math.pi)
+    emit_csv(traj, path, period=1.0)
     with open(path, "rb") as handle:
         got = handle.read().decode("ascii").split("\n")
     want = reference_csv(traj, 2.0 * math.pi).split("\n")
@@ -537,9 +537,9 @@ def force_split(monkeypatch, cpus):
     fork_worker = csvtext._fork_worker
     forked = []
 
-    def counted(traj, omega, n_p, start, stop, path):
+    def counted(traj, period, n_p, start, stop, path):
         forked.append(stop - start)
-        return fork_worker(traj, omega, n_p, start, stop, path)
+        return fork_worker(traj, period, n_p, start, stop, path)
 
     monkeypatch.setattr(csvtext, "_fork_worker", counted)
     return forked
@@ -575,15 +575,33 @@ class TestSplitEmit:
         traj = values_trajectory(edge_values(rows * 20))
         with np.errstate(invalid="ignore"):
             sequential = tmp_path / "sequential.csv"
-            emit_csv(traj, str(sequential), omega=2.0 * math.pi)
+            emit_csv(traj, str(sequential), period=1.0)
             forked = force_split(monkeypatch, cpus=4)
             split = tmp_path / "split.csv"
-            emit_csv(traj, str(split), omega=2.0 * math.pi)
+            emit_csv(traj, str(split), period=1.0)
         assert len(forked) == min(4, rows) - 1
         assert sum(forked) == rows - rows // min(4, rows)
         assert split.read_bytes() == sequential.read_bytes()
         assert split.read_bytes() == reference_csv(traj, 2.0 * math.pi).encode("ascii")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sequential.csv", "split.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("omega", [1.0, 0.7, 3.0])
+    def test_period_writes_the_bytes_of_omega(self, tmp_path, monkeypatch, omega):
+        # the writer takes the period 2 pi / omega that a run's plan settles,
+        # and writes t_periods = times / (2 pi / omega), the oracle's bytes,
+        # in one process and split alike
+        rng = np.random.default_rng(11)
+        period = 2.0 * math.pi / omega
+        traj = values_trajectory(rng.uniform(-1.0, 1.0, 300 * 20))
+        traj.times = np.arange(300) * (0.01 * period)
+        expected = reference_csv(traj, omega).encode("ascii")
+        emit_csv(traj, str(tmp_path / "sequential.csv"), period=period)
+        forked = force_split(monkeypatch, cpus=3)
+        emit_csv(traj, str(tmp_path / "split.csv"), period=period)
+        assert forked == [100, 100]
+        assert (tmp_path / "sequential.csv").read_bytes() == expected
+        assert (tmp_path / "split.csv").read_bytes() == expected
         assert_no_child_left()
 
     def test_two_route_run_writes_the_one_route_bytes(self, tmp_path, monkeypatch):
@@ -655,7 +673,7 @@ class TestSplitEmit:
         path = tmp_path / "out.csv"
         traj = values_trajectory(np.arange(600 * 20, dtype=float))
         with pytest.raises(OSError) as info:
-            emit_csv(traj, str(path), omega=2.0 * math.pi)
+            emit_csv(traj, str(path), period=1.0)
         assert str(info.value) == f"CSV worker for rows 300..599 of {path}: exit status -9"
         assert part_sizes[0] > 0  # the rows it rendered before it was killed
         assert list(tmp_path.iterdir()) == []
@@ -677,7 +695,7 @@ class TestSplitEmit:
         monkeypatch.setattr(csvtext, "_format_block", gremlin)
         traj = values_trajectory(edge_values(600 * 20))
         with pytest.raises(type(interrupt)):
-            emit_csv(traj, str(tmp_path / "out.csv"), omega=1.0)
+            emit_csv(traj, str(tmp_path / "out.csv"), period=2.0 * math.pi)
         assert forked == [200, 200]
         assert list(tmp_path.iterdir()) == []
         assert_no_child_left()
@@ -703,7 +721,7 @@ class TestSplitEmit:
             emitter = os.fork()
         if emitter == 0:
             try:
-                emit_csv(traj, str(tmp_path / "out.csv"), omega=2.0 * math.pi)
+                emit_csv(traj, str(tmp_path / "out.csv"), period=1.0)
             finally:
                 os._exit(0)
         children = Path(f"/proc/{emitter}/task/{emitter}/children")
@@ -760,11 +778,11 @@ class TestSplitEmit:
             return format_block(values, source)
 
         monkeypatch.setattr(csvtext, "_format_block", counted)
-        emit_csv(traj, str(tmp_path / "sequential.csv"), omega=2.0 * math.pi)
+        emit_csv(traj, str(tmp_path / "sequential.csv"), period=1.0)
         assert sum(rendered) == 300 * (4 + kept)
         rendered.clear()
         forked = force_split(monkeypatch, cpus=3)
-        emit_csv(traj, str(tmp_path / "split.csv"), omega=2.0 * math.pi)
+        emit_csv(traj, str(tmp_path / "split.csv"), period=1.0)
         assert forked == [100, 100]
         assert sum(rendered) == 100 * (4 + kept)  # this process's range; workers count apart
         assert (tmp_path / "sequential.csv").read_bytes() == expected
@@ -779,9 +797,9 @@ class TestSplitEmit:
         fork_worker = csvtext._fork_worker
         forked = []
 
-        def counted(traj, omega, n_p, start, stop, path):
+        def counted(traj, period, n_p, start, stop, path):
             forked.append(stop - start)
-            return fork_worker(traj, omega, n_p, start, stop, path)
+            return fork_worker(traj, period, n_p, start, stop, path)
 
         monkeypatch.setattr(csvtext, "_fork_worker", counted)
         rng = np.random.default_rng(5)
@@ -792,12 +810,12 @@ class TestSplitEmit:
             photon_dist=p, norm=np.ones(1000), energy=rng.uniform(size=1000),
         )
         assert 1000 * (4 + 96) >= 2 * csvtext._RANGE_MIN_VALUES > 1000 * (4 + 6)
-        emit_csv(traj, str(tmp_path / "tail.csv"), omega=2.0 * math.pi)
+        emit_csv(traj, str(tmp_path / "tail.csv"), period=1.0)
         assert forked == []
         assert (tmp_path / "tail.csv").read_bytes() == reference_csv(traj, 2.0 * math.pi).encode()
         # the same rows with their last column rendered split in two
         p[0, -1] = 0.5
-        emit_csv(traj, str(tmp_path / "full.csv"), omega=2.0 * math.pi)
+        emit_csv(traj, str(tmp_path / "full.csv"), period=1.0)
         assert forked == [500]
         assert (tmp_path / "full.csv").read_bytes() == reference_csv(traj, 2.0 * math.pi).encode()
         assert_no_child_left()
@@ -810,7 +828,7 @@ class TestSplitEmit:
         if how == "no-fork":
             monkeypatch.delattr(os, "fork")
         path = str(tmp_path / "out.csv")
-        emit = functools.partial(emit_csv, traj, path, omega=2.0 * math.pi)
+        emit = functools.partial(emit_csv, traj, path, period=1.0)
         with np.errstate(invalid="ignore"):
             if how == "off-main-thread":
                 worker = threading.Thread(target=emit)

@@ -13,7 +13,7 @@ from oracles import (
     coupling_mp, displacement_expm, ladder_matrix, position_operator, traced_peak,
 )
 from mprabi.config import parse_config
-from mprabi.dynamics import inversion_fock, project_secular
+from mprabi.dynamics import inversion_coherent, inversion_fock, project_secular
 from mprabi.fockmath import FockSpace
 from mprabi.model import ModelParams, build_full, ladder_energies
 from mprabi.runner import resolve_params
@@ -222,17 +222,42 @@ class TestCouplingElement:
 
     @pytest.mark.parametrize("lam", [20.0, 33.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_overflow_times_underflow_is_named(self, lam, n):
-        # L_{600-n}^{(n)}(s**2) overflows where exp(-s**2/2) underflows, and
-        # their product was NaN (50-digit mpmath gives +9.2e-6 at lambda 20,
-        # n = 1): the closed form and the curves built on it fail loudly
+    def test_overflow_times_underflow_is_formed_in_range(self, lam, n):
+        # L_{600-n}^{(n)}(s**2) overflows where exp(-s**2/2) underflows; with
+        # a binary exponent carried through both, their product is formed in
+        # range (50-digit mpmath gives +9.2e-6 at lambda 20, n = 1, and
+        # -1.33e-217 at lambda 33).  The bound is the degree recurrence's own
+        # rounding over its ~600 steps: 5.6-12.5 eps on these Laguerre values
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=lam, lambda_e=lam, lambda_eg=0.02)
-        named = re.escape(f"V_N(n) at N = 600, n = {n}, s = {2 * lam:g} leaves the float range")
+        expect = coupling_mp(params, 600, n)
+        got = coupling_element(params, 600, n)
+        assert expect != 0.0 and abs(got - expect) <= 32 * math.ulp(expect)
+        assert rabi_frequency(params, 600, n) == 2.0 * abs(got)
+
+    def test_closed_forms_on_overflow_times_underflow(self):
+        # the inversion series at lambda 33 sum V_N(1) over N ~ 850 .. 1350,
+        # each an overflowing Laguerre value times an underflowing Gaussian.
+        # At t = 1000, the same Poisson-weighted series over coupling_mp's
+        # V_N(1) (terms of weight >= 1e-13) gives W = 0.99993301094
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=33.0, lambda_e=33.0, lambda_eg=0.02)
+        t = np.array([0.0, 1e3])
+        fock, coherent = inversion_fock(params, 1, t), inversion_coherent(params, 1, 4.0, t)
+        assert fock == pytest.approx([1.0, 0.99993301094], abs=1e-9)
+        assert np.all(np.isfinite(coherent)) and np.all(np.abs(coherent) <= 1.0)
+        assert coherent[0] == -1.0
+
+    @pytest.mark.parametrize("lambda_g, lambda_e, lambda_eg",
+                             [(0.0, 0.0, 1e308), (0.5, -0.25, 1.7e308)])
+    def test_value_past_the_float_range_is_named(self, lambda_g, lambda_e, lambda_eg):
+        # only a V_N(n) that itself leaves the float range raises: V_100(1)
+        # is lambda_eg times 10 at s = 0 and times -1.065 at s = 0.25
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=lambda_g, lambda_e=lambda_e,
+                             lambda_eg=lambda_eg)
+        s = lambda_g + lambda_e
+        named = re.escape(f"V_N(n) at N = 100, n = 1, s = {s:g} leaves the float range")
         for call in (coupling_element, rabi_frequency):
             with pytest.raises(ValueError, match=named):
-                call(params, 600, n)
-        with pytest.raises(ValueError, match="leaves the float range"):
-            inversion_fock(params, n, 1.0)
+                call(params, 100, 1)
 
     def test_domain_violation(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
