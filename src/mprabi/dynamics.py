@@ -40,6 +40,7 @@ independent and may run in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ import numpy as np
 
 from .fockmath import FockSpace, _displaced_vacuum, _reserve, laguerre_transition
 from .model import ModelParams
-from .rwa import _secular_spectrum, _warn_strong, rabi_frequency
+from .rwa import _couplings, _secular_spectrum, _warn_strong
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
@@ -159,10 +160,8 @@ def prepare_initial(spec: InitialStateSpec, params: ModelParams, space: FockSpac
     photon marginal is Poisson with mean ``mean_photons`` either way.  A
     vector past numpy's index range raises MemoryError, as one past memory does.
     """
-    try:
-        vec = np.zeros(space.dim, dtype=complex)
-    except ValueError as exc:
-        raise MemoryError(str(exc)) from exc
+    _reserve(2, space.dim)  # the complex vector's two float64 halves
+    vec = np.zeros(space.dim, dtype=complex)
     if spec.kind == EXCITED_FOCK:
         if spec.n_photons >= space.n_max:
             raise TruncationError(
@@ -309,7 +308,7 @@ def project_numeric(h: np.ndarray, psi0: np.ndarray) -> Projection:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.shape[0],):
         raise ValueError("state and Hamiltonian dimensions disagree")
-    _reserve(_EIGH_MATRICES, h.shape[0])
+    _reserve(_EIGH_MATRICES, *h.shape)
     if np.iscomplexobj(h) and np.any(h.imag):  # .imag of a real h would be a new zero array
         raise ValueError("the Hamiltonian must be real symmetric")
     energies, vectors = np.linalg.eigh(h.real)
@@ -385,7 +384,7 @@ def project_secular(
     coeffs = s.basis.T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
     total = float(np.sum(np.abs(psi0) ** 2))
-    if captured < total * (1.0 - COMPLETENESS_TOL):
+    if not captured >= total * (1.0 - COMPLETENESS_TOL):  # written so that a NaN capture fails
         raise ProjectionError(
             f"secular basis captures only {captured / total:.8f} of the state; "
             "raise n_max or reconsider the initial state"
@@ -436,8 +435,8 @@ def evolve_rwa(
 
 
 def _series_weights(first_arg: float):
-    """Yield (N, weight) for weights I(N, 0, first_arg)^2 until the cumulative
-    weight exceeds 1 - WEIGHT_TOL."""
+    """Yield the weights I(N, 0, first_arg)^2, N = 0, 1, ..., until the
+    cumulative weight exceeds 1 - WEIGHT_TOL."""
     cum = 0.0
     n_photon = 0
     while cum < 1.0 - WEIGHT_TOL:
@@ -445,7 +444,7 @@ def _series_weights(first_arg: float):
             raise RuntimeError("weight series failed to converge")
         w = laguerre_transition(n_photon, 0, first_arg) ** 2
         cum += w
-        yield n_photon, w
+        yield w
         n_photon += 1
 
 
@@ -463,8 +462,8 @@ def inversion_fock(params: ModelParams, n: int, t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     e2 = (params.lambda_e / params.omega) ** 2
-    for n_photon, w in _series_weights(e2):
-        omega_r = rabi_frequency(params, n_photon + n, n)
+    for w, v in zip(_series_weights(e2), _couplings(params, n, n)):  # V_{N+n}(n)
+        omega_r = 2.0 * abs(v)
         out = out + w * np.cos(omega_r * t)
     return out if out.ndim else float(out)
 
@@ -487,9 +486,7 @@ def inversion_coherent(params: ModelParams, n: int, mean_photons: float, t):
     t = np.asarray(t, dtype=float)
     out = np.full_like(t, -1.0)
     rho = (math.sqrt(mean_photons) + params.lambda_g / params.omega) ** 2
-    for n_photon, w in _series_weights(rho):
-        if n_photon < n:
-            continue
-        omega_r = rabi_frequency(params, n_photon, n)
+    for w, v in zip(itertools.islice(_series_weights(rho), n, None), _couplings(params, n, n)):
+        omega_r = 2.0 * abs(v)
         out = out + 2.0 * w * np.sin(0.5 * omega_r * t) ** 2
     return out if out.ndim else float(out)

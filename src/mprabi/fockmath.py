@@ -30,6 +30,7 @@ to call from any number of threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,11 +44,14 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 _DISPLACEMENT_MATRICES = 2
 
 
-def _reserve(matrices: int, n: int) -> None:
-    """Ask the allocator for ``matrices`` float64 (n x n), a routine's peak, and
-    let them go unwritten, so that no page is touched: a peak it refuses raises
-    MemoryError (ValueError past the address range) before any work."""
-    np.empty((matrices, n, n))
+def _reserve(*shape: int) -> None:
+    """Ask the allocator for a float64 array of ``shape``, a routine's peak, and
+    let it go unwritten, so that no page is touched: a peak it refuses, or one
+    past numpy's index range, raises MemoryError before any work."""
+    try:
+        np.empty(shape)
+    except ValueError as exc:  # the one translation of numpy's size error
+        raise MemoryError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -93,21 +97,28 @@ def laguerre_poly(n: int, l: int, x: float) -> float:
 
 def _laguerre_frexp(n: int, l: int, x: float) -> tuple[float, int]:
     """L_n^l(x) as (m, e), the value m 2**e with m = 0 or 0.5 <= |m| < 1:
-    :func:`laguerre_poly`'s recurrence with a binary exponent carried
-    through it, so that no step overflows and, where the plain recurrence
-    stays in range, the value is its value."""
+    value n of :func:`_laguerre_sweep`."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
+    return next(itertools.islice(_laguerre_sweep(l, x), n, None))
+
+
+def _laguerre_sweep(l: int, x: float):
+    """Yield L_0^l(x), L_1^l(x), ... as :func:`_laguerre_frexp` gives them:
+    :func:`laguerre_poly`'s recurrence, advanced one degree per value, with
+    a binary exponent carried through it, so that no step overflows and,
+    where the plain recurrence stays in range, each value is its value."""
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
-    prev, cur, exponent = 1.0, (1.0 + l - x if n else 1.0), 0
-    for k in range(1, n):
+    yield math.frexp(1.0)
+    prev, cur, exponent = 1.0, 1.0 + l - x, 0
+    for k in itertools.count(1):
+        mantissa, scale = math.frexp(cur)
+        yield mantissa, exponent + scale
         prev, cur = cur, ((2 * k + 1 + l - x) * cur - (k + l) * prev) / (k + 1)
         if abs(cur) > 2.0**512:  # both terms scaled by one power of two, which rounds nothing
             cur, scale = math.frexp(cur)
             prev, exponent = math.ldexp(prev, -scale), exponent + scale
-    mantissa, scale = math.frexp(cur)
-    return mantissa, exponent + scale
 
 
 def _exp_frexp(y: float) -> tuple[float, int]:
@@ -180,7 +191,7 @@ def displacement_matrix(beta: float, space: FockSpace) -> np.ndarray:
     if not math.isfinite(beta):
         raise ValueError(f"displacement must be finite, got {beta}")
     n_max = space.n_max
-    _reserve(_DISPLACEMENT_MATRICES, n_max)
+    _reserve(_DISPLACEMENT_MATRICES, n_max, n_max)
     alpha = beta * beta
     l = np.arange(n_max, dtype=float)
     signs = 1.0 - 2.0 * (l % 2)

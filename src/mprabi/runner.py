@@ -79,6 +79,12 @@ _CSV_KEYS = {"numeric": "csv", "rwa": "rwa_csv"}
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: the config keys the manifest echoes as they are
 _CONFIG_RECORD = ("initial_kind", "n_photons", "mean_photons", "sample_every", "n_max", "order")
+#: largest |lambda_eg| / omega a run or export takes.  Its square then spends at
+#: most half the float range's exponent, and the other half is left for what
+#: multiplies it: the order-2 shifts reach 40 lambda_eg**2 n / omega on n levels,
+#: and the phases they drive grow with the run.  From ~1e153 the shifts, and from
+#: ~1e308 H and V_N(n) themselves, leave the range as NaN or Infinity
+_LAMBDA_EG_MAX = 2.0**256
 
 
 class ValidityError(RuntimeError):
@@ -160,10 +166,13 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
     Warns when the detuning delta_n = omega_eg - n omega leaves the
     |delta_n| < omega/10 window.  Raises :class:`ConfigError`, naming the
     keys that set them, when the parameters or omega_eg / omega leave the
-    float range.
+    float range, or |lambda_eg| passes :data:`_LAMBDA_EG_MAX`.
     """
     omega = config.omega
     try:
+        if not abs(config.lambda_eg) <= _LAMBDA_EG_MAX:
+            raise OverflowError(f"|lambda_eg| above 2**256 = {_LAMBDA_EG_MAX:.4g} omega drives "
+                                "level shifts past the float range")
         lambda_g, lambda_e = config.lambda_g * omega, config.lambda_e * omega
         omega0 = config.omega0
         if config.n is not None:
@@ -174,7 +183,7 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
         )
         n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
         delta = omega_eg(params) - n * params.omega
-    except (ValueError, OverflowError) as exc:  # an infinity, or a square past the range
+    except (ValueError, OverflowError) as exc:  # an infinity, a square past the range, lambda_eg
         keys = ("omega", "n", "omega0", "lambda_g", "lambda_e", "lambda_eg")
         given = ", ".join(f"'{k}' = {getattr(config, k)!r}" for k in keys if getattr(config, k))
         raise ConfigError([f"model outside the float range from {given}: {exc.args[-1]}"]) from exc
@@ -266,7 +275,7 @@ def plan_run(
         projections = {}
         if "numeric" in config.propagators:
             with _timed(timings, "hamiltonian"):
-                _reserve(1 + _EIGH_MATRICES, space.dim)  # H and its eigh, before H is written
+                _reserve(1 + _EIGH_MATRICES, space.dim, space.dim)  # H and its eigh, unwritten
                 projections["numeric"] = project_numeric(build_full(params, space), psi0)
         if "rwa" in config.propagators:
             with _timed(timings, "secular_basis"):
@@ -275,9 +284,9 @@ def plan_run(
         raise ConfigError([*problems, f"n_max = {config.n_max} is too large: {exc}"]) from exc
     except (ValueError, ProjectionError) as exc:  # TruncationError is a ValueError
         raise ConfigError([*problems, str(exc)]) from exc
-    try:  # the arrays the routes then hold at once; never written, so no page is touched
-        np.empty((len(config.propagators), samples, config.n_max + 4))
-    except (ValueError, MemoryError) as exc:
+    try:  # the arrays the routes then hold at once
+        _reserve(len(config.propagators), samples, config.n_max + 4)
+    except MemoryError as exc:
         problems.append(
             f"t_end / dt / sample_every = {samples} samples x n_max = {config.n_max} "
             f"is too large: {exc}"

@@ -52,13 +52,14 @@ All functions are pure and thread safe.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmath import FockSpace, _exp_frexp, _laguerre_frexp, _reserve, displacement_matrix
+from .fockmath import FockSpace, _exp_frexp, _laguerre_sweep, _reserve, displacement_matrix
 from .model import ModelParams, ladder_energies
 
 #: detuning window (in units of omega) beyond which a resonance is flagged
@@ -94,8 +95,8 @@ def _padded_size(params: ModelParams, n_top: int) -> int:
     n_loc = None
     try:
         n_loc = n_top + 22 + int(math.ceil(8.0 * (b * b + b * math.sqrt(n_top + 1.0))))
-        _reserve(_SPECTRUM_MATRICES, n_loc)
-    except (OverflowError, ValueError, MemoryError) as exc:
+        _reserve(_SPECTRUM_MATRICES, n_loc, n_loc)
+    except (OverflowError, MemoryError) as exc:
         size = "a level count past the float range" if n_loc is None else f"{n_loc} levels"
         raise ValueError(
             f"the secular ladder for |lambda_g| + |lambda_e| = {b:.6g} omega, {size}, "
@@ -143,34 +144,47 @@ def coupling_element(params: ModelParams, n_manifold: int, n: int) -> float:
     is formed in range where L_{N-n}^{(n)}(s**2) overflows and exp(-s**2/2)
     underflows (from |s| ~ 38 at N = 600).  ValueError names N, n and s where
     V_N(n) itself leaves it.  Raises no warning, however large V_N(n) is.
+    It is the first value of :func:`_couplings` from N.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
     if n_manifold < n:
         raise ValueError(f"manifold N = {n_manifold} must be >= n = {n}")
+    return next(_couplings(params, n, n_manifold))
+
+
+def _couplings(params: ModelParams, n: int, first: int):
+    """Yield V_N(n) for N = first, first + 1, ... (first >= n): the values
+    of :func:`coupling_element`, their Laguerre values read from one
+    :func:`_laguerre_sweep` advanced a degree per manifold, so that a series
+    over N costs O(N), not O(N**2).  The manifolds below ``first`` only
+    advance the sweep, and each V_N(n) is range-checked as it is yielded."""
     s = (params.lambda_e + params.lambda_g) / params.omega
     if s == 0.0 and n > 1:  # the selection rule, where L_{N-n}^{(n)}(0) may overflow
-        return 0.0
-    factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
-    falling = math.prod(map(float, factors)) if n <= 170 else math.inf
-    if falling < math.inf and (n - 1) * math.log(abs(s) or 1.0) < 700.0:  # e**700 ~ 1e304
-        log_gauss, power, root = -0.5 * s * s, s ** (n - 1), math.sqrt(falling)
-    else:
-        log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
-        log_gauss = (n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root
-        power, root = (-1.0 if s < 0 and n % 2 == 0 else 1.0), 1.0
-    laguerre, laguerre_twos = _laguerre_frexp(n_manifold - n, n, s * s)
-    gauss, twos = _exp_frexp(log_gauss)
-    power, power_twos = math.frexp(power)
-    value = (
-        (-1) ** n * params.lambda_eg * gauss * laguerre * power
-        * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
-        / root
-    )
-    twos += laguerre_twos + power_twos
-    if not (math.isfinite(value) and math.frexp(value)[1] + twos <= 1024):
-        raise ValueError(f"V_N(n) at N = {n_manifold}, n = {n}, s = {s:.6g} leaves the float range")
-    return math.ldexp(value, twos)
+        yield from itertools.repeat(0.0)
+    sweep = itertools.islice(_laguerre_sweep(n, s * s), first - n, None)
+    for n_manifold, (laguerre, laguerre_twos) in zip(itertools.count(first), sweep):
+        factors = range(n_manifold - n + 1, n_manifold + 1)  # N!/(N - n)! is their product
+        falling = math.prod(map(float, factors)) if n <= 170 else math.inf
+        if falling < math.inf and (n - 1) * math.log(abs(s) or 1.0) < 700.0:  # e**700 ~ 1e304
+            log_gauss, power, root = -0.5 * s * s, s ** (n - 1), math.sqrt(falling)
+        else:
+            log_root = 0.5 * (math.lgamma(n_manifold + 1) - math.lgamma(n_manifold - n + 1))
+            log_gauss = (n - 1) * math.log(abs(s)) - 0.5 * s * s - log_root
+            power, root = (-1.0 if s < 0 and n % 2 == 0 else 1.0), 1.0
+        gauss, twos = _exp_frexp(log_gauss)
+        power, power_twos = math.frexp(power)
+        value = (
+            (-1) ** n * params.lambda_eg * gauss * laguerre * power
+            * ((params.lambda_g - params.lambda_e) * s / params.omega - n)
+            / root
+        )
+        twos += laguerre_twos + power_twos
+        if not (math.isfinite(value) and math.frexp(value)[1] + twos <= 1024):
+            raise ValueError(
+                f"V_N(n) at N = {n_manifold}, n = {n}, s = {s:.6g} leaves the float range"
+            )
+        yield math.ldexp(value, twos)
 
 
 def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:

@@ -98,7 +98,7 @@ def traced_peak(monkeypatch, call) -> int:
     that it is the peak of the work the reservations stand for.  Skips the
     test when tracemalloc is already tracing."""
     for module in (fockmath, rwa, dynamics, runner):
-        monkeypatch.setattr(module, "_reserve", lambda matrices, n: None)
+        monkeypatch.setattr(module, "_reserve", lambda *shape: None)
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     tracemalloc.start()

@@ -161,7 +161,7 @@ class TestPrepareInitial:
     def test_coherent_start_is_column_zero_of_the_displacement(self, nbar, monkeypatch):
         # the start is one vector, bit for bit the k = 0 column of the matrix,
         # which it does not build: the matrix's reservation is refused
-        def refused(matrices, n):
+        def refused(*shape):
             raise MemoryError("no matrix for one column")
 
         space = FockSpace(120)
@@ -571,13 +571,13 @@ class TestEvolveNumeric:
 
     def test_a_refused_reservation_stops_it(self, monkeypatch):
         # the eigh's peak is reserved before any work, once the state fits H
-        def refused(matrices, n):
-            raise MemoryError(f"refused ({matrices}, {n}, {n})")
+        def refused(*shape):
+            raise MemoryError(f"refused {shape}")
 
-        monkeypatch.setattr(dynamics, "_reserve", refused)
         params = two_photon_params()
         space = FockSpace(8)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        monkeypatch.setattr(dynamics, "_reserve", refused)
         with pytest.raises(MemoryError, match=re.escape(f"({dynamics._EIGH_MATRICES}, 16, 16)")):
             project_numeric(build_full(params, space), psi0)
 
@@ -640,6 +640,15 @@ class TestEvolveRwa:
         )
         with pytest.raises(ProjectionError):
             evolve_rwa(project_secular(params, 2, psi0, 1), 10.0, 2.5)
+
+    def test_a_nan_basis_fails_the_projection(self):
+        # lambda_eg = 1e160 omega squares past the float range in the order-2
+        # shifts and the secular basis comes out NaN: the capture check fails
+        # on it, where a NaN capture passed it and the run wrote a NaN CSV
+        params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=1e160)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(12))
+        with np.errstate(all="ignore"), pytest.raises(ProjectionError, match="captures only nan "):
+            project_secular(params, 1, psi0, 2)
 
     def test_agrees_with_numeric_jc(self):
         # cross-propagator check in the plain single-photon regime

@@ -3,6 +3,7 @@ displacement matrices and their columns, the displaced Fock states."""
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +31,25 @@ from mprabi.fockmath import (
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+class TestReserve:
+    @pytest.mark.parametrize("shape, message", [
+        ((6, 5 * 10**8, 5 * 10**8), "array is too big; "),
+        ((8, 10**20, 10**20), "Maximum allowed dimension exceeded"),
+    ], ids=["past-the-index-range", "past-the-dimension-range"])
+    def test_past_the_index_range_is_memory_error(self, shape, message):
+        # a peak past numpy's index range is MemoryError, as a peak past
+        # memory is, where it was numpy's ValueError; nothing is allocated
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=re.escape(message)):
+                fockmath._reserve(*shape)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
 
 
 class TestFockSpace:
@@ -217,14 +237,14 @@ class TestDisplacementMatrix:
         # the reservation comes first and once, for either sign of beta
         asked = []
 
-        def refused(matrices, n):
-            asked.append((matrices, n))
+        def refused(*shape):
+            asked.append(shape)
             raise MemoryError("refused")
 
         monkeypatch.setattr(fockmath, "_reserve", refused)
         with pytest.raises(MemoryError, match="refused"):
             displacement_matrix(beta, FockSpace(30))
-        assert asked == [(_DISPLACEMENT_MATRICES, 30)]
+        assert asked == [(_DISPLACEMENT_MATRICES, 30, 30)]
 
     def test_expm_oracle_random_cases(self):
         rng = np.random.default_rng(42)

@@ -2049,6 +2049,51 @@ class TestCli:
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
 
+    def test_hamiltonian_past_the_index_range_is_named_as_too_large(self, tmp_path, monkeypatch):
+        # at n_max 2.3e8, H with its eigh's peak, shape (6, 4.6e8, 4.6e8), is
+        # past numpy's index range, not just past memory: the plan names
+        # n_max as for any peak too large, where it gave numpy's bare "array
+        # is too big".  A small start stands in for the 7 GB vector
+        monkeypatch.setattr(runner, "prepare_initial", lambda *args: np.zeros(4, dtype=complex))
+        config = parse_config(json.dumps({**QUICK, "n_max": 230_000_000}))
+        with pytest.raises(ConfigError) as caught:
+            runner.plan_run(config, str(tmp_path))
+        assert [problem.split(": ")[0] for problem in caught.value.problems] == [
+            "n_max = 230000000 is too large"
+        ]
+        assert str(caught.value).startswith("n_max = 230000000 is too large: array is too big")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "spectrum"])
+    @pytest.mark.parametrize("payload", [
+        {"lambda_eg": 1e160, "order": 2, "propagators": ["rwa"]},
+        {"lambda_eg": 1e308},
+    ], ids=["shifts-past-the-float-range", "hamiltonian-past-the-float-range"])
+    def test_coupling_past_the_float_range_is_config_error(self, tmp_path, command, payload):
+        # at n_max 12, lambda_eg = 1e160 squares past the float range in the
+        # order-2 shifts, and 1e308 in H and V_N(1) themselves: validate and
+        # spectrum exited 0 with NaN or Infinity, and run wrote a NaN CSV or
+        # failed with "Eigenvalues did not converge".  Each command refuses
+        # the coupling by name before any compute and writes nothing
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({
+            "n": 1, "n_max": 12, "t_end": 0.5, "dt": 0.01, "sample_every": 5, **payload,
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mprabi.cli", command, str(path), "--output-dir", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "configuration error:",
+            "  - model outside the float range from 'omega' = 1.0, 'n' = 1, 'lambda_eg' = "
+            f"{payload['lambda_eg']!r}: |lambda_eg| above 2**256 = 1.158e+77 omega drives "
+            "level shifts past the float range",
+        ]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
     def test_validate_of_a_long_run_stays_small(self, tmp_path):
         # a fresh launcher, so that the peak is that of validate alone; building

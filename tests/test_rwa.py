@@ -1,7 +1,9 @@
 """Resonance bookkeeping, coupling matrix elements, dressed states."""
 
+import itertools
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     coupling_mp, displacement_expm, ladder_matrix, position_operator, traced_peak,
 )
+from mprabi import dynamics, rwa
 from mprabi.config import parse_config
 from mprabi.dynamics import inversion_coherent, inversion_fock, project_secular
 from mprabi.fockmath import FockSpace
@@ -245,6 +248,59 @@ class TestCouplingElement:
         assert fock == pytest.approx([1.0, 0.99993301094], abs=1e-9)
         assert np.all(np.isfinite(coherent)) and np.all(np.abs(coherent) <= 1.0)
         assert coherent[0] == -1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("lam", [-1.5, -0.75, -0.3, 0.0, 0.1, 0.45, 1.0, 2.5, 7.0, 20.0, 33.0])
+    def test_sweep_gives_coupling_element_bits(self, lam, n):
+        # one Laguerre recurrence advanced a degree per manifold gives, bit
+        # for bit, the V_N(n) of a recurrence run afresh to each N; lambda_e
+        # = -lambda_g puts s = 0 (and the selection rule) in the grid
+        top = 1400 if abs(lam) >= 20.0 else 300
+        for lambda_e in (lam, -lam, 0.3):
+            params = ModelParams(omega=1.0, omega0=2.0, lambda_g=lam, lambda_e=lambda_e,
+                                 lambda_eg=0.02)
+            stream = list(itertools.islice(rwa._couplings(params, n, n), top - n))
+            for n_manifold in [*range(n, n + 40), *range(n + 40, top, 53)]:
+                got, fresh = stream[n_manifold - n], coupling_element(params, n_manifold, n)
+                assert struct.pack("<d", got) == struct.pack("<d", fresh), (lambda_e, n_manifold)
+
+    @pytest.mark.parametrize("lam, n", [(0.1, 2), (-0.45, 3), (2.5, 1), (33.0, 1)])
+    def test_series_sum_coupling_element_bits(self, lam, n):
+        # the closed-form series read V_N(n) off one sweep; their curves are,
+        # bit for bit, the sums over coupling_element term by term
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=lam, lambda_e=lam, lambda_eg=0.02)
+        t = np.array([0.0, 0.37, 1.0, 10.0, 123.4])
+        fock = np.zeros_like(t)
+        for k, w in enumerate(dynamics._series_weights((lam / params.omega) ** 2)):
+            fock = fock + w * np.cos(2.0 * abs(coupling_element(params, k + n, n)) * t)
+        coherent = np.full_like(t, -1.0)
+        rho = (math.sqrt(4.0) + lam / params.omega) ** 2
+        for n_manifold, w in enumerate(dynamics._series_weights(rho)):
+            if n_manifold >= n:
+                omega_r = 2.0 * abs(coupling_element(params, n_manifold, n))
+                coherent = coherent + 2.0 * w * np.sin(0.5 * omega_r * t) ** 2
+        assert inversion_fock(params, n, t).tobytes() == fock.tobytes()
+        assert inversion_coherent(params, n, 4.0, t).tobytes() == coherent.tobytes()
+
+    def test_one_sweep_per_series(self, monkeypatch):
+        # each series advances one recurrence a degree per term, where each
+        # term reran it from degree 0 (0.3 s for inversion_fock at lambda 33)
+        sweeps = []
+        sweep = rwa._laguerre_sweep
+
+        def counted(l, x):
+            sweeps.append(0)
+            for value in sweep(l, x):
+                sweeps[-1] += 1
+                yield value
+
+        monkeypatch.setattr(rwa, "_laguerre_sweep", counted)
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_g=33.0, lambda_e=33.0, lambda_eg=0.02)
+        inversion_fock(params, 1, [0.0, 1.0])
+        inversion_coherent(params, 1, 4.0, [0.0, 1.0])
+        terms = [len(list(dynamics._series_weights(33.0**2))),
+                 len(list(dynamics._series_weights((2.0 + 33.0) ** 2))) - 1]
+        assert sweeps == terms
 
     @pytest.mark.parametrize("lambda_g, lambda_e, lambda_eg",
                              [(0.0, 0.0, 1e308), (0.5, -0.25, 1.7e308)])
