@@ -71,6 +71,8 @@ TRUNCATION_TOL = 1e-8
 _RWA_BLOCK = 256
 #: initial weight |c_j|^2 at or below which the expansion drops column j
 _PRUNE_TOL = 1e-30
+#: |dt E| past which x**8 in the RK4 step factor would leave the float range
+_RK4_SCALE = 2.0**127
 #: dim x dim float64 matrices the eigh of :func:`project_numeric` adds to H at its
 #: peak (LAPACK's copy and workspace, the eigenvectors), rounded up: a fresh
 #: process's resident set grows by 3.4-4.1 of them at dim 1200-5000
@@ -244,17 +246,18 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
     return traj
 
 
-def _flag_truncation(traj: Trajectory, unit: float, label: str) -> None:
+def _flag_truncation(traj: Trajectory, period: float) -> None:
     """The top-five rule of both routes: where the top five photon levels
     first hold :data:`TRUNCATION_TOL` or more (or NaN), clear ``truncation_ok``
-    and warn once, in multiples of ``unit``, whose name ``label`` follows."""
+    and warn once, giving the time in oscillator periods ``period``."""
     top = np.sum(traj.photon_dist[:, -TOP_LEVELS:], axis=1)
     over = np.flatnonzero(~(top < TRUNCATION_TOL))
     if over.size:
         traj.truncation_ok = False
         warnings.warn(
             f"top five photon levels reached {top[over[0]]:.3e} population at t = "
-            f"{traj.times[over[0]] / unit:.6g}{label}; raise n_max", IntegratorWarning, stacklevel=3
+            f"{traj.times[over[0]] / period:.6g} periods; raise n_max", IntegratorWarning,
+            stacklevel=3,
         )
 
 
@@ -262,30 +265,38 @@ def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log|r| and arg r of the RK4 step factor r = R(-i x), x = dt E.
 
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and |R(-i x)|^2 = 1 - x^6/72 + x^8/576
-    exactly, so r^k = exp(k (log|r| + i arg r)) never rounds r itself.
+    exactly, so r^k = exp(k (log|r| + i arg r)) never rounds r itself.  Past
+    |x| = :data:`_RK4_SCALE`, where x**8 would overflow, both come from the
+    same polynomials divided by x**8 and x**4, in powers of y = 1/x, so a
+    huge step gives a huge finite log|r| and not inf - inf.
     """
-    log_mod = 0.5 * np.log1p(-(x**6) / 72.0 + x**8 / 576.0)
-    phase = np.arctan2(-(x - x**3 / 6.0), 1.0 - x**2 / 2.0 + x**4 / 24.0)
+    big = np.abs(x) > _RK4_SCALE
+    small = np.where(big, 0.0, x)
+    log_mod = 0.5 * np.log1p(-(small**6) / 72.0 + small**8 / 576.0)
+    phase = np.arctan2(-(small - small**3 / 6.0), 1.0 - small**2 / 2.0 + small**4 / 24.0)
+    if np.any(big):
+        y = 1.0 / x[big]
+        log_mod[big] = -4.0 * np.log(np.abs(y)) + 0.5 * np.log(1.0 / 576.0 - y**2 / 72.0 + y**8)
+        phase[big] = np.arctan2(y / 6.0 - y**3, 1.0 / 24.0 - y**2 / 2.0 + y**4)
     return log_mod, phase
 
 
-def _step_hint(weights, energies, t_end, dt, unit, label) -> str:
+def _step_hint(weights, energies, t_end, dt, period) -> str:
     """Name the first step dt/2^m, m >= 1, whose RK4 run keeps the norm in bound.
 
     While every |dt E_j| < sqrt(8), every |r_j| < 1, so the squared norm
     sum_j w_j |r_j|^(2k) only falls with k and its last value decides.  The
-    step is checked as the hint prints it, in multiples of ``unit``, whose
-    name ``label`` follows the number.
+    step is checked as the hint prints it, in oscillator periods ``period``.
     """
     for m in range(1, 60):
-        printed = float(f"{dt / unit / 2**m:.6g}")
-        step = printed * unit
+        printed = float(f"{dt / period / 2**m:.6g}")
+        step = printed * period
         x = step * energies
         if np.max(np.abs(x)) < math.sqrt(8.0):
             k = max(1, int(round(t_end / step)))
             final = weights @ np.exp(2.0 * k * _rk4_log_gain(x)[0])
             if abs(final - 1.0) <= NORM_TOL:
-                return f"a step of dt/2^{m} = {printed:.6g}{label} keeps it within bound"
+                return f"a step of dt/2^{m} = {printed:.6g} periods keeps it within bound"
     return "no step down to dt/2^59 keeps it within bound"
 
 
@@ -321,7 +332,7 @@ def evolve_numeric(
     dt: float,
     sample_every: int = 1,
     *,
-    period: float | None = None,
+    period: float,
 ) -> Trajectory:
     """Integrate i d psi/dt = H psi with classic RK4 for a duration t_end from
     the state that ``projection`` (from :func:`project_numeric`) expands at
@@ -341,12 +352,11 @@ def evolve_numeric(
     from 1 by more than :data:`NORM_TOL`, or is not finite, the finished run
     aborts at the first such sample with a hint naming a step dt/2^m that
     keeps it within bound.  Only then does :func:`_flag_truncation`, the
-    top-five rule of both routes, run.  Those messages
-    give times and the hinted step in units of ``period`` when it is given
-    (oscillator periods, as the CLI takes them), else in the units of t_end.
+    top-five rule of both routes, run.  Those messages give times and the
+    hinted step in oscillator periods ``period`` (2 pi / omega in the units
+    of t_end), as the CLI takes them.
     """
     steps = sample_steps(t_end, dt, sample_every)
-    unit, label = (1.0, "") if period is None else (period, " periods")
     vectors, energies, coeffs, _ = projection
     log_mod, phase = _rk4_log_gain(dt * energies)
 
@@ -354,12 +364,14 @@ def evolve_numeric(
     drift = np.abs(traj.norm - 1.0)
     bad = np.flatnonzero(~(drift <= NORM_TOL))  # written so that a NaN norm fails the check
     if bad.size:
+        worst = drift[bad[0]]
+        how = f"deviated from 1 by {worst:.3e}" if np.isfinite(worst) else "is not finite"
         raise NormDriftError(
-            f"|psi|^2 deviated from 1 by {drift[bad[0]]:.3e} at t = {traj.times[bad[0]] / unit:.6g}"
-            f"{label} (bound {NORM_TOL:.1e}); "
-            + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, unit, label)
+            f"|psi|^2 {how} at t = {traj.times[bad[0]] / period:.6g} periods "
+            f"(bound {NORM_TOL:.1e}); "
+            + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, period)
         )
-    _flag_truncation(traj, unit, label)
+    _flag_truncation(traj, period)
     return traj
 
 
@@ -400,7 +412,7 @@ def evolve_rwa(
     dt: float,
     sample_every: int = 1,
     *,
-    period: float | None = None,
+    period: float,
 ) -> Trajectory:
     """Analytic secular evolution of the state that ``projection`` (from
     :func:`project_secular`) expands at t = 0, sampled on the grid
@@ -416,7 +428,7 @@ def evolve_rwa(
 
     The energy is sum_j |c_j|^2 E_j over the kept columns, constant up to
     rounding.  The top-five rule (:func:`_flag_truncation`) flags the run as
-    it flags :func:`evolve_numeric`'s, in units of ``period`` when given.
+    it flags :func:`evolve_numeric`'s, in oscillator periods ``period``.
 
     The expansion runs in time blocks (:func:`_expand`): each block's phases
     are exp(-i E (k_0 dt)) at its first step k_0, the argument a single
@@ -427,10 +439,9 @@ def evolve_rwa(
     value by 2 sqrt(w) + w.
     """
     steps = sample_steps(t_end, dt, sample_every)
-    unit, label = (1.0, "") if period is None else (period, " periods")
     basis, energies, coeffs, _ = projection
     traj = _expand(basis, coeffs, -1j * energies, energies, steps, dt, dt)
-    _flag_truncation(traj, unit, label)
+    _flag_truncation(traj, period)
     return traj
 
 

@@ -227,11 +227,10 @@ class RunPlan(NamedTuple):
     period: float  # 2 pi / omega: the time unit of the config, the CSVs and the messages
     grid: tuple  # (t_end, dt, sample_every), the first two in units of 1/omega
     projections: dict[str, Projection]  # the start state's, per route run, in _CSV_KEYS order
+    timings: dict[str, float]  # seconds of the projections made: hamiltonian, secular_basis
 
 
-def plan_run(
-    config: ScenarioConfig, output_dir: str | None = None, timings: dict | None = None
-) -> RunPlan:
+def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     """Everything :func:`run_scenario` settles before any compute.
 
     Resolves the files the run writes (the manifest, plus one CSV per
@@ -246,13 +245,13 @@ def plan_run(
     truncation rule watches, a state, H with its eigh, secular ladder or
     trajectories too large to allocate (each reserved before it is written),
     and a start state that does not fit the truncation or the secular basis
-    (an order-2 basis off the resonance included).  The two projections are
-    timed into ``timings`` (a dict, else thrown away) as the stages
-    ``hamiltonian`` and ``secular_basis``.  ``mprabi validate`` runs this
-    call, so it rejects what a run rejects before compute and shows the
-    warnings a run records here.
+    (an order-2 basis off the resonance included).  The plan's ``timings``
+    hold the time of each projection it made, as the stage ``hamiltonian``
+    or ``secular_basis``.  ``mprabi validate`` runs this call, so it rejects
+    what a run rejects before compute and shows the warnings a run records
+    here.
     """
-    timings = {} if timings is None else timings
+    timings = {}
     written = ["manifest"] + [key for route, key in _CSV_KEYS.items() if route in config.propagators]
     outputs, problems = resolve_outputs(config, written, output_dir)
     params, n = resolve_params(config)
@@ -293,7 +292,7 @@ def plan_run(
         )
     if problems:
         raise ConfigError(problems)
-    return RunPlan(outputs, params, n, period, grid, projections)
+    return RunPlan(outputs, params, n, period, grid, projections, timings)
 
 
 def plan_spectrum(config: ScenarioConfig, output_dir: str | None = None) -> tuple:
@@ -312,7 +311,7 @@ def plan_spectrum(config: ScenarioConfig, output_dir: str | None = None) -> tupl
     try:  # the ladder's peak bounds the manifolds' index array too
         _padded_size(params, manifold_max + 1)
     except ValueError as exc:
-        problems.append(f"manifold_max = {manifold_max} is too large: {exc}")
+        problems.append(f"spectrum up to manifold_max = {manifold_max}: {exc}")
     if problems:
         raise ConfigError(problems)
     return params, n, np.arange(n, manifold_max + 1), paths["spectrum"]
@@ -351,7 +350,8 @@ def run_scenario(
     error = None
     with recorded_warnings() as caught:
         with _timed(timings, "plan"):
-            outputs, params, n, period, grid, projections = plan_run(config, output_dir, timings)
+            outputs, params, n, period, grid, projections, planned = plan_run(config, output_dir)
+        timings.update(planned)
         timings["plan"] -= timings["hamiltonian"] + timings["secular_basis"]
         written = {"manifest": outputs["manifest"]}
         try:

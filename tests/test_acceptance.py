@@ -122,7 +122,8 @@ def two_photon_run():
     psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
     t_rabi = 2.0 * math.pi / rabi_frequency(params, 2, 2)
     traj = evolve_numeric(
-        project_numeric(build_full(params, space), psi0), 3.0 * t_rabi, DT, sample_every=100
+        project_numeric(build_full(params, space), psi0), 3.0 * t_rabi, DT, sample_every=100,
+        period=PERIOD,
     )
     return params, space, psi0, traj, t_rabi
 
@@ -130,7 +131,7 @@ def two_photon_run():
 @pytest.fixture(scope="module")
 def two_photon_rwa(two_photon_run):
     params, _, psi0, _, t_rabi = two_photon_run
-    return evolve_rwa(project_secular(params, 2, psi0, 2), 3.0 * t_rabi, DT, sample_every=100)
+    return evolve_rwa(project_secular(params, 2, psi0, 2), 3.0 * t_rabi, DT, 100, period=PERIOD)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,7 @@ def collapse_runs():
     psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=nbar), params, space)
     traj = evolve_numeric(
         project_numeric(build_full(params, space), psi0),
-        32.0 * PERIOD, PERIOD / 8000.0, sample_every=400
+        32.0 * PERIOD, PERIOD / 8000.0, sample_every=400, period=PERIOD
     )
     return grid, closed, traj
 
@@ -220,7 +221,8 @@ def test_criterion_4_three_photon_exchange():
     (rec,) = spectrum_records(params, 3, [3], order=2)["manifolds"]
     expected = 2.0 * math.pi / (rec["E_plus"] - rec["E_minus"])
     traj = evolve_numeric(
-        project_numeric(build_full(params, space), psi0), 1.45 * first_order, DT, sample_every=100
+        project_numeric(build_full(params, space), psi0), 1.45 * first_order, DT, sample_every=100,
+        period=PERIOD,
     )
     p3 = traj.photon_dist[:, 3]
     spacing = traj.times[1] - traj.times[0]
@@ -284,7 +286,7 @@ def test_criterion_7_integrator_order(two_photon_run):
     window = 4.0 * PERIOD
 
     def end_state(dt):
-        run = evolve_numeric(project_numeric(h, psi0), window, dt, sample_every=10_000_000)
+        run = evolve_numeric(project_numeric(h, psi0), window, dt, 10_000_000, period=PERIOD)
         return run.final_state
 
     ref = end_state(DT / 8.0)

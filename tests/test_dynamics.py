@@ -228,10 +228,11 @@ class TestObservables:
         )
         if propagator == "numeric":
             traj = evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 30.0, DT, sample_every=300
+                project_numeric(build_full(params, space), psi0), 30.0, DT, sample_every=300,
+                period=PERIOD,
             )
         else:
-            traj = evolve_rwa(project_secular(params, 2, psi0, 1), 30.0, 3.0)
+            traj = evolve_rwa(project_secular(params, 2, psi0, 1), 30.0, 3.0, period=PERIOD)
         w, p = observables(traj.final_state)
         assert w == traj.inversion[-1]
         assert np.array_equal(p, traj.photon_dist[-1])
@@ -250,13 +251,13 @@ class TestObservables:
         steps = sample_steps(30.0, DT, 100)
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(project_numeric(h, psi0), 30.0, DT, sample_every=100)
+            traj = evolve_numeric(project_numeric(h, psi0), 30.0, DT, 100, period=PERIOD)
             energies, vectors = np.linalg.eigh(h)
             coeffs = vectors.T @ psi0
             gains = np.exp(np.outer(steps, 2.0 * dynamics._rk4_log_gain(DT * energies)[0]))
         else:
             projection = project_secular(params, 2, psi0, 2)
-            traj = evolve_rwa(projection, 30.0, DT, 100)
+            traj = evolve_rwa(projection, 30.0, DT, 100, period=PERIOD)
             energies, coeffs = projection.energies, projection.coeffs
             gains = np.ones((steps.size, energies.size))
         expected = gains @ (np.abs(coeffs) ** 2 * energies)
@@ -300,7 +301,8 @@ class TestEvolveNumeric:
         space = FockSpace(6)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 20.0, DT, sample_every=100
+            project_numeric(build_full(params, space), psi0), 20.0, DT, sample_every=100,
+            period=PERIOD,
         )
         assert np.max(np.abs(traj.inversion - 1.0)) < 1e-9
 
@@ -310,7 +312,8 @@ class TestEvolveNumeric:
         vec = np.zeros(50, dtype=complex)
         vec[space.up] = displacement_matrix(-0.25, space)[:, 0]
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), vec), 30.0, DT, sample_every=200
+            project_numeric(build_full(params, space), vec), 30.0, DT, sample_every=200,
+            period=PERIOD,
         )
         drift = np.max(np.abs(traj.photon_dist - traj.photon_dist[0]))
         assert drift < 1e-8
@@ -320,7 +323,8 @@ class TestEvolveNumeric:
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 200.0, DT, sample_every=500
+            project_numeric(build_full(params, space), psi0), 200.0, DT, sample_every=500,
+            period=PERIOD,
         )
         rel = np.abs(traj.energy - traj.energy[0]) / abs(traj.energy[0])
         assert np.max(rel) < 1e-6
@@ -330,7 +334,8 @@ class TestEvolveNumeric:
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 60.0, DT, sample_every=100
+            project_numeric(build_full(params, space), psi0), 60.0, DT, sample_every=100,
+            period=PERIOD,
         )
         row_sums = np.sum(traj.photon_dist, axis=1)
         assert np.max(np.abs(row_sums - traj.norm)) < 1e-12
@@ -346,37 +351,54 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         with pytest.raises(NormDriftError, match="dt"):
             evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 10.0, 1.0, sample_every=1
+                project_numeric(build_full(params, space), psi0), 10.0, 1.0, sample_every=1,
+                period=PERIOD,
             )
 
     def test_nan_norm_aborts(self):
         # the folded propagator overflows at this step long before the first
-        # sample; the NaN norm must fail the check, not slip past it
+        # sample; the NaN norm must fail the check, not slip past it, and be
+        # named without its non-finite value
         params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.1, lambda_eg=0.02)
         space = FockSpace(40)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NormDriftError, match="nan"):
+            with pytest.raises(NormDriftError, match=r"^\|psi\|\^2 is not finite at t = 318.31 periods "):
                 evolve_numeric(
-                    project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000
+                    project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000,
+                    period=PERIOD,
                 )
+
+    def test_step_factor_of_a_huge_step_is_finite(self):
+        # past |x| = 2**127, where x**8 would overflow, log|r| and arg r come
+        # from powers of 1/x: finite, continuous with the direct form, and
+        # |r| -> x^4 / 24, arg r -> 4 / x; below, the direct form stands
+        x = np.array([0.3, -2.5, 1e30, 2.0**127, -1.5 * 2.0**127, 1e60, -1e200])
+        log_mod, phase = dynamics._rk4_log_gain(x)
+        assert np.all(np.isfinite(log_mod)) and np.all(np.isfinite(phase))
+        small, big = x[:4], x[4:]
+        assert np.array_equal(log_mod[:4], 0.5 * np.log1p(-(small**6) / 72.0 + small**8 / 576.0))
+        assert np.allclose(log_mod[4:], 4.0 * np.log(np.abs(big)) - np.log(24.0), rtol=1e-15)
+        assert np.allclose(phase[4:], 4.0 / big, rtol=1e-15)
+        edge = dynamics._rk4_log_gain(np.array([2.0**127, np.nextafter(2.0**127, np.inf)]))
+        assert np.allclose(*edge[0], rtol=1e-15) and np.allclose(*edge[1], rtol=1e-15)
 
     # the state starts on the top level, so every run here is truncated
     @pytest.mark.filterwarnings("ignore::mprabi.dynamics.IntegratorWarning")
     def test_norm_drift_hint_names_a_passing_dt(self):
-        # same run as above: the hinted step must carry it through, while
-        # twice that step (one halving fewer) still drifts too far
+        # same run as above: the hinted step, in periods, must carry it
+        # through, while twice that step (one halving fewer) still drifts too far
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         h = build_full(params, space)
         with pytest.raises(NormDriftError) as info:
-            evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1)
-        hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
-        traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1)
+            evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
+        hinted = float(re.search(r"= (\S+) periods keeps", str(info.value)).group(1)) * PERIOD
+        traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1, period=PERIOD)
         assert np.max(np.abs(traj.norm - 1.0)) <= NORM_TOL
         with pytest.raises(NormDriftError):
-            evolve_numeric(project_numeric(h, psi0), 10.0, 2.0 * hinted, sample_every=1)
+            evolve_numeric(project_numeric(h, psi0), 10.0, 2.0 * hinted, 1, period=PERIOD)
 
     @pytest.mark.parametrize("target", [5, _RWA_BLOCK + 40])
     def test_truncation_warns_once_at_first_offending_sample(self, monkeypatch, target):
@@ -389,19 +411,19 @@ class TestEvolveNumeric:
         h = build_full(params, space)
         run = dict(t_end=700 * 40 * DT, dt=DT, sample_every=40)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", 2.0)
-        quiet = evolve_numeric(project_numeric(h, psi0), **run)
+        quiet = evolve_numeric(project_numeric(h, psi0), **run, period=PERIOD)
         top = np.sum(quiet.photon_dist[:, -5:], axis=1)
         tol = top[target]
         first = int(np.argmax(top >= tol))
         assert first % _RWA_BLOCK and (first > _RWA_BLOCK) == (target > _RWA_BLOCK)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", tol)
         with pytest.warns(IntegratorWarning) as record:
-            traj = evolve_numeric(project_numeric(h, psi0), **run)
+            traj = evolve_numeric(project_numeric(h, psi0), **run, period=PERIOD)
         assert not traj.truncation_ok
         messages = [str(w.message) for w in record if w.category is IntegratorWarning]
         assert len(messages) == 1
-        reported = float(re.search(r"at t = (\S+);", messages[0]).group(1))
-        assert reported == float(f"{traj.times[first]:.6g}")
+        reported = float(re.search(r"at t = (\S+) periods;", messages[0]).group(1))
+        assert reported == float(f"{traj.times[first] / PERIOD:.6g}")
 
     def test_norm_drift_raises_before_any_truncation_warning(self):
         # the top-of-ladder start is truncated from its first sample; under a
@@ -414,11 +436,11 @@ class TestEvolveNumeric:
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             with pytest.raises(NormDriftError) as info:
-                evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1)
+                evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
         assert not [w for w in log if issubclass(w.category, IntegratorWarning)]
-        hinted = float(re.search(r"= (\S+) keeps", str(info.value)).group(1))
-        with pytest.warns(IntegratorWarning, match="at t = 0;"):
-            traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1)
+        hinted = float(re.search(r"= (\S+) periods keeps", str(info.value)).group(1)) * PERIOD
+        with pytest.warns(IntegratorWarning, match="at t = 0 periods;"):
+            traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, 1, period=PERIOD)
         assert not traj.truncation_ok
 
     def test_closer_to_long_double_rk4_than_folded_route(self):
@@ -433,7 +455,7 @@ class TestEvolveNumeric:
         coherent = InitialStateSpec("ground-coherent", mean_photons=10.0)
         psi0 = prepare_initial(coherent, params, space)
         dt, n_steps, every = 1e-3, 400_000, 10_000
-        traj = evolve_numeric(project_numeric(h, psi0), n_steps * dt, dt, sample_every=every)
+        traj = evolve_numeric(project_numeric(h, psi0), n_steps * dt, dt, every, period=PERIOD)
         states = rk4_long_double(h, psi0, dt, n_steps, every)
         probs = np.abs(states) ** 2
         inversion = (np.sum(probs[:, 40:], axis=1) - np.sum(probs[:, :40], axis=1)).astype(float)
@@ -450,7 +472,7 @@ class TestEvolveNumeric:
         h = build_full(params, space)
         coherent = InitialStateSpec("ground-coherent", mean_photons=4.0)
         psi0 = prepare_initial(coherent, params, space)
-        traj = evolve_numeric(project_numeric(h, psi0), 200.0, DT, sample_every=71)
+        traj = evolve_numeric(project_numeric(h, psi0), 200.0, DT, sample_every=71, period=PERIOD)
         assert len(traj) > _RWA_BLOCK and traj.pruned_weight == 0.0
         energies, vectors = np.linalg.eigh(h)
         log_mod, phase = dynamics._rk4_log_gain(DT * energies)
@@ -482,7 +504,9 @@ class TestEvolveNumeric:
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 = vec / np.linalg.norm(vec)
-        traj = evolve_numeric(project_numeric(h, psi0), n_steps * DT, DT, sample_every=sample_every)
+        traj = evolve_numeric(
+            project_numeric(h, psi0), n_steps * DT, DT, sample_every, period=PERIOD
+        )
         steps, states = rk4_stepwise(h, psi0, DT, n_steps, sample_every)
         assert np.array_equal(traj.times, steps * DT)
         probs = np.abs(states) ** 2
@@ -523,7 +547,8 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         t_half = math.pi / (2.0 * lam)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 1.2 * t_half, DT, sample_every=20
+            project_numeric(build_full(params, space), psi0), 1.2 * t_half, DT, sample_every=20,
+            period=PERIOD,
         )
         i = int(np.argmin(traj.inversion))
         t, w = traj.times, traj.inversion
@@ -538,9 +563,9 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         h = build_full(params, space)
         with pytest.raises(ValueError):
-            evolve_numeric(project_numeric(h, psi0), 1.0, -0.1)
+            evolve_numeric(project_numeric(h, psi0), 1.0, -0.1, period=PERIOD)
         with pytest.raises(ValueError):
-            evolve_numeric(project_numeric(h, psi0), 1.0, 0.1, sample_every=0)
+            evolve_numeric(project_numeric(h, psi0), 1.0, 0.1, sample_every=0, period=PERIOD)
 
     def test_rejects_complex_hamiltonian(self):
         # the eigenbasis route diagonalizes the real part only
@@ -620,7 +645,7 @@ class TestEvolveRwa:
         # the lowest unmixed state: |down, 0> displaced by lambda_g/omega (omega = 1)
         vec = np.zeros(space.dim)
         vec[space.down] = displacement_matrix(params.lambda_g, space)[:, 0]
-        traj = evolve_rwa(project_secular(params, 2, vec, 1), 500.0, 500.0 / 59)
+        traj = evolve_rwa(project_secular(params, 2, vec, 1), 500.0, 500.0 / 59, period=PERIOD)
         assert np.max(np.abs(traj.inversion - traj.inversion[0])) < 1e-12
         assert np.max(np.abs(traj.photon_dist - traj.photon_dist[0])) < 1e-12
 
@@ -628,7 +653,7 @@ class TestEvolveRwa:
         params = two_photon_params()
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 3000.0, 3000.0 / 99)
+        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 3000.0, 3000.0 / 99, period=PERIOD)
         closed = inversion_fock(params, 2, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-8
 
@@ -639,7 +664,7 @@ class TestEvolveRwa:
             InitialStateSpec("excited-fock", n_photons=11), params, space
         )
         with pytest.raises(ProjectionError):
-            evolve_rwa(project_secular(params, 2, psi0, 1), 10.0, 2.5)
+            evolve_rwa(project_secular(params, 2, psi0, 1), 10.0, 2.5, period=PERIOD)
 
     def test_a_nan_basis_fails_the_projection(self):
         # lambda_eg = 1e160 omega squares past the float range in the order-2
@@ -656,9 +681,10 @@ class TestEvolveRwa:
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj_num = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 320.0, DT, sample_every=100
+            project_numeric(build_full(params, space), psi0), 320.0, DT, sample_every=100,
+            period=PERIOD,
         )
-        traj_rwa = evolve_rwa(project_secular(params, 1, psi0, 1), 320.0, DT, sample_every=100)
+        traj_rwa = evolve_rwa(project_secular(params, 1, psi0, 1), 320.0, DT, 100, period=PERIOD)
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
 
 
@@ -669,8 +695,8 @@ class TestEvolveRwa:
         space = FockSpace(20)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         t_end = 3.0 * 2.0 * math.pi / rabi_frequency(params, 2, 2)
-        first = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, t_end / 399)
-        second = evolve_rwa(project_secular(params, 2, psi0, 2), t_end, t_end / 399)
+        first = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, t_end / 399, period=PERIOD)
+        second = evolve_rwa(project_secular(params, 2, psi0, 2), t_end, t_end / 399, period=PERIOD)
         grid = first.times
         evals, evecs = np.linalg.eigh(build_full(params, space))
         coeffs = evecs.conj().T @ psi0
@@ -704,7 +730,7 @@ class TestEvolveRwa:
         )
         projection = project_secular(params, 2, psi0, order)
         dt = 5000.0 / n_steps
-        traj = evolve_rwa(projection, 5000.0, dt, sample_every)
+        traj = evolve_rwa(projection, 5000.0, dt, sample_every, period=PERIOD)
         assert len(traj) == n_t and traj.pruned_weight == 0.0
         basis, energies, coeffs, _ = projection
         x = sample_steps(5000.0, dt, sample_every).astype(np.longdouble) * np.longdouble(dt)
@@ -727,13 +753,13 @@ class TestEvolveRwa:
         t_end = _RWA_BLOCK * 100 * DT
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(project_numeric(h, psi0), t_end, DT, sample_every=100)
+            traj = evolve_numeric(project_numeric(h, psi0), t_end, DT, 100, period=PERIOD)
             energies, vectors = np.linalg.eigh(h)
             phases = np.exp(-1j * np.outer(energies, traj.times))
             inversion, dist = observables(vectors @ (phases * (vectors.T @ psi0)[:, None]))
             assert np.max(np.abs(traj.photon_dist - dist.T)) < 1e-8
         else:
-            traj = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, DT, 100)
+            traj = evolve_rwa(project_secular(params, 2, psi0, 1), t_end, DT, 100, period=PERIOD)
             inversion = inversion_fock(params, 2, traj.times)
         assert len(traj) == _RWA_BLOCK + 1
         assert np.max(np.abs(traj.inversion - inversion)) < 1e-8
@@ -760,7 +786,7 @@ class TestEvolveRwa:
             projection, evolve = project_secular(params, 2, psi0, 1), evolve_rwa
         outer, tables = np.outer, []
         monkeypatch.setattr(np, "outer", lambda a, b: tables.append(len(b)) or outer(a, b))
-        traj = evolve(projection, n_steps * DT, DT, 100)
+        traj = evolve(projection, n_steps * DT, DT, 100, period=PERIOD)
         monkeypatch.undo()
         assert tables == [_RWA_BLOCK]
         assert len(traj) == _RWA_BLOCK + 81
@@ -809,7 +835,7 @@ class TestEvolveRwa:
         params = two_photon_params()
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(10))
         with pytest.raises(ValueError, match="order"):
-            evolve_rwa(project_secular(params, 2, psi0, 3), 10.0, 2.5)
+            evolve_rwa(project_secular(params, 2, psi0, 3), 10.0, 2.5, period=PERIOD)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_one_displacement_per_ladder(self, monkeypatch, order):
@@ -853,7 +879,7 @@ class TestEvolveRwa:
                 projection = project_secular(params, 1, psi0, 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegratorWarning)  # n_max 10 is tight here
-                evolve_rwa(projection, 10.0, 2.5)
+                evolve_rwa(projection, 10.0, 2.5, period=PERIOD)
             lines = [str(w.message) for w in log if issubclass(w.category, rwa.RWAValidityWarning)]
             return projection.strong_weight, lines
 
@@ -889,8 +915,8 @@ class TestPruning:
 
         def run():
             if propagator == "numeric":
-                return evolve_numeric(project_numeric(h, psi0), 300.0, DT, sample_every=500)
-            return evolve_rwa(project_secular(params, 2, psi0, 2), 300.0, DT, 500)
+                return evolve_numeric(project_numeric(h, psi0), 300.0, DT, 500, period=PERIOD)
+            return evolve_rwa(project_secular(params, 2, psi0, 2), 300.0, DT, 500, period=PERIOD)
 
         pruned = run()
         w = pruned.pruned_weight
@@ -910,10 +936,10 @@ class TestPruning:
         space = FockSpace(200)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         h = build_full(params, space)
-        pruned = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500)
+        pruned = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500, period=PERIOD)
         assert np.all(pruned.photon_dist[:, 100:] == 0.0)
         monkeypatch.setattr(dynamics, "_PRUNE_TOL", -1.0)
-        full = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500)
+        full = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500, period=PERIOD)
         assert not np.any(np.all(full.photon_dist == 0.0, axis=0))
 
     def test_nan_coefficient_is_kept(self):
@@ -923,9 +949,10 @@ class TestPruning:
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         psi0[3] = np.nan
-        with pytest.raises(NormDriftError, match="nan"):
+        with pytest.raises(NormDriftError, match="is not finite at t = 0 periods"):
             evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 10.0, DT, sample_every=100
+                project_numeric(build_full(params, space), psi0), 10.0, DT, sample_every=100,
+                period=PERIOD,
             )
 
 
@@ -986,7 +1013,7 @@ class TestInversionCoherent:
         )
         space = FockSpace(60)
         psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=4.0), params, space)
-        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99)
+        traj = evolve_rwa(project_secular(params, 2, psi0, 1), 800.0, 800.0 / 99, period=PERIOD)
         closed = inversion_coherent(params, 2, 4.0, traj.times)
         assert np.max(np.abs(traj.inversion - closed)) < 1e-7
 

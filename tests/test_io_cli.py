@@ -1024,14 +1024,32 @@ class TestRunScenario:
         assert all(type(t) is float and t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= manifest["elapsed_seconds"] + 0.5e-6 * len(timings)
 
-    def test_validate_times_into_a_dict_it_throws_away(self, tmp_path):
-        # plan_run records the two projections into the timings it is given;
-        # without one (validate's call) it records into its own
-        config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
-        timings = {}
-        runner.plan_run(config, str(tmp_path), timings)
-        assert sorted(timings) == ["hamiltonian", "secular_basis"]
-        assert runner.plan_run(config, str(tmp_path)).projections.keys() == {"numeric", "rwa"}
+    def test_plan_returns_the_times_of_its_projections(self, tmp_path):
+        # the plan times each projection it makes and returns the times: one
+        # stage per route planned, no other
+        stages = {"numeric": "hamiltonian", "rwa": "secular_basis"}
+        for propagators in (["numeric"], ["rwa"], ["numeric", "rwa"]):
+            config = parse_config(json.dumps({**QUICK, "propagators": propagators}))
+            plan = runner.plan_run(config, str(tmp_path))
+            assert plan.projections.keys() == set(propagators)
+            assert sorted(plan.timings) == sorted(stages[route] for route in propagators)
+            assert all(type(t) is float and t >= 0.0 for t in plan.timings.values())
+
+    def test_ultrastrong_secular_csv_follows_the_closed_form(self, tmp_path):
+        # configs/ultrastrong_n3.json, lambda_g = lambda_e = 0.5 at order 1:
+        # no start weight on strong manifolds, and its secular CSV is the
+        # closed-form coherent inversion
+        path = REPO / "configs" / "ultrastrong_n3.json"
+        config = parse_config(path.read_text(), {"propagators": ["rwa"]})
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        assert manifest["validity"]["strong_coupling"]["weight"] == 0.0
+        assert manifest["validity"]["warnings"] == []
+        with open(manifest["outputs"]["rwa_csv"], encoding="ascii") as handle:
+            next(handle)
+            t, w = np.array([line.split(",", 2)[:2] for line in handle], dtype=float).T
+        params, n = runner.resolve_params(config)
+        closed = dynamics.inversion_coherent(params, n, config.mean_photons, t * 2.0 * math.pi)
+        assert np.max(np.abs(w - closed)) < 1e-10
 
     def test_returns_the_manifest_it_wrote(self, tmp_path):
         config = parse_config(json.dumps({**QUICK, "propagators": ["numeric", "rwa"]}))
@@ -1483,8 +1501,8 @@ class TestCli:
         assert cli.main([*args, "--dt", hinted]) == 0
 
     def test_aborted_run_leaves_failed_manifest(self, tmp_path, capsys):
-        # the numeric route aborts on norm drift: exit 2, no CSV, and a
-        # manifest that says why
+        # the numeric route aborts on norm drift, here a norm past the float
+        # range: exit 2, no CSV, and a manifest that says why
         path = REPO / "configs" / "collapse_revival_n2.json"
         args = ["run", str(path), "--output-dir", str(tmp_path), "--dt", "0.01", "--t-end", "20"]
         assert cli.main(args) == 2
@@ -1493,12 +1511,27 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [manifest]
         stored = json.loads(manifest.read_text())
         assert stored["status"] == "failed"
-        assert stored["error"].startswith("|psi|^2 deviated from 1")
+        assert stored["error"].startswith("|psi|^2 is not finite at t = 10 periods")
         assert f"error: {stored['error']}" in err
         assert stored["outputs"] == {"manifest": str(manifest)}
         assert stored["validity"]["norm_ok"] is False
         assert stored["config"]["dt_periods"] == 0.01
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
+
+    def test_huge_step_aborts_with_finite_numbers(self, tmp_path, capsys):
+        # lambda_eg 1.1e77, under the 2**256 bound, puts dt E near 5e76: the
+        # step factor stays finite, so step 0 keeps norm 1, and the norm that
+        # overflows at the next sample is named without a non-finite number
+        path = write_config(tmp_path, n=1, lambda_e=0.0, lambda_eg=1.1e77, t_end=0.5, dt=0.01,
+                            sample_every=5, propagators=["numeric", "rwa"])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        stored = (out / "trajectory.manifest.json").read_text()
+        assert json.loads(stored)["error"].startswith("|psi|^2 is not finite at t = 0.05 periods ")
+        for text in (err, stored):
+            assert not re.search(r"(?i)(^|[^A-Za-z_])-?(nan|inf|infinity)([^A-Za-z_]|$)", text)
 
     def test_failed_csv_write_leaves_failed_manifest(self, tmp_path, capsys, monkeypatch):
         # the secular CSV cannot be written: exit 1 with one error line, the
@@ -1805,7 +1838,10 @@ class TestCli:
         out.mkdir()
         assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:\n  - manifold_max = 10000000000000000 is too large: ")
+        assert err.startswith(
+            "configuration error:\n  - spectrum up to manifold_max = 10000000000000000: "
+            "the secular ladder for |lambda_g| + |lambda_e| = 0.1 omega, "
+        )
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
 
@@ -1822,7 +1858,10 @@ class TestCli:
         out.mkdir()
         assert cli.main([command, str(path), "--output-dir", str(out), *flag]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:\n  - manifold_max = 10000000 is too large: ")
+        assert err.startswith(
+            "configuration error:\n  - spectrum up to manifold_max = 10000000: "
+            "the secular ladder for |lambda_g| + |lambda_e| = 0.1 omega, "
+        )
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
 
@@ -2155,8 +2194,8 @@ class TestCli:
                                   address_space=4 << 30)
         ladder, padded = (f"the secular ladder for |lambda_g| + |lambda_e| = {text}"
                           for text in ladders)
-        problems = {"validate": [ladder, f"manifold_max = 22 is too large: {padded}"],
-                    "run": [ladder], "spectrum": [f"manifold_max = 22 is too large: {padded}"]}
+        problems = {"validate": [ladder, f"spectrum up to manifold_max = 22: {padded}"],
+                    "run": [ladder], "spectrum": [f"spectrum up to manifold_max = 22: {padded}"]}
         assert code == 1
         expected = ["configuration error:", *(f"  - {line}" for line in problems[command])]
         assert err.splitlines()[: len(expected)] == expected
