@@ -71,8 +71,6 @@ TRUNCATION_TOL = 1e-8
 _RWA_BLOCK = 256
 #: initial weight |c_j|^2 at or below which the expansion drops column j
 _PRUNE_TOL = 1e-30
-#: |dt E| past which x**8 in the RK4 step factor would leave the float range
-_RK4_SCALE = 2.0**127
 #: dim x dim float64 matrices the eigh of :func:`project_numeric` adds to H at its
 #: peak (LAPACK's copy and workspace, the eigenvectors), rounded up: a fresh
 #: process's resident set grows by 3.4-4.1 of them at dim 1200-5000
@@ -215,6 +213,8 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
     table of phases over the first block's steps, built once per run: on the
     uniform :func:`sample_steps` grid every block's step offsets are a prefix
     of those, and only an off-grid final step takes c exp(L x) directly.  The
+    table's offset-0 factor is exactly 1 and block 0's head is c itself, so
+    step 0 is the projection for any rate, infinite or NaN.  The
     product with the basis is one real GEMM on the float view of the complex
     factors.  The energy sum_j |f_j|^2 E_j of factors f = head * table,
     head = c exp(L x_0), is (|head|^2 E) @ |table|^2 over the kept columns.
@@ -228,11 +228,12 @@ def _expand(basis, coeffs, rates, energies, steps, unit, dt) -> Trajectory:
     )
     basis, coeffs, rates, energies = basis[:, keep], coeffs[keep], rates[keep], energies[keep]
     table = np.exp(np.outer(rates, steps[:_RWA_BLOCK] * unit))
+    table[:, 0] = 1.0
     table_sq = np.abs(table) ** 2
     for start in range(0, n_t, _RWA_BLOCK):
         rows = slice(start, start + _RWA_BLOCK)
         width = min(_RWA_BLOCK, n_t - start)
-        head = coeffs * np.exp(rates * (steps[start] * unit))
+        head = coeffs * np.exp(rates * (steps[start] * unit)) if start else coeffs
         factors = head[:, None] * table[:, :width]
         traj.energy[rows] = (np.abs(head) ** 2 * energies) @ table_sq[:, :width]
         if steps[start + width - 1] - steps[start] != steps[width - 1]:  # an off-grid final step
@@ -265,19 +266,10 @@ def _rk4_log_gain(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log|r| and arg r of the RK4 step factor r = R(-i x), x = dt E.
 
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and |R(-i x)|^2 = 1 - x^6/72 + x^8/576
-    exactly, so r^k = exp(k (log|r| + i arg r)) never rounds r itself.  Past
-    |x| = :data:`_RK4_SCALE`, where x**8 would overflow, both come from the
-    same polynomials divided by x**8 and x**4, in powers of y = 1/x, so a
-    huge step gives a huge finite log|r| and not inf - inf.
+    exactly, so r^k = exp(k (log|r| + i arg r)) never rounds r itself.
     """
-    big = np.abs(x) > _RK4_SCALE
-    small = np.where(big, 0.0, x)
-    log_mod = 0.5 * np.log1p(-(small**6) / 72.0 + small**8 / 576.0)
-    phase = np.arctan2(-(small - small**3 / 6.0), 1.0 - small**2 / 2.0 + small**4 / 24.0)
-    if np.any(big):
-        y = 1.0 / x[big]
-        log_mod[big] = -4.0 * np.log(np.abs(y)) + 0.5 * np.log(1.0 / 576.0 - y**2 / 72.0 + y**8)
-        phase[big] = np.arctan2(y / 6.0 - y**3, 1.0 / 24.0 - y**2 / 2.0 + y**4)
+    log_mod = 0.5 * np.log1p(-(x**6) / 72.0 + x**8 / 576.0)
+    phase = np.arctan2(-(x - x**3 / 6.0), 1.0 - x**2 / 2.0 + x**4 / 24.0)
     return log_mod, phase
 
 
@@ -351,26 +343,28 @@ def evolve_numeric(
     the final step.  The squared norm is never renormalized; if it deviates
     from 1 by more than :data:`NORM_TOL`, or is not finite, the finished run
     aborts at the first such sample with a hint naming a step dt/2^m that
-    keeps it within bound.  Only then does :func:`_flag_truncation`, the
-    top-five rule of both routes, run.  Those messages give times and the
+    keeps it within bound.  Step 0 is the projection itself, so a step factor
+    past the float range aborts the run at the next sample, and numpy warns
+    of no overflow on the way: the abort reports it.  Only then does
+    :func:`_flag_truncation`, the top-five rule of both routes, run.  Those messages give times and the
     hinted step in oscillator periods ``period`` (2 pi / omega in the units
     of t_end), as the CLI takes them.
     """
     steps = sample_steps(t_end, dt, sample_every)
     vectors, energies, coeffs, _ = projection
-    log_mod, phase = _rk4_log_gain(dt * energies)
-
-    traj = _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, dt)
-    drift = np.abs(traj.norm - 1.0)
-    bad = np.flatnonzero(~(drift <= NORM_TOL))  # written so that a NaN norm fails the check
-    if bad.size:
-        worst = drift[bad[0]]
-        how = f"deviated from 1 by {worst:.3e}" if np.isfinite(worst) else "is not finite"
-        raise NormDriftError(
-            f"|psi|^2 {how} at t = {traj.times[bad[0]] / period:.6g} periods "
-            f"(bound {NORM_TOL:.1e}); "
-            + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, period)
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_mod, phase = _rk4_log_gain(dt * energies)
+        traj = _expand(vectors, coeffs, log_mod + 1j * phase, energies, steps, 1.0, dt)
+        drift = np.abs(traj.norm - 1.0)
+        bad = np.flatnonzero(~(drift <= NORM_TOL))  # written so that a NaN norm fails the check
+        if bad.size:
+            worst = drift[bad[0]]
+            how = f"deviated from 1 by {worst:.3e}" if np.isfinite(worst) else "is not finite"
+            raise NormDriftError(
+                f"|psi|^2 {how} at t = {traj.times[bad[0]] / period:.6g} periods "
+                f"(bound {NORM_TOL:.1e}); "
+                + _step_hint(np.abs(coeffs) ** 2, energies, t_end, dt, period)
+            )
     _flag_truncation(traj, period)
     return traj
 

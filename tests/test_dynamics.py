@@ -358,30 +358,15 @@ class TestEvolveNumeric:
     def test_nan_norm_aborts(self):
         # the folded propagator overflows at this step long before the first
         # sample; the NaN norm must fail the check, not slip past it, and be
-        # named without its non-finite value
+        # named without its non-finite value, with no numpy overflow warning
         params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.1, lambda_eg=0.02)
         space = FockSpace(40)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NormDriftError, match=r"^\|psi\|\^2 is not finite at t = 318.31 periods "):
-                evolve_numeric(
-                    project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000,
-                    period=PERIOD,
-                )
-
-    def test_step_factor_of_a_huge_step_is_finite(self):
-        # past |x| = 2**127, where x**8 would overflow, log|r| and arg r come
-        # from powers of 1/x: finite, continuous with the direct form, and
-        # |r| -> x^4 / 24, arg r -> 4 / x; below, the direct form stands
-        x = np.array([0.3, -2.5, 1e30, 2.0**127, -1.5 * 2.0**127, 1e60, -1e200])
-        log_mod, phase = dynamics._rk4_log_gain(x)
-        assert np.all(np.isfinite(log_mod)) and np.all(np.isfinite(phase))
-        small, big = x[:4], x[4:]
-        assert np.array_equal(log_mod[:4], 0.5 * np.log1p(-(small**6) / 72.0 + small**8 / 576.0))
-        assert np.allclose(log_mod[4:], 4.0 * np.log(np.abs(big)) - np.log(24.0), rtol=1e-15)
-        assert np.allclose(phase[4:], 4.0 / big, rtol=1e-15)
-        edge = dynamics._rk4_log_gain(np.array([2.0**127, np.nextafter(2.0**127, np.inf)]))
-        assert np.allclose(*edge[0], rtol=1e-15) and np.allclose(*edge[1], rtol=1e-15)
+        with pytest.raises(NormDriftError, match=r"^\|psi\|\^2 is not finite at t = 318.31 periods "):
+            evolve_numeric(
+                project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000,
+                period=PERIOD,
+            )
 
     # the state starts on the top level, so every run here is truncated
     @pytest.mark.filterwarnings("ignore::mprabi.dynamics.IntegratorWarning")

@@ -1519,9 +1519,10 @@ class TestCli:
         assert sorted(stored["timings"]) == sorted(runner.STAGES)
 
     def test_huge_step_aborts_with_finite_numbers(self, tmp_path, capsys):
-        # lambda_eg 1.1e77, under the 2**256 bound, puts dt E near 5e76: the
-        # step factor stays finite, so step 0 keeps norm 1, and the norm that
-        # overflows at the next sample is named without a non-finite number
+        # lambda_eg 1.1e77, under the 2**256 bound, puts dt E near 5e76: step
+        # 0 is the projection, so its norm is 1, and the norm that overflows
+        # at the next sample is named without a non-finite number; numpy's
+        # own overflow warnings are not among the run's warnings
         path = write_config(tmp_path, n=1, lambda_e=0.0, lambda_eg=1.1e77, t_end=0.5, dt=0.01,
                             sample_every=5, propagators=["numeric", "rwa"])
         out = tmp_path / "out"
@@ -1530,8 +1531,21 @@ class TestCli:
         err = capsys.readouterr().err
         stored = (out / "trajectory.manifest.json").read_text()
         assert json.loads(stored)["error"].startswith("|psi|^2 is not finite at t = 0.05 periods ")
+        assert not [w for w in json.loads(stored)["validity"]["warnings"] if "RuntimeWarning" in w]
         for text in (err, stored):
             assert not re.search(r"(?i)(^|[^A-Za-z_])-?(nan|inf|infinity)([^A-Za-z_]|$)", text)
+
+    def test_step_past_the_float_range_aborts_after_step_zero(self, tmp_path, capsys):
+        # lambda_g 1e150 puts 1e300 on H's diagonal, so dt E ~ 6e310 is
+        # infinite: step 0 is still the projection, and the abort names the
+        # first sample after it
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"n": 1, "lambda_eg": 0.02, "lambda_g": 1e150, "n_max": 12, "t_end": 1e12, '
+            '"dt": 1e10, "sample_every": 5, "propagators": ["numeric"]}'
+        )
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "|psi|^2 is not finite at t = 5e+10 periods " in capsys.readouterr().err
 
     def test_failed_csv_write_leaves_failed_manifest(self, tmp_path, capsys, monkeypatch):
         # the secular CSV cannot be written: exit 1 with one error line, the
