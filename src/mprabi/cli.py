@@ -7,8 +7,8 @@ Sub-commands:
     validate <config>   run's checks without the propagation: the config with
                         its overrides, the output paths, the initial state
                         against the truncation, each route's projection of it,
-                        and spectrum's output path and manifold range, every
-                        problem in one report
+                        and spectrum's output path, manifold range and order-2
+                        resonance, every problem in one report
 
 Exit codes: 0 success, 1 configuration error (a usage error, a start state
 outside the truncation, one the secular basis cannot represent, an output

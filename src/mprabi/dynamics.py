@@ -50,7 +50,7 @@ import numpy as np
 
 from .fockmath import FockSpace, _displaced_vacuum, _reserve, laguerre_transition
 from .model import ModelParams
-from .rwa import _couplings, _secular_spectrum, _warn_strong
+from .rwa import _couplings, _secular_spectrum, _warn_invalid
 
 EXCITED_FOCK = "excited-fock"
 GROUND_COHERENT = "ground-coherent"
@@ -380,9 +380,10 @@ def project_secular(
     |V_N(n)| is not small against omega.  Raises :class:`ProjectionError`
     when the coefficients hold less than ``1 - COMPLETENESS_TOL`` of psi0's
     weight (truncation too tight, or the state leans on the top levels the
-    basis cannot represent).  When the strong-coupling weight reaches
-    :data:`COMPLETENESS_TOL`, those manifolds are reported in one
-    :class:`~mprabi.rwa.RWAValidityWarning` with the weight they hold."""
+    basis cannot represent).  Warns (:class:`~mprabi.rwa.RWAValidityWarning`)
+    once when the detuning leaves the secular window, and once, with the
+    weight they hold, about the strong-coupling manifolds when that weight
+    reaches :data:`COMPLETENESS_TOL`."""
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1 or psi0.size % 2:
         raise ValueError("psi0 must be a flat vector of even length")
@@ -396,7 +397,7 @@ def project_secular(
             "raise n_max or reconsider the initial state"
         )
     pairs = (np.abs(coeffs[n:]) ** 2).reshape(-1, 2).sum(axis=1)
-    strong = _warn_strong(params, n, range(n, psi0.size // 2), s.v, pairs, COMPLETENESS_TOL)
+    strong = _warn_invalid(params, n, range(n, psi0.size // 2), s.v, pairs, COMPLETENESS_TOL)
     return Projection(s.basis, s.energies, coeffs, strong)
 
 

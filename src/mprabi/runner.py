@@ -60,8 +60,8 @@ from .dynamics import (
 from .fockmath import FockSpace, _reserve
 from .model import ModelParams, build_full
 from .rwa import (
-    RESONANCE_WINDOW,
     RWAValidityWarning,
+    _check_resonance,
     _padded_size,
     coupling_element,
     omega_eg,
@@ -163,10 +163,11 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
     Signed diagonal couplings are mapped literally onto the Hamiltonian.  With
     ``n`` given, omega0 is placed exactly on the n-photon resonance; with an
     explicit omega0, n is the nearest integer to omega_eg / omega (at least 1).
-    Warns when the detuning delta_n = omega_eg - n omega leaves the
-    |delta_n| < omega/10 window.  Raises :class:`ConfigError`, naming the
-    keys that set them, when the parameters or omega_eg / omega leave the
-    float range, or |lambda_eg| passes :data:`_LAMBDA_EG_MAX`.
+    Warns about nothing: a detuning delta_n = omega_eg - n omega past the
+    secular window is warned about where secular results are made (see
+    :mod:`mprabi.rwa`).  Raises :class:`ConfigError`, naming the keys that
+    set them, when the parameters or omega_eg / omega leave the float range,
+    or |lambda_eg| passes :data:`_LAMBDA_EG_MAX`.
     """
     omega = config.omega
     try:
@@ -182,18 +183,10 @@ def resolve_params(config: ScenarioConfig) -> tuple[ModelParams, int]:
             lambda_eg=config.lambda_eg * omega,
         )
         n = config.n if config.n is not None else max(1, int(round(omega_eg(params) / omega)))
-        delta = omega_eg(params) - n * params.omega
     except (ValueError, OverflowError) as exc:  # an infinity, a square past the range, lambda_eg
         keys = ("omega", "n", "omega0", "lambda_g", "lambda_e", "lambda_eg")
         given = ", ".join(f"'{k}' = {getattr(config, k)!r}" for k in keys if getattr(config, k))
         raise ConfigError([f"model outside the float range from {given}: {exc.args[-1]}"]) from exc
-    if abs(delta) > RESONANCE_WINDOW * params.omega:
-        warnings.warn(
-            f"detuning |delta_{n}| = {abs(delta):.3g} is not small against "
-            f"omega = {params.omega:.3g}; secular results are unreliable",
-            RWAValidityWarning,
-            stacklevel=2,
-        )
     return params, n
 
 
@@ -301,17 +294,24 @@ def plan_spectrum(config: ScenarioConfig, output_dir: str | None = None) -> tupl
     order n, the index array of the manifolds n .. manifold_max (n + 20 by
     default) and the resolved path of the export, checked writable, once
     :func:`~mprabi.rwa._padded_size` has reserved the solver's peak on the
-    ladder the export pads past manifold_max.  One :class:`ConfigError`
-    lists every problem."""
+    ladder the export pads past manifold_max, and, at ``order`` 2, once
+    :func:`~mprabi.rwa._check_resonance` has found n the resonance of the
+    model on that ladder.  One :class:`ConfigError` lists every problem."""
     params, n = resolve_params(config)
     paths, problems = resolve_outputs(config, ["spectrum"], output_dir)
     manifold_max = config.manifold_max or n + 20
     if manifold_max < n:
         problems.append(f"manifold_max = {manifold_max} below the first manifold n = {n}")
     try:  # the ladder's peak bounds the manifolds' index array too
-        _padded_size(params, manifold_max + 1)
+        n_loc = _padded_size(params, manifold_max + 1)
     except ValueError as exc:
         problems.append(f"spectrum up to manifold_max = {manifold_max}: {exc}")
+    else:
+        try:  # the order-2 shifts divide by every other level gap
+            if config.order == 2:
+                _check_resonance(params, n, n_loc)
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
     return params, n, np.arange(n, manifold_max + 1), paths["spectrum"]

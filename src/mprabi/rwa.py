@@ -40,13 +40,15 @@ product-space columns that :func:`mprabi.dynamics.evolve_rwa` expands.
 :func:`spectrum_records` is its public reader (scalar records, the JSON export).
 
 The secular treatment is valid for |delta_n| << omega and |V_N(n)| << omega.
-:func:`mprabi.runner.resolve_params` warns about the detuning.  Two callers
-warn about the coupling, each with at most one :class:`RWAValidityWarning`
-through one rule, :func:`_warn_strong`, for the manifolds whose |V_N(n)|
-reaches 0.1 omega: :func:`spectrum_records` about the manifolds it exports,
-and :func:`mprabi.dynamics.project_secular` about those its start state
-leans on, with the initial weight there.  :func:`coupling_element` and
-:func:`rabi_frequency` are closed forms and warn about nothing.
+The two callers that make secular results warn through one rule,
+:func:`_warn_invalid`: :func:`spectrum_records` and
+:func:`mprabi.dynamics.project_secular` each raise at most one
+:class:`RWAValidityWarning` about a detuning past 0.1 omega and at most one
+about the manifolds whose |V_N(n)| reaches 0.1 omega: the manifolds the
+export holds, or those the start state leans on, with the initial weight
+there.  Parameter resolution and a numeric-only run warn about nothing, and
+:func:`coupling_element` and :func:`rabi_frequency` are closed forms that
+warn about nothing either.
 All functions are pure and thread safe.
 """
 
@@ -196,6 +198,23 @@ def rabi_frequency(params: ModelParams, n_manifold: int, n: int) -> float:
 ORDERS = (1, 2)
 
 
+def _check_resonance(params: ModelParams, n: int, n_loc: int) -> None:
+    """Raise ValueError when a level pair (k, m) of the n_loc-level ladders,
+    other than the resonant partners k - m = n, lies within the resonance
+    window: n is then not the resonance of the model, and the order-2 shifts
+    would divide by a vanishing gap.  That gap, E_down(k) - E_up(m), is
+    j omega - delta_n with j = k - m - n, so only the j nearest delta_n / omega
+    needs a check."""
+    delta = omega_eg(params) - n * params.omega
+    j = round(delta / params.omega)
+    near = abs(j * params.omega - delta) < RESONANCE_WINDOW * params.omega
+    if near and j != 0 and abs(j + n) < n_loc:
+        raise ValueError(
+            f"a non-partner level pair lies within {RESONANCE_WINDOW} omega; "
+            f"n = {n} is not the resonance of this model"
+        )
+
+
 def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Second-order shifts (down, up) of every level of the ladder of C.
 
@@ -204,19 +223,14 @@ def _shifts(params: ModelParams, n: int, c: np.ndarray) -> tuple[np.ndarray, np.
     level's resonant partner k - m = n.  On a C padded past the displacement
     tails of level N, as :func:`_secular_spectrum` builds it, the shifts of
     the levels up to N depend on the model alone, not on the padding.
-    Raises ValueError when a pair other than the resonant partners is within
-    the resonance window, i.e. when n is not the resonance of the model.
+    Raises the ValueError of :func:`_check_resonance` on the ladder of C.
     """
+    _check_resonance(params, n, c.shape[0])
     e_down, e_up = ladder_energies(params, np.arange(c.shape[0]))
     # gap[k, m] = E_down(k) - E_up(m); the partner entries are near zero and
     # carry no weight, so their diagonal (a strided view) is set infinite
     gap = e_down[:, None] - e_up[None, :]
     np.fill_diagonal(gap[n:], np.inf)
-    if np.any(np.abs(gap) < RESONANCE_WINDOW * params.omega):
-        raise ValueError(
-            f"a non-partner level pair lies within {RESONANCE_WINDOW} omega; "
-            f"n = {n} is not the resonance of this model"
-        )
     weight = c * c / gap
     return np.sum(weight, axis=1), -np.sum(weight, axis=0)
 
@@ -250,10 +264,13 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     One :func:`_transition_coupling` on the ladder padded past level n_top
     gives both displacement matrices and C; V_N(n) is its band C[N, N - n],
     and at ``order=2`` the level shifts come from the same C.  Each block
-    [[E_down(N), V], [V, E_up(N - n)]] keeps the better conditioned of its
-    two null vectors, normalized with c_down >= 0; a block with V = delta = 0
-    is degenerate and keeps the unmixed states.  The top n up states are left
-    out: their partners lie past n_top.
+    [[E_down(N), V], [V, E_up(N - n)]] turns by the paper's mixing angle,
+    tan 2 theta = 2 V / (E_down - E_up), with exp(i theta) the principal root
+    of the unit phase of (E_down - E_up)/2 + i V: alpha = +1 is (cos theta,
+    sin theta), alpha = -1 its orthogonal partner, each with c_down >= 0
+    (c_up >= 0 where c_down = 0) and orthonormal however small the gap.  V =
+    delta = 0 keeps the unmixed states, |up> as alpha = +1.  The top n up
+    states are left out: their partners lie past n_top.
     """
     if n < 1:
         raise ValueError(f"photon order must be >= 1, got {n}")
@@ -273,15 +290,10 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     lo, hi = e_down[big, None], e_up[big - n, None]
     delta = hi - lo  # omega_eg - n * omega at first order, delta_eff at second
     energy = 0.5 * (lo + hi) + np.hypot(0.5 * delta, v) * np.array([1.0, -1.0])
-    # of the parallel null vectors (V, E - E_down) and (E - E_up, V), keep
-    # the longer, better conditioned one
-    first = np.abs(energy - lo) >= np.abs(energy - hi)
-    c_down, c_up = np.where(first, v, energy - hi), np.where(first, energy - lo, v)
-    degenerate = (v == 0.0) & (delta == 0.0)
-    norm = np.where(degenerate, 1.0, np.hypot(c_down, c_up))
-    sign = np.where((c_down < 0.0) | ((c_down == 0.0) & (c_up < 0.0)), -1.0, 1.0)
-    c_down, c_up = sign * c_down / norm, sign * c_up / norm
-    c_down[degenerate[:, 0]], c_up[degenerate[:, 0]] = (0.0, 1.0), (1.0, 0.0)
+    z = np.where((v == 0.0) & (delta == 0.0), -1.0, -0.5 * delta + 1j * v)
+    turn = np.sqrt(z / np.abs(z))  # exp(i theta): complex sqrt is exact on the real axis
+    c_down = np.hstack([turn.real, np.abs(turn.imag)])
+    c_up = np.hstack([turn.imag, np.where(turn.imag > 0.0, -turn.real, turn.real)])
     basis = np.zeros((2 * n_top, 2 * n_top - n))
     down, up = basis[:n_top], basis[n_top:]  # the product space's two blocks
     down[:, :n] = d_down[:n_top, :n]
@@ -292,11 +304,20 @@ def _secular_spectrum(params: ModelParams, n: int, n_top: int, order: int) -> _S
     return _Spectrum(basis, energies, v[:, 0], delta[:, 0], c_down, c_up)
 
 
-def _warn_strong(params: ModelParams, n: int, manifolds, v, weight=None, floor=0.0) -> float:
-    """One RWAValidityWarning for the manifolds whose |V_N(n)| is not small
-    against omega.  ``weight`` (one entry per manifold) adds their sum, which
-    is returned (0 without it), and no warning is raised while the sum is
-    below ``floor``."""
+def _warn_invalid(params: ModelParams, n: int, manifolds, v, weight=None, floor=0.0) -> float:
+    """The RWAValidityWarnings of secular results: one when the detuning
+    delta_n = omega_eg - n omega leaves the |delta_n| < omega/10 window, and
+    one for the manifolds whose |V_N(n)| is not small against omega.
+    ``weight`` (one entry per manifold) adds their sum, which is returned (0
+    without it), and no coupling warning is raised while the sum is below
+    ``floor``."""
+    delta = omega_eg(params) - n * params.omega
+    if abs(delta) > RESONANCE_WINDOW * params.omega:
+        warnings.warn(
+            f"detuning |delta_{n}| = {abs(delta):.3g} is not small against "
+            f"omega = {params.omega:.3g}; secular results are unreliable",
+            RWAValidityWarning, stacklevel=3,
+        )
     size = np.abs(v)
     strong = size >= WEAK_COUPLING_LIMIT * params.omega
     held = 0.0 if weight is None else float(np.sum(weight[strong]))
@@ -330,13 +351,14 @@ def spectrum_records(params: ModelParams, n: int, manifolds, *, order: int = 1) 
     detuning and delta_eff the block's (delta_n at first order), so
     E_plus - E_minus = hypot(delta_eff, 2 V).  All come from one
     :func:`_secular_spectrum`; at ``order=2`` every energy carries its level
-    shift.  Warns once about the manifolds whose |V_N(n)| is not small.
+    shift.  Warns once about the detuning if it leaves the secular window,
+    and once about the manifolds whose |V_N(n)| is not small.
     """
     wanted = np.asarray(manifolds, dtype=int)
     if np.any(wanted < n):
         raise ValueError(f"manifolds must be >= n = {n}, got {wanted.min()}")
     s = _secular_spectrum(params, n, int(wanted.max(initial=n - 1)) + 1, order)
-    _warn_strong(params, n, wanted, s.v[wanted - n])
+    _warn_invalid(params, n, wanted, s.v[wanted - n])
     delta_n = omega_eg(params) - n * params.omega
     records = [
         {

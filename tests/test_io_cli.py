@@ -1196,9 +1196,10 @@ class TestRunScenario:
 
     def test_explicit_omega0_warning_reaches_manifest(self, tmp_path):
         # omega0 = 2.3 resolves to n = 2 with delta_2 = 2.3 - 0.01 - 2 = 0.29;
-        # the detuning warning is raised while the parameters resolve
+        # the detuning warning is raised as the secular basis is projected, so
+        # a run with the secular route records it and a numeric-only run not
         payload = {key: val for key, val in QUICK.items() if key != "n"}
-        config = parse_config(json.dumps({**payload, "omega0": 2.3}))
+        config = parse_config(json.dumps({**payload, "omega0": 2.3, "propagators": ["numeric", "rwa"]}))
         run_scenario(config, output_dir=str(tmp_path))
         stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
         assert stored["config"]["n"] == 2
@@ -1207,6 +1208,39 @@ class TestRunScenario:
             "RWAValidityWarning: detuning |delta_2| = 0.29 is not small against "
             "omega = 1; secular results are unreliable"
         ]
+        config = parse_config(json.dumps({**payload, "omega0": 2.3}))
+        assert config.propagators == ("numeric",)
+        _, manifest = run_scenario(config, output_dir=str(tmp_path))
+        assert manifest["validity"]["warnings"] == []
+
+    def test_numeric_run_off_its_rounded_resonance_records_no_warning(self, tmp_path):
+        # at lambda_g = 1e150, omega0 = omega - lambda_g**2 rounds to -1e300
+        # and omega_eg comes back as 0, a detuning |delta_1| = omega the
+        # config did not ask for; a numeric-only run makes no secular result,
+        # so its manifest records no RWAValidityWarning
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"n": 1, "lambda_eg": 0.02, "lambda_g": 1e150, "n_max": 12, "t_end": 1e12, '
+            '"dt": 1e10, "sample_every": 5, "propagators": ["numeric"]}'
+        )
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+        stored = json.loads((tmp_path / "trajectory.manifest.json").read_text())
+        assert stored["derived"]["delta_n"] == -1.0
+        assert not [w for w in stored["validity"]["warnings"] if "RWAValidityWarning" in w]
+
+    def test_uncoupled_secular_run_matches_the_numeric_one(self, tmp_path):
+        # lambda_eg = 0 leaves every block detuned by rounding alone; the
+        # secular basis still holds the start |up, 0> whole, and both routes
+        # keep W = 1
+        path = write_config(tmp_path, lambda_eg=0.0, t_end=1.0, dt=0.001, sample_every=100,
+                            propagators=["numeric", "rwa"])
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        numeric, secular = (
+            np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            for name in ("trajectory.csv", "trajectory_rwa.csv")
+        )
+        assert np.max(np.abs(secular[:, 1] - 1.0)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(numeric[:, 1] - secular[:, 1])) <= 1e-10
 
     def test_one_secular_basis_per_run(self, tmp_path, monkeypatch):
         # a coherent start costs one displaced vacuum and no matrix; the secular
@@ -1665,11 +1699,13 @@ class TestCli:
         assert [line.split(":")[0] for line in lines] == ["RWAValidityWarning"]
 
     def test_run_prints_the_warnings_of_a_failed_plan(self, tmp_path, capsys):
-        # the detuning warning is raised as the plan resolves the parameters;
-        # a plan that fails leaves no manifest, so run prints it as validate does
+        # the detuning warning is raised as the plan projects the secular
+        # basis; a plan that fails leaves no manifest, so run prints it as
+        # validate does
         path = tmp_path / "detuned.json"
         path.write_text(json.dumps({
             "omega0": 2.3, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,
+            "propagators": ["numeric", "rwa"],
         }), encoding="utf-8")
         missing = tmp_path / "missing"
         stderr = {}
@@ -1818,23 +1854,29 @@ class TestCli:
         assert "secular basis captures only 0.00769974 of the state" in err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("command", ["validate", "run", "spectrum"])
     def test_order_two_off_resonance_is_config_error(self, tmp_path, capsys, command):
         # omega0 = 0.05 resolves to n = 1 with the n = 0 pairs 0.05 omega apart,
         # inside the window the second-order shifts refuse; the detuning, 0.95
-        # omega, is far outside the secular window on purpose
-        path = tmp_path / "off.json"
-        path.write_text(json.dumps({
-            "omega0": 0.05, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,
-            "propagators": ["rwa"], "order": 2,
-        }), encoding="utf-8")
+        # omega, is far outside the secular window on purpose.  Every command
+        # that would solve the order-2 basis rejects it before compute, with
+        # or without the secular route: validate checks spectrum's export too,
+        # and only a numeric-only run solves no secular basis
         out = tmp_path / "out"
         out.mkdir()
-        assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert "n = 1 is not the resonance of this model" in err
-        assert list(out.iterdir()) == []
+        for propagators in (["rwa"], ["numeric"]):
+            if command == "run" and propagators == ["numeric"]:
+                continue
+            path = tmp_path / "off.json"
+            path.write_text(json.dumps({
+                "omega0": 0.05, "lambda_eg": 0.02, "n_max": 12, "t_end": 1.0, "dt": 0.01,
+                "propagators": propagators, "order": 2,
+            }), encoding="utf-8")
+            assert cli.main([command, str(path), "--output-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:\n")
+            assert err.count("n = 1 is not the resonance of this model") == 1
+            assert list(out.iterdir()) == []
 
     def test_validate_checks_spectrum_manifolds(self, tmp_path, capsys):
         # the manifold range spectrum would export is checked by validate too

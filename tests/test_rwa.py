@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -94,10 +94,23 @@ class TestResolvedResonance:
         assert abs(omega_eg(params) - n * params.omega) < 1e-14
 
     def test_large_detuning_warns(self):
+        # resolving the parameters warns about nothing; each secular result
+        # made from them, the export and the projection, warns once
         config = parse_config('{"omega0": 2.5, "lambda_eg": 0.02}')
-        with pytest.warns(RWAValidityWarning, match=r"detuning \|delta_2\| = 0\.5 "):
-            _, n = resolve_params(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, n = resolve_params(config)
         assert n == 2
+        for secular in (
+            lambda: spectrum_records(params, n, [2, 3]),
+            lambda: project_secular(params, n, np.eye(40)[0], 1),
+        ):
+            with pytest.warns(RWAValidityWarning) as log:
+                secular()
+            assert [str(w.message) for w in log] == [
+                "detuning |delta_2| = 0.5 is not small against omega = 1; "
+                "secular results are unreliable"
+            ]
 
     def test_rejects_bad_order(self):
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.02)
@@ -451,8 +464,10 @@ class TestDressedPair:
 def _secular_cases():
     # (params, n): the shipped regimes, signed couplings, a tiny coupling
     # sum (where the paper's form of V_N(n) is 0 * inf), a detuned
-    # selection-rule zero (V = 0, delta != 0) and no transition coupling at
-    # all (every manifold degenerate)
+    # selection-rule zero (V = 0, delta != 0), no transition coupling at
+    # all (every manifold degenerate), and none with omega0 placed on the
+    # resonance through lambda_e, whose block detunings round to 0 in some
+    # manifolds and to a few ulps (-2.2e-16 at N = 2) in the others
     signed = dict(omega=1.0, lambda_g=-0.12, lambda_e=0.05, lambda_eg=0.02)
     return {
         "two-photon": (two_photon_params(), 2),
@@ -475,6 +490,32 @@ def _secular_cases():
         ),
         "selection-rule": (ModelParams(omega=1.0, omega0=2.05, lambda_eg=0.02), 2),
         "no-transition": (ModelParams(omega=1.0, omega0=2.0, lambda_g=0.1, lambda_e=0.1), 2),
+        "no-transition-rounded": (
+            ModelParams(omega=1.0, omega0=resonant_omega0(2, omega=1.0, lambda_e=0.1), lambda_e=0.1),
+            2,
+        ),
+    }
+
+
+def _small_gap_cases():
+    # (params, n): gaps far below the energies' ulp at first order, where a
+    # pair built from differences of absolute energies loses its direction:
+    # V_N(12) of 1e-16 omega at N = 12, and a transition coupling of 1e-30
+    return {
+        "n12": (
+            ModelParams(
+                omega=1.0, omega0=resonant_omega0(12, omega=1.0, lambda_g=0.05, lambda_e=0.05),
+                lambda_g=0.05, lambda_e=0.05, lambda_eg=0.02,
+            ),
+            12,
+        ),
+        "tiny-transition": (
+            ModelParams(
+                omega=1.0, omega0=resonant_omega0(2, omega=1.0, lambda_e=0.1), lambda_e=0.1,
+                lambda_eg=1e-30,
+            ),
+            2,
+        ),
     }
 
 
@@ -501,9 +542,10 @@ class TestSecularSpectrum:
             assert np.max(np.abs(pair_energies[::-1] - exact)) < 4e-15 * scale
             pair = np.array([got.c_down[row], got.c_up[row]])  # columns: alpha = +1, -1
             assert np.all(pair[0] >= 0.0)
-            # V = delta = 0: the block keeps the unmixed states, alpha = +1 up
+            # V = delta = 0: the block keeps the unmixed states, alpha = +1 up;
+            # the rounded case holds both kinds of manifold
             degenerate = got.v[row] == 0.0 and got.delta[row] == 0.0
-            assert degenerate == (case == "no-transition")
+            assert degenerate == (case == "no-transition") or case == "no-transition-rounded"
             if degenerate:
                 assert np.array_equal(pair, [[0.0, 1.0], [1.0, 0.0]])
             else:
@@ -511,6 +553,25 @@ class TestSecularSpectrum:
                 vecs = vecs[:, ::-1] * np.where(vecs[0, ::-1] < 0.0, -1.0, 1.0)
                 gap = exact[1] - exact[0]
                 assert np.max(np.abs(pair - vecs)) < 1e-15 + 1e-14 * scale / gap
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("case", [*_secular_cases(), *_small_gap_cases()])
+    def test_pairs_are_orthonormal_however_small_the_gap(self, case, order):
+        # each pair comes from its mixing angle, not from differences of
+        # absolute energies: orthonormal to a few ulps, and an eigenbasis of
+        # its centred block [[-delta/2, V], [V, delta/2]] to a few ulps of
+        # max(|V|, |delta|), with no bound that grows as the gap shrinks
+        params, n = {**_secular_cases(), **_small_gap_cases()}[case]
+        s = _secular_spectrum(params, n, 40, order)
+        eps = np.finfo(float).eps
+        for v, delta, c_down, c_up in zip(s.v, s.delta, s.c_down, s.c_up):
+            pair = np.array([c_down, c_up]).T  # rows: alpha = +1, -1
+            assert np.max(np.abs(pair @ pair.T - np.eye(2))) <= 4 * eps
+            block = np.array([[-0.5 * delta, v], [v, 0.5 * delta]])
+            half_gap = np.hypot(0.5 * delta, v)
+            for energy, c in zip((half_gap, -half_gap), pair):
+                residual = np.max(np.abs(block @ c - energy * c))
+                assert residual <= 4 * eps * max(abs(v), abs(delta))
 
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -590,11 +651,10 @@ class TestSecularProperties:
         energies = s.energies[-2:]  # alpha = +1, -1
         vecs = np.array([s.c_down[-1], s.c_up[-1]]).T  # rows: alpha = +1, -1
         scale = max(1.0, abs(e_down), abs(e_up))
-        gap = energies[0] - energies[1]
-        assert gap > 0.0
-        # each state comes from E - e_down or E - e_up, rounded at the scale
-        # of the energies: its direction is good to eps * scale / gap
-        assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) < 1e-15 + 8e-16 * scale / gap
+        assert energies[0] - energies[1] > 0.0
+        # the pair is its mixing angle's rotation of the bare states: its
+        # orthonormality does not depend on the gap
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) <= 4 * np.finfo(float).eps
         for energy, c in zip(energies, vecs):
             residual = np.max(np.abs(block @ c - energy * c))
             assert residual < 4e-15 * scale
@@ -633,6 +693,38 @@ class TestLevelShifts:
         # three-photon shifts would divide by their vanishing gap
         with pytest.raises(ValueError, match="not the resonance"):
             level_shifts(two_photon_params(), 3, 10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        omega=st.sampled_from([1.0, 0.7, 2.5]),
+        omega0=st.floats(min_value=0.0, max_value=6.0),
+        lambda_g=st.floats(min_value=-1.0, max_value=1.0),
+        lambda_e=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=1, max_value=40),
+    )
+    def test_resonance_check_is_the_scan_of_every_pair(
+        self, omega, omega0, lambda_g, lambda_e, n, extra
+    ):
+        # the O(1) check fires exactly where some pair (k, m) with k - m != n
+        # of the n_loc-level ladders lies within the resonance window, but
+        # for a gap within rounding of the window's edge (omega0 = 0.1 at
+        # n = 1 gives the scan -0.1 and the check 0.09999999999999998)
+        params = ModelParams(omega=omega, omega0=omega0 * omega, lambda_g=lambda_g,
+                             lambda_e=lambda_e, lambda_eg=0.02)
+        n_loc = n + extra
+        e_down, e_up = ladder_energies(params, np.arange(n_loc))
+        gap = e_down[:, None] - e_up[None, :]
+        np.fill_diagonal(gap[n:], np.inf)
+        window = rwa.RESONANCE_WINDOW * omega
+        assume(abs(np.min(np.abs(gap)) - window) > 1e-12)
+        scan = bool(np.any(np.abs(gap) < window))
+        try:
+            rwa._check_resonance(params, n, n_loc)
+        except ValueError as exc:
+            assert scan and f"n = {n} is not the resonance of this model" in str(exc)
+        else:
+            assert not scan
 
     def test_vanish_without_transition_coupling(self):
         params = ModelParams(omega=1.0, omega0=2.0, lambda_g=0.1, lambda_e=0.2)
