@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fockmath import FockSpace, _displaced_vacuum, _reserve, laguerre_transition
-from .model import ModelParams
+from .model import ModelParams, build_full
 from .rwa import _couplings, _secular_spectrum, _warn_invalid
 
 EXCITED_FOCK = "excited-fock"
@@ -302,19 +302,23 @@ class Projection(NamedTuple):
     strong_weight: float  # weight on manifolds with |V_N(n)| >= 0.1 omega; 0 for numeric
 
 
-def project_numeric(h: np.ndarray, psi0: np.ndarray) -> Projection:
-    """The projection that :func:`evolve_numeric` expands: the eigenvectors
-    and energies of the real symmetric ``h`` from one ``eigh``, and the flat
-    vector psi0's coefficients on them, once the ``eigh``'s peak is reserved
-    (:data:`_EIGH_MATRICES`).  ``strong_weight`` is 0, as the exact route has
-    no secular validity bound."""
+def _flat(psi0) -> np.ndarray:
+    """psi0 as a complex vector on a product space: flat, of even length."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.shape[0],):
-        raise ValueError("state and Hamiltonian dimensions disagree")
-    _reserve(_EIGH_MATRICES, *h.shape)
-    if np.iscomplexobj(h) and np.any(h.imag):  # .imag of a real h would be a new zero array
-        raise ValueError("the Hamiltonian must be real symmetric")
-    energies, vectors = np.linalg.eigh(h.real)
+    if psi0.ndim != 1 or psi0.size % 2:
+        raise ValueError("psi0 must be a flat vector of even length")
+    return psi0
+
+
+def project_numeric(params: ModelParams, psi0: np.ndarray) -> Projection:
+    """The projection that :func:`evolve_numeric` expands: the eigenvectors
+    and energies, from one ``eigh``, of the full Hamiltonian on the
+    truncation of the flat vector ``psi0``, reserved with the ``eigh``'s peak
+    (:data:`_EIGH_MATRICES`) before it is written, and psi0's coefficients on
+    them.  ``strong_weight`` is 0: the exact route has no secular validity bound."""
+    psi0 = _flat(psi0)
+    _reserve(1 + _EIGH_MATRICES, psi0.size, psi0.size)  # H and its eigh, unwritten
+    energies, vectors = np.linalg.eigh(build_full(params, FockSpace(psi0.size // 2)))
     return Projection(vectors, energies, vectors.T @ psi0, 0.0)
 
 
@@ -384,9 +388,7 @@ def project_secular(
     once when the detuning leaves the secular window, and once, with the
     weight they hold, about the strong-coupling manifolds when that weight
     reaches :data:`COMPLETENESS_TOL`."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim != 1 or psi0.size % 2:
-        raise ValueError("psi0 must be a flat vector of even length")
+    psi0 = _flat(psi0)
     s = _secular_spectrum(params, n, psi0.size // 2, order)
     coeffs = s.basis.T @ psi0
     captured = float(np.sum(np.abs(coeffs) ** 2))
@@ -441,13 +443,14 @@ def evolve_rwa(
 
 
 def _series_weights(first_arg: float):
-    """Yield the weights I(N, 0, first_arg)^2, N = 0, 1, ..., until the
-    cumulative weight exceeds 1 - WEIGHT_TOL."""
+    """Yield the weights I(N, 0, x)^2, N = 0, 1, ..., of x = first_arg until
+    their sum exceeds 1 - WEIGHT_TOL.  They are Poisson of mean x, so a sum
+    short of it after x + 50 sqrt(x) + 100 terms has stalled, and raises."""
     cum = 0.0
     n_photon = 0
     while cum < 1.0 - WEIGHT_TOL:
-        if n_photon > 100_000:  # defensive; weights sum to 1 analytically
-            raise RuntimeError("weight series failed to converge")
+        if n_photon > first_arg + 50.0 * math.sqrt(first_arg) + 100.0:
+            raise RuntimeError(f"weight series stalled at {cum!r} after {n_photon} terms")
         w = laguerre_transition(n_photon, 0, first_arg) ** 2
         cum += w
         yield w

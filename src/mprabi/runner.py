@@ -41,7 +41,6 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig
 from .csvtext import _atomic_write, _usable_cpus, emit_csv
 from .dynamics import (
-    _EIGH_MATRICES,
     COMPLETENESS_TOL,
     NORM_TOL,
     TOP_LEVELS,
@@ -58,7 +57,7 @@ from .dynamics import (
     sample_count,
 )
 from .fockmath import FockSpace, _reserve
-from .model import ModelParams, build_full
+from .model import ModelParams
 from .rwa import (
     RWAValidityWarning,
     _check_resonance,
@@ -231,8 +230,8 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
     settles the time grid and counts its samples (with no grid built) and
     prepares the initial state.  It keeps the state's projection for each
     route that runs, which the route's propagator then expands:
-    :func:`~mprabi.dynamics.project_numeric` on the full Hamiltonian, which
-    it assembles, and :func:`~mprabi.dynamics.project_secular`, which raises
+    :func:`~mprabi.dynamics.project_numeric`, which assembles the full
+    Hamiltonian, and :func:`~mprabi.dynamics.project_secular`, which raises
     the strong-coupling warning.  Raises one :class:`ConfigError` with every
     unusable output path, a sample count, an n_max within the top levels the
     truncation rule watches, a state, H with its eigh, secular ladder or
@@ -262,13 +261,11 @@ def plan_run(config: ScenarioConfig, output_dir: str | None = None) -> RunPlan:
         )
     initial = InitialStateSpec(config.initial_kind, config.n_photons, config.mean_photons)
     try:
-        space = FockSpace(config.n_max)
-        psi0 = prepare_initial(initial, params, space)
+        psi0 = prepare_initial(initial, params, FockSpace(config.n_max))
         projections = {}
         if "numeric" in config.propagators:
             with _timed(timings, "hamiltonian"):
-                _reserve(1 + _EIGH_MATRICES, space.dim, space.dim)  # H and its eigh, unwritten
-                projections["numeric"] = project_numeric(build_full(params, space), psi0)
+                projections["numeric"] = project_numeric(params, psi0)
         if "rwa" in config.propagators:
             with _timed(timings, "secular_basis"):
                 projections["rwa"] = project_secular(params, n, psi0, config.order)

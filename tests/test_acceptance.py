@@ -122,15 +122,14 @@ def two_photon_run():
     psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
     t_rabi = 2.0 * math.pi / rabi_frequency(params, 2, 2)
     traj = evolve_numeric(
-        project_numeric(build_full(params, space), psi0), 3.0 * t_rabi, DT, sample_every=100,
-        period=PERIOD,
+        project_numeric(params, psi0), 3.0 * t_rabi, DT, sample_every=100, period=PERIOD
     )
-    return params, space, psi0, traj, t_rabi
+    return params, psi0, traj, t_rabi
 
 
 @pytest.fixture(scope="module")
 def two_photon_rwa(two_photon_run):
-    params, _, psi0, _, t_rabi = two_photon_run
+    params, psi0, _, t_rabi = two_photon_run
     return evolve_rwa(project_secular(params, 2, psi0, 2), 3.0 * t_rabi, DT, 100, period=PERIOD)
 
 
@@ -146,10 +145,8 @@ def collapse_runs():
     # number 20 where the default step would bleed norm, so step at T/8000
     space = FockSpace(110)
     psi0 = prepare_initial(InitialStateSpec("ground-coherent", mean_photons=nbar), params, space)
-    traj = evolve_numeric(
-        project_numeric(build_full(params, space), psi0),
-        32.0 * PERIOD, PERIOD / 8000.0, sample_every=400, period=PERIOD
-    )
+    traj = evolve_numeric(project_numeric(params, psi0), 32.0 * PERIOD, PERIOD / 8000.0,
+                          sample_every=400, period=PERIOD)
     return grid, closed, traj
 
 
@@ -184,7 +181,7 @@ def test_criterion_2_selection_rule():
 
 
 def test_criterion_3_two_photon_exchange(two_photon_run):
-    params, _, _, traj, t_rabi = two_photon_run
+    params, _, traj, t_rabi = two_photon_run
     concentration = np.min(np.sum(traj.photon_dist[:, :3], axis=1))
     p2 = traj.photon_dist[:, 2]
     spacing = traj.times[1] - traj.times[0]
@@ -221,8 +218,7 @@ def test_criterion_4_three_photon_exchange():
     (rec,) = spectrum_records(params, 3, [3], order=2)["manifolds"]
     expected = 2.0 * math.pi / (rec["E_plus"] - rec["E_minus"])
     traj = evolve_numeric(
-        project_numeric(build_full(params, space), psi0), 1.45 * first_order, DT, sample_every=100,
-        period=PERIOD,
+        project_numeric(params, psi0), 1.45 * first_order, DT, sample_every=100, period=PERIOD
     )
     p3 = traj.photon_dist[:, 3]
     spacing = traj.times[1] - traj.times[0]
@@ -275,18 +271,17 @@ def test_criterion_6_rwa_vs_exact(two_photon_run, two_photon_rwa):
     # the secular curve is second order: at first order the 3.7% gap error
     # builds up ~0.7 rad of phase slip over three Rabi periods and the
     # mismatch reaches 0.70, far past the 0.05 bound
-    _, _, _, traj, _ = two_photon_run
+    _, _, traj, _ = two_photon_run
     diff = float(np.max(np.abs(two_photon_rwa.inversion - traj.inversion)))
     _report(6, "secular vs exact inversion", diff <= 0.05, f"max |dW| {diff:.4f} (tol 0.05)")
 
 
 def test_criterion_7_integrator_order(two_photon_run):
-    params, space, psi0, traj, _ = two_photon_run
-    h = build_full(params, space)
+    params, psi0, traj, _ = two_photon_run
     window = 4.0 * PERIOD
 
     def end_state(dt):
-        run = evolve_numeric(project_numeric(h, psi0), window, dt, 10_000_000, period=PERIOD)
+        run = evolve_numeric(project_numeric(params, psi0), window, dt, 10_000_000, period=PERIOD)
         return run.final_state
 
     ref = end_state(DT / 8.0)

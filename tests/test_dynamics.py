@@ -115,11 +115,16 @@ def two_photon_params():
      "psi0 must be a flat vector of even length"),
     (lambda: project_secular(two_photon_params(), 2, np.zeros(5), 1),
      "psi0 must be a flat vector of even length"),
+    (lambda: project_numeric(two_photon_params(), np.zeros((2, 4))),
+     "psi0 must be a flat vector of even length"),
+    (lambda: project_numeric(two_photon_params(), np.zeros(5)),
+     "psi0 must be a flat vector of even length"),
     (lambda: inversion_fock(two_photon_params(), 0, 0.0), "photon order must be >= 1, got 0"),
     (lambda: inversion_coherent(two_photon_params(), 0, 1.0, 0.0), "photon order must be >= 1, got 0"),
     (lambda: inversion_coherent(two_photon_params(), 2, -1.0, 0.0), "mean_photons must be >= 0"),
 ], ids=["unknown-kind", "negative-n-photons", "negative-mean", "nan-mean", "psi0-2d",
-        "psi0-odd", "fock-order-0", "coherent-order-0", "coherent-negative-mean"])
+        "psi0-odd", "numeric-psi0-2d", "numeric-psi0-odd", "fock-order-0", "coherent-order-0",
+        "coherent-negative-mean"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -228,8 +233,7 @@ class TestObservables:
         )
         if propagator == "numeric":
             traj = evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 30.0, DT, sample_every=300,
-                period=PERIOD,
+                project_numeric(params, psi0), 30.0, DT, sample_every=300, period=PERIOD
             )
         else:
             traj = evolve_rwa(project_secular(params, 2, psi0, 1), 30.0, 3.0, period=PERIOD)
@@ -251,7 +255,7 @@ class TestObservables:
         steps = sample_steps(30.0, DT, 100)
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(project_numeric(h, psi0), 30.0, DT, 100, period=PERIOD)
+            traj = evolve_numeric(project_numeric(params, psi0), 30.0, DT, 100, period=PERIOD)
             energies, vectors = np.linalg.eigh(h)
             coeffs = vectors.T @ psi0
             gains = np.exp(np.outer(steps, 2.0 * dynamics._rk4_log_gain(DT * energies)[0]))
@@ -301,8 +305,7 @@ class TestEvolveNumeric:
         space = FockSpace(6)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 20.0, DT, sample_every=100,
-            period=PERIOD,
+            project_numeric(params, psi0), 20.0, DT, sample_every=100, period=PERIOD
         )
         assert np.max(np.abs(traj.inversion - 1.0)) < 1e-9
 
@@ -312,8 +315,7 @@ class TestEvolveNumeric:
         vec = np.zeros(50, dtype=complex)
         vec[space.up] = displacement_matrix(-0.25, space)[:, 0]
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), vec), 30.0, DT, sample_every=200,
-            period=PERIOD,
+            project_numeric(params, vec), 30.0, DT, sample_every=200, period=PERIOD
         )
         drift = np.max(np.abs(traj.photon_dist - traj.photon_dist[0]))
         assert drift < 1e-8
@@ -323,8 +325,7 @@ class TestEvolveNumeric:
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 200.0, DT, sample_every=500,
-            period=PERIOD,
+            project_numeric(params, psi0), 200.0, DT, sample_every=500, period=PERIOD
         )
         rel = np.abs(traj.energy - traj.energy[0]) / abs(traj.energy[0])
         assert np.max(rel) < 1e-6
@@ -334,8 +335,7 @@ class TestEvolveNumeric:
         space = FockSpace(16)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 60.0, DT, sample_every=100,
-            period=PERIOD,
+            project_numeric(params, psi0), 60.0, DT, sample_every=100, period=PERIOD
         )
         row_sums = np.sum(traj.photon_dist, axis=1)
         assert np.max(np.abs(row_sums - traj.norm)) < 1e-12
@@ -350,10 +350,7 @@ class TestEvolveNumeric:
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
         with pytest.raises(NormDriftError, match="dt"):
-            evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 10.0, 1.0, sample_every=1,
-                period=PERIOD,
-            )
+            evolve_numeric(project_numeric(params, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
 
     def test_nan_norm_aborts(self):
         # the folded propagator overflows at this step long before the first
@@ -364,8 +361,7 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         with pytest.raises(NormDriftError, match=r"^\|psi\|\^2 is not finite at t = 318.31 periods "):
             evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 4000.0, 1.0, sample_every=2000,
-                period=PERIOD,
+                project_numeric(params, psi0), 4000.0, 1.0, sample_every=2000, period=PERIOD
             )
 
     # the state starts on the top level, so every run here is truncated
@@ -376,14 +372,13 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
-        h = build_full(params, space)
         with pytest.raises(NormDriftError) as info:
-            evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
+            evolve_numeric(project_numeric(params, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
         hinted = float(re.search(r"= (\S+) periods keeps", str(info.value)).group(1)) * PERIOD
-        traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, sample_every=1, period=PERIOD)
+        traj = evolve_numeric(project_numeric(params, psi0), 10.0, hinted, 1, period=PERIOD)
         assert np.max(np.abs(traj.norm - 1.0)) <= NORM_TOL
         with pytest.raises(NormDriftError):
-            evolve_numeric(project_numeric(h, psi0), 10.0, 2.0 * hinted, 1, period=PERIOD)
+            evolve_numeric(project_numeric(params, psi0), 10.0, 2.0 * hinted, 1, period=PERIOD)
 
     @pytest.mark.parametrize("target", [5, _RWA_BLOCK + 40])
     def test_truncation_warns_once_at_first_offending_sample(self, monkeypatch, target):
@@ -393,17 +388,16 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
         space = FockSpace(6)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        h = build_full(params, space)
         run = dict(t_end=700 * 40 * DT, dt=DT, sample_every=40)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", 2.0)
-        quiet = evolve_numeric(project_numeric(h, psi0), **run, period=PERIOD)
+        quiet = evolve_numeric(project_numeric(params, psi0), **run, period=PERIOD)
         top = np.sum(quiet.photon_dist[:, -5:], axis=1)
         tol = top[target]
         first = int(np.argmax(top >= tol))
         assert first % _RWA_BLOCK and (first > _RWA_BLOCK) == (target > _RWA_BLOCK)
         monkeypatch.setattr(dynamics, "TRUNCATION_TOL", tol)
         with pytest.warns(IntegratorWarning) as record:
-            traj = evolve_numeric(project_numeric(h, psi0), **run, period=PERIOD)
+            traj = evolve_numeric(project_numeric(params, psi0), **run, period=PERIOD)
         assert not traj.truncation_ok
         messages = [str(w.message) for w in record if w.category is IntegratorWarning]
         assert len(messages) == 1
@@ -417,15 +411,14 @@ class TestEvolveNumeric:
         params = ModelParams(omega=1.0, omega0=1.0, lambda_eg=0.01)
         space = FockSpace(30)
         psi0 = prepare_initial(InitialStateSpec("excited-fock", n_photons=29), params, space)
-        h = build_full(params, space)
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             with pytest.raises(NormDriftError) as info:
-                evolve_numeric(project_numeric(h, psi0), 10.0, 1.0, sample_every=1, period=PERIOD)
+                evolve_numeric(project_numeric(params, psi0), 10.0, 1.0, 1, period=PERIOD)
         assert not [w for w in log if issubclass(w.category, IntegratorWarning)]
         hinted = float(re.search(r"= (\S+) periods keeps", str(info.value)).group(1)) * PERIOD
         with pytest.warns(IntegratorWarning, match="at t = 0 periods;"):
-            traj = evolve_numeric(project_numeric(h, psi0), 10.0, hinted, 1, period=PERIOD)
+            traj = evolve_numeric(project_numeric(params, psi0), 10.0, hinted, 1, period=PERIOD)
         assert not traj.truncation_ok
 
     def test_closer_to_long_double_rk4_than_folded_route(self):
@@ -440,7 +433,7 @@ class TestEvolveNumeric:
         coherent = InitialStateSpec("ground-coherent", mean_photons=10.0)
         psi0 = prepare_initial(coherent, params, space)
         dt, n_steps, every = 1e-3, 400_000, 10_000
-        traj = evolve_numeric(project_numeric(h, psi0), n_steps * dt, dt, every, period=PERIOD)
+        traj = evolve_numeric(project_numeric(params, psi0), n_steps * dt, dt, every, period=PERIOD)
         states = rk4_long_double(h, psi0, dt, n_steps, every)
         probs = np.abs(states) ** 2
         inversion = (np.sum(probs[:, 40:], axis=1) - np.sum(probs[:, :40], axis=1)).astype(float)
@@ -457,7 +450,7 @@ class TestEvolveNumeric:
         h = build_full(params, space)
         coherent = InitialStateSpec("ground-coherent", mean_photons=4.0)
         psi0 = prepare_initial(coherent, params, space)
-        traj = evolve_numeric(project_numeric(h, psi0), 200.0, DT, sample_every=71, period=PERIOD)
+        traj = evolve_numeric(project_numeric(params, psi0), 200.0, DT, 71, period=PERIOD)
         assert len(traj) > _RWA_BLOCK and traj.pruned_weight == 0.0
         energies, vectors = np.linalg.eigh(h)
         log_mod, phase = dynamics._rk4_log_gain(DT * energies)
@@ -490,7 +483,7 @@ class TestEvolveNumeric:
         vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 = vec / np.linalg.norm(vec)
         traj = evolve_numeric(
-            project_numeric(h, psi0), n_steps * DT, DT, sample_every, period=PERIOD
+            project_numeric(params, psi0), n_steps * DT, DT, sample_every, period=PERIOD
         )
         steps, states = rk4_stepwise(h, psi0, DT, n_steps, sample_every)
         assert np.array_equal(traj.times, steps * DT)
@@ -532,8 +525,7 @@ class TestEvolveNumeric:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         t_half = math.pi / (2.0 * lam)
         traj = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 1.2 * t_half, DT, sample_every=20,
-            period=PERIOD,
+            project_numeric(params, psi0), 1.2 * t_half, DT, sample_every=20, period=PERIOD
         )
         i = int(np.argmin(traj.inversion))
         t, w = traj.times, traj.inversion
@@ -546,73 +538,44 @@ class TestEvolveNumeric:
         params = two_photon_params()
         space = FockSpace(4)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        h = build_full(params, space)
         with pytest.raises(ValueError):
-            evolve_numeric(project_numeric(h, psi0), 1.0, -0.1, period=PERIOD)
+            evolve_numeric(project_numeric(params, psi0), 1.0, -0.1, period=PERIOD)
         with pytest.raises(ValueError):
-            evolve_numeric(project_numeric(h, psi0), 1.0, 0.1, sample_every=0, period=PERIOD)
-
-    def test_rejects_complex_hamiltonian(self):
-        # the eigenbasis route diagonalizes the real part only
-        params = two_photon_params()
-        space = FockSpace(4)
-        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        matrix = build_full(params, space).astype(complex)
-        matrix[0, 1] += 1e-3j
-        matrix[1, 0] -= 1e-3j
-        with pytest.raises(ValueError, match="real"):
-            project_numeric(matrix, psi0)
-
-    def test_accepts_complex_hamiltonian_with_real_entries(self):
-        params = two_photon_params()
-        space = FockSpace(4)
-        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        h = build_full(params, space)
-        complex_h, real_h = project_numeric(h.astype(complex), psi0), project_numeric(h, psi0)
-        assert np.array_equal(complex_h.energies, real_h.energies)
-        assert np.array_equal(complex_h.coeffs, real_h.coeffs)
-
-    def test_rejects_state_of_another_dimension(self):
-        params = two_photon_params()
-        h = build_full(params, FockSpace(4))
-        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(5))
-        with pytest.raises(ValueError, match="dimensions disagree"):
-            project_numeric(h, psi0)
+            evolve_numeric(project_numeric(params, psi0), 1.0, 0.1, sample_every=0, period=PERIOD)
 
     def test_a_refused_reservation_stops_it(self, monkeypatch):
-        # the eigh's peak is reserved before any work, once the state fits H
+        # H with the eigh's peak is reserved before any work: refused, it
+        # stops the projection before H is built
         def refused(*shape):
             raise MemoryError(f"refused {shape}")
 
         params = two_photon_params()
-        space = FockSpace(8)
-        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
+        psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, FockSpace(8))
         monkeypatch.setattr(dynamics, "_reserve", refused)
-        with pytest.raises(MemoryError, match=re.escape(f"({dynamics._EIGH_MATRICES}, 16, 16)")):
-            project_numeric(build_full(params, space), psi0)
+        monkeypatch.setattr(dynamics, "build_full", lambda *args: pytest.fail("H was built"))
+        with pytest.raises(MemoryError, match=re.escape(f"({1 + dynamics._EIGH_MATRICES}, 16, 16)")):
+            project_numeric(params, psi0)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/statm")
     def test_eigh_peak_within_the_reserved_matrices(self):
         # tracemalloc does not see LAPACK's copy and workspace, so a fresh
         # process reads its resident set: from just before project_numeric,
-        # with H built and BLAS warmed up, to the peak across it, it grows by
-        # more than the eigenvectors it keeps and by at most the
-        # _EIGH_MATRICES (dim x dim) float64 it reserves (4.11 measured here,
-        # dim 2400; 3.4 at dim 1200-2000, where less of the workspace is new)
+        # with BLAS warmed up, to the peak across it, it grows by more than H
+        # and the eigenvectors it keeps and by at most the 1 + _EIGH_MATRICES
+        # (dim x dim) float64 it reserves (5.09 measured here, dim 2400)
         script = (
             "import os, resource, numpy as np\n"
             "from mprabi.dynamics import InitialStateSpec, prepare_initial, project_numeric\n"
             "from mprabi.fockmath import FockSpace\n"
-            "from mprabi.model import ModelParams, build_full\n"
+            "from mprabi.model import ModelParams\n"
             "a = np.random.default_rng(0).random((400, 400))\n"
             "np.linalg.eigh(a + a.T), a @ a\n"
             "params = ModelParams(omega=1.0, omega0=2.0, lambda_e=0.1, lambda_eg=0.02)\n"
             "space = FockSpace(1200)\n"
             "psi0 = prepare_initial(InitialStateSpec('excited-fock'), params, space)\n"
-            "h = build_full(params, space)\n"
             "with open('/proc/self/statm') as statm:\n"
             "    now = int(statm.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "projection = project_numeric(h, psi0)\n"
+            "projection = project_numeric(params, psi0)\n"
             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
             "print((peak - now) / (8 * space.dim**2))\n"
         )
@@ -620,7 +583,7 @@ class TestEvolveNumeric:
             [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
-        assert 1.0 < float(done.stdout) <= dynamics._EIGH_MATRICES
+        assert 2.0 < float(done.stdout) <= 1 + dynamics._EIGH_MATRICES
 
 
 class TestEvolveRwa:
@@ -666,8 +629,7 @@ class TestEvolveRwa:
         space = FockSpace(10)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         traj_num = evolve_numeric(
-            project_numeric(build_full(params, space), psi0), 320.0, DT, sample_every=100,
-            period=PERIOD,
+            project_numeric(params, psi0), 320.0, DT, sample_every=100, period=PERIOD
         )
         traj_rwa = evolve_rwa(project_secular(params, 1, psi0, 1), 320.0, DT, 100, period=PERIOD)
         assert np.max(np.abs(traj_num.inversion - traj_rwa.inversion)) < 0.05
@@ -738,7 +700,7 @@ class TestEvolveRwa:
         t_end = _RWA_BLOCK * 100 * DT
         if propagator == "numeric":
             h = build_full(params, space)
-            traj = evolve_numeric(project_numeric(h, psi0), t_end, DT, 100, period=PERIOD)
+            traj = evolve_numeric(project_numeric(params, psi0), t_end, DT, 100, period=PERIOD)
             energies, vectors = np.linalg.eigh(h)
             phases = np.exp(-1j * np.outer(energies, traj.times))
             inversion, dist = observables(vectors @ (phases * (vectors.T @ psi0)[:, None]))
@@ -766,7 +728,7 @@ class TestEvolveRwa:
         n_steps = (_RWA_BLOCK + 80 - (off_grid > 0)) * 100 + off_grid
         h = build_full(params, space)
         if propagator == "numeric":
-            projection, evolve = project_numeric(h, psi0), evolve_numeric
+            projection, evolve = project_numeric(params, psi0), evolve_numeric
         else:
             projection, evolve = project_secular(params, 2, psi0, 1), evolve_rwa
         outer, tables = np.outer, []
@@ -896,11 +858,10 @@ class TestPruning:
         params = two_photon_params()
         space = FockSpace(40)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        h = build_full(params, space)
 
         def run():
             if propagator == "numeric":
-                return evolve_numeric(project_numeric(h, psi0), 300.0, DT, 500, period=PERIOD)
+                return evolve_numeric(project_numeric(params, psi0), 300.0, DT, 500, period=PERIOD)
             return evolve_rwa(project_secular(params, 2, psi0, 2), 300.0, DT, 500, period=PERIOD)
 
         pruned = run()
@@ -920,11 +881,10 @@ class TestPruning:
         params = two_photon_params()
         space = FockSpace(200)
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
-        h = build_full(params, space)
-        pruned = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500, period=PERIOD)
+        pruned = evolve_numeric(project_numeric(params, psi0), 20.0, DT, 500, period=PERIOD)
         assert np.all(pruned.photon_dist[:, 100:] == 0.0)
         monkeypatch.setattr(dynamics, "_PRUNE_TOL", -1.0)
-        full = evolve_numeric(project_numeric(h, psi0), 20.0, DT, sample_every=500, period=PERIOD)
+        full = evolve_numeric(project_numeric(params, psi0), 20.0, DT, 500, period=PERIOD)
         assert not np.any(np.all(full.photon_dist == 0.0, axis=0))
 
     def test_nan_coefficient_is_kept(self):
@@ -935,10 +895,7 @@ class TestPruning:
         psi0 = prepare_initial(InitialStateSpec("excited-fock"), params, space)
         psi0[3] = np.nan
         with pytest.raises(NormDriftError, match="is not finite at t = 0 periods"):
-            evolve_numeric(
-                project_numeric(build_full(params, space), psi0), 10.0, DT, sample_every=100,
-                period=PERIOD,
-            )
+            evolve_numeric(project_numeric(params, psi0), 10.0, DT, sample_every=100, period=PERIOD)
 
 
 class TestInversionFock:
@@ -967,6 +924,15 @@ class TestInversionCoherent:
     def test_minus_one_at_time_zero(self):
         params = two_photon_params()
         assert inversion_coherent(params, 2, 20.0, 0.0) == pytest.approx(-1.0, abs=1e-10)
+
+    def test_series_stops_by_weight(self, monkeypatch):
+        # mean 1.2e5 takes ~1.22e5 terms, past the fixed 100,000 that once
+        # stopped it; a sum that stalls short of its weight still raises
+        params = ModelParams(omega=1.0, omega0=2.0, lambda_eg=0.02)
+        assert inversion_coherent(params, 2, 1.2e5, 0.0) == pytest.approx(-1.0, abs=1e-10)
+        monkeypatch.setattr(dynamics, "laguerre_transition", lambda *args: 0.0)
+        with pytest.raises(RuntimeError, match="^weight series stalled at 0.0 after 205 terms$"):
+            inversion_coherent(params, 2, 4.0, 0.0)
 
     def test_vacuum_field_stays_in_ground(self):
         params = two_photon_params()

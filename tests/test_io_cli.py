@@ -1246,7 +1246,8 @@ class TestRunScenario:
         # a coherent start costs one displaced vacuum and no matrix; the secular
         # basis two displacements, built once by the plan and expanded by
         # evolve_rwa as it stands; the numeric eigenbasis one H and one eigh,
-        # in the plan too
+        # in the plan too, after its one dim x dim reservation: H with the
+        # eigh's peak, made before H is written
         calls = []
 
         def counted(name, function):
@@ -1255,15 +1256,21 @@ class TestRunScenario:
                 return function(*args)
             return wrapper
 
+        def reserved(*shape):
+            calls.append(shape)
+            return reserve(*shape)
+
         def planned(*args):
             plan = plan_run(*args)
             calls.append("planned")
             return plan
 
-        plan_run = runner.plan_run
+        plan_run, reserve = runner.plan_run, dynamics._reserve
         monkeypatch.setattr(dynamics, "_displaced_vacuum", counted("vacuum", _displaced_vacuum))
         monkeypatch.setattr(rwa, "displacement_matrix", counted("D", displacement_matrix))
-        monkeypatch.setattr(runner, "build_full", counted("H", runner.build_full))
+        monkeypatch.setattr(dynamics, "build_full", counted("H", dynamics.build_full))
+        for module in (dynamics, runner):
+            monkeypatch.setattr(module, "_reserve", reserved)
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(runner, "plan_run", planned)
         config = parse_config(json.dumps({
@@ -1274,6 +1281,9 @@ class TestRunScenario:
         assert calls.count("D") == 2 and calls.count("vacuum") == 1
         assert calls.count("H") == calls.count("eigh") == 1
         assert calls[-1] == "planned"
+        square = [i for i, call in enumerate(calls) if call[1:] == (60, 60)]
+        assert [calls[i] for i in square] == [(1 + dynamics._EIGH_MATRICES, 60, 60)]
+        assert square[0] < calls.index("H")
 
     def test_every_trajectory_norm_checked(self, tmp_path, monkeypatch):
         # a secular trajectory off by 1e-5 fails the run beside a clean numeric one
@@ -1651,6 +1661,18 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == ["0.1.0", []]
 
+    def test_bare_pytest_keeps_the_package_warning_filters(self):
+        # pyproject's pythonpath makes mprabi importable when pytest reads
+        # its filterwarnings, with no PYTHONPATH and no install; without it
+        # the package categories fell back to plain warnings
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             "tests/test_model.py"], cwd=REPO, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "Failed to import filter module" not in done.stdout + done.stderr
+
     def test_missing_output_directory_reported_once(self, tmp_path, capsys):
         # the manifest and both CSVs would land in one missing directory
         missing = tmp_path / "missing"
@@ -2020,13 +2042,15 @@ class TestCli:
         ({"t_end": 1e300}, "t_end / dt = 5e+302 steps is too many: Maximum allowed size exceeded"),
         ({"t_end": 1e300, "dt": 1e-10}, "t_end / dt = inf steps is too many: "),
         ({"n_max": 10**16}, "n_max = 10000000000000000 is too large: "),
+        ({"n_max": 3 * 10**17}, "n_max = 300000000000000000 is too large: array is too big"),
         ({"n_max": 10**30}, "n_max = 1000000000000000000000000000000 is too large: "
                             "Maximum allowed dimension exceeded"),
-    ], ids=["grid", "step-count-overflow", "state", "state-past-the-index-range"])
+    ], ids=["grid", "step-count-overflow", "state", "state-past-the-byte-range",
+            "state-past-the-index-range"])
     def test_unallocatable_plan_is_config_error(self, tmp_path, capsys, command, extra, problem):
         # neither the sample grid nor the state can be mapped at these sizes,
-        # nor indexed past numpy's range; each is one problem line naming its
-        # subject, before any file is written
+        # nor sized or indexed past numpy's range; each is one problem line
+        # naming its subject, before any file is written
         path = write_config(tmp_path, **extra)
         out = tmp_path / "out"
         out.mkdir()
@@ -2144,20 +2168,6 @@ class TestCli:
         assert err.count("\n") == 2
         assert list(out.iterdir()) == []
 
-    def test_hamiltonian_past_the_index_range_is_named_as_too_large(self, tmp_path, monkeypatch):
-        # at n_max 2.3e8, H with its eigh's peak, shape (6, 4.6e8, 4.6e8), is
-        # past numpy's index range, not just past memory: the plan names
-        # n_max as for any peak too large, where it gave numpy's bare "array
-        # is too big".  A small start stands in for the 7 GB vector
-        monkeypatch.setattr(runner, "prepare_initial", lambda *args: np.zeros(4, dtype=complex))
-        config = parse_config(json.dumps({**QUICK, "n_max": 230_000_000}))
-        with pytest.raises(ConfigError) as caught:
-            runner.plan_run(config, str(tmp_path))
-        assert [problem.split(": ")[0] for problem in caught.value.problems] == [
-            "n_max = 230000000 is too large"
-        ]
-        assert str(caught.value).startswith("n_max = 230000000 is too large: array is too big")
-
     @pytest.mark.parametrize("command", ["validate", "run", "spectrum"])
     @pytest.mark.parametrize("payload", [
         {"lambda_eg": 1e160, "order": 2, "propagators": ["rwa"]},
@@ -2168,20 +2178,18 @@ class TestCli:
         # order-2 shifts, and 1e308 in H and V_N(1) themselves: validate and
         # spectrum exited 0 with NaN or Infinity, and run wrote a NaN CSV or
         # failed with "Eigenvalues did not converge".  Each command refuses
-        # the coupling by name before any compute and writes nothing
+        # the coupling by name before any compute and writes nothing; on
+        # Linux a 4 GiB limit keeps a regression from taking the machine's memory
         path = tmp_path / "strong.json"
         path.write_text(json.dumps({
             "n": 1, "n_max": 12, "t_end": 0.5, "dt": 0.01, "sample_every": 5, **payload,
         }), encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "mprabi.cli", command, str(path), "--output-dir", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 1
-        assert done.stderr.splitlines() == [
+        cap = 4 << 30 if sys.platform.startswith("linux") else None
+        code, _, err = run_capped(command, str(path), "--output-dir", str(out), address_space=cap)
+        assert code == 1
+        assert err.splitlines() == [
             "configuration error:",
             "  - model outside the float range from 'omega' = 1.0, 'n' = 1, 'lambda_eg' = "
             f"{payload['lambda_eg']!r}: |lambda_eg| above 2**256 = 1.158e+77 omega drives "
